@@ -130,13 +130,16 @@ class _Checker:
                 self.fail(path + (key,), f"unknown key {key!r}")
         return value
 
-    def number(self, value: Any, path: tuple, minimum=None, strict=False) -> float:
+    def number(self, value: Any, path: tuple, minimum=None, strict=False,
+               maximum=None) -> float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             self.fail(path, f"expected a number, got {value!r}")
         v = float(value)
         if minimum is not None and (v <= minimum if strict else v < minimum):
             op = ">" if strict else ">="
             self.fail(path, f"must be {op} {minimum}, got {value}")
+        if maximum is not None and v > maximum:
+            self.fail(path, f"must be <= {maximum}, got {value}")
         return v
 
     def integer(self, value: Any, path: tuple, minimum=None) -> int:
@@ -332,19 +335,22 @@ def _validate_block(check: _Checker, command: str, value: Any) -> dict:
         probs = block.get("queue_empty_probs")
         if isinstance(probs, list):
             block["queue_empty_probs"] = [
-                check.number(p, path + ("queue_empty_probs", i), minimum=0.0)
+                check.number(p, path + ("queue_empty_probs", i), minimum=0.0, maximum=1.0)
                 for i, p in enumerate(probs)
             ]
         elif isinstance(probs, dict):
             sim = check.mapping(probs, path + ("queue_empty_probs",), {"from_simulation"})
-            inner = check.mapping(sim.get("from_simulation"),
-                                  path + ("queue_empty_probs", "from_simulation"),
+            spath = path + ("queue_empty_probs", "from_simulation")
+            inner = check.mapping(sim.get("from_simulation"), spath,
                                   {"rounds", "horizon", "balking", "reneging"})
             spec = {
-                "rounds": inner.get("rounds", 20),
-                "horizon": inner.get("horizon", 200.0),
-                "balking": inner.get("balking", True),
-                "reneging": inner.get("reneging", True),
+                "rounds": check.integer(inner.get("rounds", 20), spath + ("rounds",),
+                                        minimum=1),
+                "horizon": check.number(inner.get("horizon", 200.0), spath + ("horizon",),
+                                        minimum=0.0, strict=True),
+                "balking": check.boolean(inner.get("balking", True), spath + ("balking",)),
+                "reneging": check.boolean(inner.get("reneging", True),
+                                          spath + ("reneging",)),
             }
             block["queue_empty_probs"] = {"from_simulation": spec}
         else:

@@ -14,9 +14,14 @@ empty and queue n is not.  Two chain constructions are provided:
   (default: the total arrival rate), resolved by the scan product above.
 
 Acceptance mass whose target would leave the feasibility space moves to the
-self-loop.  The long-term state distribution is the Cesaro average of the
-power sequence, from which expected active-slice counts and per-type
-acceptance-rate estimates follow.
+self-loop.  The long-term state distribution is the exact Cesaro limit of the
+power sequence, which exists for every finite chain, periodic and reducible
+ones included: the strongly connected components of the chain (Tarjan 1972)
+that no edge leaves are its closed classes, initial mass on transient states
+is carried into them by absorption probabilities, and each closed class that
+receives mass contributes its stationary vector scaled by that mass (Kemeny &
+Snell, *Finite Markov Chains*, 1960).  Expected active-slice counts and
+per-type acceptance-rate estimates follow from it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ WITH_RELEASES = "with-releases"
 ACCEPTANCE_ONLY = "acceptance-only"
 
 ROW_SUM_TOL = 1e-12
+# Largest stationarity residual |pi P - pi|_1 reported as converged.
+RESIDUAL_L1_BOUND = 1e-9
 
 
 def _check_probs(queue_empty_probs: Sequence[float], num_types: int) -> list[float]:
@@ -57,9 +64,14 @@ def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
     acceptance masses.  Non-admissible states self-loop with probability 1;
     acceptance mass with an infeasible target is reassigned to entry 0.
     """
-    n_types = space.model.num_types
-    probs = _check_probs(queue_empty_probs, n_types)
-    out = [0.0] * (n_types + 1)
+    probs = _check_probs(queue_empty_probs, space.model.num_types)
+    return _acceptance(strategy, space, probs, state_index)
+
+
+def _acceptance(strategy: PreferenceMatrix, space: StateSpace,
+                probs: list[float], state_index: int) -> list[float]:
+    """``acceptance_distribution`` on probabilities already checked by ``_check_probs``."""
+    out = [0.0] * (space.model.num_types + 1)
     if not space.is_admissible_index(state_index):
         out[RESERVE] = 1.0
         return out
@@ -134,10 +146,11 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
         opportunity_rate = sum(space.model.arrival_rates)
     if opportunity_rate < 0.0:
         raise ContractViolation("opportunity rate must be >= 0")
+    probs = _check_probs(queue_empty_probs, n_types)
 
     psi = np.zeros((n_states, n_states))
     for i in range(n_states):
-        accept = acceptance_distribution(strategy, space, queue_empty_probs, i)
+        accept = _acceptance(strategy, space, probs, i)
         if mode == ACCEPTANCE_ONLY:
             psi[i, i] += accept[RESERVE]
             for n in range(1, n_types + 1):
@@ -164,11 +177,17 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
 
 @dataclass(frozen=True)
 class StateDistribution:
-    """A probability vector over the full state space."""
+    """A probability vector over the full state space.
+
+    ``residual_l1`` is the stationarity residual ``|pi P - pi|_1`` against the
+    chain that produced the vector (nan when not measured); ``converged`` is
+    true when it is at most ``RESIDUAL_L1_BOUND``.
+    """
 
     probabilities: np.ndarray
     initial: np.ndarray
     converged: bool
+    residual_l1: float = np.nan
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probabilities, dtype=float)
@@ -203,33 +222,83 @@ def initial_distribution(space: StateSpace, policy: str | Sequence[float] = "emp
     return p
 
 
-def long_term_distribution(psi: TransitionMatrix | np.ndarray, p_init: np.ndarray,
-                           tolerance: float = 1e-8,
-                           max_steps: int = 10**5) -> StateDistribution:
-    """Cesaro average of the power sequence seeded by ``p_init``.
+def long_term_distribution(psi: TransitionMatrix | np.ndarray,
+                           p_init: np.ndarray) -> StateDistribution:
+    """Exact Cesaro limit of the power sequence seeded by ``p_init``.
 
-    Convergent and 2-periodic power sequences short-circuit to their exact
-    Cesaro limit; otherwise successive running averages are compared in L1
-    until they differ by less than the tolerance.  Hitting ``max_steps``
-    returns the current average flagged as not converged.
+    Initial mass on transient states is spread over the closed classes by the
+    absorption probabilities ``x (I - Q) = p_T`` followed by ``x R``; every
+    closed class that receives mass holds it in proportion to its stationary
+    vector.  The result is flagged as not converged, rather than raised, when
+    its stationarity residual exceeds ``RESIDUAL_L1_BOUND``, as it does for a
+    matrix that is not row-stochastic.
     """
+    # scipy.sparse is imported here so that commands that never solve a
+    # chain do not load it.
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
+
     m = psi.matrix if isinstance(psi, TransitionMatrix) else np.asarray(psi, dtype=float)
     v = np.asarray(p_init, dtype=float)
-    if v.shape != (m.shape[0],):
+    n = m.shape[0]
+    if v.shape != (n,):
         raise ContractViolation("initial distribution does not match the matrix")
-    avg = v.copy()
-    prev = None
-    for k in range(1, max_steps + 1):
-        v_next = v @ m
-        if np.abs(v_next - v).sum() < tolerance:
-            return StateDistribution(v_next, p_init, True)
-        if prev is not None and np.abs(v_next - prev).sum() < tolerance:
-            return StateDistribution((v_next + v) / 2.0, p_init, True)
-        new_avg = (avg * k + v_next) / (k + 1)
-        if np.abs(new_avg - avg).sum() < tolerance:
-            return StateDistribution(new_avg, p_init, True)
-        prev, v, avg = v, v_next, new_avg
-    return StateDistribution(avg / avg.sum(), p_init, False)
+    # The edges (row, col, probability) are the one sparse copy of the chain;
+    # every sparse operand below is built from them.
+    row, col = np.nonzero(m)
+    prob = m[row, col]
+    n_classes, labels = connected_components(
+        sparse.csr_matrix((prob, (row, col)), shape=(n, n)), connection="strong")
+    # a class is closed when no edge leaves it
+    closed = np.ones(n_classes, dtype=bool)
+    closed[labels[row[labels[row] != labels[col]]]] = False
+    recurrent = closed[labels]
+
+    def left_solve(states: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``y`` with ``y (I - P[states, states]) = rhs``."""
+        k = len(states)
+        pos = np.full(n, -1)
+        pos[states] = np.arange(k)
+        inside = (pos[row] >= 0) & (pos[col] >= 0)
+        # rows of the transposed operator are columns of P
+        op = sparse.csr_matrix(
+            (np.concatenate([np.ones(k), -prob[inside]]),
+             (np.concatenate([np.arange(k), pos[col[inside]]]),
+              np.concatenate([np.arange(k), pos[row[inside]]]))),
+            shape=(k, k))
+        return spsolve(op, rhs)
+
+    # Mass that each recurrent state receives: its own initial mass plus the
+    # transient mass absorbed into it, x R with x (I - Q) = p_T.
+    mass = np.where(recurrent, v, 0.0)
+    transient = np.flatnonzero(~recurrent)
+    if v[transient].any():
+        x = np.zeros(n)
+        x[transient] = left_solve(transient, v[transient])
+        mass += np.where(recurrent, x @ m, 0.0)
+    class_mass = np.bincount(labels, weights=mass, minlength=n_classes)
+
+    # Stationary vectors of the closed classes that hold mass, all in one
+    # solve: the chain restricted to them is block diagonal.  One anchor
+    # state per class gets weight 1, and pi_S (I - P_SS) = sum_a P_aS gives
+    # the rest of each class.
+    held = np.flatnonzero(recurrent & (class_mass[labels] > 0.0))
+    _, first = np.unique(labels[held], return_index=True)
+    anchors = np.zeros(n, dtype=bool)
+    anchors[held[first]] = True
+    rest = held[~anchors[held]]
+    pi = anchors.astype(float)
+    if rest.size:
+        pi[rest] = left_solve(rest, (pi @ m)[rest])
+    class_total = np.bincount(labels, weights=pi, minlength=n_classes)
+    pi[held] *= class_mass[labels[held]] / class_total[labels[held]]
+    # A no-op up to round-off for a row-stochastic matrix; for any other
+    # matrix it keeps the flagged result a probability vector.
+    pi /= pi.sum()
+
+    residual = float(np.abs(pi @ m - pi).sum())
+    return StateDistribution(pi, p_init, bool(residual <= RESIDUAL_L1_BOUND), residual)
 
 
 def expected_active_slices(distribution: StateDistribution | np.ndarray,
@@ -274,14 +343,11 @@ def strategy_steady_state(model: ResourceModel, space: StateSpace,
                           queue_empty_probs: Sequence[float],
                           mode: str = WITH_RELEASES,
                           opportunity_rate: float | None = None,
-                          p_init: str | Sequence[float] = "full",
-                          tolerance: float = 1e-8,
-                          max_steps: int = 10**5) -> SteadyStateEstimate:
+                          p_init: str | Sequence[float] = "full") -> SteadyStateEstimate:
     """Full evaluation pipeline for one strategy given queue-empty probabilities."""
     psi = build_transition_matrix(strategy, space, queue_empty_probs,
                                   model.release_rates, mode, opportunity_rate)
-    dist = long_term_distribution(psi, initial_distribution(space, p_init),
-                                  tolerance, max_steps)
+    dist = long_term_distribution(psi, initial_distribution(space, p_init))
     s_bar = expected_active_slices(dist, space)
     mu_hat = tuple(eta * s for eta, s in zip(model.release_rates, s_bar))
     utility = estimate_mean_utility(mu_hat, model.release_rates, model.utility_rates)

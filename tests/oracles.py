@@ -192,6 +192,26 @@ def stationary_by_linear_solve(matrix):
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
+def cesaro_average(matrix, p_init, burn_in, window):
+    """Mean of p_init P^k over k = burn_in .. burn_in + window - 1.
+
+    Once the transient mass has drained and each closed class has mixed,
+    this mean over a window that is a multiple of every class period is the
+    Cesaro limit up to terms that decay geometrically in ``burn_in``.
+    """
+    import numpy as np
+
+    m = np.asarray(matrix, dtype=float)
+    v = np.asarray(p_init, dtype=float)
+    for _ in range(burn_in):
+        v = v @ m
+    total = np.zeros_like(v)
+    for _ in range(window):
+        total += v
+        v = v @ m
+    return total / window
+
+
 def kld_direct(probabilities, p_hat):
     """Direct-summation divergence against a geometric pmf, natural log."""
     import math

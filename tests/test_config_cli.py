@@ -112,6 +112,28 @@ model:
         with pytest.raises(ConfigError, match="must be >= 1"):
             parse_config(text)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("rounds", '"many"', "expected an integer, got 'many'"),
+        ("rounds", "0", "must be >= 1, got 0"),
+        ("horizon", '"long"', "expected a number, got 'long'"),
+        ("horizon", "0", "must be > 0.0, got 0"),
+        ("balking", '"yes"', "expected true/false, got 'yes'"),
+        ("reneging", "1", "expected true/false, got 1"),
+    ])
+    def test_from_simulation_fields_checked(self, field, value, message):
+        text = ("scenario: paper-scenario-1\nsteady_state:\n  queue_empty_probs:\n"
+                f"    from_simulation:\n      {field}: {value}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == f"cfg:5: {message}"
+
+    def test_queue_empty_probs_bounded_by_one(self):
+        text = ("scenario: paper-scenario-1\nsteady_state:\n"
+                "  queue_empty_probs: [0.2, 1.5]\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == "cfg:3: must be <= 1.0, got 1.5"
+
     def test_missing_block_reported(self):
         config = parse_config(MINIMAL)
         with pytest.raises(ConfigError, match="no 'sweep' block"):
@@ -200,6 +222,17 @@ class TestCli:
         lines = (out / "analysis.csv").read_text().splitlines()
         assert lines[0] == "length,probability"
         assert lines[1] == "0,0.5"
+
+    def test_bad_from_simulation_rounds_exit_code(self, tmp_path, capsys):
+        text = MINIMAL + (
+            "steady_state:\n  queue_empty_probs:\n"
+            "    from_simulation: {rounds: many}\n"
+        )
+        cfg = self._write(tmp_path, text)
+        assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:11: expected an integer, got 'many'" in err
+        assert "Traceback" not in err
 
     def test_steady_state_csv(self, tmp_path):
         text = MINIMAL + (

@@ -6,6 +6,7 @@ import pytest
 from slicesim.errors import ContractViolation
 from slicesim.markov import (
     ACCEPTANCE_ONLY,
+    RESIDUAL_L1_BOUND,
     WITH_RELEASES,
     acceptance_distribution,
     build_transition_matrix,
@@ -20,7 +21,7 @@ from slicesim.markov import (
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import constant_strategy, naive_strategy, random_strategy
 
-from oracles import stationary_by_linear_solve
+from oracles import cesaro_average, stationary_by_linear_solve
 
 
 def case_study_space():
@@ -36,6 +37,42 @@ def single_type_space(lam=1.0, eta=0.5):
     model = ResourceModel(pool=(1.0,), costs=((1.0,),),
                           types=(SliceType(lam, eta, 1.0),))
     return enumerate_state_space(model)
+
+
+def random_reducible_chain(seed):
+    """Closed classes of period 1, 2 or 3 plus leaking transient states, shuffled.
+
+    Returns the matrix and a random initial distribution.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = []  # (period, [subclass sizes]) per closed class
+    for _ in range(rng.integers(1, 4)):
+        period = int(rng.integers(1, 4))
+        blocks.append((period, [int(k) for k in rng.integers(1, 4, size=period)]))
+    n_rec = sum(sum(sizes) for _, sizes in blocks)
+    n_trans = int(rng.integers(0, 5))
+    n = n_rec + n_trans
+    m = np.zeros((n, n))
+    start = 0
+    for period, sizes in blocks:
+        offsets = np.cumsum([start] + sizes)
+        for g in range(period):
+            rows = range(offsets[g], offsets[g + 1])
+            h = (g + 1) % period
+            cols = slice(offsets[h], offsets[h + 1])
+            for i in rows:
+                m[i, cols] = rng.random(sizes[h]) + 0.1
+        start = offsets[-1]
+    for t in range(n_rec, n):
+        m[t, n_rec:] = rng.random(n_trans) * (rng.random(n_trans) < 0.5)
+        targets = rng.choice(n_rec, size=int(rng.integers(1, n_rec + 1)), replace=False)
+        m[t, targets] = rng.random(targets.size) + 0.1
+    m /= m.sum(axis=1, keepdims=True)
+    perm = rng.permutation(n)
+    m = m[perm][:, perm]
+    p = rng.random(n) * (rng.random(n) < 0.6)
+    p[rng.integers(n)] += 1.0
+    return m, p / p.sum()
 
 
 class TestTransitionProbability:
@@ -188,7 +225,8 @@ class TestLongTermDistribution:
         dist = long_term_distribution(psi, np.array([1.0, 0.0, 0.0]))
         oracle = stationary_by_linear_solve(psi)
         assert dist.converged
-        assert np.allclose(dist.probabilities, oracle, atol=1e-7)
+        assert dist.residual_l1 <= 1e-12
+        assert np.allclose(dist.probabilities, oracle, atol=1e-12)
 
     def test_cesaro_output_is_distribution(self):
         space = case_study_space()
@@ -202,19 +240,65 @@ class TestLongTermDistribution:
             assert np.all(p >= -1e-12)
             assert abs(p.sum() - 1.0) < 1e-9
 
-    def test_nonconvergence_is_flagged(self):
-        # a 3-cycle defeats both short-circuits; the averages shrink like 1/K
-        psi = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        dist = long_term_distribution(psi, np.array([1.0, 0.0, 0.0]),
-                                      tolerance=1e-15, max_steps=10)
+    def test_residual_above_bound_is_flagged(self):
+        # rows that sum to less than one admit no stationary vector
+        psi = np.array([[0.5, 0.2], [0.3, 0.6]])
+        dist = long_term_distribution(psi, np.array([1.0, 0.0]))
         assert not dist.converged
+        assert dist.residual_l1 > RESIDUAL_L1_BOUND
         assert abs(dist.probabilities.sum() - 1.0) < 1e-9
 
     def test_three_cycle_cesaro_limit(self):
         psi = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        dist = long_term_distribution(psi, np.array([1.0, 0.0, 0.0]),
-                                      tolerance=1e-5, max_steps=10**5)
-        assert np.allclose(dist.probabilities, 1.0 / 3.0, atol=1e-4)
+        dist = long_term_distribution(psi, np.array([1.0, 0.0, 0.0]))
+        assert dist.converged
+        assert np.allclose(dist.probabilities, 1.0 / 3.0, rtol=0.0, atol=1e-12)
+
+    def test_two_closed_classes_absorption_weights(self):
+        # 0, 1 transient; {2, 3} closed with pi = (1/3, 2/3); {4, 5} a closed
+        # 2-cycle.  Absorption into {2, 3}: h0 = h1/2 + 1/4, h1 = h0/2, so
+        # h0 = 1/3 and h1 = 1/6.
+        psi = np.array([
+            [0.0, 0.5, 0.25, 0.0, 0.25, 0.0],
+            [0.5, 0.0, 0.0, 0.0, 0.0, 0.5],
+            [0.0, 0.0, 0.5, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 0.25, 0.75, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+        ])
+        cases = [
+            ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0, 0, 1 / 9, 2 / 9, 1 / 3, 1 / 3]),
+            ([0.5, 0.5, 0.0, 0.0, 0.0, 0.0], [0, 0, 1 / 12, 2 / 12, 3 / 8, 3 / 8]),
+            ([0.3, 0.0, 0.0, 0.2, 0.5, 0.0], [0, 0, 0.1, 0.2, 0.35, 0.35]),
+        ]
+        for start, expected in cases:
+            dist = long_term_distribution(psi, np.array(start))
+            assert dist.converged
+            assert np.allclose(dist.probabilities, expected, rtol=0.0, atol=1e-12)
+
+    def test_acceptance_only_mass_ends_in_absorbing_states(self):
+        space = case_study_space()
+        psi = build_transition_matrix(constant_strategy(space, (1, 2, 0)), space,
+                                      (0.4, 0.7), mode=ACCEPTANCE_ONLY)
+        start = initial_distribution(space, "empty")
+        dist = long_term_distribution(psi, start)
+        absorbing = np.diag(psi.matrix) == 1.0
+        assert dist.converged
+        assert np.all(dist.probabilities[~absorbing] == 0.0)
+        assert np.count_nonzero(dist.probabilities) >= 2
+        # states only fill up, so the power sequence itself converges
+        limit = start @ np.linalg.matrix_power(psi.matrix, 4096)
+        assert np.allclose(dist.probabilities, limit, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_long_cesaro_average(self, seed):
+        psi, start = random_reducible_chain(seed)
+        dist = long_term_distribution(psi, start)
+        # the window is a multiple of every period the generator uses
+        oracle = cesaro_average(psi, start, burn_in=3000, window=600)
+        assert dist.converged
+        assert dist.residual_l1 <= 1e-12
+        assert np.allclose(dist.probabilities, oracle, rtol=0.0, atol=1e-10)
 
 
 class TestEstimators:
