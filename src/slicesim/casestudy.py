@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .controller import GreedySingleQueueController, MultiQueueController, RequestRecord
+from .controller import (GreedySingleQueueController, MultiQueueController, QueueController,
+                         RequestRecord)
 from .slice_model import ResourceModel, SliceType, enumerate_state_space
 from .strategy import constant_strategy
 
@@ -33,29 +34,22 @@ def case_study_model() -> ResourceModel:
     )
 
 
-class _HomogeneousQueues:
+class _HomogeneousQueues(QueueController):
     """Two mixed FCFS queues, filled round-robin, each blocking on its head."""
 
     def __init__(self, space, initial_state) -> None:
-        self.space = space
-        self.state_index = space.index_of(initial_state)
+        super().__init__(space, initial_state)
         self.queues = [deque(), deque()]
         self._next = 0
-
-    @property
-    def state(self):
-        return self.space.state_at(self.state_index)
 
     def queue_lengths(self):
         return tuple(len(q) for q in self.queues)
 
-    def enqueue(self, record: RequestRecord) -> None:
-        self.queues[self._next].append(record)
+    def queue_for(self, n: int) -> deque[RequestRecord]:
+        """The next queue in turn, whatever the type: each call places one request."""
+        queue = self.queues[self._next]
         self._next = (self._next + 1) % len(self.queues)
-
-    def handle_request(self, record: RequestRecord) -> list[RequestRecord]:
-        self.enqueue(record)
-        return self.serve_queues()
+        return queue
 
     def serve_queues(self) -> list[RequestRecord]:
         accepted = []
@@ -95,12 +89,7 @@ def case_study_rows() -> list[Row]:
         for request_id, (time, slice_type) in enumerate(ARRIVALS, start=1):
             record = RequestRecord(request_id, slice_type, time)
             record.join_time = time
-            if panel == "single-queue":
-                controller.queue.append(record)
-            elif panel == "homogeneous-queues":
-                controller.enqueue(record)
-            else:
-                controller.queues[slice_type - 1].append(record)
+            controller.queue_for(slice_type).append(record)
             rows.append((panel, time, "join", slice_type, request_id,
                          fmt(controller.state), fmt(controller.queue_lengths())))
             for accepted in controller.serve_queues():

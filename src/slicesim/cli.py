@@ -30,8 +30,8 @@ from .casestudy import case_study_rows, render_case_study
 from .config import (
     OUTPUT_ROOT_ENV,
     ExperimentConfig,
+    apply_overrides,
     build_strategy,
-    builtin_scenario,
     load_config,
 )
 from .engine import (
@@ -391,20 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config) if args.config else None
         if config is not None:
-            if args.scenario:
-                config.model = builtin_scenario(args.scenario)
-                config.scenario = args.scenario
-                config.raw["scenario"] = args.scenario
-            if args.seed is not None:
-                config.seed = args.seed
-                config.raw["seed"] = args.seed
-            block_name = command.replace("-", "_")
-            if block_name in config.blocks:
-                block = config.blocks[block_name]
-                if args.rounds is not None and "rounds" in block:
-                    block["rounds"] = args.rounds
-                if args.horizon is not None and "horizon" in block:
-                    block["horizon"] = args.horizon
+            apply_overrides(config, command, scenario=args.scenario, seed=args.seed,
+                            rounds=args.rounds, horizon=args.horizon)
         outdir = args.out or (config.output_dir if config else
                               os.environ.get(OUTPUT_ROOT_ENV, "."))
         os.makedirs(outdir, exist_ok=True)

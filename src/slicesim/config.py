@@ -11,6 +11,7 @@ and dense demand).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any
@@ -135,6 +136,8 @@ class _Checker:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             self.fail(path, f"expected a number, got {value!r}")
         v = float(value)
+        if not math.isfinite(v):
+            self.fail(path, f"expected a finite number, got {value}")
         if minimum is not None and (v <= minimum if strict else v < minimum):
             op = ">" if strict else ">="
             self.fail(path, f"must be {op} {minimum}, got {value}")
@@ -441,6 +444,32 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         blocks=blocks,
         raw=top,
     )
+
+
+def apply_overrides(config: ExperimentConfig, command: str, *, scenario: str | None = None,
+                    seed: int | None = None, rounds: int | None = None,
+                    horizon: float | None = None) -> None:
+    """Apply command-line overrides, each checked by the rule of its YAML key.
+
+    ``rounds`` and ``horizon`` apply only when the command's block has that
+    key.  A rejected value ends in a ``ConfigError`` that names its flag.
+    """
+    def check(flag: str) -> _Checker:
+        return _Checker(flag, _Lines(""))
+
+    if scenario:
+        try:
+            config.model = builtin_scenario(scenario)
+        except ConfigError as exc:
+            check("--scenario").fail((), str(exc))
+        config.scenario = config.raw["scenario"] = scenario
+    if seed is not None:
+        config.seed = config.raw["seed"] = check("--seed").integer(seed, (), minimum=0)
+    block = config.blocks.get(command.replace("-", "_"), {})
+    if rounds is not None and "rounds" in block:
+        block["rounds"] = check("--rounds").integer(rounds, (), minimum=1)
+    if horizon is not None and "horizon" in block:
+        block["horizon"] = check("--horizon").number(horizon, (), minimum=0.0, strict=True)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -8,7 +8,8 @@ preferred queue whenever one more slice of that type still fits, and repeat
 until a full pass changes nothing.
 
 A greedy single-queue controller (one FCFS line for all types, head-of-line
-blocking, no preference) is provided as a benchmark.
+blocking, no preference) is provided as a benchmark.  Both share the state
+and the request/release/renege handling of ``QueueController``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ BALKED = "balked"
 RENEGED = "reneged"
 
 
-@dataclass
+@dataclass(eq=False)
 class RequestRecord:
     """One slice request and its fate.
 
+    Records compare by identity, so a queue removes exactly the one given.
     ``lifetime`` is the slice lifetime used if the request is accepted;
     ``renege_deadline`` is the absolute time at which a still-waiting request
     abandons (None when reneging does not apply).
@@ -53,38 +55,29 @@ class RequestRecord:
         return self.outcome_time - self.join_time
 
 
-class MultiQueueController:
-    """Heterogeneous multi-queue admission controller driven by a preference matrix."""
+class QueueController:
+    """Shared plumbing of the admission controllers.
 
-    def __init__(self, space: StateSpace, strategy: PreferenceMatrix,
-                 initial_state: SystemState | None = None) -> None:
-        if strategy.num_types != space.model.num_types:
-            raise ContractViolation("strategy and model disagree on the number of types")
-        if strategy.num_columns != space.num_admissible:
-            raise ContractViolation(
-                f"strategy has {strategy.num_columns} columns, "
-                f"admissibility region has {space.num_admissible} states"
-            )
+    Holds the active-slice state and the request/release/renege handling.  A
+    subclass owns its queues, names through ``queue_for`` the deque a type-``n``
+    request joins, and serves its queues in ``serve_queues``.
+    """
+
+    def __init__(self, space: StateSpace, initial_state: SystemState | None = None) -> None:
         self.space = space
-        self.strategy = strategy
         self.state_index = 0 if initial_state is None else space.index_of(initial_state)
-        self.queues: list[deque[RequestRecord]] = [
-            deque() for _ in range(space.model.num_types)
-        ]
 
     @property
     def state(self) -> SystemState:
         return self.space.state_at(self.state_index)
 
-    def queue_lengths(self) -> tuple[int, ...]:
-        return tuple(len(q) for q in self.queues)
+    def queue_for(self, n: int) -> deque[RequestRecord]:
+        """The queue a type-``n`` request joins (and leaves when it reneges)."""
+        raise NotImplementedError
 
     def handle_request(self, record: RequestRecord) -> list[RequestRecord]:
         """Enqueue a joining request, then serve; returns the accepted requests."""
-        n = record.slice_type
-        if not 1 <= n <= len(self.queues):
-            raise ContractViolation(f"slice type must lie in 1..{len(self.queues)}, got {n}")
-        self.queues[n - 1].append(record)
+        self.queue_for(record.slice_type).append(record)
         return self.serve_queues()
 
     def handle_release(self, n: int) -> list[RequestRecord]:
@@ -97,11 +90,37 @@ class MultiQueueController:
 
     def remove(self, record: RequestRecord) -> None:
         """Remove a still-waiting request by identity (reneging)."""
-        queue = self.queues[record.slice_type - 1]
         try:
-            queue.remove(record)
+            self.queue_for(record.slice_type).remove(record)
         except ValueError:
             raise ContractViolation("request is not waiting in its queue") from None
+
+
+class MultiQueueController(QueueController):
+    """Heterogeneous multi-queue admission controller driven by a preference matrix."""
+
+    def __init__(self, space: StateSpace, strategy: PreferenceMatrix,
+                 initial_state: SystemState | None = None) -> None:
+        if strategy.num_types != space.model.num_types:
+            raise ContractViolation("strategy and model disagree on the number of types")
+        if strategy.num_columns != space.num_admissible:
+            raise ContractViolation(
+                f"strategy has {strategy.num_columns} columns, "
+                f"admissibility region has {space.num_admissible} states"
+            )
+        super().__init__(space, initial_state)
+        self.strategy = strategy
+        self.queues: list[deque[RequestRecord]] = [
+            deque() for _ in range(space.model.num_types)
+        ]
+
+    def queue_lengths(self) -> tuple[int, ...]:
+        return tuple(len(q) for q in self.queues)
+
+    def queue_for(self, n: int) -> deque[RequestRecord]:
+        if not 1 <= n <= len(self.queues):
+            raise ContractViolation(f"slice type must lie in 1..{len(self.queues)}, got {n}")
+        return self.queues[n - 1]
 
     def serve_queues(self) -> list[RequestRecord]:
         """Recursively serve the queues until blocked; returns requests accepted, in order."""
@@ -142,40 +161,18 @@ class MultiQueueController:
         return False
 
 
-class GreedySingleQueueController:
+class GreedySingleQueueController(QueueController):
     """Single FCFS queue for all types; accepts the head whenever it fits, never skips."""
 
     def __init__(self, space: StateSpace, initial_state: SystemState | None = None) -> None:
-        self.space = space
-        self.state_index = 0 if initial_state is None else space.index_of(initial_state)
+        super().__init__(space, initial_state)
         self.queue: deque[RequestRecord] = deque()
-
-    @property
-    def state(self) -> SystemState:
-        return self.space.state_at(self.state_index)
 
     def queue_lengths(self) -> tuple[int, ...]:
         return (len(self.queue),)
 
-    def total_queue_length(self) -> int:
-        return len(self.queue)
-
-    def handle_request(self, record: RequestRecord) -> list[RequestRecord]:
-        self.queue.append(record)
-        return self.serve_queues()
-
-    def handle_release(self, n: int) -> list[RequestRecord]:
-        new_index = self.space.release_index(self.state_index, n)
-        if new_index < 0:
-            raise ContractViolation(f"cannot release a type-{n} slice: none active")
-        self.state_index = new_index
-        return self.serve_queues()
-
-    def remove(self, record: RequestRecord) -> None:
-        try:
-            self.queue.remove(record)
-        except ValueError:
-            raise ContractViolation("request is not waiting in the queue") from None
+    def queue_for(self, n: int) -> deque[RequestRecord]:
+        return self.queue
 
     def serve_queues(self) -> list[RequestRecord]:
         accepted: list[RequestRecord] = []

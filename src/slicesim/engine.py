@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,10 @@ GREEDY_SINGLE_QUEUE = "greedy-single-queue"
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one simulation round needs."""
+    """Everything one simulation round needs.
+
+    ``record_events`` keeps the event log and the per-request records (off in Monte-Carlo).
+    """
 
     model: ResourceModel
     strategy: PreferenceMatrix | None = None
@@ -75,6 +78,11 @@ class SimConfig:
                 )
 
 
+def _per_type(zero: int | float):
+    """A per-type list field that ``SimTrace`` starts at ``zero`` for every type."""
+    return field(init=False, metadata={"zero": zero})
+
+
 @dataclass
 class SimTrace:
     """Raw material of one round: event log, request records, accumulators."""
@@ -87,30 +95,37 @@ class SimTrace:
     final_state: SystemState = ()
     events: list[tuple[float, str, int, int, SystemState, tuple[int, ...]]] | None = None
     records: list[RequestRecord] = field(default_factory=list)
-    accept_times: list[list[float]] = field(default_factory=list)
+    accept_times: list[list[float]] = field(init=False)
+    # in-window time per state index, the one occupancy accumulator (slice_time derives from it)
     state_time: dict[int, float] = field(default_factory=dict)
-    slice_time: list[float] = field(default_factory=list)
-    queue_time: list[float] = field(default_factory=list)
+    slice_time: list[float] = _per_type(0.0)
+    queue_time: list[float] = _per_type(0.0)
     # in-window event counts per type
-    arrivals: list[int] = field(default_factory=list)
-    joined: list[int] = field(default_factory=list)
-    balked: list[int] = field(default_factory=list)
-    accepted: list[int] = field(default_factory=list)
-    reneged: list[int] = field(default_factory=list)
-    wait_sum: list[float] = field(default_factory=list)
-    wait_count: list[int] = field(default_factory=list)
+    arrivals: list[int] = _per_type(0)
+    joined: list[int] = _per_type(0)
+    balked: list[int] = _per_type(0)
+    accepted: list[int] = _per_type(0)
+    reneged: list[int] = _per_type(0)
+    wait_sum: list[float] = _per_type(0.0)
+    wait_count: list[int] = _per_type(0)
     # whole-run counts per type (conservation)
-    total_arrivals: list[int] = field(default_factory=list)
-    total_joined: list[int] = field(default_factory=list)
-    total_balked: list[int] = field(default_factory=list)
-    total_accepted: list[int] = field(default_factory=list)
-    total_reneged: list[int] = field(default_factory=list)
+    total_arrivals: list[int] = _per_type(0)
+    total_joined: list[int] = _per_type(0)
+    total_balked: list[int] = _per_type(0)
+    total_accepted: list[int] = _per_type(0)
+    total_reneged: list[int] = _per_type(0)
     final_queue_lengths: tuple[int, ...] = ()
     # queue-empty measurements at arrival epochs (multi-queue only)
     arrival_epochs: int = 0
-    empty_marginal: list[int] = field(default_factory=list)
-    scan_observed: list[int] = field(default_factory=list)
-    scan_empty: list[int] = field(default_factory=list)
+    empty_marginal: list[int] = _per_type(0)
+    scan_observed: list[int] = _per_type(0)
+    scan_empty: list[int] = _per_type(0)
+
+    def __post_init__(self) -> None:
+        self.accept_times = [[] for _ in range(self.num_types)]
+        for f in fields(self):
+            if "zero" in f.metadata:
+                setattr(self, f.name, [f.metadata["zero"]] * self.num_types)
 
     def iat_samples(self, slice_type: int) -> list[float]:
         """Inter-acceptance times of one queue inside the measurement window."""
@@ -181,7 +196,8 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
     initial_index = _draw_initial_index(space, config.initial_state, init_rng)
     initial_state = space.state_at(initial_index)
 
-    if config.discipline == MULTI_QUEUE:
+    multi = config.discipline == MULTI_QUEUE
+    if multi:
         controller = MultiQueueController(space, config.strategy, initial_state)
     else:
         controller = GreedySingleQueueController(space, initial_state)
@@ -193,24 +209,6 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
         initial_state=initial_state,
         utility_rates=model.utility_rates,
         events=[] if config.record_events else None,
-        accept_times=[[] for _ in range(n_types)],
-        slice_time=[0.0] * n_types,
-        queue_time=[0.0] * n_types,
-        arrivals=[0] * n_types,
-        joined=[0] * n_types,
-        balked=[0] * n_types,
-        accepted=[0] * n_types,
-        reneged=[0] * n_types,
-        wait_sum=[0.0] * n_types,
-        wait_count=[0] * n_types,
-        total_arrivals=[0] * n_types,
-        total_joined=[0] * n_types,
-        total_balked=[0] * n_types,
-        total_accepted=[0] * n_types,
-        total_reneged=[0] * n_types,
-        empty_marginal=[0] * n_types,
-        scan_observed=[0] * n_types,
-        scan_empty=[0] * n_types,
     )
 
     balk_on = [config.balking and model.types[n].balking_willingness is not None
@@ -240,7 +238,6 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
     in_window = lambda t: warmup < t <= horizon
     last_t = 0.0
     next_id = 0
-    multi = config.discipline == MULTI_QUEUE
     waiting = [0] * n_types  # per-type waiting counts, kept for both disciplines
 
     def advance(t: float) -> None:
@@ -249,12 +246,9 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
         hi = t if t < horizon else horizon
         if hi > lo:
             dt = hi - lo
-            s = controller.state
-            trace.state_time[controller.state_index] = (
-                trace.state_time.get(controller.state_index, 0.0) + dt
-            )
+            index = controller.state_index
+            trace.state_time[index] = trace.state_time.get(index, 0.0) + dt
             for n in range(n_types):
-                trace.slice_time[n] += s[n] * dt
                 trace.queue_time[n] += waiting[n] * dt
         last_t = t
 
@@ -315,15 +309,14 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
             u_patience = mark_rngs[n - 1].random()
             next_id += 1
             rec = RequestRecord(next_id, n, t, lifetime=lifetime)
-            trace.records.append(rec)
+            if trace.events is not None:
+                trace.records.append(rec)
             trace.total_arrivals[n - 1] += 1
             if in_window(t):
                 trace.arrivals[n - 1] += 1
             log(t, "arrival", n, rec.request_id)
-            if multi:
-                backlog = len(controller.queues[n - 1])
-            else:
-                backlog = controller.total_queue_length()
+            queue = controller.queue_for(n)
+            backlog = len(queue)
             join_prob = 1.0
             if balk_on[n - 1] and backlog >= 1:
                 join_prob = min(1.0, ty.balking_willingness / backlog)
@@ -336,10 +329,7 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
                 if renege_on[n - 1]:
                     rec.renege_deadline = t - math.log(1.0 - u_patience) / ty.reneging_rate
                     push(rec.renege_deadline, EV_RENEGE, rec)
-                if multi:
-                    controller.queues[n - 1].append(rec)
-                else:
-                    controller.queue.append(rec)
+                queue.append(rec)
                 log(t, "join", n, rec.request_id)
                 if multi:
                     measure_epoch(t)
@@ -377,14 +367,12 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
             assert not controller.is_transient(), "controller left transient after event"
 
     advance(horizon)
+    for index, dt in trace.state_time.items():
+        s = space.state_at(index)
+        for n in range(n_types):
+            trace.slice_time[n] += s[n] * dt
     trace.final_state = controller.state
-    if multi:
-        trace.final_queue_lengths = controller.queue_lengths()
-    else:
-        per_type = [0] * n_types
-        for rec in controller.queue:
-            per_type[rec.slice_type - 1] += 1
-        trace.final_queue_lengths = tuple(per_type)
+    trace.final_queue_lengths = tuple(waiting)
 
     return trace, overall_metrics(trace, seed=config.seed)
 

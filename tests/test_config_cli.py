@@ -134,6 +134,23 @@ model:
             parse_config(text, source="cfg")
         assert str(info.value) == "cfg:3: must be <= 1.0, got 1.5"
 
+    @pytest.mark.parametrize("text, message", [
+        # an infinite horizon made the sweep run forever
+        ("scenario: paper-scenario-1\nsweep:\n  horizon: .inf\n",
+         "cfg:3: expected a finite number, got inf"),
+        # a NaN arrival rate was accepted and gave that type zero arrivals
+        ("model:\n  resources: [1.0]\n  slice_types:\n"
+         "    - {cost: [0.5], release_rate: 1.0,\n       arrival_rate: .nan}\n",
+         "cfg:5: expected a finite number, got nan"),
+        # a NaN horizon ended in a message with no line
+        ("scenario: paper-scenario-1\nsimulate:\n  rounds: 1\n  horizon: .nan\n",
+         "cfg:4: expected a finite number, got nan"),
+    ])
+    def test_non_finite_numbers_rejected(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == message
+
     def test_missing_block_reported(self):
         config = parse_config(MINIMAL)
         with pytest.raises(ConfigError, match="no 'sweep' block"):
@@ -246,6 +263,25 @@ class TestCli:
         assert lines[0] == "index,state,probability"
         total = sum(float(line.split(",")[2]) for line in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-5", "--seed: must be >= 0, got -5"),
+        ("--horizon", "inf", "--horizon: expected a finite number, got inf"),
+        ("--horizon", "nan", "--horizon: expected a finite number, got nan"),
+        ("--horizon", "0", "--horizon: must be > 0.0, got 0.0"),
+        ("--rounds", "0", "--rounds: must be >= 1, got 0"),
+        ("--scenario", "nope", "--scenario: unknown scenario 'nope'"),
+    ])
+    def test_bad_override_rejected(self, tmp_path, capsys, monkeypatch, flag, value, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rejected override reached the simulation")
+        monkeypatch.setattr("slicesim.cli.random_sweep", unreachable)
+        cfg = self._write(tmp_path, "scenario: paper-scenario-1\nsweep: {count: 1}\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x"),
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
 
     def test_scenario_override(self, tmp_path):
         cfg = self._write(tmp_path, MINIMAL)

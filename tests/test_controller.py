@@ -124,7 +124,7 @@ class TestGreedySingleQueue:
         for rid, n in enumerate([1, 1, 2, 2], start=1):
             accepted += c.handle_request(make_request(rid, n))
         assert accepted == []
-        assert c.total_queue_length() == 4
+        assert c.queue_lengths() == (4,)
 
     def test_release_serves_in_arrival_order(self):
         space = case_study_space()
@@ -134,6 +134,35 @@ class TestGreedySingleQueue:
         accepted = c.handle_release(1)
         assert [r.request_id for r in accepted] == [1, 2, 3]
         assert c.state == (1, 2)
+
+
+def _blocked_controllers(space):
+    """Both disciplines, in a full state where no request can be accepted."""
+    return [
+        MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 2)),
+        GreedySingleQueueController(space, (1, 2)),
+    ]
+
+
+class TestRemove:
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_removes_by_identity(self, index):
+        # two field-equal requests are still two requests: removing the second
+        # must leave the first at the head
+        c = _blocked_controllers(case_study_space())[index]
+        first, second = make_request(1, 1), make_request(1, 1)
+        c.handle_request(first)
+        c.handle_request(second)
+        c.remove(second)
+        queue = c.queue_for(1)
+        assert len(queue) == 1 and queue[0] is first
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_request_not_waiting_is_rejected(self, index):
+        c = _blocked_controllers(case_study_space())[index]
+        c.handle_request(make_request(1, 1))
+        with pytest.raises(ContractViolation, match="not waiting"):
+            c.remove(make_request(2, 1))
 
 
 class TestIsTransient:

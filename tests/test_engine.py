@@ -275,6 +275,15 @@ class TestMonteCarlo:
         _, direct = run(direct_config, space)
         assert result.reports[0] == direct
 
+    def test_records_kept_only_with_event_log(self):
+        model = table_model()
+        space = enumerate_state_space(model)
+        config = SimConfig(model=model, strategy=naive_strategy(space, "prefer-type-1"),
+                           horizon=20.0, seed=3, record_events=False)
+        trace, report = run(config, space)
+        assert sum(report.arrivals) > 0
+        assert trace.events is None and trace.records == []
+
     def test_master_seed_determinism(self):
         model = table_model()
         space = enumerate_state_space(model)
