@@ -50,6 +50,59 @@ def brute_force_state_space(pool, bundles):
     return states, admissible
 
 
+def enumerate_dfs(model):
+    """The feasibility space by a depth-first walk, as the package first built it.
+
+    Returns ``(states, num_admissible, index, increment, release)`` with the
+    same meaning and order as the fields of ``slice_model.StateSpace``:
+    lexicographic order within each group, admissible states first, -1 for
+    an infeasible or invalid move.  Feasibility uses the package's float
+    expression, ``(used + count * col) - pool > tol``, accumulated type by
+    type, so decimal costs at the boundary decide the same way.
+    """
+    import numpy as np
+
+    n_types = len(model.costs)
+    pool = np.asarray(model.pool)
+    cols = [np.asarray(c) for c in model.costs]
+    tol = 1e-9 * np.maximum(1.0, pool)
+    bounds = [
+        min(int((r + 1e-9 * max(1.0, r)) // c) for c, r in zip(col, model.pool) if c > 0)
+        for col in model.costs
+    ]
+    feasible = []
+
+    def walk(prefix, used):
+        depth = len(prefix)
+        if depth == n_types:
+            feasible.append(tuple(prefix))
+            return
+        col = cols[depth]
+        for count in range(bounds[depth] + 1):
+            usage = used + count * col
+            if np.any(usage - pool > tol):
+                break
+            prefix.append(count)
+            walk(prefix, usage)
+            prefix.pop()
+
+    walk([], np.zeros_like(pool))
+
+    def bump(s, n, delta=1):
+        return s[:n] + (s[n] + delta,) + s[n + 1:]
+
+    state_set = set(feasible)
+    admits = [any(bump(s, n) in state_set for n in range(n_types)) for s in feasible]
+    ordered = tuple([s for s, a in zip(feasible, admits) if a]
+                    + [s for s, a in zip(feasible, admits) if not a])
+    index = {s: i for i, s in enumerate(ordered)}
+    increment = tuple(tuple(index.get(bump(s, n), -1) for n in range(n_types))
+                      for s in ordered)
+    release = tuple(tuple(index[bump(s, n, -1)] if s[n] > 0 else -1 for n in range(n_types))
+                    for s in ordered)
+    return ordered, sum(admits), index, increment, release
+
+
 def birth_death_pmf(lam, mu, alpha, beta, max_length=400):
     """Steady state of the impatient queue from the balance equations.
 

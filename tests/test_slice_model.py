@@ -1,7 +1,11 @@
+import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from slicesim.config import load_config
 
 from slicesim.errors import ContractViolation, StateSpaceTooLarge
 from slicesim.slice_model import (
@@ -13,7 +17,7 @@ from slicesim.slice_model import (
     is_feasible,
 )
 
-from oracles import brute_force_state_space
+from oracles import brute_force_state_space, enumerate_dfs
 
 
 def case_study_model():
@@ -205,3 +209,60 @@ def test_randomized_models_match_brute_force():
         for s in space.states[space.num_admissible:]:
             for n in range(1, model.num_types + 1):
                 assert not space.contains(apply_increment(s, n))
+
+
+def assert_matches_dfs(model):
+    space = enumerate_state_space(model)
+    states, num_admissible, index, increment, release = enumerate_dfs(model)
+    assert space.states == states
+    assert space.num_admissible == num_admissible
+    assert space._index == index
+    assert space._increment == increment
+    assert space._release == release
+    # the engine reads these on every event: plain ints, not numpy scalars
+    assert {type(v) for v in states[-1] + increment[0] + release[-1]} == {int}
+
+
+_POOLS = (0.3, 0.5, 0.6, 0.9, 1.0)
+_COSTS = (0.1, 0.15, 0.2, 0.3, 0.45, 0.6)
+
+
+@st.composite
+def small_models(draw):
+    """1-4 types over 1-3 resources with decimal costs, many summing exactly to a pool."""
+    pool = tuple(draw(st.lists(st.sampled_from(_POOLS), min_size=1, max_size=3)))
+    costs = []
+    for _ in range(draw(st.integers(1, 4))):
+        # one resource the type surely consumes, so its count is bounded
+        k = draw(st.integers(0, len(pool) - 1))
+        costs.append(tuple(
+            draw(st.sampled_from([c for c in _COSTS if c <= r] + ([] if m == k else [0.0])))
+            for m, r in enumerate(pool)
+        ))
+    return ResourceModel(pool=pool, costs=tuple(costs),
+                         types=tuple(SliceType(1.0, 1.0) for _ in costs))
+
+
+@settings(max_examples=150, deadline=None)
+@example(ResourceModel(pool=(0.3,), costs=((0.1,),), types=(SliceType(1.0, 1.0),)))
+@example(ResourceModel(pool=(0.3, 0.9), costs=((0.1, 0.3), (0.2, 0.15)),
+                       types=(SliceType(1.0, 1.0), SliceType(1.0, 1.0))))
+@given(small_models())
+def test_enumeration_matches_dfs_oracle(model):
+    assert_matches_dfs(model)
+
+
+def test_mixed_radix_overflow_model_matches_dfs_oracle():
+    # 5**28 > 2**63: a mixed-radix int64 key over the per-type bounds would wrap
+    model = ResourceModel(pool=(1.0,), costs=((0.25,),) * 28,
+                          types=tuple(SliceType(1.0, 1.0) for _ in range(28)))
+    assert_matches_dfs(model)
+    assert len(enumerate_state_space(model)) == 35960
+
+
+_BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(_BENCH_CONFIGS)))
+def test_benchmark_models_match_dfs_oracle(name):
+    assert_matches_dfs(load_config(os.path.join(_BENCH_CONFIGS, name)).model)

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import math
 
 import pytest
 
+from slicesim.config import builtin_scenario
 from slicesim.errors import ContractViolation
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import (
@@ -145,6 +147,41 @@ class TestRandom:
         for seed in range(50):
             matrix = random_strategy(space, seed)
             assert validate_matrix(matrix.columns, 2, space.num_admissible) is None
+
+
+_UNIT = SliceType(1.0, 1.0)
+_HASHED_MODELS = {
+    "paper-scenario-1": builtin_scenario("paper-scenario-1"),
+    "paper-scenario-2": builtin_scenario("paper-scenario-2"),
+    "three-types": ResourceModel(pool=(1.0, 1.0), costs=((0.1, 0.2), (0.25, 0.1), (0.2, 0.3)),
+                                 types=(_UNIT,) * 3),
+    "four-types": ResourceModel(pool=(1.0,), costs=((0.1,), (0.2,), (0.25,), (0.3,)),
+                                types=(_UNIT,) * 4),
+}
+# First 16 hex digits of sha256(to_text(random_strategy(space, seed))), recorded
+# from the one-column-at-a-time Fisher-Yates shuffle; the two scenarios share
+# their state space, so their columns agree.
+_SEEDS = (0, 7, 123, 2**31)
+_PINNED = {
+    "paper-scenario-1": ("46e47a3aa22bd57f", "16eb67ab62e7f960", "a19feddcecf1d12f",
+                         "5547b324135ff952"),
+    "paper-scenario-2": ("46e47a3aa22bd57f", "16eb67ab62e7f960", "a19feddcecf1d12f",
+                         "5547b324135ff952"),
+    "three-types": ("063ab5b32218c267", "d77af420f29fa9c4", "aca34b2b2e31f077",
+                    "81593bb418fb3a23"),
+    "four-types": ("1ed1206421f6a463", "632581c398b560ae", "f76467cbcd6f7152",
+                   "88d3731945d5eeb2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_random_strategy_columns_pinned(name):
+    space = enumerate_state_space(_HASHED_MODELS[name])
+    digests = tuple(
+        hashlib.sha256(to_text(random_strategy(space, seed)).encode()).hexdigest()[:16]
+        for seed in _SEEDS
+    )
+    assert digests == _PINNED[name]
 
 
 def test_strategy_domain_size():
