@@ -304,6 +304,9 @@ def _validate_block(check: _Checker, command: str, value: Any) -> dict:
         integer("rounds", 20, minimum=1)
         num("horizon", 40.0, minimum=0.0, strict=True)
         num("warmup", 0.0, minimum=0.0)
+        if block["warmup"] >= block["horizon"]:
+            check.fail(path + ("warmup",),
+                       f"must be < horizon {block['horizon']}, got {block['warmup']}")
         boolean("balking", False)
         boolean("reneging", False)
         boolean("write_traces", False)
@@ -452,7 +455,8 @@ def apply_overrides(config: ExperimentConfig, command: str, *, scenario: str | N
     """Apply command-line overrides, each checked by the rule of its YAML key.
 
     ``rounds`` and ``horizon`` apply only when the command's block has that
-    key.  A rejected value ends in a ``ConfigError`` that names its flag.
+    key; on ``steady-state`` they set, and need, ``from_simulation``.  A
+    rejected value ends in a ``ConfigError`` that names its flag.
     """
     def check(flag: str) -> _Checker:
         return _Checker(flag, _Lines(""))
@@ -466,10 +470,19 @@ def apply_overrides(config: ExperimentConfig, command: str, *, scenario: str | N
     if seed is not None:
         config.seed = config.raw["seed"] = check("--seed").integer(seed, (), minimum=0)
     block = config.blocks.get(command.replace("-", "_"), {})
+    if command == "steady-state":
+        probs = block.get("queue_empty_probs")
+        block = probs["from_simulation"] if isinstance(probs, dict) else {}
+        for flag, value in (("--rounds", rounds), ("--horizon", horizon)):
+            if value is not None and not block:
+                check(flag).fail((), "steady-state needs queue_empty_probs.from_simulation")
     if rounds is not None and "rounds" in block:
         block["rounds"] = check("--rounds").integer(rounds, (), minimum=1)
     if horizon is not None and "horizon" in block:
-        block["horizon"] = check("--horizon").number(horizon, (), minimum=0.0, strict=True)
+        value = check("--horizon").number(horizon, (), minimum=0.0, strict=True)
+        if value <= block.get("warmup", 0.0):
+            check("--horizon").fail((), f"must be > warmup {block['warmup']}, got {value}")
+        block["horizon"] = value
 
 
 def load_config(path: str) -> ExperimentConfig:

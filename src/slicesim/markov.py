@@ -348,12 +348,11 @@ def strategy_steady_state(model: ResourceModel, space: StateSpace,
     psi = build_transition_matrix(strategy, space, queue_empty_probs,
                                   model.release_rates, mode, opportunity_rate)
     dist = long_term_distribution(psi, initial_distribution(space, p_init))
-    s_bar = expected_active_slices(dist, space)
-    mu_hat = tuple(eta * s for eta, s in zip(model.release_rates, s_bar))
+    mu_hat = estimate_acceptance_rates(dist, space, model.release_rates)
     utility = estimate_mean_utility(mu_hat, model.release_rates, model.utility_rates)
     return SteadyStateEstimate(
         distribution=dist,
         acceptance_rates=mu_hat,
-        mean_active_slices=s_bar,
+        mean_active_slices=expected_active_slices(dist, space),
         utility_rate=utility,
     )

@@ -148,11 +148,9 @@ def assigned_resources(model: ResourceModel, s: Sequence[int]) -> np.ndarray:
 
 def is_feasible(model: ResourceModel, s: Sequence[int]) -> bool:
     """Whether the pool supports ``s``: assigned resources within the pool on every axis."""
-    a = assigned_resources(model, s)
-    for am, rm in zip(a, model.pool):
-        if am - rm > FEASIBILITY_REL_TOL * max(1.0, rm):
-            return False
-    return True
+    pool = np.asarray(model.pool)
+    excess = assigned_resources(model, s) - pool
+    return not np.any(excess > FEASIBILITY_REL_TOL * np.maximum(1.0, pool))
 
 
 def apply_increment(s: Sequence[int], n: int, release: bool = False) -> SystemState:
@@ -224,88 +222,69 @@ class StateSpace:
         return self._release[index][n - 1]
 
 
-def _per_type_bounds(model: ResourceModel, cap: int) -> list[int]:
-    bounds = []
-    for n, col in enumerate(model.costs, start=1):
-        bound = None
-        for c, r in zip(col, model.pool):
-            if c > 0:
-                b = int((r + FEASIBILITY_REL_TOL * max(1.0, r)) // c)
-                bound = b if bound is None else min(bound, b)
-        if bound is None:
-            # zero-cost bundle would make the space infinite
-            raise StateSpaceTooLarge(
-                f"type {n} consumes no resources; the feasibility space is unbounded"
-            )
-        bounds.append(bound)
-    return bounds
-
-
 def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """Exhaustively enumerate the feasibility space and extract the admissibility region.
 
     States are ordered lexicographically within each group, admissible states
     first, so that the full-space index map agrees with the admissible-region
-    index map on the admissibility region.  Raises ``StateSpaceTooLarge`` when
-    more than ``cap`` states would be enumerated.
+    index map on the admissibility region.  Feasible prefixes grow one type at
+    a time, as arrays.  Raises ``StateSpaceTooLarge`` when more than ``cap``
+    states would be enumerated, before allocating them.
     """
-    n_types = model.num_types
-    bounds = _per_type_bounds(model, cap)
     pool = np.asarray(model.pool)
-    cols = [np.asarray(c) for c in model.costs]
     tol = FEASIBILITY_REL_TOL * np.maximum(1.0, pool)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros((1, len(pool)))
+    for n, col in enumerate(map(np.asarray, model.costs), start=1):
+        pos = col > 0
+        if not pos.any():
+            raise StateSpaceTooLarge(f"type {n} consumes no resources; the space is unbounded")
+        bound = ((pool[pos] + tol[pos]) // col[pos]).min()
+        # the float test accumulates type by type, as a depth-first walk would;
+        # it is monotone in the count, so each prefix's headroom ends at its
+        # largest fitting count: estimate that, then step to the exact boundary
+        fits = lambda c: ~np.any((used + c[:, None] * col) - pool > tol, axis=1)
+        top = np.floor((pool[pos] + tol[pos] - used[:, pos]) / col[pos]).min(axis=1)
+        top = np.clip(top, 0, bound).astype(np.int64)
+        while not (ok := fits(top)).all():
+            top -= ~ok
+        while (up := (top < bound) & fits(top + 1)).any():
+            top += up
+        size = int(top.sum()) + len(top)
+        if size > cap:
+            raise StateSpaceTooLarge(f"state space exceeds the cap of {cap} states")
+        parent = np.repeat(np.arange(len(top)), top + 1)
+        count = np.arange(size) - (np.cumsum(top + 1) - (top + 1))[parent]
+        rows = np.column_stack((rows[parent], count))
+        used = used[parent] + count[:, None] * col
 
-    feasible: list[SystemState] = []
+    # Neighbours by binary search in the rows, which are already sorted.  As
+    # big-endian bytes the rows sort lexicographically, with no radix product
+    # that could overflow.
+    size, n_types = rows.shape
+    key = lambda a: np.ascontiguousarray(a, dtype=">u8").view(f"V{8 * n_types}").ravel()
+    keys = key(rows)
+    increment, release = np.full((2, size, n_types), -1)
+    for n in range(n_types):
+        bumped = rows.copy()
+        bumped[:, n] += 1
+        at = np.minimum(np.searchsorted(keys, key(bumped)), size - 1)
+        hit = np.flatnonzero((rows[at] == bumped).all(axis=1))
+        increment[hit, n] = at[hit]
+        release[at[hit], n] = hit
 
-    # depth-first walk in lexicographic order; feasibility is monotone so each
-    # coordinate loop can stop at the first infeasible increment.
-    def walk(prefix: list[int], used: np.ndarray) -> None:
-        depth = len(prefix)
-        if depth == n_types:
-            feasible.append(tuple(prefix))
-            if len(feasible) > cap:
-                raise StateSpaceTooLarge(
-                    f"state space exceeds the cap of {cap} states"
-                )
-            return
-        col = cols[depth]
-        for count in range(bounds[depth] + 1):
-            usage = used + count * col
-            if np.any(usage - pool > tol):
-                break
-            prefix.append(count)
-            walk(prefix, usage)
-            prefix.pop()
-
-    walk([], np.zeros_like(pool))
-
-    state_set = set(feasible)
-
-    def admits_more(s: SystemState) -> bool:
-        return any(apply_increment(s, n) in state_set for n in range(1, n_types + 1))
-
-    admissible = [s for s in feasible if admits_more(s)]
-    rest = [s for s in feasible if not admits_more(s)]
-    ordered = tuple(admissible + rest)
-    index = {s: i for i, s in enumerate(ordered)}
-
-    increment = tuple(
-        tuple(index.get(apply_increment(s, n), -1) for n in range(1, n_types + 1))
-        for s in ordered
-    )
-    release = tuple(
-        tuple(
-            index[apply_increment(s, n, release=True)] if s[n - 1] > 0 else -1
-            for n in range(1, n_types + 1)
-        )
-        for s in ordered
-    )
-
+    admissible = (increment >= 0).any(axis=1)
+    order = np.concatenate((np.flatnonzero(admissible), np.flatnonzero(~admissible)))
+    new_index = np.full(size + 1, -1)  # the last entry maps -1 to itself
+    new_index[order] = np.arange(size)
+    # plain tuples of ints: the engine reads them on every event
+    as_tuples = lambda table: tuple(zip(*table[order].T.tolist()))
+    states = as_tuples(rows)
     return StateSpace(
         model=model,
-        states=ordered,
-        num_admissible=len(admissible),
-        _index=index,
-        _increment=increment,
-        _release=release,
+        states=states,
+        num_admissible=int(admissible.sum()),
+        _index=dict(zip(states, range(size))),
+        _increment=as_tuples(new_index[increment]),
+        _release=as_tuples(new_index[release]),
     )

@@ -41,8 +41,17 @@ def validate_matrix(columns: Sequence[Sequence[int]], num_types: int,
     """Check a whole strategy; returns a violation description or None if valid."""
     if num_admissible is not None and len(columns) != num_admissible:
         return f"expected {num_admissible} columns, got {len(columns)}"
-    for j, col in enumerate(columns):
-        problem = validate_vector(col, num_types)
+    suspects = range(len(columns))
+    try:
+        table = np.asarray(columns)
+    except ValueError:  # ragged columns
+        table = np.empty(0)
+    if table.shape[1:] == (num_types + 1,) and table.dtype.kind in "iu":
+        # a valid column sorts to 0..N: describe only the first one that does not
+        wrong = (np.sort(table, axis=1) != np.arange(num_types + 1)).any(axis=1)
+        suspects = np.flatnonzero(wrong)[:1]
+    for j in suspects:
+        problem = validate_vector(columns[j], num_types)
         if problem is not None:
             return f"column {j}: {problem}"
     return None
@@ -56,9 +65,13 @@ class PreferenceMatrix:
     num_types: int
 
     def __post_init__(self) -> None:
-        cols = tuple(tuple(int(v) for v in col) for col in self.columns)
+        table = self.columns
+        if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
+            cols = tuple(zip(*table.T.tolist()))
+        else:
+            table = cols = tuple(tuple(int(v) for v in col) for col in table)
         object.__setattr__(self, "columns", cols)
-        problem = validate_matrix(cols, self.num_types)
+        problem = validate_matrix(table, self.num_types)
         if problem is not None:
             raise ContractViolation(f"invalid preference matrix: {problem}")
 
@@ -128,24 +141,20 @@ def naive_strategy(space: StateSpace, kind: str = "prefer-type-1") -> Preference
     return constant_strategy(space, order)
 
 
-def _fisher_yates(rng: np.random.Generator, items: list[int]) -> tuple[int, ...]:
-    for i in range(len(items) - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
-        items[i], items[j] = items[j], items[i]
-    return tuple(items)
-
-
 def random_strategy(space: StateSpace, seed: int) -> PreferenceMatrix:
     """A strategy with one independent uniform random preference vector per column.
 
-    Deterministic for a given seed (Fisher-Yates shuffles driven by a PCG64
-    generator).
+    Deterministic for a given seed: per-column Fisher-Yates shuffles driven by
+    PCG64, with the draws vectorised and bit-identical to drawing column by column.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    n = space.model.num_types
-    columns = tuple(
-        _fisher_yates(rng, list(range(n + 1))) for _ in range(space.num_admissible)
-    )
+    n, k = space.model.num_types, space.num_admissible
+    draws = rng.integers(0, np.tile(np.arange(n + 1, 1, -1), k)).reshape(k, n)
+    columns = np.tile(np.arange(n + 1), (k, 1))
+    rows = np.arange(k)
+    for i in range(n, 0, -1):
+        j = draws[:, n - i]
+        columns[:, i], columns[rows, j] = columns[rows, j], columns[:, i].copy()
     return PreferenceMatrix(columns=columns, num_types=n)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from slicesim.config import build_strategy, builtin_scenario, parse_config
 from slicesim.cli import main
-from slicesim.errors import ConfigError
+from slicesim.errors import ConfigError, SliceSimError
 from slicesim.slice_model import enumerate_state_space
 
 
@@ -151,6 +151,13 @@ model:
             parse_config(text, source="cfg")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("warmup", ["10.0", "20.0"])
+    def test_warmup_must_end_before_horizon(self, warmup):
+        text = f"scenario: paper-scenario-1\nsimulate:\n  horizon: 10.0\n  warmup: {warmup}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == f"cfg:4: must be < horizon 10.0, got {warmup}"
+
     def test_missing_block_reported(self):
         config = parse_config(MINIMAL)
         with pytest.raises(ConfigError, match="no 'sweep' block"):
@@ -290,3 +297,47 @@ class TestCli:
                      "--scenario", "paper-scenario-2"]) == 0
         meta = json.loads((out / "run_meta.json").read_text())
         assert meta["scenario"] == "paper-scenario-2"
+
+    def test_horizon_override_below_warmup_rejected(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a rejected override reached the simulation")
+        monkeypatch.setattr("slicesim.cli.monte_carlo", unreachable)
+        cfg = self._write(tmp_path, MINIMAL.replace("  horizon: 10.0\n",
+                                                    "  horizon: 10.0\n  warmup: 5.0\n"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--horizon", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --horizon: must be > warmup 5.0, got 3.0")
+
+    STEADY_FROM_SIM = MINIMAL + (
+        "steady_state:\n  queue_empty_probs:\n"
+        "    from_simulation: {rounds: 4, horizon: 50.0}\n"
+    )
+
+    def test_steady_state_overrides_reach_from_simulation(self, tmp_path, monkeypatch):
+        seen = {}
+        def record(sim, rounds, space):
+            seen.update(rounds=rounds, horizon=sim.horizon)
+            raise SliceSimError("stop after recording")
+        monkeypatch.setattr("slicesim.cli.monte_carlo", record)
+        cfg = self._write(tmp_path, self.STEADY_FROM_SIM)
+        assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--rounds", "2", "--horizon", "7.5"]) == 1
+        assert seen == {"rounds": 2, "horizon": 7.5}
+
+    @pytest.mark.parametrize("text, args, message", [
+        # both were silently ignored and the run exited 0
+        (STEADY_FROM_SIM, ["--rounds", "0", "--horizon", "-3"],
+         "--rounds: must be >= 1, got 0"),
+        (STEADY_FROM_SIM, ["--horizon", "-3"], "--horizon: must be > 0.0, got -3.0"),
+        (MINIMAL + "steady_state:\n  queue_empty_probs: [0.2, 0.8]\n", ["--rounds", "3"],
+         "--rounds: steady-state needs queue_empty_probs.from_simulation"),
+        (MINIMAL + "steady_state:\n  queue_empty_probs: [0.2, 0.8]\n", ["--horizon", "9"],
+         "--horizon: steady-state needs queue_empty_probs.from_simulation"),
+    ], ids=["rounds-0", "horizon-negative", "rounds-without-simulation",
+            "horizon-without-simulation"])
+    def test_bad_steady_state_override_rejected(self, tmp_path, capsys, text, args, message):
+        cfg = self._write(tmp_path, text)
+        assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "x")] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")

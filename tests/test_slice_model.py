@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,19 @@ class TestEnumeration:
         model = table_model()
         with pytest.raises(StateSpaceTooLarge):
             enumerate_state_space(model, cap=10)
+
+    def test_cap_raises_before_allocating(self):
+        # about 10**8 states: two types on two disjoint resources, 10**4 slots each
+        model = ResourceModel(pool=(1.0, 1.0), costs=((1e-4, 0.0), (0.0, 1e-4)),
+                              types=(SliceType(1.0, 1.0), SliceType(1.0, 1.0)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceTooLarge, match="cap of 1000000 states"):
+                enumerate_state_space(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_admissible_listed_first_and_indices_agree(self):
         space = enumerate_state_space(table_model())
