@@ -242,14 +242,13 @@ def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) ->
         bound = ((pool[pos] + tol[pos]) // col[pos]).min()
         # the float test accumulates type by type, as a depth-first walk would;
         # it is monotone in the count, so each prefix's headroom ends at its
-        # largest fitting count: estimate that, then step to the exact boundary
+        # largest fitting count: overestimate that by one, then step down to
+        # the exact boundary
         fits = lambda c: ~np.any((used + c[:, None] * col) - pool > tol, axis=1)
-        top = np.floor((pool[pos] + tol[pos] - used[:, pos]) / col[pos]).min(axis=1)
+        top = np.floor((pool[pos] + tol[pos] - used[:, pos]) / col[pos]).min(axis=1) + 1
         top = np.clip(top, 0, bound).astype(np.int64)
         while not (ok := fits(top)).all():
             top -= ~ok
-        while (up := (top < bound) & fits(top + 1)).any():
-            top += up
         size = int(top.sum()) + len(top)
         if size > cap:
             raise StateSpaceTooLarge(f"state space exceeds the cap of {cap} states")

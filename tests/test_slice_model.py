@@ -266,6 +266,18 @@ def test_enumeration_matches_dfs_oracle(model):
     assert_matches_dfs(model)
 
 
+@pytest.mark.parametrize("pool", [1.0, 0.3, 2.5])
+@pytest.mark.parametrize("k", [2, 3, 7])
+@pytest.mark.parametrize("first", [None, 1 / 7], ids=["alone", "after-a-seventh"])
+def test_tolerance_boundary_models_match_dfs_oracle(pool, k, first):
+    # k slices of this cost land within rounding of pool + tolerance, where a
+    # closed-form count can be off by one
+    cost = (pool + 1e-9 * max(1.0, pool)) / k
+    costs = ((cost,),) if first is None else ((first * pool,), (cost,))
+    assert_matches_dfs(ResourceModel(pool=(pool,), costs=costs,
+                                     types=tuple(SliceType(1.0, 1.0) for _ in costs)))
+
+
 def test_mixed_radix_overflow_model_matches_dfs_oracle():
     # 5**28 > 2**63: a mixed-radix int64 key over the per-type bounds would wrap
     model = ResourceModel(pool=(1.0,), costs=((0.25,),) * 28,
