@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slicesim.config import load_config
-
 from slicesim.errors import ContractViolation, StateSpaceTooLarge
 from slicesim.slice_model import (
     ResourceModel,
@@ -235,6 +234,7 @@ def assert_matches_dfs(model):
     assert space._release == release
     # the engine reads these on every event: plain ints, not numpy scalars
     assert {type(v) for v in states[-1] + increment[0] + release[-1]} == {int}
+    return space
 
 
 _POOLS = (0.3, 0.5, 0.6, 0.9, 1.0)
@@ -282,8 +282,7 @@ def test_mixed_radix_overflow_model_matches_dfs_oracle():
     # 5**28 > 2**63: a mixed-radix int64 key over the per-type bounds would wrap
     model = ResourceModel(pool=(1.0,), costs=((0.25,),) * 28,
                           types=tuple(SliceType(1.0, 1.0) for _ in range(28)))
-    assert_matches_dfs(model)
-    assert len(enumerate_state_space(model)) == 35960
+    assert len(assert_matches_dfs(model)) == 35960
 
 
 _BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs")
