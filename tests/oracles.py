@@ -233,6 +233,69 @@ def micro_queue(lam, mu, horizon, seed, alpha=0.0, beta=None, max_state=200):
     )
 
 
+def build_transition_dense(strategy, space, queue_empty_probs, release_rates=None,
+                           mode="with-releases", opportunity_rate=None):
+    """The chain's dense n x n matrix, filled state by state as the package first built it.
+
+    The per-state acceptance scan and the loop are copied from the first
+    ``markov.build_transition_matrix``; they read the strategy and the state
+    space but share no code with the package's build.
+    """
+    import numpy as np
+
+    n_states = len(space)
+    n_types = space.model.num_types
+    if release_rates is None:
+        release_rates = space.model.release_rates
+    release_rates = [float(r) for r in release_rates]
+    if opportunity_rate is None:
+        opportunity_rate = sum(space.model.arrival_rates)
+    probs = [float(p) for p in queue_empty_probs]
+
+    def acceptance(state_index):
+        out = [0.0] * (n_types + 1)
+        if not space.is_admissible_index(state_index):
+            out[0] = 1.0
+            return out
+        prefix = 1.0
+        for pref in strategy.column(state_index):
+            if pref == 0:
+                out[0] += prefix
+                break
+            take = prefix * (1.0 - probs[pref - 1])
+            if space.increment_index(state_index, pref) >= 0:
+                out[pref] += take
+            else:
+                out[0] += take
+            prefix *= probs[pref - 1]
+        return out
+
+    psi = np.zeros((n_states, n_states))
+    for i in range(n_states):
+        accept = acceptance(i)
+        if mode == "acceptance-only":
+            psi[i, i] += accept[0]
+            for n in range(1, n_types + 1):
+                if accept[n] > 0.0:
+                    psi[i, space.increment_index(i, n)] += accept[n]
+            continue
+        s = space.state_at(i)
+        release_flows = [release_rates[n] * s[n] for n in range(n_types)]
+        total = sum(release_flows) + opportunity_rate
+        if total <= 0.0:
+            psi[i, i] = 1.0
+            continue
+        for n in range(n_types):
+            if release_flows[n] > 0.0:
+                psi[i, space.release_index(i, n + 1)] += release_flows[n] / total
+        scale = opportunity_rate / total
+        psi[i, i] += scale * accept[0]
+        for n in range(1, n_types + 1):
+            if accept[n] > 0.0:
+                psi[i, space.increment_index(i, n)] += scale * accept[n]
+    return psi
+
+
 def stationary_by_linear_solve(matrix):
     """Stationary vector of an irreducible chain via a dense linear solve."""
     import numpy as np

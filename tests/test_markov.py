@@ -1,8 +1,11 @@
+import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from slicesim.config import build_strategy, load_config
 from slicesim.errors import ContractViolation
 from slicesim.markov import (
     ACCEPTANCE_ONLY,
@@ -21,7 +24,7 @@ from slicesim.markov import (
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import constant_strategy, naive_strategy, random_strategy
 
-from oracles import cesaro_average, stationary_by_linear_solve
+from oracles import build_transition_dense, cesaro_average, stationary_by_linear_solve
 
 
 def case_study_space():
@@ -200,6 +203,65 @@ class TestBuildTransitionMatrix:
             build_transition_matrix(strategy, space, (0.5, 1.5))
         with pytest.raises(ContractViolation):
             build_transition_matrix(strategy, space, (0.5, 0.5), mode="bogus")
+
+
+_POOLS = (0.3, 0.6, 1.0)
+_COSTS = (0.1, 0.2, 0.3, 0.45, 0.6)
+_PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def chain_cases(draw):
+    """A small model, a random strategy and the build's remaining arguments."""
+    pool = tuple(draw(st.lists(st.sampled_from(_POOLS), min_size=1, max_size=2)))
+    n_types = draw(st.integers(1, 4))
+    costs = tuple(
+        tuple(draw(st.sampled_from([c for c in _COSTS if c <= r])) for r in pool)
+        for _ in range(n_types)
+    )
+    rates = st.floats(0.1, 5.0)
+    types = tuple(SliceType(draw(rates), draw(rates), 1.0) for _ in range(n_types))
+    space = enumerate_state_space(ResourceModel(pool=pool, costs=costs, types=types))
+    strategy = random_strategy(space, draw(st.integers(0, 2**32)))
+    probs = tuple(draw(_PROBS) for _ in range(n_types))
+    release = draw(st.one_of(st.none(), st.lists(st.sampled_from([0.0, 0.5, 2.5]),
+                                                 min_size=n_types, max_size=n_types)))
+    opportunity = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.01, 10.0)))
+    mode = draw(st.sampled_from([WITH_RELEASES, ACCEPTANCE_ONLY]))
+    return strategy, space, probs, release, mode, opportunity
+
+
+def assert_matches_dense_oracle(strategy, space, probs, release=None, mode=WITH_RELEASES,
+                                opportunity=None):
+    psi = build_transition_matrix(strategy, space, probs, release, mode, opportunity)
+    oracle = build_transition_dense(strategy, space, probs, release, mode, opportunity)
+    assert np.array_equal(psi.matrix, oracle)
+
+
+@settings(max_examples=150, deadline=None)
+# with no opportunities the empty state has no event at all: a row of total 0
+@example((constant_strategy(case_study_space(), (1, 2, 0)), case_study_space(),
+          (0.3, 0.0), None, WITH_RELEASES, 0.0))
+@given(chain_cases())
+def test_build_matches_dense_oracle(case):
+    assert_matches_dense_oracle(*case)
+
+
+_CHAIN_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs",
+                             "chain-s2x3.yaml")
+
+
+@pytest.mark.parametrize("spec", [{"prefer_type": 1}, {"prefer_type": 2},
+                                  {"random_seed": 1}, {"random_seed": 2}],
+                         ids=["prefer-type-1", "prefer-type-2", "random-1", "random-2"])
+def test_benchmark_chains_match_dense_oracle(spec):
+    # the strategies the benchmark's chain-s2x3 workload solves
+    cfg = load_config(_CHAIN_CONFIG)
+    block = cfg.block("steady_state")
+    space = enumerate_state_space(cfg.model)
+    assert_matches_dense_oracle(build_strategy(spec, space), space,
+                                block["queue_empty_probs"], cfg.model.release_rates,
+                                block["mode"], block["opportunity_rate"])
 
 
 class TestLongTermDistribution:
