@@ -14,11 +14,15 @@ empty and queue n is not.  Two chain constructions are provided:
   (default: the total arrival rate), resolved by the scan product above.
 
 Acceptance mass whose target would leave the feasibility space moves to the
-self-loop.  The long-term state distribution is the exact Cesaro limit of the
-power sequence, which exists for every finite chain, periodic and reducible
-ones included: the strongly connected components of the chain (Tarjan 1972)
-that no edge leaves are its closed classes, initial mass on transient states
-is carried into them by absorption probabilities, and each closed class that
+self-loop.  The transition matrix is a ``scipy.sparse`` CSR array, assembled
+from per-state arrays of release, self-loop and acceptance edges without a
+dense n x n array, and it stays sparse through the solve.
+
+The long-term state distribution is the exact Cesaro limit of the power
+sequence, which exists for every finite chain, periodic and reducible ones
+included: the strongly connected components of the chain (Tarjan 1972) that
+no edge leaves are its closed classes, initial mass on transient states is
+carried into them by absorption probabilities, and each closed class that
 receives mass contributes its stationary vector scaled by that mass (Kemeny &
 Snell, *Finite Markov Chains*, 1960).  Expected active-slice counts and
 per-type acceptance-rate estimates follow from it.
@@ -26,14 +30,20 @@ per-type acceptance-rate estimates follow from it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
 from .slice_model import ResourceModel, StateSpace, SystemState
 from .strategy import RESERVE, PreferenceMatrix
+
+# scipy.sparse is imported inside the functions that use it, so that
+# commands that never build a chain do not load it.
+if TYPE_CHECKING:
+    from scipy import sparse
 
 WITH_RELEASES = "with-releases"
 ACCEPTANCE_ONLY = "acceptance-only"
@@ -65,27 +75,45 @@ def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
     acceptance mass with an infeasible target is reassigned to entry 0.
     """
     probs = _check_probs(queue_empty_probs, space.model.num_types)
-    return _acceptance(strategy, space, probs, state_index)
+    return _acceptance(strategy, space, probs, np.array([state_index]))[0].tolist()
+
+
+def _array(rows: Sequence[tuple], width: int, dtype=np.int64) -> np.ndarray:
+    """A sequence of equal-length tuples as a (len(rows), width) array."""
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, dtype, len(rows) * width).reshape(len(rows), width)
 
 
 def _acceptance(strategy: PreferenceMatrix, space: StateSpace,
-                probs: list[float], state_index: int) -> list[float]:
-    """``acceptance_distribution`` on probabilities already checked by ``_check_probs``."""
-    out = [0.0] * (space.model.num_types + 1)
-    if not space.is_admissible_index(state_index):
-        out[RESERVE] = 1.0
-        return out
-    prefix = 1.0
-    for pref in strategy.column(state_index):
-        if pref == RESERVE:
-            out[RESERVE] += prefix  # 1 - p_0(0) with p_0(0) = 0
-            break
-        take = prefix * (1.0 - probs[pref - 1])
-        if space.increment_index(state_index, pref) >= 0:
-            out[pref] += take
-        else:
-            out[RESERVE] += take
-        prefix *= probs[pref - 1]
+                probs: list[float], index: np.ndarray) -> np.ndarray:
+    """``acceptance_distribution`` of every state in ``index``, one row each.
+
+    The strategy's columns are scanned one preference position at a time for
+    all states at once: ``prefix`` is the chance that every queue scanned so
+    far was empty, and ``live`` clears once the scan reaches the reserve
+    symbol.  Each entry gets the float operations of a per-state scan, in the
+    same order.
+    """
+    n_types = space.model.num_types
+    out = np.zeros((len(index), n_types + 1))
+    admissible = (index >= 0) & (index < space.num_admissible)
+    out[~admissible, RESERVE] = 1.0
+    rows = np.flatnonzero(admissible)
+    at = index[rows].tolist()
+    table = _array([strategy.columns[i] for i in at], n_types + 1)
+    fits = _array([space._increment[i] for i in at], n_types) >= 0
+    p = np.asarray(probs)
+    prefix = np.ones(len(at))
+    live = np.ones(len(at), dtype=bool)
+    for pref in table.T:
+        reserve = live & (pref == RESERVE)
+        out[rows[reserve], RESERVE] += prefix[reserve]  # 1 - p_0(0) with p_0(0) = 0
+        live &= ~reserve
+        q = p[pref - 1]
+        take = prefix * (1.0 - q)
+        target = np.where(fits[np.arange(len(at)), pref - 1], pref, RESERVE)
+        out[rows[live], target[live]] += take[live]
+        prefix *= q
     return out
 
 
@@ -104,19 +132,28 @@ def transition_probability(strategy: PreferenceMatrix, space: StateSpace,
     return acceptance_distribution(strategy, space, queue_empty_probs, index)[slice_type]
 
 
+def _csr(matrix):
+    """A float CSR copy of a dense or sparse matrix, storing no zeros."""
+    from scipy import sparse
+
+    m = sparse.csr_array(matrix, dtype=float, copy=True)
+    m.eliminate_zeros()
+    return m
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic transition matrix over the full state space."""
+    """Row-stochastic transition matrix over the full state space, as a CSR array."""
 
-    matrix: np.ndarray
+    matrix: sparse.csr_array
     mode: str
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = _csr(self.matrix)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ContractViolation("transition matrix must be square")
-        if np.any(m < -ROW_SUM_TOL):
+        if np.any(m.data < -ROW_SUM_TOL):
             raise ContractViolation("transition matrix has negative entries")
         gaps = np.abs(m.sum(axis=1) - 1.0)
         if np.any(gaps > 1e-9):
@@ -132,7 +169,14 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
                             release_rates: Sequence[float] | None = None,
                             mode: str = WITH_RELEASES,
                             opportunity_rate: float | None = None) -> TransitionMatrix:
-    """Assemble the chain over all states in the chosen construction mode."""
+    """Assemble the chain over all states in the chosen construction mode.
+
+    The edges come from per-state arrays in three groups: releases, the
+    self-loop and acceptances.  No (row, column) pair occurs twice, so each
+    entry is one product or quotient, and no dense n x n array is formed.
+    """
+    from scipy import sparse
+
     n_states = len(space)
     n_types = space.model.num_types
     if mode not in (WITH_RELEASES, ACCEPTANCE_ONLY):
@@ -148,31 +192,34 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
         raise ContractViolation("opportunity rate must be >= 0")
     probs = _check_probs(queue_empty_probs, n_types)
 
-    psi = np.zeros((n_states, n_states))
-    for i in range(n_states):
-        accept = _acceptance(strategy, space, probs, i)
-        if mode == ACCEPTANCE_ONLY:
-            psi[i, i] += accept[RESERVE]
-            for n in range(1, n_types + 1):
-                if accept[n] > 0.0:
-                    psi[i, space.increment_index(i, n)] += accept[n]
-            continue
-        s = space.state_at(i)
-        release_flows = [release_rates[n] * s[n] for n in range(n_types)]
-        total = sum(release_flows) + opportunity_rate
-        if total <= 0.0:
-            psi[i, i] = 1.0
-            continue
-        for n in range(n_types):
-            if release_flows[n] > 0.0:
-                psi[i, space.release_index(i, n + 1)] += release_flows[n] / total
+    index = np.arange(n_states)
+    accept = _acceptance(strategy, space, probs, index)
+    edges = []  # (rows, cols, probabilities), one group per kind of event
+    scale = np.ones(n_states)
+    idle = np.zeros(n_states, dtype=bool)
+    if mode == WITH_RELEASES:
+        # the next event is a release with weight flows[:, n], or a serving
+        # opportunity with weight opportunity_rate
+        flows = _array(space.states, n_types, float) * release_rates
+        total = np.zeros(n_states)
+        for flow in flows.T:  # in type order, as the running sum of a loop
+            total += flow
+        total += opportunity_rate
+        idle = total <= 0.0  # no event at all: the state holds
+        total[idle] = 1.0
+        at, n = np.nonzero(flows > 0.0)
+        down = _array(space._release, n_types)
+        edges.append((at, down[at, n], flows[at, n] / total[at]))
         scale = opportunity_rate / total
-        psi[i, i] += scale * accept[RESERVE]
-        for n in range(1, n_types + 1):
-            if accept[n] > 0.0:
-                psi[i, space.increment_index(i, n)] += scale * accept[n]
+    edges.append((index, index, np.where(idle, 1.0, scale * accept[:, RESERVE])))
+    # an idle row has scale 0, and its zero entries are not stored
+    at, n = np.nonzero(accept[:, 1:] > 0.0)
+    up = _array(space._increment, n_types)
+    edges.append((at, up[at, n], scale[at] * accept[at, n + 1]))
 
-    return TransitionMatrix(matrix=psi, mode=mode)
+    row, col, prob = map(np.concatenate, zip(*edges))
+    matrix = sparse.coo_array((prob, (row, col)), shape=(n_states, n_states))
+    return TransitionMatrix(matrix=matrix, mode=mode)
 
 
 @dataclass(frozen=True)
@@ -222,7 +269,7 @@ def initial_distribution(space: StateSpace, policy: str | Sequence[float] = "emp
     return p
 
 
-def long_term_distribution(psi: TransitionMatrix | np.ndarray,
+def long_term_distribution(psi: TransitionMatrix | np.ndarray | sparse.sparray,
                            p_init: np.ndarray) -> StateDistribution:
     """Exact Cesaro limit of the power sequence seeded by ``p_init``.
 
@@ -231,25 +278,24 @@ def long_term_distribution(psi: TransitionMatrix | np.ndarray,
     closed class that receives mass holds it in proportion to its stationary
     vector.  The result is flagged as not converged, rather than raised, when
     its stationarity residual exceeds ``RESIDUAL_L1_BOUND``, as it does for a
-    matrix that is not row-stochastic.
+    matrix that is not row-stochastic.  A matrix that is not a
+    ``TransitionMatrix`` is converted to CSR once.
     """
-    # scipy.sparse is imported here so that commands that never solve a
-    # chain do not load it.
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import spsolve
 
-    m = psi.matrix if isinstance(psi, TransitionMatrix) else np.asarray(psi, dtype=float)
+    m = psi.matrix if isinstance(psi, TransitionMatrix) else _csr(psi)
     v = np.asarray(p_init, dtype=float)
     n = m.shape[0]
     if v.shape != (n,):
         raise ContractViolation("initial distribution does not match the matrix")
-    # The edges (row, col, probability) are the one sparse copy of the chain;
-    # every sparse operand below is built from them.
-    row, col = np.nonzero(m)
-    prob = m[row, col]
-    n_classes, labels = connected_components(
-        sparse.csr_matrix((prob, (row, col)), shape=(n, n)), connection="strong")
+    # x P is computed as P^T x, a sparse mat-vec
+    mt = m.T
+    # the stored entries (row, col, probability) are the chain's edges
+    edges = m.tocoo()
+    row, col, prob = edges.row, edges.col, edges.data
+    n_classes, labels = connected_components(m, connection="strong")
     # a class is closed when no edge leaves it
     closed = np.ones(n_classes, dtype=bool)
     closed[labels[row[labels[row] != labels[col]]]] = False
@@ -262,7 +308,7 @@ def long_term_distribution(psi: TransitionMatrix | np.ndarray,
         pos[states] = np.arange(k)
         inside = (pos[row] >= 0) & (pos[col] >= 0)
         # rows of the transposed operator are columns of P
-        op = sparse.csr_matrix(
+        op = sparse.csr_array(
             (np.concatenate([np.ones(k), -prob[inside]]),
              (np.concatenate([np.arange(k), pos[col[inside]]]),
               np.concatenate([np.arange(k), pos[row[inside]]]))),
@@ -276,7 +322,7 @@ def long_term_distribution(psi: TransitionMatrix | np.ndarray,
     if v[transient].any():
         x = np.zeros(n)
         x[transient] = left_solve(transient, v[transient])
-        mass += np.where(recurrent, x @ m, 0.0)
+        mass += np.where(recurrent, mt @ x, 0.0)
     class_mass = np.bincount(labels, weights=mass, minlength=n_classes)
 
     # Stationary vectors of the closed classes that hold mass, all in one
@@ -290,14 +336,14 @@ def long_term_distribution(psi: TransitionMatrix | np.ndarray,
     rest = held[~anchors[held]]
     pi = anchors.astype(float)
     if rest.size:
-        pi[rest] = left_solve(rest, (pi @ m)[rest])
+        pi[rest] = left_solve(rest, (mt @ pi)[rest])
     class_total = np.bincount(labels, weights=pi, minlength=n_classes)
     pi[held] *= class_mass[labels[held]] / class_total[labels[held]]
     # A no-op up to round-off for a row-stochastic matrix; for any other
     # matrix it keeps the flagged result a probability vector.
     pi /= pi.sum()
 
-    residual = float(np.abs(pi @ m - pi).sum())
+    residual = float(np.abs(mt @ pi - pi).sum())
     return StateDistribution(pi, p_init, bool(residual <= RESIDUAL_L1_BOUND), residual)
 
 

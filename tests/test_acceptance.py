@@ -321,7 +321,7 @@ def test_criterion_10_invariant_suite():
         probs = tuple(rng.random() for _ in range(model.num_types))
         psi = build_transition_matrix(strategy, space, probs)  # row-stochastic
         assert np.allclose(psi.matrix.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(psi.matrix >= 0.0)
+        assert np.all(psi.matrix.toarray() >= 0.0)
 
         dist = long_term_distribution(psi.matrix, initial_distribution(space, "full"))
         assert abs(dist.probabilities.sum() - 1.0) < 1e-9

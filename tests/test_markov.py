@@ -1,9 +1,11 @@
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
 from slicesim.config import build_strategy, load_config
 from slicesim.errors import ContractViolation
@@ -164,7 +166,7 @@ class TestBuildTransitionMatrix:
         hand[empty, empty] = p
         hand[full, empty] = eta / (eta + lam)
         hand[full, full] = lam / (eta + lam)
-        assert np.allclose(psi.matrix, hand)
+        assert np.allclose(psi.matrix.toarray(), hand)
 
     def test_rows_stochastic_for_random_strategies(self):
         space = case_study_space()
@@ -175,13 +177,14 @@ class TestBuildTransitionMatrix:
             for mode in (WITH_RELEASES, ACCEPTANCE_ONLY):
                 psi = build_transition_matrix(strategy, space, probs, mode=mode)
                 assert np.allclose(psi.matrix.sum(axis=1), 1.0, atol=1e-12)
-                assert np.all(psi.matrix >= 0.0)
+                assert np.all(psi.matrix.toarray() >= 0.0)
 
     def test_nonzero_structure(self):
         # only self-loops, single increments, and single releases carry mass
         space = case_study_space()
         strategy = random_strategy(space, 4)
         psi = build_transition_matrix(strategy, space, (0.4, 0.6))
+        dense = psi.matrix.toarray()
         for i in range(len(space)):
             allowed = {i}
             for n in (1, 2):
@@ -191,8 +194,29 @@ class TestBuildTransitionMatrix:
                 down = space.release_index(i, n)
                 if down >= 0:
                     allowed.add(down)
-            carrying = set(np.nonzero(psi.matrix[i])[0])
+            carrying = set(np.nonzero(dense[i])[0])
             assert carrying <= allowed
+
+    def test_large_chain_without_dense_matrix(self):
+        # 5,151 states: a dense n x n matrix alone would take 212 MB
+        model = ResourceModel(pool=(1.0,), costs=((0.01,), (0.01,)),
+                              types=(SliceType(1.0, 1.0), SliceType(1.0, 1.0)))
+        space = enumerate_state_space(model)
+        assert len(space) == 5151
+        strategy = naive_strategy(space, "prefer-type-1")
+        start = initial_distribution(space, "full")
+        # load scipy's solvers before measuring
+        small = case_study_space()
+        strategy_steady_state(small.model, small, naive_strategy(small), (0.5, 0.5))
+        tracemalloc.start()
+        try:
+            psi = build_transition_matrix(strategy, space, (0.5, 0.5))
+            dist = long_term_distribution(psi, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.converged
+        assert peak < 32 * 2**20
 
     def test_validation(self):
         space = case_study_space()
@@ -235,7 +259,8 @@ def assert_matches_dense_oracle(strategy, space, probs, release=None, mode=WITH_
                                 opportunity=None):
     psi = build_transition_matrix(strategy, space, probs, release, mode, opportunity)
     oracle = build_transition_dense(strategy, space, probs, release, mode, opportunity)
-    assert np.array_equal(psi.matrix, oracle)
+    assert isinstance(psi.matrix, sparse.csr_array)
+    assert np.array_equal(psi.matrix.toarray(), oracle)
 
 
 @settings(max_examples=150, deadline=None)
@@ -344,12 +369,12 @@ class TestLongTermDistribution:
                                       (0.4, 0.7), mode=ACCEPTANCE_ONLY)
         start = initial_distribution(space, "empty")
         dist = long_term_distribution(psi, start)
-        absorbing = np.diag(psi.matrix) == 1.0
+        absorbing = np.diag(psi.matrix.toarray()) == 1.0
         assert dist.converged
         assert np.all(dist.probabilities[~absorbing] == 0.0)
         assert np.count_nonzero(dist.probabilities) >= 2
         # states only fill up, so the power sequence itself converges
-        limit = start @ np.linalg.matrix_power(psi.matrix, 4096)
+        limit = start @ np.linalg.matrix_power(psi.matrix.toarray(), 4096)
         assert np.allclose(dist.probabilities, limit, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(25))
