@@ -455,8 +455,9 @@ def apply_overrides(config: ExperimentConfig, command: str, *, scenario: str | N
     """Apply command-line overrides, each checked by the rule of its YAML key.
 
     ``rounds`` and ``horizon`` apply only when the command's block has that
-    key; on ``steady-state`` they set, and need, ``from_simulation``.  A
-    rejected value ends in a ``ConfigError`` that names its flag.
+    key; on ``steady-state`` they set, and need, ``from_simulation``, and a
+    command whose block takes no such key rejects them.  A rejected value
+    ends in a ``ConfigError`` that names its flag.
     """
     def check(flag: str) -> _Checker:
         return _Checker(flag, _Lines(""))
@@ -469,13 +470,18 @@ def apply_overrides(config: ExperimentConfig, command: str, *, scenario: str | N
         config.scenario = config.raw["scenario"] = scenario
     if seed is not None:
         config.seed = config.raw["seed"] = check("--seed").integer(seed, (), minimum=0)
-    block = config.blocks.get(command.replace("-", "_"), {})
+    name = command.replace("-", "_")
+    block = config.blocks.get(name, {})
     if command == "steady-state":
         probs = block.get("queue_empty_probs")
         block = probs["from_simulation"] if isinstance(probs, dict) else {}
-        for flag, value in (("--rounds", rounds), ("--horizon", horizon)):
-            if value is not None and not block:
-                check(flag).fail((), "steady-state needs queue_empty_probs.from_simulation")
+    for flag, value in (("--rounds", rounds), ("--horizon", horizon)):
+        if value is None:
+            continue
+        if command == "steady-state" and not block:
+            check(flag).fail((), "steady-state needs queue_empty_probs.from_simulation")
+        if command != "steady-state" and flag[2:] not in _BLOCK_KEYS[name]:
+            check(flag).fail((), f"{command} takes no {flag}")
     if rounds is not None and "rounds" in block:
         block["rounds"] = check("--rounds").integer(rounds, (), minimum=1)
     if horizon is not None and "horizon" in block:

@@ -341,3 +341,20 @@ class TestCli:
         assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "x")] + args) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("command, block", [
+        ("analyze", "analyze: {law: mm1-pmf}\n"),
+        ("fit-iat", "fit_iat: {samples: iat.csv}\n"),
+    ], ids=["analyze", "fit-iat"])
+    @pytest.mark.parametrize("args, flag", [
+        # both flags together were silently ignored and the run exited 0
+        (["--rounds", "0", "--horizon", "-5"], "--rounds"),
+        (["--rounds", "3"], "--rounds"),
+        (["--horizon", "9"], "--horizon"),
+    ], ids=["both", "rounds", "horizon"])
+    def test_override_rejected_where_block_has_no_such_key(self, tmp_path, capsys,
+                                                          command, block, args, flag):
+        cfg = self._write(tmp_path, MINIMAL + block)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: {command} takes no {flag}")
