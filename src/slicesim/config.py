@@ -475,13 +475,13 @@ def apply_overrides(config: ExperimentConfig, command: str, *, scenario: str | N
     if command == "steady-state":
         probs = block.get("queue_empty_probs")
         block = probs["from_simulation"] if isinstance(probs, dict) else {}
-    for flag, value in (("--rounds", rounds), ("--horizon", horizon)):
-        if value is None:
+    for key, value in (("rounds", rounds), ("horizon", horizon)):
+        if value is None or key in block:
             continue
-        if command == "steady-state" and not block:
-            check(flag).fail((), "steady-state needs queue_empty_probs.from_simulation")
-        if command != "steady-state" and flag[2:] not in _BLOCK_KEYS[name]:
-            check(flag).fail((), f"{command} takes no {flag}")
+        if command == "steady-state":
+            check(f"--{key}").fail((), "steady-state needs queue_empty_probs.from_simulation")
+        if key not in _BLOCK_KEYS[name]:
+            check(f"--{key}").fail((), f"{command} takes no --{key}")
     if rounds is not None and "rounds" in block:
         block["rounds"] = check("--rounds").integer(rounds, (), minimum=1)
     if horizon is not None and "horizon" in block:
