@@ -21,7 +21,6 @@ from .engine import (
     MonteCarloResult,
     SimConfig,
     SimTrace,
-    instantaneous_utility,
     monte_carlo,
     overall_metrics,
     pooled_queue_empty_probs,

@@ -4,8 +4,9 @@ Patient tenants give the classic single-server birth-death results (Little's
 formula, geometric queue-length distribution, exponential waiting time).
 Impatient tenants combine hyperbolic balking (join probability beta/l) with
 exponential reneging; the steady state and the waiting-time laws then involve
-the modified Bessel function of the first kind of real order, implemented
-here by direct power series together with a Lanczos gamma function.
+the modified Bessel function of the first kind of real order.  One power
+series, the confluent limit 0F1, implements it: I_v is that series times a
+leading factor, and every law below uses the series directly.
 
 All waiting-time densities are for requests that join the queue; waits end
 when a request either reaches the server or abandons.
@@ -17,64 +18,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
-
 from .errors import ContractViolation, NoEquilibrium, NumericError
 
 #: Series truncation: stop once a term drops below TERM_TOL times the partial sum.
 TERM_TOL = 1e-12
 MAX_TERMS = 10**4
 
-# Lanczos approximation, g = 7, 9 coefficients (double-precision accurate).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma_fn(x: float) -> float:
-    """Gamma function on x > 0 via the Lanczos approximation."""
+    """Gamma function on x > 0."""
     if x <= 0.0:
         raise ContractViolation(f"gamma_fn needs x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
-def bessel_i(order: float, x: float) -> float:
-    """Modified Bessel function of the first kind, real order >= 0, by power series."""
-    if order < 0.0:
-        raise ContractViolation(f"bessel_i needs order >= 0, got {order}")
-    if x < 0.0:
-        raise ContractViolation(f"bessel_i needs x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if order == 0.0 else 0.0
-    half = x / 2.0
-    # leading term via logs to survive large orders
-    log_term = order * math.log(half) - math.lgamma(order + 1.0)
-    term = math.exp(log_term)
-    total = term
-    z = half * half
-    for k in range(1, MAX_TERMS + 1):
-        term *= z / (k * (order + k))
-        total += term
-        if term < TERM_TOL * total:
-            return total
-    raise NumericError(f"bessel_i series did not converge for order={order}, x={x}")
+    return math.gamma(x)
 
 
 def _hyp0f1(b: float, z: float) -> float:
@@ -86,6 +41,24 @@ def _hyp0f1(b: float, z: float) -> float:
         if term < TERM_TOL * total:
             return total
     raise NumericError(f"hypergeometric series did not converge for b={b}, z={z}")
+
+
+def bessel_i(order: float, x: float) -> float:
+    """Modified Bessel function of the first kind, real order >= 0.
+
+    I_v(x) = (x/2)^v / Gamma(v + 1) * 0F1(; v + 1; x^2/4), so it is the one
+    series ``_hyp0f1`` times a leading factor.
+    """
+    if order < 0.0:
+        raise ContractViolation(f"bessel_i needs order >= 0, got {order}")
+    if x < 0.0:
+        raise ContractViolation(f"bessel_i needs x >= 0, got {x}")
+    if x == 0.0:
+        return 1.0 if order == 0.0 else 0.0
+    # the leading factor via logs to survive large orders; where it underflows
+    # the value is 0.0
+    lead = math.exp(order * math.log(x / 2.0) - math.lgamma(order + 1.0))
+    return lead * _hyp0f1(order + 1.0, x * x / 4.0)
 
 
 def little_mean_length(arrival_rate: float, mean_wait: float) -> float:
@@ -252,6 +225,9 @@ class WaitDistributions:
 
 
 def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    # imported here, so that commands that never integrate do not load scipy
+    from scipy.integrate import quad
+
     value, abserr = quad(fn, lo, hi, epsabs=1e-12, epsrel=1e-9, limit=200)
     if abserr > max(1e-6, 1e-6 * abs(value)):
         raise NumericError(f"quadrature failed to converge (error {abserr})")

@@ -160,11 +160,6 @@ class MetricsReport:
     scan_empty: tuple[int, ...] = ()
 
 
-def instantaneous_utility(s: Sequence[int], model: ResourceModel) -> float:
-    """Utility rate of the active-slice vector: sum of per-slice utility rates."""
-    return float(sum(count * t.utility_rate for count, t in zip(s, model.types)))
-
-
 def _draw_initial_index(space: StateSpace, policy: str | tuple[int, ...],
                         rng: np.random.Generator) -> int:
     if isinstance(policy, tuple) or isinstance(policy, list):

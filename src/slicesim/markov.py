@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .slice_model import ResourceModel, StateSpace, SystemState
+from .slice_model import ResourceModel, StateSpace
 from .strategy import RESERVE, PreferenceMatrix
 
 # scipy.sparse is imported inside the functions that use it, so that
@@ -65,28 +65,21 @@ def _check_probs(queue_empty_probs: Sequence[float], num_types: int) -> list[flo
     return probs
 
 
-def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
-                            queue_empty_probs: Sequence[float],
-                            state_index: int) -> list[float]:
-    """Probability that a serving opportunity in the given state accepts each type.
-
-    Entry 0 is the no-acceptance (self-loop) mass; entries 1..N the per-type
-    acceptance masses.  Non-admissible states self-loop with probability 1;
-    acceptance mass with an infeasible target is reassigned to entry 0.
-    """
-    probs = _check_probs(queue_empty_probs, space.model.num_types)
-    return _acceptance(strategy, space, probs, np.array([state_index]))[0].tolist()
-
-
 def _array(rows: Sequence[tuple], width: int, dtype=np.int64) -> np.ndarray:
     """A sequence of equal-length tuples as a (len(rows), width) array."""
     flat = itertools.chain.from_iterable(rows)
     return np.fromiter(flat, dtype, len(rows) * width).reshape(len(rows), width)
 
 
-def _acceptance(strategy: PreferenceMatrix, space: StateSpace,
-                probs: list[float], index: np.ndarray) -> np.ndarray:
-    """``acceptance_distribution`` of every state in ``index``, one row each.
+def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
+                            queue_empty_probs: Sequence[float],
+                            index: np.ndarray) -> np.ndarray:
+    """Probability that a serving opportunity accepts each type, one row per state.
+
+    Row i is for the state with index ``index[i]``.  Entry 0 is the
+    no-acceptance (self-loop) mass; entries 1..N the per-type acceptance
+    masses.  Non-admissible states self-loop with probability 1; acceptance
+    mass with an infeasible target is reassigned to entry 0.
 
     The strategy's columns are scanned one preference position at a time for
     all states at once: ``prefix`` is the chance that every queue scanned so
@@ -95,6 +88,7 @@ def _acceptance(strategy: PreferenceMatrix, space: StateSpace,
     same order.
     """
     n_types = space.model.num_types
+    p = np.asarray(_check_probs(queue_empty_probs, n_types))
     out = np.zeros((len(index), n_types + 1))
     admissible = (index >= 0) & (index < space.num_admissible)
     out[~admissible, RESERVE] = 1.0
@@ -102,7 +96,6 @@ def _acceptance(strategy: PreferenceMatrix, space: StateSpace,
     at = index[rows].tolist()
     table = _array([strategy.columns[i] for i in at], n_types + 1)
     fits = _array([space._increment[i] for i in at], n_types) >= 0
-    p = np.asarray(probs)
     prefix = np.ones(len(at))
     live = np.ones(len(at), dtype=bool)
     for pref in table.T:
@@ -115,21 +108,6 @@ def _acceptance(strategy: PreferenceMatrix, space: StateSpace,
         out[rows[live], target[live]] += take[live]
         prefix *= q
     return out
-
-
-def transition_probability(strategy: PreferenceMatrix, space: StateSpace,
-                           queue_empty_probs: Sequence[float],
-                           state: SystemState | int, slice_type: int) -> float:
-    """Probability that the next acceptance step moves s to s plus one type-n slice.
-
-    ``slice_type`` 0 queries the self-loop (no acceptance) mass.
-    """
-    index = state if isinstance(state, int) else space.index_of(state)
-    if not 0 <= slice_type <= space.model.num_types:
-        raise ContractViolation(
-            f"slice type must lie in 0..{space.model.num_types}, got {slice_type}"
-        )
-    return acceptance_distribution(strategy, space, queue_empty_probs, index)[slice_type]
 
 
 def _csr(matrix):
@@ -190,10 +168,9 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
         opportunity_rate = sum(space.model.arrival_rates)
     if opportunity_rate < 0.0:
         raise ContractViolation("opportunity rate must be >= 0")
-    probs = _check_probs(queue_empty_probs, n_types)
 
     index = np.arange(n_states)
-    accept = _acceptance(strategy, space, probs, index)
+    accept = acceptance_distribution(strategy, space, queue_empty_probs, index)
     edges = []  # (rows, cols, probabilities), one group per kind of event
     scale = np.ones(n_states)
     idle = np.zeros(n_states, dtype=bool)

@@ -54,10 +54,6 @@ class SliceType:
         if b is not None and not 0.0 <= b <= 1.0:
             raise ContractViolation(f"balking_willingness must lie in [0, 1], got {b}")
 
-    @property
-    def mean_lifetime(self) -> float:
-        return 1.0 / self.release_rate
-
 
 @dataclass(frozen=True)
 class ResourceModel:
@@ -100,11 +96,6 @@ class ResourceModel:
     @property
     def num_types(self) -> int:
         return len(self.types)
-
-    @property
-    def cost_matrix(self) -> np.ndarray:
-        """The M x N cost matrix (one column per slice type)."""
-        return np.array(self.costs, dtype=float).T
 
     @property
     def arrival_rates(self) -> tuple[float, ...]:
@@ -186,10 +177,6 @@ class StateSpace:
         return len(self.states)
 
     @property
-    def feasible(self) -> tuple[SystemState, ...]:
-        return self.states
-
-    @property
     def admissible(self) -> tuple[SystemState, ...]:
         return self.states[: self.num_admissible]
 
@@ -202,14 +189,8 @@ class StateSpace:
     def state_at(self, index: int) -> SystemState:
         return self.states[index]
 
-    def contains(self, s: Sequence[int]) -> bool:
-        return tuple(int(v) for v in s) in self._index
-
     def is_admissible_index(self, index: int) -> bool:
         return 0 <= index < self.num_admissible
-
-    def is_admissible(self, s: Sequence[int]) -> bool:
-        return self.is_admissible_index(self.index_of(s))
 
     def increment_index(self, index: int, n: int) -> int:
         """Index of ``state + unit increment of type n`` (n=0 is a self-move), -1 if infeasible."""

@@ -22,12 +22,6 @@ class EmpiricalPmf:
     counts: tuple[tuple[int, int], ...]  # (bin, count), sorted by bin
     total: int
 
-    def probability(self, bin_index: int) -> float:
-        for k, c in self.counts:
-            if k == bin_index:
-                return c / self.total
-        return 0.0
-
     @property
     def mean(self) -> float:
         """Mean bin index."""
@@ -71,10 +65,3 @@ def kld_vs_geometric(pmf: EmpiricalPmf, p_hat: float) -> float:
             term -= k * log_q
         total += p * term
     return total
-
-
-def fit_and_divergence(samples: Sequence[float], bin_width: float) -> tuple[float, float]:
-    """Convenience: fit a geometric to binned samples and return (p_hat, divergence)."""
-    pmf = empirical_pmf(samples, bin_width)
-    p_hat = fit_geometric(pmf)
-    return p_hat, kld_vs_geometric(pmf, p_hat)

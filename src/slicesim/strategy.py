@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .slice_model import StateSpace, SystemState
+from .slice_model import StateSpace
 
 RESERVE = 0
 
@@ -81,29 +81,6 @@ class PreferenceMatrix:
 
     def column(self, admissible_index: int) -> tuple[int, ...]:
         return self.columns[admissible_index]
-
-
-def preference_at(matrix: PreferenceMatrix, s: SystemState, space: StateSpace) -> tuple[int, ...]:
-    """The preference vector the strategy applies in admissible state ``s``."""
-    index = space.index_of(s)
-    if not space.is_admissible_index(index):
-        raise ContractViolation(f"state {tuple(s)} is not admissible; no preference applies")
-    return matrix.column(index)
-
-
-def extended_preference(matrix: PreferenceMatrix, state_index: int, row: int) -> int:
-    """Preference entry extended to the whole space: 0 for non-admissible state indices.
-
-    ``state_index`` is a 0-based full-space index, ``row`` a 0-based position
-    in the preference vector.
-    """
-    if not 0 <= row <= matrix.num_types:
-        raise ContractViolation(f"row must lie in 0..{matrix.num_types}, got {row}")
-    if state_index < 0:
-        raise ContractViolation(f"state index must be >= 0, got {state_index}")
-    if state_index >= matrix.num_columns:
-        return RESERVE
-    return matrix.columns[state_index][row]
 
 
 def constant_strategy(space: StateSpace, vector: Sequence[int]) -> PreferenceMatrix:

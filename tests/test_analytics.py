@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from slicesim.analytics import (
     wait_distributions,
     wait_means,
 )
+import slicesim
 from slicesim.errors import ContractViolation, NoEquilibrium
 
 from oracles import (
@@ -97,6 +102,12 @@ class TestSpecialFunctions:
     def test_bessel_at_zero(self):
         assert bessel_i(0.0, 0.0) == 1.0
         assert bessel_i(2.5, 0.0) == 0.0
+
+    def test_bessel_underflowing_leading_term_is_zero(self):
+        # (x/2)^order / Gamma(order + 1) is below the smallest double here
+        assert bessel_i(80.0, 1e-3) == 0.0
+        assert bessel_i(150.0, 1e-3) == 0.0
+        assert bessel_i(150.0, 0.1) == 0.0
 
     def test_gamma_reference_grid(self):
         for x, expected in GAMMA_REFERENCE:
@@ -310,3 +321,14 @@ class TestQueueParams:
         assert params.rho == pytest.approx(0.8)
         assert params.gamma == pytest.approx(3.0)
         assert params.delta == pytest.approx(0.96)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that integrate or build a chain
+    src = str(pathlib.Path(slicesim.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import slicesim.cli, sys; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -1,0 +1,83 @@
+"""Every function, class and method in ``src/slicesim`` has a caller.
+
+A name counts as used when ``src/`` or ``perfbench/`` refers to it (as a
+bare name or as an attribute) outside its own definition.  A re-export from
+``slicesim/__init__.py`` is an import, not a use.  Matching is by name, so
+two definitions that share a name cover each other and the guard can miss
+dead code.  Dunder methods are called by the language and are skipped.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "slicesim"
+
+# Kept without a caller in src/ or perfbench/, each for a stated reason.
+EXEMPT = {
+    # the paper's closed-form laws, which the tests compare against
+    "analytics.little_mean_length": "paper's law (Little's formula)",
+    "analytics.mm1_wait_pdf": "paper's law (patient wait density)",
+    "analytics.mm1_wait_cdf": "paper's law (patient wait distribution)",
+    "analytics.balk_join_probability": "paper's law (hyperbolic balking)",
+    "analytics.impatient_queue_pmf": "paper's law (impatient queue PMF)",
+    "analytics.mean_wait_accepted_series": "paper's series, cross-checks the quadrature",
+    # the special functions that acceptance criterion 9 checks
+    "analytics.gamma_fn": "criterion 9 reference check",
+    "analytics.bessel_i": "criterion 9 reference check",
+    # the model's definitions, and the tests' enumeration oracle
+    "slice_model.is_feasible": "model definition; enumeration oracle",
+    "slice_model.apply_increment": "model definition; enumeration oracle",
+    # the unit tests drive controllers one request at a time through it
+    "controller.QueueController.handle_request": "unit tests' controller driver",
+    # the acceptance-criteria harness
+    "experiments.collect_iat_samples": "criteria 1-3 harness",
+    "experiments.divergences_by_queue": "criteria 1-3 harness",
+    "experiments.matched_divergences": "criteria 1-3 harness",
+    "experiments.markov_consistency": "criterion 7 harness",
+    "experiments.ConsistencyRow.relative_error": "criterion 7 harness",
+    "experiments.balanced_benchmark_strategy": "criterion 7 harness",
+    "casestudy.accepted_by_panel": "criterion 8 harness",
+}
+
+
+def _references(tree):
+    """Every bare name and attribute name that the tree refers to."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _definitions():
+    """(qualified name, short name, node) of each top-level def and method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            yield f"{path.stem}.{node.name}", node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                        yield f"{path.stem}.{node.name}.{sub.name}", sub.name, sub
+
+
+def _unreferenced():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    refs = Counter()
+    for path in files:
+        refs.update(_references(ast.parse(path.read_text())))
+    return {qual for qual, name, node in _definitions()
+            if refs[name] - Counter(_references(node))[name] == 0}
+
+
+def test_every_definition_has_a_caller():
+    orphans = sorted(_unreferenced() - EXEMPT.keys())
+    assert not orphans, f"defined in src/slicesim but never used: {orphans}"
+
+
+def test_exemptions_are_current():
+    # an exempt name that gained a caller, or was deleted, leaves the set
+    assert sorted(EXEMPT.keys() - _unreferenced()) == []

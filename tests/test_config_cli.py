@@ -24,7 +24,7 @@ class TestScenarios:
     def test_scenario_1_rates(self):
         model = builtin_scenario("paper-scenario-1")
         assert model.arrival_rates == (2.0, 0.5)
-        assert model.types[0].mean_lifetime == 5.0
+        assert 1.0 / model.types[0].release_rate == 5.0  # mean lifetime
         assert model.types[1].utility_rate == 10.0
         assert model.types[0].reneging_rate == 1.0
         assert model.types[0].balking_willingness == 0.02

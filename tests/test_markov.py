@@ -21,7 +21,6 @@ from slicesim.markov import (
     initial_distribution,
     long_term_distribution,
     strategy_steady_state,
-    transition_probability,
 )
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import constant_strategy, naive_strategy, random_strategy
@@ -80,44 +79,49 @@ def random_reducible_chain(seed):
     return m, p / p.sum()
 
 
+def accept_row(strategy, space, probs, state):
+    """The acceptance distribution of one state, given as a tuple."""
+    index = np.array([space.index_of(state)])
+    return acceptance_distribution(strategy, space, probs, index)[0]
+
+
 class TestTransitionProbability:
     def test_reserve_first_self_loops(self):
         space = case_study_space()
         strategy = constant_strategy(space, (0, 1, 2))
-        assert transition_probability(strategy, space, (0.3, 0.7), (0, 0), 0) == 1.0
-        assert transition_probability(strategy, space, (0.3, 0.7), (0, 0), 1) == 0.0
+        assert accept_row(strategy, space, (0.3, 0.7), (0, 0))[0] == 1.0
+        assert accept_row(strategy, space, (0.3, 0.7), (0, 0))[1] == 0.0
 
     def test_direct_formula(self):
         space = case_study_space()
         strategy = constant_strategy(space, (1, 2, 0))
         p1, p2 = 0.3, 0.6
-        assert transition_probability(strategy, space, (p1, p2), (0, 0), 1) == (
+        assert accept_row(strategy, space, (p1, p2), (0, 0))[1] == (
             pytest.approx(0.7)
         )
-        assert transition_probability(strategy, space, (p1, p2), (0, 0), 2) == (
+        assert accept_row(strategy, space, (p1, p2), (0, 0))[2] == (
             pytest.approx(p1 * (1 - p2))
         )
-        assert transition_probability(strategy, space, (p1, p2), (0, 0), 0) == (
+        assert accept_row(strategy, space, (p1, p2), (0, 0))[0] == (
             pytest.approx(p1 * p2)
         )
 
     def test_surely_nonempty_takes_first_feasible(self):
         space = case_study_space()
         strategy = constant_strategy(space, (1, 2, 0))
-        assert transition_probability(strategy, space, (0.0, 0.0), (0, 0), 1) == 1.0
+        assert accept_row(strategy, space, (0.0, 0.0), (0, 0))[1] == 1.0
 
     def test_non_admissible_state_self_loops(self):
         space = case_study_space()
         strategy = naive_strategy(space, "prefer-type-1")
         outside = space.state_at(len(space) - 1)
-        assert transition_probability(strategy, space, (0.0, 0.0), outside, 0) == 1.0
+        assert accept_row(strategy, space, (0.0, 0.0), outside)[0] == 1.0
 
     def test_infeasible_target_mass_moves_to_self_loop(self):
         space = case_study_space()
         strategy = constant_strategy(space, (1, 2, 0))
         # from (1, 1) one more type-1 slice does not fit
-        probs = acceptance_distribution(strategy, space, (0.25, 0.5),
-                                        space.index_of((1, 1)))
+        probs = accept_row(strategy, space, (0.25, 0.5), (1, 1))
         assert probs[1] == 0.0
         assert probs[2] == pytest.approx(0.25 * 0.5)
         assert sum(probs) == pytest.approx(1.0)
@@ -130,7 +134,7 @@ class TestTransitionProbability:
             p = (rng.random(), rng.random())
             for idx in range(len(space)):
                 total = sum(
-                    transition_probability(strategy, space, p, space.state_at(idx), n)
+                    accept_row(strategy, space, p, space.state_at(idx))[n]
                     for n in range(3)
                 )
                 assert total == pytest.approx(1.0)

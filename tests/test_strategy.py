@@ -9,11 +9,8 @@ from slicesim.errors import ContractViolation
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import (
     PreferenceMatrix,
-    constant_strategy,
-    extended_preference,
     from_text,
     naive_strategy,
-    preference_at,
     random_strategy,
     to_text,
     validate_matrix,
@@ -47,48 +44,6 @@ class TestValidate:
 
     def test_matrix_column_count(self):
         assert "columns" in validate_matrix([[1, 2, 0]], num_types=2, num_admissible=3)
-
-
-class TestPreferenceAt:
-    def test_constant_lookup(self, space):
-        matrix = naive_strategy(space, "prefer-type-1")
-        for s in space.admissible:
-            assert preference_at(matrix, s, space) == (1, 2, 0)
-
-    def test_distinct_columns(self, space):
-        columns = tuple(
-            (1, 2, 0) if j % 2 == 0 else (2, 1, 0)
-            for j in range(space.num_admissible)
-        )
-        matrix = PreferenceMatrix(columns=columns, num_types=2)
-        assert preference_at(matrix, space.state_at(0), space) == (1, 2, 0)
-        assert preference_at(matrix, space.state_at(1), space) == (2, 1, 0)
-
-    def test_non_admissible_state_rejected(self, space):
-        matrix = naive_strategy(space, "prefer-type-1")
-        outside = space.state_at(len(space) - 1)
-        with pytest.raises(ContractViolation):
-            preference_at(matrix, outside, space)
-
-
-class TestExtendedPreference:
-    def test_within_admissible(self, space):
-        matrix = naive_strategy(space, "prefer-type-2")
-        for j in range(space.num_admissible):
-            assert extended_preference(matrix, j, 0) == 2
-            assert extended_preference(matrix, j, 2) == 0
-
-    def test_outside_admissible_is_reserve(self, space):
-        matrix = naive_strategy(space, "prefer-type-2")
-        for j in range(space.num_admissible, len(space)):
-            for row in range(3):
-                assert extended_preference(matrix, j, row) == 0
-
-    def test_single_type(self):
-        model = ResourceModel(pool=(1.0,), costs=((0.5,),), types=(SliceType(1.0, 1.0),))
-        sp = enumerate_state_space(model)
-        matrix = constant_strategy(sp, (1, 0))
-        assert extended_preference(matrix, 0, 0) == 1
 
 
 class TestNaive:
