@@ -1,8 +1,11 @@
 """Independent oracles used by the test suite.
 
-Everything here is deliberately written against the plain definitions
+Most of it is deliberately written against the plain definitions
 (brute-force enumeration, direct balance equations, a standalone event loop
-on stdlib ``random``) so it shares no code path with the package.
+on stdlib ``random``) so it shares no code path with the package.  The
+``enumerate_dfs``, ``build_transition_dense`` and ``run_scalar`` oracles are
+frozen copies of the package's first, slower algorithms, which its faster
+ones must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -339,6 +342,231 @@ def kld_direct(probabilities, p_hat):
         q = (1.0 - p_hat) ** k * p_hat
         total += p * math.log(p / q)
     return total
+
+
+def run_scalar(config, space=None):
+    """``engine.run`` as the package first wrote it: one heap for every event.
+
+    The loop is copied from the former ``engine.run``.  Each arrival is a heap
+    event and schedules the next one with one scalar exponential draw, and
+    every step goes through a closure.  It shares the package's trace,
+    metrics and controller types, so a faster loop must reproduce its
+    outputs exactly (ties between events at one instant aside, which
+    continuous draws never produce).
+    """
+    import math
+
+    import numpy as np
+
+    from slicesim.controller import (
+        ACCEPTED,
+        BALKED,
+        RENEGED,
+        WAITING,
+        GreedySingleQueueController,
+        MultiQueueController,
+        RequestRecord,
+    )
+    from slicesim.engine import MULTI_QUEUE, SimTrace, _draw_initial_index, overall_metrics
+    from slicesim.errors import ContractViolation
+    from slicesim.slice_model import enumerate_state_space
+    from slicesim.strategy import RESERVE
+
+    model = config.model
+    n_types = model.num_types
+    if config.discipline == MULTI_QUEUE and config.strategy is None:
+        raise ContractViolation("multi-queue simulation needs a strategy")
+    if space is None:
+        space = enumerate_state_space(model)
+
+    root = np.random.SeedSequence(config.seed)
+    children = root.spawn(1 + 2 * n_types)
+    init_rng = np.random.Generator(np.random.PCG64(children[0]))
+    arrival_rngs = [np.random.Generator(np.random.PCG64(children[1 + n])) for n in range(n_types)]
+    mark_rngs = [np.random.Generator(np.random.PCG64(children[1 + n_types + n])) for n in range(n_types)]
+
+    initial_index = _draw_initial_index(space, config.initial_state, init_rng)
+    initial_state = space.state_at(initial_index)
+
+    multi = config.discipline == MULTI_QUEUE
+    if multi:
+        controller = MultiQueueController(space, config.strategy, initial_state)
+    else:
+        controller = GreedySingleQueueController(space, initial_state)
+
+    trace = SimTrace(
+        num_types=n_types,
+        horizon=config.horizon,
+        warmup=config.warmup,
+        initial_state=initial_state,
+        utility_rates=model.utility_rates,
+        events=[] if config.record_events else None,
+    )
+
+    balk_on = [config.balking and model.types[n].balking_willingness is not None
+               for n in range(n_types)]
+    renege_on = [config.reneging and model.types[n].reneging_rate > 0.0
+                 for n in range(n_types)]
+
+    heap: list[tuple[float, int, int, object]] = []
+    seq = 0
+    EV_ARRIVAL, EV_RELEASE, EV_RENEGE = 0, 1, 2
+
+    def push(t: float, kind: int, payload: object) -> None:
+        nonlocal seq
+        seq += 1
+        heapq.heappush(heap, (t, seq, kind, payload))
+
+    # initial active slices: memoryless lifetimes drawn at t = 0
+    for n in range(n_types):
+        for _ in range(initial_state[n]):
+            push(init_rng.exponential(1.0 / model.types[n].release_rate), EV_RELEASE, n + 1)
+    for n in range(n_types):
+        rate = model.types[n].arrival_rate
+        if rate > 0.0:
+            push(arrival_rngs[n].exponential(1.0 / rate), EV_ARRIVAL, n + 1)
+
+    horizon, warmup = config.horizon, config.warmup
+    in_window = lambda t: warmup < t <= horizon
+    last_t = 0.0
+    next_id = 0
+    waiting = [0] * n_types  # per-type waiting counts, kept for both disciplines
+
+    def advance(t: float) -> None:
+        nonlocal last_t
+        lo = last_t if last_t > warmup else warmup
+        hi = t if t < horizon else horizon
+        if hi > lo:
+            dt = hi - lo
+            index = controller.state_index
+            trace.state_time[index] = trace.state_time.get(index, 0.0) + dt
+            for n in range(n_types):
+                trace.queue_time[n] += waiting[n] * dt
+        last_t = t
+
+    def log(t: float, kind: str, slice_type: int, request_id: int) -> None:
+        if trace.events is not None:
+            lengths = controller.queue_lengths()
+            trace.events.append((t, kind, slice_type, request_id, controller.state, lengths))
+
+    def settle(t: float, accepted: list[RequestRecord]) -> None:
+        for rec in accepted:
+            rec.outcome = ACCEPTED
+            rec.outcome_time = t
+            n = rec.slice_type
+            waiting[n - 1] -= 1
+            trace.total_accepted[n - 1] += 1
+            trace.accept_times[n - 1].append(t)
+            if in_window(t):
+                trace.accepted[n - 1] += 1
+                trace.wait_sum[n - 1] += t - rec.join_time
+                trace.wait_count[n - 1] += 1
+            push(t + rec.lifetime, EV_RELEASE, n)
+            log(t, "accept", n, rec.request_id)
+
+    def measure_epoch(t: float) -> None:
+        """Queue-empty observations used by the transition-model pipeline.
+
+        At each arrival epoch (after the join/balk decision) the current
+        preference column is scanned in order: every queue seen before the
+        first non-empty one contributes an observation, conditional on all
+        more-preferred queues having been empty.  Marginal emptiness is
+        recorded for every queue as a fallback.
+        """
+        if in_window(t):
+            trace.arrival_epochs += 1
+            for n, q in enumerate(controller.queues):
+                if not q:
+                    trace.empty_marginal[n] += 1
+            idx = controller.state_index
+            if space.is_admissible_index(idx):
+                for pref in config.strategy.column(idx):
+                    if pref == RESERVE:
+                        break
+                    trace.scan_observed[pref - 1] += 1
+                    if controller.queues[pref - 1]:
+                        break
+                    trace.scan_empty[pref - 1] += 1
+
+    while heap:
+        t, _, kind, payload = heapq.heappop(heap)
+        if t > horizon:
+            break
+        advance(t)
+        if kind == EV_ARRIVAL:
+            n = payload
+            ty = model.types[n - 1]
+            lifetime = mark_rngs[n - 1].exponential(1.0 / ty.release_rate)
+            u_balk = mark_rngs[n - 1].random()
+            u_patience = mark_rngs[n - 1].random()
+            next_id += 1
+            rec = RequestRecord(next_id, n, t, lifetime=lifetime)
+            if trace.events is not None:
+                trace.records.append(rec)
+            trace.total_arrivals[n - 1] += 1
+            if in_window(t):
+                trace.arrivals[n - 1] += 1
+            log(t, "arrival", n, rec.request_id)
+            queue = controller.queue_for(n)
+            backlog = len(queue)
+            join_prob = 1.0
+            if balk_on[n - 1] and backlog >= 1:
+                join_prob = min(1.0, ty.balking_willingness / backlog)
+            if u_balk < join_prob:
+                rec.join_time = t
+                waiting[n - 1] += 1
+                trace.total_joined[n - 1] += 1
+                if in_window(t):
+                    trace.joined[n - 1] += 1
+                if renege_on[n - 1]:
+                    rec.renege_deadline = t - math.log(1.0 - u_patience) / ty.reneging_rate
+                    push(rec.renege_deadline, EV_RENEGE, rec)
+                queue.append(rec)
+                log(t, "join", n, rec.request_id)
+                if multi:
+                    measure_epoch(t)
+                settle(t, controller.serve_queues())
+            else:
+                rec.outcome = BALKED
+                rec.outcome_time = t
+                trace.total_balked[n - 1] += 1
+                if in_window(t):
+                    trace.balked[n - 1] += 1
+                log(t, "balk", n, rec.request_id)
+                if multi:
+                    measure_epoch(t)
+            if ty.arrival_rate > 0.0:
+                push(t + arrival_rngs[n - 1].exponential(1.0 / ty.arrival_rate), EV_ARRIVAL, n)
+        elif kind == EV_RELEASE:
+            n = payload
+            log(t, "release", n, -1)
+            settle(t, controller.handle_release(n))
+        else:  # EV_RENEGE
+            rec = payload
+            if rec.outcome == WAITING:
+                controller.remove(rec)
+                rec.outcome = RENEGED
+                rec.outcome_time = t
+                n = rec.slice_type
+                waiting[n - 1] -= 1
+                trace.total_reneged[n - 1] += 1
+                if in_window(t):
+                    trace.reneged[n - 1] += 1
+                    trace.wait_sum[n - 1] += t - rec.join_time
+                    trace.wait_count[n - 1] += 1
+                log(t, "renege", n, rec.request_id)
+        if config.check_invariants:
+            assert not controller.is_transient(), "controller left transient after event"
+
+    advance(horizon)
+    for index, dt in trace.state_time.items():
+        s = space.state_at(index)
+        for n in range(n_types):
+            trace.slice_time[n] += s[n] * dt
+    trace.final_state = controller.state
+    trace.final_queue_lengths = tuple(waiting)
+
+    return trace, overall_metrics(trace, seed=config.seed)
 
 
 # Frozen high-precision reference values (60-digit series/gamma arithmetic).

@@ -1,9 +1,14 @@
+import dataclasses
 import math
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import run_scalar
 from slicesim.engine import (
+    GREEDY_SINGLE_QUEUE,
+    MULTI_QUEUE,
     SimConfig,
     derived_seed,
     monte_carlo,
@@ -330,3 +335,60 @@ class TestQueueEmptyMeasurement:
         # epochs only, so its scan-empty share is near 1 - lambda_1 / Lambda
         lam = model.arrival_rates
         assert probs[0] == pytest.approx(1 - lam[0] / sum(lam), abs=0.05)
+
+
+_ORACLE_POOLS = (0.5, 1.0)
+_ORACLE_COSTS = (0.1, 0.2, 0.25, 0.5)
+
+
+@st.composite
+def oracle_rounds(draw):
+    """A small model of 1-3 types and one round on it, over every toggle of ``SimConfig``."""
+    pool = tuple(draw(st.lists(st.sampled_from(_ORACLE_POOLS), min_size=1, max_size=2)))
+    costs, types = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(pool) - 1))  # a resource the type surely consumes
+        costs.append(tuple(
+            draw(st.sampled_from([c for c in _ORACLE_COSTS if c <= r] + ([] if m == k else [0.0])))
+            for m, r in enumerate(pool)
+        ))
+        types.append(SliceType(
+            arrival_rate=draw(st.sampled_from((0.0, 0.5, 2.0, 6.0))),
+            release_rate=draw(st.sampled_from((0.2, 0.5, 1.0))),
+            utility_rate=draw(st.sampled_from((0.0, 1.0, 10.0))),
+            reneging_rate=draw(st.sampled_from((0.0, 0.1, 1.0))),
+            balking_willingness=draw(st.sampled_from((None, 0.02, 0.5, 1.0))),
+        ))
+    model = ResourceModel(pool=pool, costs=tuple(costs), types=tuple(types))
+    space = enumerate_state_space(model)
+    discipline = draw(st.sampled_from((MULTI_QUEUE, GREEDY_SINGLE_QUEUE)))
+    strategy = None
+    if discipline == MULTI_QUEUE:
+        strategy = random_strategy(space, draw(st.integers(0, 2**16)))
+    horizon = draw(st.sampled_from((3.0, 10.0, 30.0, 60.0)))
+    initial = draw(st.sampled_from(("empty", "full", "explicit")))
+    if initial == "explicit":
+        initial = draw(st.sampled_from(space.states))
+    return SimConfig(
+        model=model, strategy=strategy, discipline=discipline, horizon=horizon,
+        warmup=draw(st.sampled_from((0.0, horizon / 4))), seed=draw(st.integers(0, 2**32 - 1)),
+        initial_state=initial, balking=draw(st.booleans()), reneging=draw(st.booleans()),
+        record_events=draw(st.booleans()),
+    ), space
+
+
+def _record_fields(trace):
+    return [dataclasses.astuple(r) for r in trace.records]
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_rounds())
+def test_run_matches_scalar_oracle(case):
+    config, space = case
+    trace, report = run(config, space)
+    expected_trace, expected_report = run_scalar(config, space)
+    assert report == expected_report
+    assert _record_fields(trace) == _record_fields(expected_trace)
+    for f in dataclasses.fields(trace):
+        if f.name != "records":
+            assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
