@@ -38,6 +38,8 @@ def _hyp0f1(b: float, z: float) -> float:
     for k in range(MAX_TERMS):
         term *= z / ((k + 1.0) * (b + k))
         total += term
+        if total == math.inf:
+            raise NumericError(f"hypergeometric series overflows a double for b={b}, z={z}")
         if term < TERM_TOL * total:
             return total
     raise NumericError(f"hypergeometric series did not converge for b={b}, z={z}")

@@ -28,7 +28,7 @@ BALKED = "balked"
 RENEGED = "reneged"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RequestRecord:
     """One slice request and its fate.
 
@@ -125,23 +125,23 @@ class MultiQueueController(QueueController):
     def serve_queues(self) -> list[RequestRecord]:
         """Recursively serve the queues until blocked; returns requests accepted, in order."""
         accepted: list[RequestRecord] = []
-        space = self.space
-        while space.is_admissible_index(self.state_index):
-            before = self.state_index
-            column = self.strategy.column(self.state_index)
-            for pref in column:
+        columns, queues = self.strategy.columns, self.queues
+        increment, num_admissible = self.space._increment, self.space.num_admissible
+        index = self.state_index
+        while index < num_admissible:
+            before = index
+            for pref in columns[index]:
                 if pref == RESERVE:
                     break
-                queue = self.queues[pref - 1]
-                if not queue:
-                    continue
-                target = space.increment_index(self.state_index, pref)
-                if target < 0:
-                    continue
-                accepted.append(queue.popleft())
-                self.state_index = target
-            if self.state_index == before:
+                queue = queues[pref - 1]
+                if queue:
+                    target = increment[index][pref - 1]
+                    if target >= 0:
+                        accepted.append(queue.popleft())
+                        index = target
+            if index == before:
                 break
+        self.state_index = index
         return accepted
 
     def is_transient(self) -> bool:

@@ -12,6 +12,11 @@ initial-state, arrivals of type 1..N, marks of type 1..N; every arrival draws
 exactly one lifetime and two uniforms from its type's mark stream regardless
 of toggles.  Monte-Carlo round ``i`` of master seed ``m`` runs with seed
 ``SeedSequence([m, i]).generate_state(1)``.
+
+An arrival stream draws only exponentials, so it is drawn in blocks of
+``ARRIVAL_BLOCK`` whose values equal scalar draws one by one, and arrivals stay
+out of the event heap (releases and reneges).  Mark streams interleave three
+draws per arrival and stay scalar.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ RNG_METADATA = {
 
 MULTI_QUEUE = "multi-queue"
 GREEDY_SINGLE_QUEUE = "greedy-single-queue"
+
+#: Arrival epochs drawn per refill of a type's stream (memory stays O(block), whatever the horizon).
+ARRIVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,34 @@ def _draw_initial_index(space: StateSpace, policy: str | tuple[int, ...],
     return int(rng.integers(low, high))
 
 
+def _arrival_times(rng: np.random.Generator, scale: float):
+    """A type's arrival epochs, ``ARRIVAL_BLOCK`` draws at a time; ``np.cumsum`` adds left
+    to right, so each equals the running ``t + rng.exponential(scale)`` of scalar draws."""
+    last = 0.0
+    while True:
+        draws = rng.exponential(scale, size=ARRIVAL_BLOCK)
+        draws[0] += last
+        block = np.cumsum(draws).tolist()
+        last = block[-1]
+        yield from block
+
+
+def check_conservation(trace: SimTrace) -> None:
+    """Raise ``ContractViolation`` unless every request of the run is accounted for.
+
+    Per type, over the whole run: arrived = joined + balked, and
+    joined = accepted + reneged + still waiting.
+    """
+    for n, counts in enumerate(zip(trace.total_arrivals, trace.total_joined, trace.total_balked,
+                                   trace.total_accepted, trace.total_reneged,
+                                   trace.final_queue_lengths)):
+        arrived, joined, balked, accepted, reneged, waiting = counts
+        if arrived != joined + balked or joined != accepted + reneged + waiting:
+            raise ContractViolation(
+                f"type {n + 1} requests not conserved: (arrived, joined, balked, accepted, "
+                f"reneged, still waiting) = {counts}")
+
+
 def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, MetricsReport]:
     """Execute one round over [0, horizon] and report metrics over (warmup, horizon]."""
     model = config.model
@@ -182,192 +218,183 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
     if space is None:
         space = enumerate_state_space(model)
 
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(1 + 2 * n_types)
+    children = np.random.SeedSequence(config.seed).spawn(1 + 2 * n_types)
     init_rng = np.random.Generator(np.random.PCG64(children[0]))
     arrival_rngs = [np.random.Generator(np.random.PCG64(children[1 + n])) for n in range(n_types)]
     mark_rngs = [np.random.Generator(np.random.PCG64(children[1 + n_types + n])) for n in range(n_types)]
 
-    initial_index = _draw_initial_index(space, config.initial_state, init_rng)
-    initial_state = space.state_at(initial_index)
+    initial_state = space.state_at(_draw_initial_index(space, config.initial_state, init_rng))
 
     multi = config.discipline == MULTI_QUEUE
     if multi:
         controller = MultiQueueController(space, config.strategy, initial_state)
+        columns = config.strategy.columns
     else:
         controller = GreedySingleQueueController(space, initial_state)
 
-    trace = SimTrace(
-        num_types=n_types,
-        horizon=config.horizon,
-        warmup=config.warmup,
-        initial_state=initial_state,
-        utility_rates=model.utility_rates,
-        events=[] if config.record_events else None,
-    )
+    trace = SimTrace(n_types, config.horizon, config.warmup, initial_state, model.utility_rates,
+                     events=[] if config.record_events else None)
 
-    balk_on = [config.balking and model.types[n].balking_willingness is not None
-               for n in range(n_types)]
-    renege_on = [config.reneging and model.types[n].reneging_rate > 0.0
-                 for n in range(n_types)]
+    types = model.types
+    lifetime_scales = [1.0 / ty.release_rate for ty in types]
+    balking = [ty.balking_willingness if config.balking else None for ty in types]
+    reneging = [ty.reneging_rate if config.reneging else 0.0 for ty in types]
+    queues = [controller.queue_for(n) for n in range(1, n_types + 1)]
 
+    # releases and reneges wait in the heap; each type's next arrival waits in ``heads``
     heap: list[tuple[float, int, int, object]] = []
     seq = 0
-    EV_ARRIVAL, EV_RELEASE, EV_RENEGE = 0, 1, 2
-
-    def push(t: float, kind: int, payload: object) -> None:
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, (t, seq, kind, payload))
-
+    EV_ARRIVAL, EV_RELEASE, EV_RENEGE, EV_END = 0, 1, 2, 3
     # initial active slices: memoryless lifetimes drawn at t = 0
     for n in range(n_types):
         for _ in range(initial_state[n]):
-            push(init_rng.exponential(1.0 / model.types[n].release_rate), EV_RELEASE, n + 1)
-    for n in range(n_types):
-        rate = model.types[n].arrival_rate
-        if rate > 0.0:
-            push(arrival_rngs[n].exponential(1.0 / rate), EV_ARRIVAL, n + 1)
+            seq += 1
+            heapq.heappush(heap, (init_rng.exponential(lifetime_scales[n]), seq, EV_RELEASE, n + 1))
+    next_arrival = [_arrival_times(rng, 1.0 / ty.arrival_rate).__next__ if ty.arrival_rate > 0.0
+                    else None for rng, ty in zip(arrival_rngs, types)]
+    heads = [math.inf if draw is None else draw() for draw in next_arrival]
 
     horizon, warmup = config.horizon, config.warmup
-    in_window = lambda t: warmup < t <= horizon
     last_t = 0.0
-    next_id = 0
+    next_id = arrival_epochs = 0
     waiting = [0] * n_types  # per-type waiting counts, kept for both disciplines
+    records, state_time, queue_time = trace.records, trace.state_time, trace.queue_time
+    arrivals, joined, balked, accepted = trace.arrivals, trace.joined, trace.balked, trace.accepted
+    reneged, wait_sum, wait_count = trace.reneged, trace.wait_sum, trace.wait_count
+    total_arrivals, total_joined, total_balked = (
+        trace.total_arrivals, trace.total_joined, trace.total_balked)
+    total_accepted, total_reneged = trace.total_accepted, trace.total_reneged
+    num_admissible, states, all_types = space.num_admissible, space.states, range(n_types)
+    serve, handle_release, remove = (
+        controller.serve_queues, controller.handle_release, controller.remove)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    log = None  # the event log, kept together with the request records
+    if trace.events is not None:
+        def log(t: float, kind: str, slice_type: int, request_id: int) -> None:
+            trace.events.append((t, kind, slice_type, request_id,
+                                 controller.state, controller.queue_lengths()))
 
-    def advance(t: float) -> None:
-        nonlocal last_t
-        lo = last_t if last_t > warmup else warmup
-        hi = t if t < horizon else horizon
-        if hi > lo:
-            dt = hi - lo
-            index = controller.state_index
-            trace.state_time[index] = trace.state_time.get(index, 0.0) + dt
-            for n in range(n_types):
-                trace.queue_time[n] += waiting[n] * dt
-        last_t = t
-
-    def log(t: float, kind: str, slice_type: int, request_id: int) -> None:
-        if trace.events is not None:
-            lengths = controller.queue_lengths()
-            trace.events.append((t, kind, slice_type, request_id, controller.state, lengths))
-
-    def settle(t: float, accepted: list[RequestRecord]) -> None:
-        for rec in accepted:
-            rec.outcome = ACCEPTED
-            rec.outcome_time = t
-            n = rec.slice_type
-            waiting[n - 1] -= 1
-            trace.total_accepted[n - 1] += 1
-            trace.accept_times[n - 1].append(t)
-            if in_window(t):
-                trace.accepted[n - 1] += 1
-                trace.wait_sum[n - 1] += t - rec.join_time
-                trace.wait_count[n - 1] += 1
-            push(t + rec.lifetime, EV_RELEASE, n)
-            log(t, "accept", n, rec.request_id)
-
-    def measure_epoch(t: float) -> None:
-        """Queue-empty observations used by the transition-model pipeline.
-
-        At each arrival epoch (after the join/balk decision) the current
-        preference column is scanned in order: every queue seen before the
-        first non-empty one contributes an observation, conditional on all
-        more-preferred queues having been empty.  Marginal emptiness is
-        recorded for every queue as a fallback.
-        """
-        if in_window(t):
-            trace.arrival_epochs += 1
-            for n, q in enumerate(controller.queues):
-                if not q:
-                    trace.empty_marginal[n] += 1
-            idx = controller.state_index
-            if space.is_admissible_index(idx):
-                for pref in config.strategy.column(idx):
-                    if pref == RESERVE:
-                        break
-                    trace.scan_observed[pref - 1] += 1
-                    if controller.queues[pref - 1]:
-                        break
-                    trace.scan_empty[pref - 1] += 1
-
-    while heap:
-        t, _, kind, payload = heapq.heappop(heap)
+    while True:
+        t = min(heads)
+        if heap and heap[0][0] < t:
+            t, _, kind, payload = heappop(heap)
+        else:
+            kind = EV_ARRIVAL
         if t > horizon:
-            break
-        advance(t)
+            t, kind = horizon, EV_END
+        in_window = t > warmup
+        if in_window:  # occupancy over (warmup, horizon]
+            dt = t - (last_t if last_t > warmup else warmup)
+            if dt > 0.0:
+                index = controller.state_index
+                state_time[index] = state_time.get(index, 0.0) + dt
+                for n in all_types:
+                    queue_time[n] += waiting[n] * dt
+        last_t = t
+        served = ()
         if kind == EV_ARRIVAL:
-            n = payload
-            ty = model.types[n - 1]
-            lifetime = mark_rngs[n - 1].exponential(1.0 / ty.release_rate)
-            u_balk = mark_rngs[n - 1].random()
-            u_patience = mark_rngs[n - 1].random()
+            n = heads.index(t)
+            heads[n] = next_arrival[n]()
+            mark = mark_rngs[n]
+            lifetime = mark.exponential(lifetime_scales[n])
+            u_balk = mark.random()
+            u_patience = mark.random()
             next_id += 1
-            rec = RequestRecord(next_id, n, t, lifetime=lifetime)
-            if trace.events is not None:
-                trace.records.append(rec)
-            trace.total_arrivals[n - 1] += 1
-            if in_window(t):
-                trace.arrivals[n - 1] += 1
-            log(t, "arrival", n, rec.request_id)
-            queue = controller.queue_for(n)
-            backlog = len(queue)
-            join_prob = 1.0
-            if balk_on[n - 1] and backlog >= 1:
-                join_prob = min(1.0, ty.balking_willingness / backlog)
-            if u_balk < join_prob:
-                rec.join_time = t
-                waiting[n - 1] += 1
-                trace.total_joined[n - 1] += 1
-                if in_window(t):
-                    trace.joined[n - 1] += 1
-                if renege_on[n - 1]:
-                    rec.renege_deadline = t - math.log(1.0 - u_patience) / ty.reneging_rate
-                    push(rec.renege_deadline, EV_RENEGE, rec)
+            total_arrivals[n] += 1
+            if in_window:
+                arrivals[n] += 1
+            if log:
+                log(t, "arrival", n + 1, next_id)
+            queue = queues[n]
+            backlog, willingness = len(queue), balking[n]
+            joins = willingness is None or backlog < 1 or u_balk < min(1.0, willingness / backlog)
+            if joins:
+                rec = RequestRecord(next_id, n + 1, t, lifetime, t)
+                waiting[n] += 1
+                total_joined[n] += 1
+                if in_window:
+                    joined[n] += 1
+                if reneging[n] > 0.0:
+                    rec.renege_deadline = t - math.log(1.0 - u_patience) / reneging[n]
+                    seq += 1
+                    heappush(heap, (rec.renege_deadline, seq, EV_RENEGE, rec))
                 queue.append(rec)
-                log(t, "join", n, rec.request_id)
-                if multi:
-                    measure_epoch(t)
-                settle(t, controller.serve_queues())
+                if log:
+                    records.append(rec)
+                    log(t, "join", n + 1, next_id)
             else:
-                rec.outcome = BALKED
-                rec.outcome_time = t
-                trace.total_balked[n - 1] += 1
-                if in_window(t):
-                    trace.balked[n - 1] += 1
-                log(t, "balk", n, rec.request_id)
-                if multi:
-                    measure_epoch(t)
-            if ty.arrival_rate > 0.0:
-                push(t + arrival_rngs[n - 1].exponential(1.0 / ty.arrival_rate), EV_ARRIVAL, n)
+                total_balked[n] += 1
+                if in_window:
+                    balked[n] += 1
+                if log:
+                    records.append(RequestRecord(next_id, n + 1, t, lifetime,
+                                                 outcome=BALKED, outcome_time=t))
+                    log(t, "balk", n + 1, next_id)
+            if multi and in_window:
+                # queue-empty observations: each queue the column lists up to the first
+                # non-empty one, given all more-preferred ones empty; marginals as fallback
+                arrival_epochs += 1
+                for m in all_types:
+                    if not queues[m]:
+                        trace.empty_marginal[m] += 1
+                index = controller.state_index
+                if index < num_admissible:
+                    for pref in columns[index]:
+                        if pref == RESERVE:
+                            break
+                        trace.scan_observed[pref - 1] += 1
+                        if queues[pref - 1]:
+                            break
+                        trace.scan_empty[pref - 1] += 1
+            if joins:
+                served = serve()
         elif kind == EV_RELEASE:
-            n = payload
-            log(t, "release", n, -1)
-            settle(t, controller.handle_release(n))
-        else:  # EV_RENEGE
+            if log:
+                log(t, "release", payload, -1)
+            served = handle_release(payload)
+        elif kind == EV_RENEGE:
             rec = payload
             if rec.outcome == WAITING:
-                controller.remove(rec)
+                remove(rec)
                 rec.outcome = RENEGED
                 rec.outcome_time = t
-                n = rec.slice_type
-                waiting[n - 1] -= 1
-                trace.total_reneged[n - 1] += 1
-                if in_window(t):
-                    trace.reneged[n - 1] += 1
-                    trace.wait_sum[n - 1] += t - rec.join_time
-                    trace.wait_count[n - 1] += 1
-                log(t, "renege", n, rec.request_id)
+                n = rec.slice_type - 1
+                waiting[n] -= 1
+                total_reneged[n] += 1
+                if in_window:
+                    reneged[n] += 1
+                    wait_sum[n] += t - rec.join_time
+                    wait_count[n] += 1
+                if log:
+                    log(t, "renege", n + 1, rec.request_id)
+        else:  # EV_END
+            break
+        for rec in served:  # settle the requests the controller accepted
+            rec.outcome = ACCEPTED
+            rec.outcome_time = t
+            n = rec.slice_type - 1
+            waiting[n] -= 1
+            total_accepted[n] += 1
+            trace.accept_times[n].append(t)
+            if in_window:
+                accepted[n] += 1
+                wait_sum[n] += t - rec.join_time
+                wait_count[n] += 1
+            seq += 1
+            heappush(heap, (t + rec.lifetime, seq, EV_RELEASE, n + 1))
+            if log:
+                log(t, "accept", n + 1, rec.request_id)
         if config.check_invariants:
             assert not controller.is_transient(), "controller left transient after event"
 
-    advance(horizon)
-    for index, dt in trace.state_time.items():
-        s = space.state_at(index)
-        for n in range(n_types):
+    for index, dt in state_time.items():
+        s = states[index]
+        for n in all_types:
             trace.slice_time[n] += s[n] * dt
+    trace.arrival_epochs = arrival_epochs
     trace.final_state = controller.state
     trace.final_queue_lengths = tuple(waiting)
+    check_conservation(trace)
 
     return trace, overall_metrics(trace, seed=config.seed)
 

@@ -26,7 +26,7 @@ from slicesim.analytics import (
     wait_means,
 )
 import slicesim
-from slicesim.errors import ContractViolation, NoEquilibrium
+from slicesim.errors import ContractViolation, NoEquilibrium, NumericError
 
 from oracles import (
     BESSEL_I_REFERENCE,
@@ -221,6 +221,12 @@ class TestAcceptanceProbabilities:
             assert probs.accept_given_join == pytest.approx(
                 probs.accept_and_join / p_join, rel=1e-8
             )
+
+    def test_overflow_is_reported_as_overflow(self):
+        # 0F1(; 2; 2e5) is about e^894: past a double, which the series says at once
+        params = QueueParams(2e5, 1.0, reneging_rate=1.0, balking_willingness=1.0)
+        with pytest.raises(NumericError, match=r"overflows a double for b=2\.0, z=200000\.0"):
+            acceptance_probabilities(params)
 
     def test_matches_micro_simulation(self):
         params = QueueParams(1.2, 1.5, reneging_rate=1.0, balking_willingness=0.5)

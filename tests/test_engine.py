@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import run_scalar
+from slicesim import engine
 from slicesim.engine import (
     GREEDY_SINGLE_QUEUE,
     MULTI_QUEUE,
     SimConfig,
+    check_conservation,
     derived_seed,
     monte_carlo,
     pooled_queue_empty_probs,
@@ -114,6 +116,16 @@ class TestConservationAndOrdering:
                     trace.total_balked[n] + trace.total_reneged[n]
                     + trace.total_accepted[n] + trace.final_queue_lengths[n]
                 )
+
+    @pytest.mark.parametrize("field", ["total_balked", "total_reneged", "final_queue_lengths"])
+    def test_conservation_check_rejects_a_doctored_trace(self, field):
+        trace, _ = self._run(2)
+        check_conservation(trace)
+        counts = list(getattr(trace, field))
+        counts[1] += 1
+        setattr(trace, field, tuple(counts))
+        with pytest.raises(ContractViolation, match="type 2 requests not conserved"):
+            check_conservation(trace)
 
     def test_event_times_nondecreasing(self):
         trace, _ = self._run(3)
@@ -381,11 +393,15 @@ def _record_fields(trace):
     return [dataclasses.astuple(r) for r in trace.records]
 
 
+# short blocks make block refills happen on short horizons
+@pytest.mark.parametrize("block", [engine.ARRIVAL_BLOCK, 1, 3])
 @settings(max_examples=120, deadline=None)
 @given(oracle_rounds())
-def test_run_matches_scalar_oracle(case):
+def test_run_matches_scalar_oracle(block, case):
     config, space = case
-    trace, report = run(config, space)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "ARRIVAL_BLOCK", block)
+        trace, report = run(config, space)
     expected_trace, expected_report = run_scalar(config, space)
     assert report == expected_report
     assert _record_fields(trace) == _record_fields(expected_trace)
