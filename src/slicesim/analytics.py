@@ -58,9 +58,15 @@ def bessel_i(order: float, x: float) -> float:
     if x == 0.0:
         return 1.0 if order == 0.0 else 0.0
     # the leading factor via logs to survive large orders; where it underflows
-    # the value is 0.0
-    lead = math.exp(order * math.log(x / 2.0) - math.lgamma(order + 1.0))
-    return lead * _hyp0f1(order + 1.0, x * x / 4.0)
+    # the value is 0.0, where it or the product overflows a NumericError
+    try:
+        lead = math.exp(order * math.log(x / 2.0) - math.lgamma(order + 1.0))
+    except OverflowError:
+        lead = math.inf
+    value = lead * _hyp0f1(order + 1.0, x * x / 4.0)
+    if value == math.inf:
+        raise NumericError(f"bessel_i overflows a double for order={order}, x={x}")
+    return value
 
 
 def little_mean_length(arrival_rate: float, mean_wait: float) -> float:

@@ -66,7 +66,7 @@ def _check_probs(queue_empty_probs: Sequence[float], num_types: int) -> list[flo
 
 
 def _array(rows: Sequence[tuple], width: int, dtype=np.int64) -> np.ndarray:
-    """A sequence of equal-length tuples as a (len(rows), width) array."""
+    """Equal-length tuples, such as states or strategy columns, as a (len(rows), width) array."""
     flat = itertools.chain.from_iterable(rows)
     return np.fromiter(flat, dtype, len(rows) * width).reshape(len(rows), width)
 
@@ -95,7 +95,7 @@ def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
     rows = np.flatnonzero(admissible)
     at = index[rows].tolist()
     table = _array([strategy.columns[i] for i in at], n_types + 1)
-    fits = _array([space._increment[i] for i in at], n_types) >= 0
+    fits = np.array(space._increment).reshape(-1, n_types)[at] >= 0
     prefix = np.ones(len(at))
     live = np.ones(len(at), dtype=bool)
     for pref in table.T:
@@ -185,13 +185,13 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
         idle = total <= 0.0  # no event at all: the state holds
         total[idle] = 1.0
         at, n = np.nonzero(flows > 0.0)
-        down = _array(space._release, n_types)
+        down = np.array(space._release).reshape(-1, n_types)
         edges.append((at, down[at, n], flows[at, n] / total[at]))
         scale = opportunity_rate / total
     edges.append((index, index, np.where(idle, 1.0, scale * accept[:, RESERVE])))
     # an idle row has scale 0, and its zero entries are not stored
     at, n = np.nonzero(accept[:, 1:] > 0.0)
-    up = _array(space._increment, n_types)
+    up = np.array(space._increment).reshape(-1, n_types)
     edges.append((at, up[at, n], scale[at] * accept[at, n + 1]))
 
     row, col, prob = map(np.concatenate, zip(*edges))

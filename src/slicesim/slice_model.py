@@ -162,16 +162,17 @@ class StateSpace:
     """Enumerated feasibility space with dense indices, admissible states first.
 
     Indices are 0-based; a state is admissible iff its index is below
-    ``num_admissible``.  ``increment_index`` and ``release_index`` are
-    precomputed transition tables (-1 marks an infeasible / invalid move).
+    ``num_admissible``.  The transition tables are flat int lists, entry
+    ``index * num_types + n - 1`` for a type-n move (-1: infeasible / invalid).
+    ``index_of`` walks the increment table from the empty state (index 0).
     """
 
     model: ResourceModel
     states: tuple[SystemState, ...]
     num_admissible: int
-    _index: dict[SystemState, int] = field(repr=False)
-    _increment: tuple[tuple[int, ...], ...] = field(repr=False)
-    _release: tuple[tuple[int, ...], ...] = field(repr=False)
+    num_types: int
+    _increment: list[int] = field(repr=False)
+    _release: list[int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -181,10 +182,16 @@ class StateSpace:
         return self.states[: self.num_admissible]
 
     def index_of(self, s: Sequence[int]) -> int:
-        try:
-            return self._index[tuple(int(v) for v in s)]
-        except KeyError:
-            raise ContractViolation(f"state {tuple(s)} is not in the feasibility space") from None
+        """Index of ``s``, reached from index 0 by s[0] type-1 increments, s[1] of type 2..."""
+        state, width, index = tuple(s), self.num_types, 0
+        if len(state) == width and all(c == int(c) >= 0 for c in state):
+            for n in (n for n, count in enumerate(state) for _ in range(int(count))):
+                index = self._increment[index * width + n]
+                if index < 0:
+                    break
+            else:
+                return index
+        raise ContractViolation(f"state {state} is not in the feasibility space")
 
     def state_at(self, index: int) -> SystemState:
         return self.states[index]
@@ -196,11 +203,11 @@ class StateSpace:
         """Index of ``state + unit increment of type n`` (n=0 is a self-move), -1 if infeasible."""
         if n == 0:
             return index
-        return self._increment[index][n - 1]
+        return self._increment[index * self.num_types + n - 1]
 
     def release_index(self, index: int, n: int) -> int:
         """Index of ``state - unit increment of type n``, -1 if no such slice is active."""
-        return self._release[index][n - 1]
+        return self._release[index * self.num_types + n - 1]
 
 
 def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
@@ -209,13 +216,15 @@ def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) ->
     States are ordered lexicographically within each group, admissible states
     first, so that the full-space index map agrees with the admissible-region
     index map on the admissibility region.  Feasible prefixes grow one type at
-    a time, as arrays.  Raises ``StateSpaceTooLarge`` when more than ``cap``
-    states would be enumerated, before allocating them.
+    a time, as arrays, into a prefix tree.  Raises ``StateSpaceTooLarge`` when
+    more than ``cap`` states would be enumerated, before allocating them.
     """
     pool = np.asarray(model.pool)
     tol = FEASIBILITY_REL_TOL * np.maximum(1.0, pool)
     rows = np.zeros((1, 0), dtype=np.int64)
+    path = np.zeros((1, 1), dtype=np.int64)  # each prefix's nodes in the prefix tree, root first
     used = np.zeros((1, len(pool)))
+    levels = []  # per type and per parent node: its first child and its largest count
     for n, col in enumerate(map(np.asarray, model.costs), start=1):
         pos = col > 0
         if not pos.any():
@@ -233,38 +242,40 @@ def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) ->
         size = int(top.sum()) + len(top)
         if size > cap:
             raise StateSpaceTooLarge(f"state space exceeds the cap of {cap} states")
+        start = np.cumsum(top + 1) - (top + 1)
         parent = np.repeat(np.arange(len(top)), top + 1)
-        count = np.arange(size) - (np.cumsum(top + 1) - (top + 1))[parent]
+        count = np.arange(size) - start[parent]
+        levels.append((start, top))
         rows = np.column_stack((rows[parent], count))
+        path = np.column_stack((path[parent], np.arange(size)))
         used = used[parent] + count[:, None] * col
 
-    # Neighbours by binary search in the rows, which are already sorted.  As
-    # big-endian bytes the rows sort lexicographically, with no radix product
-    # that could overflow.
+    # Neighbours by walking the prefix tree, which orders the rows.  A bump of
+    # type m is the next sibling of the state's type-m prefix, if the parent
+    # has room; below it the same counts are followed while they still fit.
     size, n_types = rows.shape
-    key = lambda a: np.ascontiguousarray(a, dtype=">u8").view(f"V{8 * n_types}").ravel()
-    keys = key(rows)
     increment, release = np.full((2, size, n_types), -1)
-    for n in range(n_types):
-        bumped = rows.copy()
-        bumped[:, n] += 1
-        at = np.minimum(np.searchsorted(keys, key(bumped)), size - 1)
-        hit = np.flatnonzero((rows[at] == bumped).all(axis=1))
-        increment[hit, n] = at[hit]
-        release[at[hit], n] = hit
+    for m, (_, top) in enumerate(levels):
+        node = path[:, m + 1] + 1
+        hit = rows[:, m] < top[path[:, m]]
+        for k in range(m + 1, n_types):
+            node = np.where(hit, node, 0)
+            start, top = levels[k]
+            hit &= rows[:, k] <= top[node]
+            node = start[node] + rows[:, k]
+        hit = np.flatnonzero(hit)
+        increment[hit, m] = node[hit]
+        release[node[hit], m] = hit
 
     admissible = (increment >= 0).any(axis=1)
     order = np.concatenate((np.flatnonzero(admissible), np.flatnonzero(~admissible)))
     new_index = np.full(size + 1, -1)  # the last entry maps -1 to itself
     new_index[order] = np.arange(size)
-    # plain tuples of ints: the engine reads them on every event
-    as_tuples = lambda table: tuple(zip(*table[order].T.tolist()))
-    states = as_tuples(rows)
     return StateSpace(
         model=model,
-        states=states,
+        states=tuple(zip(*rows[order].T.tolist())),
         num_admissible=int(admissible.sum()),
-        _index=dict(zip(states, range(size))),
-        _increment=as_tuples(new_index[increment]),
-        _release=as_tuples(new_index[release]),
+        num_types=n_types,
+        _increment=new_index[increment[order]].ravel().tolist(),
+        _release=new_index[release[order]].ravel().tolist(),
     )

@@ -67,10 +67,11 @@ class PreferenceMatrix:
     def __post_init__(self) -> None:
         table = self.columns
         if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
-            cols = tuple(zip(*table.T.tolist()))
+            cols = zip(*table.T.tolist())
         else:
             table = cols = tuple(tuple(int(v) for v in col) for col in table)
-        object.__setattr__(self, "columns", cols)
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct column
+        object.__setattr__(self, "columns", tuple([shared.setdefault(c, c) for c in cols]))
         problem = validate_matrix(table, self.num_types)
         if problem is not None:
             raise ContractViolation(f"invalid preference matrix: {problem}")

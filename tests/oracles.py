@@ -56,10 +56,11 @@ def brute_force_state_space(pool, bundles):
 def enumerate_dfs(model):
     """The feasibility space by a depth-first walk, as the package first built it.
 
-    Returns ``(states, num_admissible, index, increment, release)`` with the
-    same meaning and order as the fields of ``slice_model.StateSpace``:
-    lexicographic order within each group, admissible states first, -1 for
-    an infeasible or invalid move.  Feasibility uses the package's float
+    Returns ``(states, num_admissible, index, increment, release)``: the
+    states and the index map in ``slice_model.StateSpace`` order
+    (lexicographic within each group, admissible states first), and one row
+    per state of each transition table, which ``StateSpace`` stores flattened,
+    -1 for an infeasible or invalid move.  Feasibility uses the package's float
     expression, ``(used + count * col) - pool > tol``, accumulated type by
     type, so decimal costs at the boundary decide the same way.
     """

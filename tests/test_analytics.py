@@ -109,6 +109,15 @@ class TestSpecialFunctions:
         assert bessel_i(150.0, 1e-3) == 0.0
         assert bessel_i(150.0, 0.1) == 0.0
 
+    @pytest.mark.parametrize("order, x, message", [
+        (0.0, 720.0, r"series overflows a double for b=1\.0, z=129600\.0"),  # the series
+        (300.0, 1000.0, r"bessel_i overflows a double for order=300\.0, x=1000\.0"),  # the product
+        (1000.0, 1600.0, r"bessel_i overflows a double for order=1000\.0, x=1600\.0"),  # the lead
+    ])
+    def test_bessel_overflow_is_a_numeric_error(self, order, x, message):
+        with pytest.raises(NumericError, match=message):
+            bessel_i(order, x)
+
     def test_gamma_reference_grid(self):
         for x, expected in GAMMA_REFERENCE:
             assert abs(gamma_fn(x) - expected) < 1e-12 * abs(expected)

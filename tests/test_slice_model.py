@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from slicesim.slice_model import (
     enumerate_state_space,
     is_feasible,
 )
+from slicesim.strategy import random_strategy
 
 from oracles import brute_force_state_space, enumerate_dfs
 
@@ -162,6 +164,28 @@ class TestEnumeration:
                     assert down == -1
 
 
+class TestIndexOf:
+    @pytest.mark.parametrize("state", [(1, 3), (0, 6), (2, 0), (10**9, 0)])
+    def test_one_step_past_the_pool_rejected(self, state):
+        space = enumerate_state_space(case_study_model())
+        with pytest.raises(ContractViolation,
+                           match=re.escape(f"state {state} is not in the feasibility space")):
+            space.index_of(state)
+
+    @pytest.mark.parametrize("state", [(1,), (0, 0, 0), (), (-1, 0), (0, -1), (0.5, 0), (1, 1.5)],
+                             ids=["short", "long", "empty", "negative-1", "negative-2",
+                                  "fraction-1", "fraction-2"])
+    def test_malformed_state_rejected(self, state):
+        space = enumerate_state_space(case_study_model())
+        with pytest.raises(ContractViolation, match="is not in the feasibility space"):
+            space.index_of(state)
+
+    def test_integral_values_of_other_types_accepted(self):
+        space = enumerate_state_space(case_study_model())
+        assert space.index_of((1.0, np.int64(2))) == space.index_of([1, 2])
+        assert space.state_at(space.index_of((1, 2))) == (1, 2)
+
+
 class TestApplyIncrement:
     def test_add(self):
         assert apply_increment((1, 0), 2) == (1, 1)
@@ -229,11 +253,15 @@ def assert_matches_dfs(model):
     states, num_admissible, index, increment, release = enumerate_dfs(model)
     assert space.states == states
     assert space.num_admissible == num_admissible
-    assert space._index == index
-    assert space._increment == increment
-    assert space._release == release
+    assert space.num_types == model.num_types
+    assert space.states[0] == (0,) * model.num_types
+    assert space.index_of((0,) * model.num_types) == 0
+    assert space._increment == [i for row in increment for i in row]
+    assert space._release == [i for row in release for i in row]
+    assert [space.index_of(s) for s in states] == [index[s] for s in states]
     # the engine reads these on every event: plain ints, not numpy scalars
-    assert {type(v) for v in states[-1] + increment[0] + release[-1]} == {int}
+    space_ints = [v for s in space.states for v in s] + space._increment + space._release
+    assert {type(v) for v in space_ints} == {int}
     return space
 
 
@@ -291,3 +319,19 @@ _BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 @pytest.mark.parametrize("name", sorted(os.listdir(_BENCH_CONFIGS)))
 def test_benchmark_models_match_dfs_oracle(name):
     assert_matches_dfs(load_config(os.path.join(_BENCH_CONFIGS, name)).model)
+
+
+def test_fine_grid_space_and_strategy_stay_small():
+    # 125,751 states: the tables are flat int lists and the strategy shares
+    # one tuple per distinct column
+    model = load_config(os.path.join(_BENCH_CONFIGS, "fine-grid.yaml")).model
+    tracemalloc.start()
+    try:
+        space = enumerate_state_space(model)
+        strategy = random_strategy(space, 7)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(space) == 125751 and strategy.num_columns == space.num_admissible
+    assert len(set(map(id, strategy.columns))) <= 6  # (N + 1)! for N = 2
+    assert retained < 40 * 2**20
