@@ -126,21 +126,19 @@ class MultiQueueController(QueueController):
         """Recursively serve the queues until blocked; returns requests accepted, in order."""
         accepted: list[RequestRecord] = []
         columns, queues = self.strategy.columns, self.queues
-        increment, width = self.space._increment, self.space.num_types
-        num_admissible, index = self.space.num_admissible, self.state_index
+        space, index = self.space, self.state_index
+        increment, width, num_admissible = space._increment, space.num_types, space.num_admissible
         while index < num_admissible:
             before = index
-            base = index * width - 1  # increment[base + n]: the type-n move from index
             for pref in columns[index]:
                 if pref == RESERVE:
                     break
                 queue = queues[pref - 1]
                 if queue:
-                    target = increment[base + pref]
+                    target = increment[index * width + pref - 1]
                     if target >= 0:
                         accepted.append(queue.popleft())
                         index = target
-                        base = index * width - 1
             if index == before:
                 break
         self.state_index = index
