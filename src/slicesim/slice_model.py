@@ -162,7 +162,7 @@ class StateSpace:
     """Enumerated feasibility space with dense indices, admissible states first.
 
     Indices are 0-based; a state is admissible iff its index is below
-    ``num_admissible``.  The transition tables are flat int lists, entry
+    ``num_admissible``.  The transition tables are flat int tuples, entry
     ``index * num_types + n - 1`` for a type-n move (-1: infeasible / invalid).
     ``index_of`` walks the increment table from the empty state (index 0).
     """
@@ -171,8 +171,8 @@ class StateSpace:
     states: tuple[SystemState, ...]
     num_admissible: int
     num_types: int
-    _increment: list[int] = field(repr=False)
-    _release: list[int] = field(repr=False)
+    _increment: tuple[int, ...] = field(repr=False)
+    _release: tuple[int, ...] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -271,11 +271,13 @@ def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) ->
     order = np.concatenate((np.flatnonzero(admissible), np.flatnonzero(~admissible)))
     new_index = np.full(size + 1, -1)  # the last entry maps -1 to itself
     new_index[order] = np.arange(size)
+    # int tuples made before the states: the collector untracks them for good
+    up, down = (tuple(new_index[table[order]].ravel().tolist()) for table in (increment, release))
     return StateSpace(
         model=model,
         states=tuple(zip(*rows[order].T.tolist())),
         num_admissible=int(admissible.sum()),
         num_types=n_types,
-        _increment=new_index[increment[order]].ravel().tolist(),
-        _release=new_index[release[order]].ravel().tolist(),
+        _increment=up,
+        _release=down,
     )

@@ -256,11 +256,11 @@ def assert_matches_dfs(model):
     assert space.num_types == model.num_types
     assert space.states[0] == (0,) * model.num_types
     assert space.index_of((0,) * model.num_types) == 0
-    assert space._increment == [i for row in increment for i in row]
-    assert space._release == [i for row in release for i in row]
+    assert space._increment == tuple(i for row in increment for i in row)
+    assert space._release == tuple(i for row in release for i in row)
     assert [space.index_of(s) for s in states] == [index[s] for s in states]
     # the engine reads these on every event: plain ints, not numpy scalars
-    space_ints = [v for s in space.states for v in s] + space._increment + space._release
+    space_ints = [v for s in space.states for v in s] + [*space._increment, *space._release]
     assert {type(v) for v in space_ints} == {int}
     return space
 
@@ -322,7 +322,7 @@ def test_benchmark_models_match_dfs_oracle(name):
 
 
 def test_fine_grid_space_and_strategy_stay_small():
-    # 125,751 states: the tables are flat int lists and the strategy shares
+    # 125,751 states: the tables are flat int tuples and the strategy shares
     # one tuple per distinct column
     model = load_config(os.path.join(_BENCH_CONFIGS, "fine-grid.yaml")).model
     tracemalloc.start()
