@@ -162,33 +162,21 @@ class QueueParams:
             raise ContractViolation("impatient-tenant laws need a balking willingness > 0")
 
 
-def _empty_probability(params: QueueParams) -> float:
+def _empty_probability(params: QueueParams) -> tuple[float, float]:
+    """P(empty queue), and the series 0F1(; gamma + 1; delta) it is built from."""
     g, d, b = params.gamma, params.delta, params.balking_willingness
     # delta^(1-g/2) Gamma(g) I_g(2 sqrt(delta)) / beta, evaluated through the
     # regularized series to stay finite for large gamma
-    x = d / (b * g) * _hyp0f1(g + 1.0, d)
-    return 1.0 / (1.0 + x)
-
-
-def impatient_queue_pmf(params: QueueParams, length: int) -> float:
-    """Steady-state probability of ``length`` requests with balking and reneging."""
-    if length < 0 or length != int(length):
-        raise ContractViolation(f"queue length must be a non-negative integer, got {length}")
-    g, d, b = params.gamma, params.delta, params.balking_willingness
-    p = _empty_probability(params)
-    if length == 0:
-        return p
-    p *= d / (b * g)
-    for l in range(1, int(length)):
-        p *= d / (l * (g + l))
-    return p
+    series = _hyp0f1(g + 1.0, d)
+    x = d / (b * g) * series
+    return 1.0 / (1.0 + x), series
 
 
 def impatient_queue_pmf_table(params: QueueParams, tail: float = 1e-12,
                               max_length: int = MAX_TERMS) -> list[float]:
     """PMF values from length 0 until the remaining tail is below ``tail``."""
     g, d, b = params.gamma, params.delta, params.balking_willingness
-    values = [_empty_probability(params)]
+    values = [_empty_probability(params)[0]]
     values.append(values[0] * d / (b * g))
     total = values[0] + values[1]
     l = 1
@@ -208,19 +196,24 @@ class AcceptanceProbabilities:
     accept_given_join: float
 
 
-def acceptance_probabilities(params: QueueParams) -> AcceptanceProbabilities:
-    """P(accepted), P(accepted and joined), P(accepted | joined)."""
+def _acceptance(params: QueueParams) -> tuple[float, AcceptanceProbabilities]:
+    """P(empty queue) and the acceptance probabilities, from one series value."""
     g, d, b = params.gamma, params.delta, params.balking_willingness
-    p0 = _empty_probability(params)
+    p0, series = _empty_probability(params)
     p_accept = (1.0 - p0) * b * g / d
     p_accept_join = p_accept - p0
     # Bessel-quotient form rewritten through regularized series
-    p_accept_given_join = (_hyp0f1(g + 1.0, d) - 1.0) / (_hyp0f1(g, d) - 1.0)
-    return AcceptanceProbabilities(
+    p_accept_given_join = (series - 1.0) / (_hyp0f1(g, d) - 1.0)
+    return p0, AcceptanceProbabilities(
         accept=p_accept,
         accept_and_join=p_accept_join,
         accept_given_join=p_accept_given_join,
     )
+
+
+def acceptance_probabilities(params: QueueParams) -> AcceptanceProbabilities:
+    """P(accepted), P(accepted and joined), P(accepted | joined)."""
+    return _acceptance(params)[1]
 
 
 @dataclass(frozen=True)
@@ -247,8 +240,7 @@ def wait_distributions(params: QueueParams) -> WaitDistributions:
     lam, mu = params.arrival_rate, params.acceptance_rate
     alpha, beta = params.reneging_rate, params.balking_willingness
     d = params.delta
-    p0 = _empty_probability(params)
-    probs = acceptance_probabilities(params)
+    p0, probs = _acceptance(params)
     if probs.accept_and_join <= 0.0:
         raise NumericError("degenerate queue: joining requests are never accepted")
 
@@ -319,8 +311,7 @@ def mean_wait_accepted_series(params: QueueParams) -> float:
     quadrature result in ``wait_means`` is the normative value.
     """
     g, d = params.gamma, params.delta
-    p0 = _empty_probability(params)
-    probs = acceptance_probabilities(params)
+    p0, probs = _acceptance(params)
     total = 0.0
     term = 1.0
     harmonic = 0.0

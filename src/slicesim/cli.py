@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -33,6 +34,7 @@ from .config import (
     apply_overrides,
     build_strategy,
     load_config,
+    read_text,
 )
 from .engine import (
     RNG_METADATA,
@@ -194,9 +196,7 @@ def _cmd_analyze(config: ExperimentConfig, outdir: str) -> int:
 
 
 def _read_samples(path: str, column: str) -> list[float]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row]
+    rows = [row for row in csv.reader(read_text(path, "samples").splitlines()) if row]
     if not rows:
         raise SliceSimError(f"no data in {path!r}")
     try:
@@ -206,7 +206,17 @@ def _read_samples(path: str, column: str) -> list[float]:
         if column not in rows[0]:
             raise SliceSimError(f"{path!r} has no column {column!r}") from None
         index, start = rows[0].index(column), 1
-    return [float(row[index]) for row in rows[start:]]
+    samples = []
+    for number, row in enumerate(rows[start:], start=start + 1):
+        try:
+            value = float(row[index])
+        except (IndexError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise SliceSimError(f"{path!r} row {number}: expected a finite number in "
+                                f"column {index + 1}, got {row!r}")
+        samples.append(value)
+    return samples
 
 
 def _cmd_fit_iat(config: ExperimentConfig, outdir: str) -> int:
@@ -395,7 +405,10 @@ def main(argv: list[str] | None = None) -> int:
                             rounds=args.rounds, horizon=args.horizon)
         outdir = args.out or (config.output_dir if config else
                               os.environ.get(OUTPUT_ROOT_ENV, "."))
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise SliceSimError(f"cannot create output directory {outdir!r}: {exc}") from None
         if command == "simulate":
             return _cmd_simulate(config, outdir)
         if command == "analyze":

@@ -2,11 +2,13 @@
 
 Configs are YAML: top-level keys pick the model (a named built-in scenario or
 an explicit ``model`` block), the master seed and output directory, plus one
-block per command.  Validation is strict: unknown keys anywhere are rejected,
-and messages carry the line of the offending key.  Two reference workloads
-ship built in ("paper-scenario-1" and "paper-scenario-2": a two-resource pool
-with a cheap low-utility type and an expensive high-utility type at moderate
-and dense demand).
+block per command.  One schema per block gives every key its rule and its
+default, and the command-line overrides reuse those rules.  Validation is
+strict: unknown and repeated keys anywhere are rejected, and messages carry
+the line of the offending key.  Two reference workloads ship built in
+("paper-scenario-1" and "paper-scenario-2": a two-resource pool with a cheap
+low-utility type and an expensive high-utility type at moderate and dense
+demand).
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import yaml
 
-from .errors import ConfigError
-from .slice_model import ResourceModel, SliceType
+from .errors import ConfigError, ContractViolation
+from .slice_model import ResourceModel, SliceType, StateSpace
 from .strategy import PreferenceMatrix, from_text, naive_strategy, random_strategy
-from .slice_model import StateSpace
 
 OUTPUT_ROOT_ENV = "SLICESIM_OUTPUT_ROOT"
 
@@ -55,73 +57,46 @@ def builtin_scenario(name: str) -> ResourceModel:
     )
 
 
-COMMAND_BLOCKS = ("simulate", "analyze", "fit_iat", "steady_state", "sweep",
-                  "optimize", "casestudy")
+class _Checker:
+    """Checks values, failing with messages anchored at their key's line."""
 
-_TOP_KEYS = {"seed", "output_dir", "scenario", "model", *COMMAND_BLOCKS}
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.lines: dict[tuple, int] = {}
 
-_MODEL_KEYS = {"resources", "slice_types"}
-_TYPE_KEYS = {"cost", "arrival_rate", "release_rate", "mean_lifetime",
-              "utility_rate", "reneging_rate", "balking_willingness"}
-_STRATEGY_KEYS = {"prefer_type", "random_seed", "file", "columns"}
+    def record(self, loader: yaml.SafeLoader, node: yaml.Node, path: tuple, walked: set) -> None:
+        """Record the line of every mapping key below ``node``; reject repeats.
 
-_BLOCK_KEYS = {
-    "simulate": {"rounds", "horizon", "warmup", "balking", "reneging",
-                 "initial_state", "strategy", "write_traces", "bin_width_divisor"},
-    "analyze": {"law", "arrival_rate", "acceptance_rate", "reneging_rate",
-                "balking_willingness", "max_length", "wait_stop", "wait_step"},
-    "fit_iat": {"samples", "column", "bin_width"},
-    "steady_state": {"strategy", "queue_empty_probs", "mode",
-                     "initial_distribution", "opportunity_rate"},
-    "sweep": {"count", "rounds", "horizon", "balking", "reneging",
-              "initial_state", "include_greedy_baseline", "include_naive"},
-    "optimize": {"start", "budget", "metric", "rounds", "horizon",
-                 "balking", "reneging", "initial_state"},
-    "casestudy": set(),
-}
-
-_ANALYZE_LAWS = ("mm1-pmf", "impatient-pmf", "wait-densities", "wait-means",
-                 "acceptance-probabilities")
-
-
-class _Lines:
-    """Line numbers of every mapping key in the parsed document."""
-
-    def __init__(self, text: str) -> None:
-        self.by_path: dict[tuple, int] = {}
-        node = yaml.compose(text)
-        if node is not None:
-            self._walk(node, ())
-
-    def _walk(self, node: yaml.Node, path: tuple) -> None:
+        Keys that a ``<<`` merge brings in stay in the merged node, so
+        overriding one is no repeat.  A node is walked once: keys reached
+        again through an alias take the alias's line.
+        """
+        if node in walked:
+            return
+        walked.add(node)
         if isinstance(node, yaml.MappingNode):
+            seen = set()
             for key_node, value_node in node.value:
-                key_path = path + (key_node.value,)
-                self.by_path[key_path] = key_node.start_mark.line + 1
-                self._walk(value_node, key_path)
+                if not isinstance(key_node, yaml.ScalarNode):
+                    continue  # construction rejects it as an unhashable key
+                merge = key_node.tag == "tag:yaml.org,2002:merge"
+                key = "<<" if merge else loader.construct_object(key_node)
+                self.lines[path + (key,)] = key_node.start_mark.line + 1
+                if key in seen:
+                    self.fail(path + (key,), f"repeated key {key!r}")
+                seen.add(key)
+                self.record(loader, value_node, path + (key,), walked)
         elif isinstance(node, yaml.SequenceNode):
             for i, item in enumerate(node.value):
-                self._walk(item, path + (i,))
-
-    def line(self, path: tuple) -> int | None:
-        while path:
-            if path in self.by_path:
-                return self.by_path[path]
-            path = path[:-1]
-        return None
-
-
-class _Checker:
-    def __init__(self, source: str, lines: _Lines) -> None:
-        self.source = source
-        self.lines = lines
+                self.record(loader, item, path + (i,), walked)
 
     def fail(self, path: tuple, message: str) -> None:
-        line = self.lines.line(path)
-        anchor = f"{self.source}:{line}" if line else self.source
+        while path and path not in self.lines:
+            path = path[:-1]
+        anchor = f"{self.source}:{self.lines[path]}" if path else self.source
         raise ConfigError(f"{anchor}: {message}")
 
-    def mapping(self, value: Any, path: tuple, allowed: set[str]) -> dict:
+    def mapping(self, value: Any, path: tuple, allowed) -> dict:
         if value is None:
             return {}
         if not isinstance(value, dict):
@@ -185,94 +160,37 @@ class ExperimentConfig:
         return self.blocks[command]
 
 
-def _validate_model(check: _Checker, value: Any, path: tuple) -> ResourceModel:
-    block = check.mapping(value, path, _MODEL_KEYS)
-    if "resources" not in block or "slice_types" not in block:
-        check.fail(path, "model needs 'resources' and 'slice_types'")
-    resources = block["resources"]
-    if not isinstance(resources, list) or not resources:
-        check.fail(path + ("resources",), "expected a non-empty list of pool sizes")
-    pool = tuple(
-        check.number(r, path + ("resources", i), minimum=0.0)
-        for i, r in enumerate(resources)
-    )
-    raw_types = block["slice_types"]
-    if not isinstance(raw_types, list) or not raw_types:
-        check.fail(path + ("slice_types",), "expected a non-empty list of slice types")
-    costs, types = [], []
-    for i, raw in enumerate(raw_types):
-        tpath = path + ("slice_types", i)
-        t = check.mapping(raw, tpath, _TYPE_KEYS)
-        if "cost" not in t:
-            check.fail(tpath, "slice type needs a 'cost' bundle")
-        cost = t["cost"]
-        if not isinstance(cost, list) or len(cost) != len(pool):
-            check.fail(tpath + ("cost",), f"cost bundle must list {len(pool)} values")
-        costs.append(tuple(
-            check.number(c, tpath + ("cost", m), minimum=0.0)
-            for m, c in enumerate(cost)
-        ))
-        if ("release_rate" in t) == ("mean_lifetime" in t):
-            check.fail(tpath, "give exactly one of 'release_rate' or 'mean_lifetime'")
-        if "release_rate" in t:
-            release = check.number(t["release_rate"], tpath + ("release_rate",),
-                                   minimum=0.0, strict=True)
-        else:
-            release = 1.0 / check.number(t["mean_lifetime"], tpath + ("mean_lifetime",),
-                                         minimum=0.0, strict=True)
-        beta = t.get("balking_willingness")
-        if beta is not None:
-            beta = check.number(beta, tpath + ("balking_willingness",), minimum=0.0)
-            if beta > 1.0:
-                check.fail(tpath + ("balking_willingness",),
-                           f"must lie in [0, 1], got {beta}")
-        types.append(SliceType(
-            arrival_rate=check.number(t.get("arrival_rate", 0.0),
-                                      tpath + ("arrival_rate",), minimum=0.0),
-            release_rate=release,
-            utility_rate=check.number(t.get("utility_rate", 0.0),
-                                      tpath + ("utility_rate",), minimum=0.0),
-            reneging_rate=check.number(t.get("reneging_rate", 0.0),
-                                       tpath + ("reneging_rate",), minimum=0.0),
-            balking_willingness=beta,
-        ))
-    return ResourceModel(pool=pool, costs=tuple(costs), types=tuple(types))
+# A rule checks one key's value, ``rule(check, value, path)``, and returns it
+# validated.  A schema maps each key of a block to ``(rule, default)``: an
+# absent key takes its default, checked by the same rule, except that ``None``
+# stays ``None`` and a ``_Required`` default is the message for its absence.
+
+class _Required(str):
+    """The default of a key that must be given: the message if it is not."""
 
 
-def _validate_strategy_spec(check: _Checker, value: Any, path: tuple) -> dict:
-    spec = check.mapping(value, path, _STRATEGY_KEYS)
-    if len(spec) != 1:
-        check.fail(path, "strategy needs exactly one of "
-                         "'prefer_type', 'random_seed', 'file', 'columns'")
-    key = next(iter(spec))
-    if key == "prefer_type":
-        check.integer(spec[key], path + (key,), minimum=1)
-    elif key == "random_seed":
-        check.integer(spec[key], path + (key,), minimum=0)
-    elif key == "file":
-        check.string(spec[key], path + (key,))
-    elif key == "columns":
-        if not isinstance(spec[key], list) or not spec[key]:
-            check.fail(path + (key,), "expected a non-empty list of preference vectors")
-    return spec
+_BOOLEAN = _Checker.boolean
+_NONNEGATIVE = partial(_Checker.number, minimum=0.0)
+_POSITIVE = partial(_Checker.number, minimum=0.0, strict=True)
+_NATURAL = partial(_Checker.integer, minimum=0)
+_COUNT = partial(_Checker.integer, minimum=1)
 
 
-def build_strategy(spec: dict, space: StateSpace, base_dir: str = ".") -> PreferenceMatrix:
-    """Materialize a validated strategy spec against a state space."""
-    if "prefer_type" in spec:
-        return naive_strategy(space, f"prefer-type-{spec['prefer_type']}")
-    if "random_seed" in spec:
-        return random_strategy(space, spec["random_seed"])
-    if "file" in spec:
-        with open(os.path.join(base_dir, spec["file"]), encoding="utf-8") as handle:
-            return from_text(handle.read(), space.model.num_types, space.num_admissible)
-    columns = tuple(tuple(int(v) for v in col) for col in spec["columns"])
-    if len(columns) == 1:
-        columns = columns * space.num_admissible
-    return PreferenceMatrix(columns=columns, num_types=space.model.num_types)
+def _scenario(check: _Checker, value: Any, path: tuple) -> ResourceModel:
+    name = check.string(value, path)
+    try:
+        return builtin_scenario(name)
+    except ConfigError as exc:
+        check.fail(path, str(exc))
 
 
-def _validate_initial_state(check: _Checker, value: Any, path: tuple):
+def _monte_carlo(rounds: int, horizon: float, impatience: bool) -> dict:
+    """The keys of a block that runs Monte-Carlo rounds, with its defaults."""
+    return {"rounds": (_COUNT, rounds), "horizon": (_POSITIVE, horizon),
+            "balking": (_BOOLEAN, impatience), "reneging": (_BOOLEAN, impatience)}
+
+
+def _initial_state(check: _Checker, value: Any, path: tuple):
     if isinstance(value, str):
         return check.string(value, path, choices=("empty", "full"))
     if isinstance(value, list):
@@ -281,170 +199,216 @@ def _validate_initial_state(check: _Checker, value: Any, path: tuple):
     check.fail(path, "initial_state must be 'empty', 'full', or a list of counts")
 
 
-def _validate_block(check: _Checker, command: str, value: Any) -> dict:
-    path = (command,)
-    block = dict(check.mapping(value, path, _BLOCK_KEYS[command]))
-    def num(key, default, minimum=0.0, strict=False):
-        if key in block:
-            block[key] = check.number(block[key], path + (key,), minimum, strict)
-        else:
-            block[key] = default
-    def integer(key, default, minimum=0):
-        if key in block:
-            block[key] = check.integer(block[key], path + (key,), minimum)
-        else:
-            block[key] = default
-    def boolean(key, default):
-        if key in block:
-            block[key] = check.boolean(block[key], path + (key,))
-        else:
-            block[key] = default
+def _columns(check: _Checker, value: Any, path: tuple) -> list:
+    if not isinstance(value, list) or not value:
+        check.fail(path, "expected a non-empty list of preference vectors")
+    for column in value:
+        if not isinstance(column, list):
+            check.fail(path, f"expected a preference vector (a list of integers), "
+                             f"got {column!r}")
+        for entry in column:
+            check.integer(entry, path)
+    return value
 
-    if command == "simulate":
-        integer("rounds", 20, minimum=1)
-        num("horizon", 40.0, minimum=0.0, strict=True)
-        num("warmup", 0.0, minimum=0.0)
-        if block["warmup"] >= block["horizon"]:
-            check.fail(path + ("warmup",),
-                       f"must be < horizon {block['horizon']}, got {block['warmup']}")
-        boolean("balking", False)
-        boolean("reneging", False)
-        boolean("write_traces", False)
-        num("bin_width_divisor", 5.0, minimum=0.0, strict=True)
-        block["initial_state"] = _validate_initial_state(
-            check, block.get("initial_state", "empty"), path + ("initial_state",))
-        block["strategy"] = _validate_strategy_spec(
-            check, block.get("strategy", {"prefer_type": 1}), path + ("strategy",))
-    elif command == "analyze":
-        block["law"] = check.string(block.get("law", ""), path + ("law",),
-                                    choices=_ANALYZE_LAWS)
-        num("arrival_rate", 1.0, minimum=0.0, strict=True)
-        num("acceptance_rate", 2.0, minimum=0.0, strict=True)
-        num("reneging_rate", 1.0, minimum=0.0)
-        num("balking_willingness", 0.5, minimum=0.0)
-        integer("max_length", 40, minimum=1)
-        num("wait_stop", 8.0, minimum=0.0, strict=True)
-        num("wait_step", 0.05, minimum=0.0, strict=True)
-    elif command == "fit_iat":
-        if "samples" not in block:
-            check.fail(path, "fit_iat needs a 'samples' CSV path")
-        check.string(block["samples"], path + ("samples",))
-        block["column"] = check.string(block.get("column", "iat"), path + ("column",))
-        if "bin_width" in block:
-            block["bin_width"] = check.number(block["bin_width"],
-                                              path + ("bin_width",), 0.0, strict=True)
+
+_STRATEGY_KINDS = {"prefer_type": _COUNT, "random_seed": _NATURAL,
+                   "file": _Checker.string, "columns": _columns}
+
+
+def _strategy(check: _Checker, value: Any, path: tuple) -> dict:
+    spec = check.mapping(value, path, _STRATEGY_KINDS)
+    if len(spec) != 1:
+        check.fail(path, "strategy needs exactly one of "
+                         f"{', '.join(map(repr, _STRATEGY_KINDS))}")
+    (kind, given), = spec.items()
+    return {kind: _STRATEGY_KINDS[kind](check, given, path + (kind,))}
+
+
+def _initial_distribution(check: _Checker, value: Any, path: tuple) -> str:
+    if not isinstance(value, str):
+        check.fail(path, "initial_distribution must be empty, uniform, or full")
+    return check.string(value, path, choices=("empty", "uniform", "full"))
+
+
+_QUEUE_EMPTY_PROBS = "give a list of probabilities or a from_simulation block"
+_FROM_SIMULATION = _monte_carlo(rounds=20, horizon=200.0, impatience=True)
+
+
+def _queue_empty_probs(check: _Checker, value: Any, path: tuple):
+    if isinstance(value, list):
+        return [check.number(p, path + (i,), minimum=0.0, maximum=1.0)
+                for i, p in enumerate(value)]
+    if not isinstance(value, dict):
+        check.fail(path, _QUEUE_EMPTY_PROBS)
+    spec = check.mapping(value, path, {"from_simulation"})
+    return {"from_simulation": _block(check, spec.get("from_simulation"),
+                                      path + ("from_simulation",), _FROM_SIMULATION)}
+
+
+_BLOCKS = {
+    "simulate": {
+        **_monte_carlo(rounds=20, horizon=40.0, impatience=False),
+        "warmup": (_NONNEGATIVE, 0.0),
+        "write_traces": (_BOOLEAN, False),
+        "bin_width_divisor": (_POSITIVE, 5.0),
+        "initial_state": (_initial_state, "empty"),
+        "strategy": (_strategy, {"prefer_type": 1}),
+    },
+    "analyze": {
+        "law": (partial(_Checker.string, choices=(
+            "mm1-pmf", "impatient-pmf", "wait-densities", "wait-means",
+            "acceptance-probabilities")), ""),
+        "arrival_rate": (_POSITIVE, 1.0),
+        "acceptance_rate": (_POSITIVE, 2.0),
+        "reneging_rate": (_NONNEGATIVE, 1.0),
+        "balking_willingness": (_NONNEGATIVE, 0.5),
+        "max_length": (_COUNT, 40),
+        "wait_stop": (_POSITIVE, 8.0),
+        "wait_step": (_POSITIVE, 0.05),
+    },
+    "fit_iat": {
+        "samples": (_Checker.string, _Required("fit_iat needs a 'samples' CSV path")),
+        "column": (_Checker.string, "iat"),
+        "bin_width": (_POSITIVE, None),
+    },
+    "steady_state": {
+        "strategy": (_strategy, {"prefer_type": 1}),
+        "queue_empty_probs": (_queue_empty_probs, _Required(_QUEUE_EMPTY_PROBS)),
+        "mode": (partial(_Checker.string, choices=("with-releases", "acceptance-only")),
+                 "with-releases"),
+        "initial_distribution": (_initial_distribution, "full"),
+        "opportunity_rate": (_NONNEGATIVE, None),
+    },
+    "sweep": {
+        "count": (_COUNT, 500),
+        **_monte_carlo(rounds=20, horizon=40.0, impatience=True),
+        "include_greedy_baseline": (_BOOLEAN, True),
+        "include_naive": (_BOOLEAN, True),
+        "initial_state": (_initial_state, "full"),
+    },
+    "optimize": {
+        "start": (_strategy, {"prefer_type": 1}),
+        "budget": (_NATURAL, 30),
+        "metric": (partial(_Checker.string, choices=("utility", "wait", "admission")),
+                   "utility"),
+        **_monte_carlo(rounds=5, horizon=40.0, impatience=True),
+        "initial_state": (_initial_state, "full"),
+    },
+    "casestudy": {},
+}
+
+
+def _warmup_before_horizon(block: dict) -> bool:
+    return block.get("warmup", 0.0) < block.get("horizon", math.inf)
+
+
+def _block(check: _Checker, value: Any, path: tuple, schema: dict) -> dict:
+    """A block checked against its schema, with every absent key defaulted."""
+    given = check.mapping(value, path, schema)
+    block = {}
+    for key, (rule, default) in schema.items():
+        if key in given:
+            block[key] = rule(check, given[key], path + (key,))
+        elif isinstance(default, _Required):
+            check.fail(path, default)
         else:
-            block["bin_width"] = None
-    elif command == "steady_state":
-        block["strategy"] = _validate_strategy_spec(
-            check, block.get("strategy", {"prefer_type": 1}), path + ("strategy",))
-        probs = block.get("queue_empty_probs")
-        if isinstance(probs, list):
-            block["queue_empty_probs"] = [
-                check.number(p, path + ("queue_empty_probs", i), minimum=0.0, maximum=1.0)
-                for i, p in enumerate(probs)
-            ]
-        elif isinstance(probs, dict):
-            sim = check.mapping(probs, path + ("queue_empty_probs",), {"from_simulation"})
-            spath = path + ("queue_empty_probs", "from_simulation")
-            inner = check.mapping(sim.get("from_simulation"), spath,
-                                  {"rounds", "horizon", "balking", "reneging"})
-            spec = {
-                "rounds": check.integer(inner.get("rounds", 20), spath + ("rounds",),
-                                        minimum=1),
-                "horizon": check.number(inner.get("horizon", 200.0), spath + ("horizon",),
-                                        minimum=0.0, strict=True),
-                "balking": check.boolean(inner.get("balking", True), spath + ("balking",)),
-                "reneging": check.boolean(inner.get("reneging", True),
-                                          spath + ("reneging",)),
-            }
-            block["queue_empty_probs"] = {"from_simulation": spec}
-        else:
-            check.fail(path + ("queue_empty_probs",),
-                       "give a list of probabilities or a from_simulation block")
-        block["mode"] = check.string(block.get("mode", "with-releases"),
-                                     path + ("mode",),
-                                     choices=("with-releases", "acceptance-only"))
-        init = block.get("initial_distribution", "full")
-        if isinstance(init, str):
-            block["initial_distribution"] = check.string(
-                init, path + ("initial_distribution",),
-                choices=("empty", "uniform", "full"))
-        else:
-            check.fail(path + ("initial_distribution",),
-                       "initial_distribution must be empty, uniform, or full")
-        if "opportunity_rate" in block:
-            block["opportunity_rate"] = check.number(
-                block["opportunity_rate"], path + ("opportunity_rate",), 0.0)
-        else:
-            block["opportunity_rate"] = None
-    elif command == "sweep":
-        integer("count", 500, minimum=1)
-        integer("rounds", 20, minimum=1)
-        num("horizon", 40.0, minimum=0.0, strict=True)
-        boolean("balking", True)
-        boolean("reneging", True)
-        boolean("include_greedy_baseline", True)
-        boolean("include_naive", True)
-        block["initial_state"] = _validate_initial_state(
-            check, block.get("initial_state", "full"), path + ("initial_state",))
-    elif command == "optimize":
-        block["start"] = _validate_strategy_spec(
-            check, block.get("start", {"prefer_type": 1}), path + ("start",))
-        integer("budget", 30, minimum=0)
-        block["metric"] = check.string(block.get("metric", "utility"),
-                                       path + ("metric",),
-                                       choices=("utility", "wait", "admission"))
-        integer("rounds", 5, minimum=1)
-        num("horizon", 40.0, minimum=0.0, strict=True)
-        boolean("balking", True)
-        boolean("reneging", True)
-        block["initial_state"] = _validate_initial_state(
-            check, block.get("initial_state", "full"), path + ("initial_state",))
+            block[key] = None if default is None else rule(check, default, path + (key,))
+    if not _warmup_before_horizon(block):
+        check.fail(path + ("warmup",),
+                   f"must be < horizon {block['horizon']}, got {block['warmup']}")
     return block
+
+
+def _willingness(check: _Checker, value: Any, path: tuple):
+    if value is not None and check.number(value, path, minimum=0.0) > 1.0:
+        check.fail(path, f"must lie in [0, 1], got {float(value)}")
+    return value if value is None else float(value)
+
+
+_SLICE_TYPE = {  # "cost", whose length the pool sets, is checked on its own
+    "release_rate": (_POSITIVE, None),
+    "mean_lifetime": (_POSITIVE, None),
+    "balking_willingness": (_willingness, None),
+    "arrival_rate": (_NONNEGATIVE, 0.0),
+    "utility_rate": (_NONNEGATIVE, 0.0),
+    "reneging_rate": (_NONNEGATIVE, 0.0),
+}
+
+_MODEL_KEYS = {"resources", "slice_types"}
+
+
+def _validate_model(check: _Checker, value: Any, path: tuple) -> ResourceModel:
+    block = check.mapping(value, path, _MODEL_KEYS)
+    if "resources" not in block or "slice_types" not in block:
+        check.fail(path, "model needs 'resources' and 'slice_types'")
+    resources = block["resources"]
+    if not isinstance(resources, list) or not resources:
+        check.fail(path + ("resources",), "expected a non-empty list of pool sizes")
+    pool = tuple(_NONNEGATIVE(check, r, path + ("resources", i))
+                 for i, r in enumerate(resources))
+    raw_types = block["slice_types"]
+    if not isinstance(raw_types, list) or not raw_types:
+        check.fail(path + ("slice_types",), "expected a non-empty list of slice types")
+    costs, types = [], []
+    for i, raw in enumerate(raw_types):
+        tpath = path + ("slice_types", i)
+        t = dict(check.mapping(raw, tpath, {"cost", *_SLICE_TYPE}))
+        if "cost" not in t:
+            check.fail(tpath, "slice type needs a 'cost' bundle")
+        cost = t.pop("cost")
+        if not isinstance(cost, list) or len(cost) != len(pool):
+            check.fail(tpath + ("cost",), f"cost bundle must list {len(pool)} values")
+        costs.append(tuple(_NONNEGATIVE(check, c, tpath + ("cost", m))
+                           for m, c in enumerate(cost)))
+        if ("release_rate" in t) == ("mean_lifetime" in t):
+            check.fail(tpath, "give exactly one of 'release_rate' or 'mean_lifetime'")
+        t = _block(check, t, tpath, _SLICE_TYPE)
+        lifetime = t.pop("mean_lifetime")
+        if lifetime is not None:
+            t["release_rate"] = 1.0 / lifetime
+        types.append(SliceType(**t))
+    try:
+        return ResourceModel(pool=pool, costs=tuple(costs), types=tuple(types))
+    except ContractViolation as exc:
+        check.fail(path, str(exc))
+
+
+# "scenario" and "model" both give the model; absent command blocks stay None
+_TOP = {
+    "seed": (_NATURAL, 0),
+    "output_dir": (lambda check, value, path: value if value is None
+                   else check.string(value, path), None),
+    "scenario": (_scenario, None),
+    "model": (_validate_model, None),
+    **{command: (partial(_block, schema=schema), None) for command, schema in _BLOCKS.items()},
+}
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     """Validate configuration text; messages carry source and line."""
+    check = _Checker(source)
     try:
-        data = yaml.safe_load(text)
+        loader = yaml.SafeLoader(text)
+        try:
+            node = loader.get_single_node()
+            check.record(loader, node, (), set())  # first: construction flattens '<<' merges
+            data = loader.construct_document(node) if node else None
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: not valid YAML: {exc}") from None
-    lines = _Lines(text)
-    check = _Checker(source, lines)
-    top = check.mapping(data, (), _TOP_KEYS)
-
-    seed = check.integer(top.get("seed", 0), ("seed",), minimum=0)
-    output_dir = top.get("output_dir")
-    if output_dir is not None:
-        output_dir = check.string(output_dir, ("output_dir",))
-    else:
-        output_dir = os.environ.get(OUTPUT_ROOT_ENV, ".")
-
+    top = check.mapping(data, (), _TOP)
     if ("scenario" in top) == ("model" in top):
         check.fail((), "give exactly one of 'scenario' or 'model'")
-    scenario = None
-    if "scenario" in top:
-        scenario = check.string(top["scenario"], ("scenario",))
-        try:
-            model = builtin_scenario(scenario)
-        except ConfigError as exc:
-            check.fail(("scenario",), str(exc))
-    else:
-        model = _validate_model(check, top["model"], ("model",))
-
-    blocks = {}
-    for command in COMMAND_BLOCKS:
-        if command in top:
-            blocks[command] = _validate_block(check, command, top[command])
-
+    values = _block(check, top, (), _TOP)
+    scenario, output_dir = top.get("scenario"), values["output_dir"]
     return ExperimentConfig(
         source=source,
-        seed=seed,
-        output_dir=output_dir,
-        model=model,
+        seed=values["seed"],
+        output_dir=os.environ.get(OUTPUT_ROOT_ENV, ".") if output_dir is None else output_dir,
+        model=values["scenario"] or values["model"],
         scenario=SCENARIO_ALIASES.get(scenario, scenario) if scenario else None,
-        blocks=blocks,
+        blocks={command: values[command] for command in _BLOCKS if values[command] is not None},
         raw=top,
     )
 
@@ -459,43 +423,57 @@ def apply_overrides(config: ExperimentConfig, command: str, *, scenario: str | N
     command whose block takes no such key rejects them.  A rejected value
     ends in a ``ConfigError`` that names its flag.
     """
-    def check(flag: str) -> _Checker:
-        return _Checker(flag, _Lines(""))
-
     if scenario:
-        try:
-            config.model = builtin_scenario(scenario)
-        except ConfigError as exc:
-            check("--scenario").fail((), str(exc))
+        config.model = _scenario(_Checker("--scenario"), scenario, ())
         config.scenario = config.raw["scenario"] = scenario
     if seed is not None:
-        config.seed = config.raw["seed"] = check("--seed").integer(seed, (), minimum=0)
+        config.seed = config.raw["seed"] = _NATURAL(_Checker("--seed"), seed, ())
     name = command.replace("-", "_")
-    block = config.blocks.get(name, {})
-    if command == "steady-state":
+    schema, block = _BLOCKS[name], config.blocks.get(name, {})
+    if name == "steady_state":
         probs = block.get("queue_empty_probs")
+        schema = _FROM_SIMULATION
         block = probs["from_simulation"] if isinstance(probs, dict) else {}
     for key, value in (("rounds", rounds), ("horizon", horizon)):
-        if value is None or key in block:
+        if value is None:
             continue
-        if command == "steady-state":
-            check(f"--{key}").fail((), "steady-state needs queue_empty_probs.from_simulation")
-        if key not in _BLOCK_KEYS[name]:
-            check(f"--{key}").fail((), f"{command} takes no --{key}")
-    if rounds is not None and "rounds" in block:
-        block["rounds"] = check("--rounds").integer(rounds, (), minimum=1)
-    if horizon is not None and "horizon" in block:
-        value = check("--horizon").number(horizon, (), minimum=0.0, strict=True)
-        if value <= block.get("warmup", 0.0):
-            check("--horizon").fail((), f"must be > warmup {block['warmup']}, got {value}")
-        block["horizon"] = value
+        check = _Checker(f"--{key}")
+        if key not in block:
+            if name == "steady_state":
+                check.fail((), "steady-state needs queue_empty_probs.from_simulation")
+            if key not in schema:
+                check.fail((), f"{command} takes no --{key}")
+            continue
+        value = schema[key][0](check, value, ())
+        if not _warmup_before_horizon({**block, key: value}):
+            check.fail((), f"must be > warmup {block['warmup']}, got {value}")
+        block[key] = value
+
+
+def read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file; a ``ConfigError`` naming it if unreadable."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
+
+
+def build_strategy(spec: dict, space: StateSpace, base_dir: str = ".") -> PreferenceMatrix:
+    """Materialize a validated strategy spec against a state space."""
+    if "prefer_type" in spec:
+        return naive_strategy(space, f"prefer-type-{spec['prefer_type']}")
+    if "random_seed" in spec:
+        return random_strategy(space, spec["random_seed"])
+    if "file" in spec:
+        text = read_text(os.path.join(base_dir, spec["file"]), "strategy file")
+        return from_text(text, space.model.num_types, space.num_admissible)
+    columns = tuple(tuple(col) for col in spec["columns"])
+    if len(columns) == 1:
+        columns = columns * space.num_admissible
+    return PreferenceMatrix(columns=columns, num_types=space.model.num_types)
 
 
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate a configuration file."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read configuration {path!r}: {exc}") from None
-    return parse_config(text, source=path)
+    return parse_config(read_text(path, "configuration"), source=path)

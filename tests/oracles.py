@@ -5,7 +5,8 @@ Most of it is deliberately written against the plain definitions
 on stdlib ``random``) so it shares no code path with the package.  The
 ``enumerate_dfs``, ``build_transition_dense`` and ``run_scalar`` oracles are
 frozen copies of the package's first, slower algorithms, which its faster
-ones must reproduce exactly.
+ones must reproduce exactly; ``impatient_queue_pmf`` recomputes each length
+of ``impatient_queue_pmf_table`` as its own product.
 """
 
 from __future__ import annotations
@@ -119,6 +120,28 @@ def birth_death_pmf(lam, mu, alpha, beta, max_length=400):
         weights.append(weights[-1] * lam * join / (mu + l * alpha))
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def impatient_queue_pmf(params, length):
+    """P(``length`` requests) of the impatient queue, as one product per length.
+
+    p_l = p_0 (delta / (beta gamma)) prod_{j=1}^{l-1} delta / (j (gamma + j)),
+    the law that ``analytics.impatient_queue_pmf_table`` builds as a running
+    recurrence.
+    """
+    from slicesim.analytics import _empty_probability
+    from slicesim.errors import ContractViolation
+
+    if length < 0 or length != int(length):
+        raise ContractViolation(f"queue length must be a non-negative integer, got {length}")
+    g, d, b = params.gamma, params.delta, params.balking_willingness
+    p = _empty_probability(params)[0]
+    if length == 0:
+        return p
+    p *= d / (b * g)
+    for l in range(1, int(length)):
+        p *= d / (l * (g + l))
+    return p
 
 
 @dataclass

@@ -14,7 +14,6 @@ from slicesim.analytics import (
     balk_join_probability,
     bessel_i,
     gamma_fn,
-    impatient_queue_pmf,
     impatient_queue_pmf_table,
     little_mean_length,
     mean_wait_accepted_series,
@@ -26,12 +25,14 @@ from slicesim.analytics import (
     wait_means,
 )
 import slicesim
+from slicesim import analytics
 from slicesim.errors import ContractViolation, NoEquilibrium, NumericError
 
 from oracles import (
     BESSEL_I_REFERENCE,
     GAMMA_REFERENCE,
     birth_death_pmf,
+    impatient_queue_pmf,
     micro_queue,
 )
 
@@ -150,6 +151,17 @@ class TestImpatientPmf:
             table = impatient_queue_pmf_table(params, tail=1e-12)
             assert abs(sum(table) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("lam, mu, alpha, beta", [
+        *((lam, mu, 1.0, 0.5) for lam, mu in GRID), (0.5, 1.0, 1e-4, 1.0), (3.0, 0.5, 2.0, 0.1),
+    ])
+    def test_table_is_the_per_length_product(self, lam, mu, alpha, beta):
+        # the table runs the oracle's per-length product as one recurrence
+        params = QueueParams(lam, mu, reneging_rate=alpha, balking_willingness=beta)
+        table = impatient_queue_pmf_table(params)
+        assert len(table) > 2
+        assert table == pytest.approx(
+            [impatient_queue_pmf(params, l) for l in range(len(table))], rel=1e-12, abs=0.0)
+
     def test_matches_balance_equations(self):
         for lam, mu in GRID:
             params = QueueParams(lam, mu, reneging_rate=1.0, balking_willingness=0.5)
@@ -188,6 +200,25 @@ class TestImpatientPmf:
             params = QueueParams(lam, 1.0, reneging_rate=1e-4, balking_willingness=1.0)
             for l in range(10):
                 assert abs(impatient_queue_pmf(params, l) - mm1_queue_pmf(lam, l)) < 1e-3
+
+
+@pytest.mark.parametrize("law", [
+    acceptance_probabilities, wait_distributions, mean_wait_joined_identity,
+    mean_wait_accepted_series,
+], ids=lambda law: law.__name__)
+def test_empty_probability_series_evaluated_once(monkeypatch, law):
+    # 0F1(; gamma + 1; delta) backs both P(empty) and P(accept | join)
+    params = QueueParams(1.2, 1.5, reneging_rate=0.5, balking_willingness=0.4)
+    calls = []
+    series = analytics._hyp0f1
+
+    def counted(b, z):
+        calls.append((b, z))
+        return series(b, z)
+
+    monkeypatch.setattr(analytics, "_hyp0f1", counted)
+    law(params)
+    assert calls.count((params.gamma + 1.0, params.delta)) == 1
 
 
 class TestAcceptanceProbabilities:
@@ -329,7 +360,7 @@ class TestQueueParams:
     def test_impatient_laws_need_reneging(self):
         params = QueueParams(1.0, 2.0)
         with pytest.raises(ContractViolation):
-            impatient_queue_pmf(params, 0)
+            impatient_queue_pmf_table(params)
 
     def test_derived_quantities(self):
         params = QueueParams(1.2, 1.5, reneging_rate=0.5, balking_willingness=0.4)

@@ -21,7 +21,6 @@ EXEMPT = {
     "analytics.mm1_wait_pdf": "paper's law (patient wait density)",
     "analytics.mm1_wait_cdf": "paper's law (patient wait distribution)",
     "analytics.balk_join_probability": "paper's law (hyperbolic balking)",
-    "analytics.impatient_queue_pmf": "paper's law (impatient queue PMF)",
     "analytics.mean_wait_accepted_series": "paper's series, cross-checks the quadrature",
     # the special functions that acceptance criterion 9 checks
     "analytics.gamma_fn": "criterion 9 reference check",

@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import re
 
 import pytest
 
@@ -358,3 +360,193 @@ class TestCli:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x")] + args) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: {command} takes no {flag}")
+
+
+class TestSchema:
+    @pytest.mark.parametrize("columns, message", [
+        ('[[1, "a", 0]]', "expected an integer, got 'a'"),  # a ValueError traceback
+        ("[1, 2, 0]", "expected a preference vector (a list of integers), got 1"),  # TypeError
+        ("[[1, 2.5, 0]]", "expected an integer, got 2.5"),  # truncated to (1, 2, 0)
+    ], ids=["string", "flat", "float"])
+    @pytest.mark.parametrize("block", ["simulate:\n  strategy:\n", "optimize:\n  start:\n"],
+                             ids=["strategy", "start"])
+    def test_bad_columns_rejected_at_their_line(self, block, columns, message):
+        text = f"scenario: paper-scenario-1\n{block}    columns: {columns}\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == f"cfg:4: {message}"
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("seed: 1\nscenario: paper-scenario-1\nsimulate: {rounds: 1}\n"
+         "simulate: {rounds: 2}\n", 4, "simulate"),
+        ("scenario: paper-scenario-1\nsweep:\n  rounds: 1\n  count: 2\n  rounds: 3\n",
+         5, "rounds"),
+    ], ids=["block", "key"])
+    def test_repeated_key_rejected_at_second_occurrence(self, text, line, key):
+        # a repeated block used to run the last one silently
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == f"cfg:{line}: repeated key {key!r}"
+
+    @pytest.mark.parametrize("text", ["seed: \x01\n", "seed: [1\n", "a: *missing\n"],
+                             ids=["unprintable", "unclosed", "undefined-alias"])
+    def test_malformed_yaml_is_a_config_error(self, text):
+        # the reader, parser and composer each raise their own YAML error
+        with pytest.raises(ConfigError, match="^cfg: not valid YAML: "):
+            parse_config(text, source="cfg")
+
+    def test_recursive_alias_is_a_config_error(self):
+        # the key-line walk used to recurse until RecursionError
+        text = "scenario: paper-scenario-1\nsimulate:\n  initial_state: &x [*x]\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == "cfg:3: expected an integer, got [[...]]"
+
+    def test_nested_aliases_walked_once(self, monkeypatch):
+        # the walk used to expand every alias: 10**levels visits
+        from slicesim.config import _Checker
+
+        calls = []
+        record = _Checker.record
+
+        def counted(self, *args):
+            calls.append(1)
+            return record(self, *args)
+
+        monkeypatch.setattr(_Checker, "record", counted)
+        text = "a0: &a0 [1, 2]\n" + "".join(
+            f"a{i}: &a{i} [{', '.join([f'*a{i - 1}'] * 10)}]\n" for i in range(1, 5))
+        with pytest.raises(ConfigError, match="^cfg:1: unknown key 'a0'$"):
+            parse_config(text, source="cfg")
+        assert len(calls) < 100
+
+    def test_merge_override_is_no_repeat(self):
+        text = ("scenario: paper-scenario-1\n"
+                "sweep: &common {rounds: 2, horizon: 5.0}\n"
+                "optimize:\n  <<: *common\n  rounds: 3\n  budget: -1\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == "cfg:6: must be >= 0, got -1"
+        config = parse_config(text.replace("budget: -1", "budget: 4"))
+        assert config.block("optimize")["rounds"] == 3
+        assert config.block("optimize")["horizon"] == 5.0
+        assert config.block("sweep")["rounds"] == 2
+
+    def test_empty_pool_error_anchored_at_model(self):
+        text = ("seed: 1\nmodel:\n  resources: [1.0]\n  slice_types:\n"
+                "    - {cost: [2.0], arrival_rate: 1.0, mean_lifetime: 1.0}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == (
+            "cfg:2: type 1 does not fit an empty pool (cost bundle exceeds pool)")
+
+    def test_each_document_composed_once(self, monkeypatch):
+        import yaml.composer
+
+        calls = []
+        compose = yaml.composer.Composer.compose_document
+
+        def counted(self):
+            calls.append(1)
+            return compose(self)
+
+        monkeypatch.setattr(yaml.composer.Composer, "compose_document", counted)
+        parse_config(MINIMAL)
+        assert len(calls) == 1
+
+    FLAGS = [("horizon", "-2.5", "-2.5"), ("horizon", "0.0", "0.0"),
+             ("horizon", ".inf", "inf"), ("horizon", ".nan", "nan"),
+             ("rounds", "0", "0"), ("rounds", "-1", "-1")]
+
+    @pytest.mark.parametrize("command, inner", [
+        ("simulate", "simulate:\n  {}\n"),
+        ("sweep", "sweep:\n  {}\n"),
+        ("optimize", "optimize:\n  {}\n"),
+        ("steady-state", "steady_state:\n  queue_empty_probs:\n    from_simulation:\n      {}\n"),
+    ], ids=["simulate", "sweep", "optimize", "from_simulation"])
+    @pytest.mark.parametrize("key, in_yaml, on_flag", FLAGS,
+                             ids=[f"{k}={f}" for k, _, f in FLAGS])
+    def test_yaml_and_flag_share_each_rule(self, command, inner, key, in_yaml, on_flag):
+        from slicesim.cli import build_parser
+        from slicesim.config import apply_overrides
+
+        head = "scenario: paper-scenario-1\n"
+        with pytest.raises(ConfigError) as from_yaml:
+            parse_config(head + inner.format(f"{key}: {in_yaml}"), source="cfg")
+        config = parse_config(head + inner.format("{}"))
+        args = build_parser().parse_args([command, "--config", "cfg", f"--{key}", on_flag])
+        with pytest.raises(ConfigError) as from_flag:
+            apply_overrides(config, command, rounds=args.rounds, horizon=args.horizon)
+        yaml_anchor, yaml_message = str(from_yaml.value).split(": ", 1)
+        flag_anchor, flag_message = str(from_flag.value).split(": ", 1)
+        assert yaml_anchor.startswith("cfg:") and flag_anchor == f"--{key}"
+        assert yaml_message == flag_message
+
+
+def _readme_grammar() -> dict[str, str]:
+    """README's configuration grammar, split into its top-level sections."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = re.search(r"```yaml\n(.*?)```", readme.read_text(encoding="utf-8"), re.S).group(1)
+    sections = {}
+    for line in text.splitlines():
+        top = re.match(r"#? ?([a-z_]+):", line)  # a commented-out key counts
+        if top:
+            name = top.group(1)
+        sections[name] = sections.get(name, "") + line + "\n"
+    return sections
+
+
+def test_readme_grammar_parses_and_names_every_key():
+    from slicesim import config
+
+    sections = _readme_grammar()
+    parsed = parse_config("".join(sections.values()), source="README.md")
+    assert set(parsed.blocks) == set(config._BLOCKS)
+    where = [("", config._TOP), ("simulate", config._STRATEGY_KINDS),
+             ("steady_state", config._FROM_SIMULATION), ("model", config._MODEL_KEYS),
+             ("model", config._SLICE_TYPE), ("model", {"cost"}),
+             *config._BLOCKS.items()]
+    missing = [f"{section}.{key}" for section, schema in where for key in schema
+               if not re.search(rf"\b{key}:", sections.get(section, "")
+                                if section else "".join(sections.values()))]
+    assert missing == []
+
+
+class TestFileErrors:
+    def _run(self, tmp_path, capsys, args, files):
+        for name, body in files.items():
+            (tmp_path / name).write_text(body, encoding="utf-8")
+        code = main([args[0], "--config", str(tmp_path / "cfg.yaml")] + args[1:])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        return err
+
+    def test_unreadable_strategy_file(self, tmp_path, capsys):
+        cfg = MINIMAL.replace("{prefer_type: 1}", "{file: missing.txt}")
+        err = self._run(tmp_path, capsys, ["simulate", "--out", str(tmp_path / "o")],
+                        {"cfg.yaml": cfg})
+        assert "cannot read strategy file" in err and "missing.txt" in err
+
+    def test_unreadable_samples(self, tmp_path, capsys):
+        err = self._run(tmp_path, capsys, ["fit-iat", "--out", str(tmp_path / "o")],
+                        {"cfg.yaml": MINIMAL + "fit_iat: {samples: missing.csv}\n"})
+        assert "cannot read samples" in err and "missing.csv" in err
+
+    @pytest.mark.parametrize("samples, column", [
+        ("iat\n0.5\nabc\n", 1), ("iat\n0.5\nnan\n", 1), ("iat\n0.5\ninf\n", 1),
+        ("x,iat\n0,0.5\n0.1\n", 2),
+    ], ids=["text", "nan", "inf", "short-row"])
+    def test_non_numeric_sample(self, tmp_path, capsys, samples, column):
+        # each ended in a traceback: text and short rows when read, nan and inf in the fit
+        err = self._run(tmp_path, capsys, ["fit-iat", "--out", str(tmp_path / "o")],
+                        {"cfg.yaml": MINIMAL + "fit_iat: {samples: iat.csv}\n",
+                         "iat.csv": samples})
+        assert f"row 3: expected a finite number in column {column}, got" in err
+
+    def test_out_names_an_existing_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        err = self._run(tmp_path, capsys, ["simulate", "--out", str(tmp_path / "taken")],
+                        {"cfg.yaml": MINIMAL})
+        assert "cannot create output directory" in err
