@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
+
+from slicesim.cli import main
 
 from slicesim.engine import SimConfig
 from slicesim.errors import ContractViolation
@@ -201,3 +204,38 @@ class TestLocalSearch:
             budget=30, config=config, rounds=5, metric="utility", space=space,
         )
         assert trajectory[-1].score.utility_mean == pytest.approx(best_value)
+
+
+# sha256 of every artefact of a small scenario-2 sweep and local search, with
+# impatience on and a full start.  Speed-ups of the simulation must leave the
+# files byte for byte as they are; only a change meant to alter seeded outputs
+# rewrites these digests.
+_PINNED_COMMANDS = {
+    "sweep": ("sweep: {count: 4, rounds: 3, horizon: 12.0, balking: true, reneging: true, "
+              "initial_state: full}\n", {
+                  "sweep.csv": "88573efc7bd6ed1b428dd319b55358f7a095f8cec727a1f7f6a1dba152ae93bd",
+                  "baselines.csv":
+                      "0a73f2adbb1cadbcc2eee69db68a6d111f2e5a0feece50a85132facfe2c4eb30",
+                  "run_meta.json":
+                      "edb30f8e854a7adf31a147cc1d2f40048ea6296227b0a0eed6fc8b16680e9c9a",
+              }),
+    "optimize": ("optimize: {start: {random_seed: 5}, budget: 10, metric: utility, rounds: 3, "
+                 "horizon: 12.0, balking: true, reneging: true, initial_state: full}\n", {
+                     "trajectory.csv":
+                         "c8a338b4489f60154373a113d20640d29c0fcdb767f09c6d3ec15770cfbae5d3",
+                     "best_strategy.txt":
+                         "57d0fb26252ae30c05fdea416a59a0c4a29ccc854226df8dcf20e778d414a279",
+                     "run_meta.json":
+                         "d014d76bae9e4482b1e415b3b23a9bb50586d0a005b29a1ffa3fce45da932519",
+                 }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_PINNED_COMMANDS))
+def test_command_artefacts_pinned(command, tmp_path):
+    block, digests = _PINNED_COMMANDS[command]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("seed: 31\nscenario: paper-scenario-2\n" + block)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
