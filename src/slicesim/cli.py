@@ -307,8 +307,9 @@ def _cmd_sweep(config: ExperimentConfig, outdir: str) -> int:
         seed=config.seed, initial_state=block["initial_state"],
         balking=block["balking"], reneging=block["reneging"],
     )
+    tapes: dict = {}  # the random strategies and the baselines replay the same rounds
     entries = random_sweep(config.model, block["count"], config.seed, sim,
-                           block["rounds"], space)
+                           block["rounds"], space, tapes)
     rows = [
         [e.index, e.strategy_seed] + _score_cells(e.score)
         for e in entries
@@ -321,10 +322,10 @@ def _cmd_sweep(config: ExperimentConfig, outdir: str) -> int:
         for n in range(1, config.model.num_types + 1):
             kind = f"prefer-type-{n}"
             score = evaluate_strategy(config.model, naive_strategy(space, kind),
-                                      sim, block["rounds"], space, label=kind)
+                                      sim, block["rounds"], space, label=kind, tapes=tapes)
             baseline_rows.append([kind] + _score_cells(score))
     if block["include_greedy_baseline"]:
-        score = greedy_single_queue_baseline(config.model, sim, block["rounds"], space)
+        score = greedy_single_queue_baseline(config.model, sim, block["rounds"], space, tapes)
         baseline_rows.append(["greedy-single-queue"] + _score_cells(score))
     if baseline_rows:
         _write_csv(os.path.join(outdir, "baselines.csv"),

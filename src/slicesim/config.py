@@ -43,7 +43,7 @@ def builtin_scenario(name: str) -> ResourceModel:
     canonical = SCENARIO_ALIASES.get(name, name)
     if canonical not in _SCENARIO_ARRIVALS:
         known = sorted(set(_SCENARIO_ARRIVALS) | set(SCENARIO_ALIASES))
-        raise ConfigError(f"unknown scenario {name!r}; known: {', '.join(known)}")
+        raise ConfigError(f"unknown scenario {_shown(name)}; known: {', '.join(known)}")
     lam = _SCENARIO_ARRIVALS[canonical]
     return ResourceModel(
         pool=(1.0, 1.0),
@@ -55,6 +55,44 @@ def builtin_scenario(name: str) -> ResourceModel:
                       reneging_rate=1.0, balking_willingness=0.02),
         ),
     )
+
+
+#: Longest repr of an offending value that a message shows whole.
+_SHOWN_REPR = 200
+
+
+def _repr_pieces(value: Any, open_ids: set):
+    """``repr(value)`` piece by piece, as the built-in writes lists and dicts."""
+    if not isinstance(value, (list, dict)):
+        yield repr(value)
+    elif id(value) in open_ids:  # a value inside itself, through a recursive alias
+        yield "[...]" if isinstance(value, list) else "{...}"
+    else:
+        open_ids.add(id(value))
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        yield "{" if isinstance(value, dict) else "["
+        for i, (key, item) in enumerate(items):
+            yield ", " if i else ""
+            if isinstance(value, dict):
+                yield from _repr_pieces(key, open_ids)
+                yield ": "
+            yield from _repr_pieces(item, open_ids)
+        yield "}" if isinstance(value, dict) else "]"
+        open_ids.discard(id(value))
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)``, cut after ``_SHOWN_REPR`` characters with a ``...`` marker.
+
+    Pieces stop once the limit is passed, so a value nested through aliases is
+    never expanded whole.
+    """
+    text = ""
+    for piece in _repr_pieces(value, set()):
+        text += piece
+        if len(text) > _SHOWN_REPR:
+            return text[:_SHOWN_REPR] + "..."
+    return text
 
 
 class _Checker:
@@ -83,7 +121,7 @@ class _Checker:
                 key = "<<" if merge else loader.construct_object(key_node)
                 self.lines[path + (key,)] = key_node.start_mark.line + 1
                 if key in seen:
-                    self.fail(path + (key,), f"repeated key {key!r}")
+                    self.fail(path + (key,), f"repeated key {_shown(key)}")
                 seen.add(key)
                 self.record(loader, value_node, path + (key,), walked)
         elif isinstance(node, yaml.SequenceNode):
@@ -103,13 +141,13 @@ class _Checker:
             self.fail(path, f"expected a mapping for {'.'.join(map(str, path)) or 'document'}")
         for key in value:
             if key not in allowed:
-                self.fail(path + (key,), f"unknown key {key!r}")
+                self.fail(path + (key,), f"unknown key {_shown(key)}")
         return value
 
     def number(self, value: Any, path: tuple, minimum=None, strict=False,
                maximum=None) -> float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.fail(path, f"expected a number, got {value!r}")
+            self.fail(path, f"expected a number, got {_shown(value)}")
         v = float(value)
         if not math.isfinite(v):
             self.fail(path, f"expected a finite number, got {value}")
@@ -122,21 +160,21 @@ class _Checker:
 
     def integer(self, value: Any, path: tuple, minimum=None) -> int:
         if not isinstance(value, int) or isinstance(value, bool):
-            self.fail(path, f"expected an integer, got {value!r}")
+            self.fail(path, f"expected an integer, got {_shown(value)}")
         if minimum is not None and value < minimum:
             self.fail(path, f"must be >= {minimum}, got {value}")
         return value
 
     def boolean(self, value: Any, path: tuple) -> bool:
         if not isinstance(value, bool):
-            self.fail(path, f"expected true/false, got {value!r}")
+            self.fail(path, f"expected true/false, got {_shown(value)}")
         return value
 
     def string(self, value: Any, path: tuple, choices=None) -> str:
         if not isinstance(value, str):
-            self.fail(path, f"expected a string, got {value!r}")
+            self.fail(path, f"expected a string, got {_shown(value)}")
         if choices is not None and value not in choices:
-            self.fail(path, f"must be one of {', '.join(choices)}; got {value!r}")
+            self.fail(path, f"must be one of {', '.join(choices)}; got {_shown(value)}")
         return value
 
 
@@ -205,7 +243,7 @@ def _columns(check: _Checker, value: Any, path: tuple) -> list:
     for column in value:
         if not isinstance(column, list):
             check.fail(path, f"expected a preference vector (a list of integers), "
-                             f"got {column!r}")
+                             f"got {_shown(column)}")
         for entry in column:
             check.integer(entry, path)
     return value

@@ -7,16 +7,23 @@ PCG64 streams per purpose (initial state, one arrival stream and one mark
 stream per type), so two policies given the same seed consume identical
 randomness and can be compared with common random numbers.
 
-Stream layout: ``SeedSequence(seed)`` spawns ``1 + 2N`` children in the order
-initial-state, arrivals of type 1..N, marks of type 1..N; every arrival draws
-exactly one lifetime and two uniforms from its type's mark stream regardless
-of toggles.  Monte-Carlo round ``i`` of master seed ``m`` runs with seed
+Round tapes: a round splits into a *tape*, its strategy-independent input,
+and the *replay* of that tape by the event loop.  ``build_tape`` draws the
+tape: ``SeedSequence(seed)`` spawns ``1 + 2N`` children in the order
+initial-state, arrivals of type 1..N, marks of type 1..N.  The initial-state
+stream draws the initial state's index, then one lifetime per initial slice
+(the initial releases, in type order).  Every arrival up to the horizon draws
+exactly one lifetime and two uniforms from its type's mark stream, whatever
+the toggles.  Monte-Carlo round ``i`` of master seed ``m`` runs with seed
 ``SeedSequence([m, i]).generate_state(1)``.
 
 An arrival stream draws only exponentials, so it is drawn in blocks of
-``ARRIVAL_BLOCK`` whose values equal scalar draws one by one, and arrivals stay
-out of the event heap (releases and reneges).  Mark streams interleave three
-draws per arrival and stay scalar.
+``ARRIVAL_BLOCK`` whose values equal scalar draws one by one; the tape merges
+the per-type streams by ``(t, type)``, and arrivals stay out of the event heap
+(releases and reneges).  A lone round streams its tape: memory stays
+O(block) whatever the horizon.  ``monte_carlo`` given a ``tapes`` dict keeps
+each round's tape, with the arrivals as a list (O(arrivals per round) each),
+and replays it for every strategy and discipline that asks for the same round.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,6 +200,55 @@ def _arrival_times(rng: np.random.Generator, scale: float):
         yield from block
 
 
+def _type_arrivals(slice_type: int, rate: float, lifetime_scale: float, horizon: float,
+                   arrival_rng: np.random.Generator, mark_rng: np.random.Generator):
+    """A type's arrivals up to ``horizon``, each with its three marks drawn in order."""
+    lifetime, uniform = mark_rng.exponential, mark_rng.random
+    for t in _arrival_times(arrival_rng, 1.0 / rate):
+        if t > horizon:
+            return
+        yield t, slice_type, lifetime(lifetime_scale), uniform(), uniform()
+
+
+class RoundTape(NamedTuple):
+    """One round's strategy-independent input, which ``run`` replays.
+
+    ``releases`` holds the initial slices' ``(time, type)`` in push order;
+    ``arrivals`` yields ``(t, type, lifetime, u_balk, u_patience)`` up to the
+    horizon, ordered by ``(t, type)``.  A freshly built tape streams its
+    arrivals and replays once; ``materialise`` makes one that replays any
+    number of times.
+    """
+
+    initial_index: int
+    releases: tuple[tuple[float, int], ...]
+    arrivals: Iterable[tuple[float, int, float, float, float]]
+
+    def materialise(self) -> "RoundTape":
+        return self._replace(arrivals=list(self.arrivals))
+
+
+def build_tape(config: SimConfig, space: StateSpace) -> RoundTape:
+    """Draw the tape of the round ``config`` describes (its seed, horizon and initial state)."""
+    types = config.model.types
+    n_types = len(types)
+    init_rng, *rngs = (np.random.Generator(np.random.PCG64(child))
+                       for child in np.random.SeedSequence(config.seed).spawn(1 + 2 * n_types))
+    index = _draw_initial_index(space, config.initial_state, init_rng)
+    scales = [1.0 / ty.release_rate for ty in types]
+    # initial active slices: memoryless lifetimes drawn at t = 0
+    releases = tuple((init_rng.exponential(scales[n]), n + 1)
+                     for n, count in enumerate(space.state_at(index)) for _ in range(count))
+    streams = [_type_arrivals(n + 1, ty.arrival_rate, scales[n], config.horizon,
+                              rngs[n], rngs[n_types + n])
+               for n, ty in enumerate(types) if ty.arrival_rate > 0.0]
+    return RoundTape(index, releases, heapq.merge(*streams))
+
+
+# what ``run`` reads once the tape's arrivals run out: later than any horizon
+_NO_ARRIVAL = (math.inf,)
+
+
 def check_conservation(trace: SimTrace) -> None:
     """Raise ``ContractViolation`` unless every request of the run is accounted for.
 
@@ -209,50 +265,47 @@ def check_conservation(trace: SimTrace) -> None:
                 f"reneged, still waiting) = {counts}")
 
 
-def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, MetricsReport]:
-    """Execute one round over [0, horizon] and report metrics over (warmup, horizon]."""
+def run(config: SimConfig, space: StateSpace | None = None,
+        tape: RoundTape | None = None) -> tuple[SimTrace, MetricsReport]:
+    """Execute one round over [0, horizon] and report metrics over (warmup, horizon].
+
+    The round replays ``tape``, or a tape drawn for it here when none is given.
+    """
     model = config.model
     n_types = model.num_types
     if config.discipline == MULTI_QUEUE and config.strategy is None:
         raise ContractViolation("multi-queue simulation needs a strategy")
     if space is None:
         space = enumerate_state_space(model)
-
-    children = np.random.SeedSequence(config.seed).spawn(1 + 2 * n_types)
-    init_rng = np.random.Generator(np.random.PCG64(children[0]))
-    arrival_rngs = [np.random.Generator(np.random.PCG64(children[1 + n])) for n in range(n_types)]
-    mark_rngs = [np.random.Generator(np.random.PCG64(children[1 + n_types + n])) for n in range(n_types)]
-
-    initial_state = space.state_at(_draw_initial_index(space, config.initial_state, init_rng))
+    if tape is None:
+        tape = build_tape(config, space)
 
     multi = config.discipline == MULTI_QUEUE
     if multi:
-        controller = MultiQueueController(space, config.strategy, initial_state)
+        controller = MultiQueueController(space, config.strategy)
         columns = config.strategy.columns
     else:
-        controller = GreedySingleQueueController(space, initial_state)
+        controller = GreedySingleQueueController(space)
+    controller.state_index = tape.initial_index
+    initial_state = space.state_at(tape.initial_index)
 
     trace = SimTrace(n_types, config.horizon, config.warmup, initial_state, model.utility_rates,
                      events=[] if config.record_events else None)
 
     types = model.types
-    lifetime_scales = [1.0 / ty.release_rate for ty in types]
     balking = [ty.balking_willingness if config.balking else None for ty in types]
     reneging = [ty.reneging_rate if config.reneging else 0.0 for ty in types]
     queues = [controller.queue_for(n) for n in range(1, n_types + 1)]
 
-    # releases and reneges wait in the heap; each type's next arrival waits in ``heads``
-    heap: list[tuple[float, int, int, object]] = []
-    seq = 0
+    # releases and reneges wait in the heap; the next arrival waits in ``pending``
     EV_ARRIVAL, EV_RELEASE, EV_RENEGE, EV_END = 0, 1, 2, 3
-    # initial active slices: memoryless lifetimes drawn at t = 0
-    for n in range(n_types):
-        for _ in range(initial_state[n]):
-            seq += 1
-            heapq.heappush(heap, (init_rng.exponential(lifetime_scales[n]), seq, EV_RELEASE, n + 1))
-    next_arrival = [_arrival_times(rng, 1.0 / ty.arrival_rate).__next__ if ty.arrival_rate > 0.0
-                    else None for rng, ty in zip(arrival_rngs, types)]
-    heads = [math.inf if draw is None else draw() for draw in next_arrival]
+    heap: list[tuple[float, int, int, object]] = [
+        (t, seq, EV_RELEASE, slice_type)
+        for seq, (t, slice_type) in enumerate(tape.releases, start=1)]
+    heapq.heapify(heap)
+    seq = len(heap)
+    arrivals_left = iter(tape.arrivals)
+    pending = next(arrivals_left, _NO_ARRIVAL)
 
     horizon, warmup = config.horizon, config.warmup
     last_t = 0.0
@@ -275,7 +328,7 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
                                  controller.state, controller.queue_lengths()))
 
     while True:
-        t = min(heads)
+        t = pending[0]
         if heap and heap[0][0] < t:
             t, _, kind, payload = heappop(heap)
         else:
@@ -293,12 +346,9 @@ def run(config: SimConfig, space: StateSpace | None = None) -> tuple[SimTrace, M
         last_t = t
         served = ()
         if kind == EV_ARRIVAL:
-            n = heads.index(t)
-            heads[n] = next_arrival[n]()
-            mark = mark_rngs[n]
-            lifetime = mark.exponential(lifetime_scales[n])
-            u_balk = mark.random()
-            u_patience = mark.random()
+            _, slice_type, lifetime, u_balk, u_patience = pending
+            pending = next(arrivals_left, _NO_ARRIVAL)
+            n = slice_type - 1
             next_id += 1
             total_arrivals[n] += 1
             if in_window:
@@ -463,20 +513,34 @@ def derived_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
-def monte_carlo(config: SimConfig, rounds: int,
-                space: StateSpace | None = None) -> MonteCarloResult:
-    """Independent rounds with seeds derived from ``config.seed``; pools IATs per queue."""
+def monte_carlo(config: SimConfig, rounds: int, space: StateSpace | None = None,
+                tapes: dict | None = None) -> MonteCarloResult:
+    """Independent rounds with seeds derived from ``config.seed``; pools IATs per queue.
+
+    With a ``tapes`` dict, each round replays the tape kept there for its
+    ``(model, horizon, initial_state, round seed)``, drawn and kept on first
+    use, so the strategies of one command share their rounds' draws.
+    """
     if rounds < 1:
         raise ContractViolation("need at least one Monte-Carlo round")
     if space is None:
         space = enumerate_state_space(config.model)
     n_types = config.model.num_types
+    initial = config.initial_state
+    round_key = (config.model, config.horizon,
+                 tuple(initial) if isinstance(initial, list) else initial)
     reports: list[MetricsReport] = []
     pooled: list[list[float]] = [[] for _ in range(n_types)]
     for i in range(rounds):
         round_config = replace(config, seed=derived_seed(config.seed, i),
                                record_events=False)
-        trace, report = run(round_config, space)
+        tape = None
+        if tapes is not None:
+            key = round_key + (round_config.seed,)
+            tape = tapes.get(key)
+            if tape is None:
+                tape = tapes[key] = build_tape(round_config, space).materialise()
+        trace, report = run(round_config, space, tape)
         reports.append(report)
         for n in range(1, n_types + 1):
             pooled[n - 1].extend(trace.iat_samples(n))

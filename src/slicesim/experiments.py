@@ -49,15 +49,15 @@ def collect_iat_samples(model: ResourceModel, space: StateSpace,
 
     Strategy i is generated from a seed derived from the master seed, and all
     strategies run on the same Monte-Carlo round seeds, so cells collected
-    with the same master seed are paired.
+    with the same master seed are paired; they replay one set of round tapes.
     """
-    out = []
+    out, tapes = [], {}
     for i in range(n_strategies):
         strategy = random_strategy(space, derived_seed(master_seed, i))
         config = SimConfig(model=model, strategy=strategy, horizon=horizon,
                            seed=master_seed, initial_state="full",
                            balking=impatient, reneging=impatient)
-        result = monte_carlo(config, rounds, space)
+        result = monte_carlo(config, rounds, space, tapes)
         out.append([list(queue) for queue in result.iat_samples])
     return out
 
@@ -156,13 +156,15 @@ def markov_consistency(model: ResourceModel, space: StateSpace,
                        rounds: int, horizon: float, master_seed: int,
                        impatient: bool = True) -> list[ConsistencyRow]:
     """Full pipeline per strategy: simulate, measure queue-empty probabilities,
-    build the default-mode chain, and compare estimated acceptance rates."""
-    rows = []
+    build the default-mode chain, and compare estimated acceptance rates.
+
+    The strategies run on the same round seeds and replay one set of round tapes."""
+    rows, tapes = [], {}
     for label, strategy in strategies.items():
         config = SimConfig(model=model, strategy=strategy, horizon=horizon,
                            seed=master_seed, initial_state="full",
                            balking=impatient, reneging=impatient)
-        result = monte_carlo(config, rounds, space)
+        result = monte_carlo(config, rounds, space, tapes)
         empty_probs = pooled_queue_empty_probs(result.reports)
         measured = [
             sum(r.acceptance_rates[n] for r in result.reports) / len(result.reports)

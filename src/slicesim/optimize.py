@@ -3,7 +3,9 @@
 Every strategy is scored by a seeded Monte-Carlo batch on the three headline
 metrics (mean utility rate, mean queue wait, admission rate).  Compared
 policies run on common random numbers: the per-round seeds depend only on the
-master seed, so sweeps and baselines are paired.
+master seed, so sweeps and baselines are paired.  The scoring calls take a
+``tapes`` dict (see ``engine.monte_carlo``): every strategy scored with the
+same dict replays each round's draws instead of drawing them again.
 """
 
 from __future__ import annotations
@@ -84,23 +86,24 @@ def score_from_result(result: MonteCarloResult, label: str) -> StrategyScore:
 def evaluate_strategy(model: ResourceModel, strategy: PreferenceMatrix,
                       config: SimConfig, rounds: int,
                       space: StateSpace | None = None,
-                      label: str = "strategy") -> StrategyScore:
+                      label: str = "strategy", tapes: dict | None = None) -> StrategyScore:
     """Score one strategy by a seeded Monte-Carlo batch."""
     if space is None:
         space = enumerate_state_space(model)
     run_config = replace(config, model=model, strategy=strategy, discipline="multi-queue")
-    result = monte_carlo(run_config, rounds, space)
+    result = monte_carlo(run_config, rounds, space, tapes)
     return score_from_result(result, label)
 
 
 def greedy_single_queue_baseline(model: ResourceModel, config: SimConfig, rounds: int,
-                                 space: StateSpace | None = None) -> StrategyScore:
+                                 space: StateSpace | None = None,
+                                 tapes: dict | None = None) -> StrategyScore:
     """Score the benchmark single-queue controller on the same random numbers."""
     if space is None:
         space = enumerate_state_space(model)
     run_config = replace(config, model=model, strategy=None,
                          discipline=GREEDY_SINGLE_QUEUE)
-    result = monte_carlo(run_config, rounds, space)
+    result = monte_carlo(run_config, rounds, space, tapes)
     return score_from_result(result, GREEDY_SINGLE_QUEUE)
 
 
@@ -115,22 +118,26 @@ class SweepEntry:
 
 def random_sweep(model: ResourceModel, count: int, master_seed: int,
                  config: SimConfig, rounds: int,
-                 space: StateSpace | None = None) -> list[SweepEntry]:
+                 space: StateSpace | None = None,
+                 tapes: dict | None = None) -> list[SweepEntry]:
     """Score ``count`` seeded random strategies; entry i is reproducible from (seed, i).
 
     All strategies share the same Monte-Carlo round seeds (common random
-    numbers), so rows are directly comparable.
+    numbers), so rows are directly comparable; they replay one set of round
+    tapes, in ``tapes`` or in a dict of their own.
     """
     if count < 1:
         raise ContractViolation("sweep needs at least one strategy")
     if space is None:
         space = enumerate_state_space(model)
+    if tapes is None:
+        tapes = {}
     entries = []
     for i in range(count):
         strategy_seed = derived_seed(master_seed, i)
         strategy = random_strategy(space, strategy_seed)
         score = evaluate_strategy(model, strategy, config, rounds, space,
-                                  label=f"random-{i}")
+                                  label=f"random-{i}", tapes=tapes)
         entries.append(SweepEntry(index=i, strategy_seed=strategy_seed, score=score))
     return entries
 
@@ -160,14 +167,16 @@ class SearchStep:
 
 def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
                  config: SimConfig, rounds: int, metric: str = "utility",
-                 space: StateSpace | None = None) -> list[SearchStep]:
+                 space: StateSpace | None = None,
+                 tapes: dict | None = None) -> list[SearchStep]:
     """Steepest-ascent hill climbing over single-column single-swap neighbors.
 
     ``budget`` counts strategy evaluations beyond the start; waits are
     minimized, the other metrics maximized.  Neighbors are scanned in a
     seeded shuffled order so small budgets still sample across columns.
     Returns the monotone best-so-far trajectory, ending when the budget runs
-    out or no neighbor improves.
+    out or no neighbor improves.  Every evaluation replays one set of round
+    tapes, in ``tapes`` or in a dict of its own.
     """
     if metric not in METRICS:
         raise ContractViolation(f"unknown metric {metric!r}; pick one of {METRICS}")
@@ -175,6 +184,8 @@ def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
         raise ContractViolation("budget must be >= 0")
     if space is None:
         space = enumerate_state_space(model)
+    if tapes is None:
+        tapes = {}
     sign = -1.0 if metric == "wait" else 1.0
     order_rng = np.random.Generator(np.random.PCG64(derived_seed(config.seed, 0x5eac)))
 
@@ -182,7 +193,8 @@ def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
         return sign * score.metric(metric)
 
     best = start
-    best_score = evaluate_strategy(model, start, config, rounds, space, label="start")
+    best_score = evaluate_strategy(model, start, config, rounds, space, label="start",
+                                   tapes=tapes)
     trajectory = [SearchStep(evaluations=0, score=best_score, strategy=best)]
     used = 0
     improved = True
@@ -196,7 +208,7 @@ def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
             neighbor = neighbors[idx]
             used += 1
             score = evaluate_strategy(model, neighbor, config, rounds, space,
-                                      label=f"eval-{used}")
+                                      label=f"eval-{used}", tapes=tapes)
             if candidate_score is None or value(score) > value(candidate_score):
                 candidate, candidate_score = neighbor, score
         if candidate_score is not None and value(candidate_score) > value(best_score):

@@ -420,6 +420,21 @@ class TestSchema:
             parse_config(text, source="cfg")
         assert len(calls) < 100
 
+    def test_nested_alias_value_is_cut_in_messages(self):
+        # 5 levels of 10 aliases: the whole repr has 822,220 characters
+        def nested(level):
+            if level == 0:
+                return "&a0 [1, 2]"
+            return f"&a{level} [{nested(level - 1)}{f', *a{level - 1}' * 9}]"
+
+        text = f"scenario: paper-scenario-1\nsimulate:\n  initial_state: [{nested(5)}]\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        message = str(info.value)
+        assert len(message) < 300
+        assert message.startswith("cfg:3: expected an integer, got [[[[[[1, 2], [1, 2]")
+        assert message.endswith("...")
+
     def test_merge_override_is_no_repeat(self):
         text = ("scenario: paper-scenario-1\n"
                 "sweep: &common {rounds: 2, horizon: 5.0}\n"

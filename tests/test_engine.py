@@ -11,6 +11,7 @@ from slicesim.engine import (
     GREEDY_SINGLE_QUEUE,
     MULTI_QUEUE,
     SimConfig,
+    build_tape,
     check_conservation,
     derived_seed,
     monte_carlo,
@@ -18,7 +19,7 @@ from slicesim.engine import (
     run,
 )
 from slicesim.errors import ContractViolation
-from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
+from slicesim.slice_model import ResourceModel, SliceType, StateSpace, enumerate_state_space
 from slicesim.strategy import constant_strategy, naive_strategy, random_strategy
 
 
@@ -408,3 +409,93 @@ def test_run_matches_scalar_oracle(block, case):
     for f in dataclasses.fields(trace):
         if f.name != "records":
             assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+
+
+@st.composite
+def shared_tape_rounds(draw):
+    """An oracle round plus two strategies and the greedy discipline on its seed, horizon and
+    initial state, each with its own warm-up, toggles and event log."""
+    config, space = draw(oracle_rounds())
+    variants = [dict(strategy=random_strategy(space, draw(st.integers(0, 2**16))),
+                     discipline=MULTI_QUEUE) for _ in range(2)]
+    variants.append(dict(strategy=None, discipline=GREEDY_SINGLE_QUEUE))
+    return config, space, [dataclasses.replace(
+        config, warmup=draw(st.sampled_from((0.0, config.horizon / 4))),
+        balking=draw(st.booleans()), reneging=draw(st.booleans()),
+        record_events=draw(st.booleans()), **variant) for variant in variants]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_tape_rounds())
+def test_cached_tape_replays_match_scalar_oracle(case):
+    config, space, variants = case
+    tape = build_tape(config, space).materialise()
+    for variant in variants:
+        trace, report = run(variant, space, tape)
+        expected_trace, expected_report = run_scalar(variant, space)
+        assert report == expected_report
+        assert _record_fields(trace) == _record_fields(expected_trace)
+        for f in dataclasses.fields(trace):
+            if f.name != "records":
+                assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+
+
+class TestRoundTapes:
+    def _fresh_and_shared(self, configs, space):
+        tapes = {}
+        shared = [monte_carlo(c, rounds=3, space=space, tapes=tapes) for c in configs]
+        fresh = [monte_carlo(c, rounds=3, space=space) for c in configs]
+        return fresh, shared, tapes
+
+    @pytest.mark.parametrize("changed", [
+        dict(horizon=15.0),
+        dict(initial_state="empty"),
+        dict(initial_state=[3, 1]),
+        dict(model=table_model(1)),
+    ], ids=["horizon", "initial-state", "explicit-state", "model"])
+    def test_key_never_returns_a_stale_tape(self, changed):
+        model = table_model(2)  # scenario 1 differs only in arrival rates: the same space
+        space = enumerate_state_space(model)
+        base = SimConfig(model=model, strategy=naive_strategy(space, "prefer-type-1"),
+                         horizon=25.0, seed=8, initial_state="full",
+                         balking=True, reneging=True)
+        fresh, shared, tapes = self._fresh_and_shared(
+            [base, dataclasses.replace(base, **changed)], space)
+        assert [r.reports for r in shared] == [r.reports for r in fresh]
+        assert [r.iat_samples for r in shared] == [r.iat_samples for r in fresh]
+        assert len(tapes) == 6
+
+    def test_strategies_and_toggles_share_tapes(self):
+        model = table_model(2)
+        space = enumerate_state_space(model)
+        base = SimConfig(model=model, strategy=naive_strategy(space, "prefer-type-2"),
+                         horizon=25.0, seed=8, initial_state=[3, 1])
+        configs = [base,
+                   dataclasses.replace(base, initial_state=(3, 1), balking=True, warmup=5.0),
+                   dataclasses.replace(base, strategy=None, discipline=GREEDY_SINGLE_QUEUE,
+                                       reneging=True)]
+        fresh, shared, tapes = self._fresh_and_shared(configs, space)
+        assert [r.reports for r in shared] == [r.reports for r in fresh]
+        assert len(tapes) == 3
+
+    def test_lone_tape_streams_its_arrivals(self):
+        model = table_model(2)
+        space = enumerate_state_space(model)
+        tape = build_tape(SimConfig(model=model, horizon=25.0, seed=8), space)
+        assert not isinstance(tape.arrivals, list)
+        arrivals = tape.materialise().arrivals
+        assert arrivals == sorted(arrivals, key=lambda a: (a[0], a[1]))
+        assert all(0.0 < a[0] <= 25.0 for a in arrivals)
+
+    def test_controller_starts_from_the_tape_index(self, monkeypatch):
+        model = table_model(2)
+        space = enumerate_state_space(model)
+        config = SimConfig(model=model, strategy=naive_strategy(space, "prefer-type-1"),
+                           horizon=10.0, seed=8, initial_state="full")
+        expected = run(config, space)
+
+        def unexpected(self, s):
+            raise AssertionError("index_of walked on a full start")
+
+        monkeypatch.setattr(StateSpace, "index_of", unexpected)
+        assert run(config, space)[1] == expected[1]

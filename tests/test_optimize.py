@@ -206,6 +206,21 @@ class TestLocalSearch:
         assert trajectory[-1].score.utility_mean == pytest.approx(best_value)
 
 
+
+def test_sweep_entries_same_with_outer_tape_dict():
+    model = scenario_model(2)
+    space = enumerate_state_space(model)
+    config = SimConfig(model=model, strategy=None, horizon=15.0, seed=6,
+                       initial_state="full", balking=True, reneging=True)
+    tapes = {}
+    shared = random_sweep(model, 3, 6, config, 4, space, tapes)
+    assert shared == random_sweep(model, 3, 6, config, 4, space)
+    assert len(tapes) == 4
+    # the baselines then replay the sweep's tapes and score as on fresh draws
+    assert (greedy_single_queue_baseline(model, config, 4, space, tapes)
+            == greedy_single_queue_baseline(model, config, 4, space))
+    assert len(tapes) == 4
+
 # sha256 of every artefact of a small scenario-2 sweep and local search, with
 # impatience on and a full start.  Speed-ups of the simulation must leave the
 # files byte for byte as they are; only a change meant to alter seeded outputs
