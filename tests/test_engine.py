@@ -478,14 +478,16 @@ class TestRoundTapes:
         assert [r.reports for r in shared] == [r.reports for r in fresh]
         assert len(tapes) == 3
 
-    def test_lone_tape_streams_its_arrivals(self):
+    def test_kept_tape_replays_the_streamed_arrivals(self):
         model = table_model(2)
         space = enumerate_state_space(model)
-        tape = build_tape(SimConfig(model=model, horizon=25.0, seed=8), space)
-        assert not isinstance(tape.arrivals, list)
-        arrivals = tape.materialise().arrivals
-        assert arrivals == sorted(arrivals, key=lambda a: (a[0], a[1]))
-        assert all(0.0 < a[0] <= 25.0 for a in arrivals)
+        config = SimConfig(model=model, horizon=25.0, seed=8)
+        streamed = list(build_tape(config, space).arrivals)
+        kept = build_tape(config, space).materialise()
+        assert list(kept.arrivals) == list(kept.arrivals) == streamed
+        assert streamed == sorted(streamed, key=lambda a: (a[0], a[1]))
+        assert all(0.0 < a[0] <= 25.0 for a in streamed)
+        assert {a[1] for a in streamed} == {1, 2}
 
     def test_controller_starts_from_the_tape_index(self, monkeypatch):
         model = table_model(2)
