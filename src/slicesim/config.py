@@ -65,20 +65,23 @@ def _repr_pieces(value: Any, open_ids: set):
     """``repr(value)`` piece by piece, as the built-in writes lists and dicts."""
     if not isinstance(value, (list, dict)):
         yield repr(value)
-    elif id(value) in open_ids:  # a value inside itself, through a recursive alias
-        yield "[...]" if isinstance(value, list) else "{...}"
-    else:
-        open_ids.add(id(value))
-        items = value.items() if isinstance(value, dict) else enumerate(value)
-        yield "{" if isinstance(value, dict) else "["
-        for i, (key, item) in enumerate(items):
-            yield ", " if i else ""
-            if isinstance(value, dict):
-                yield from _repr_pieces(key, open_ids)
-                yield ": "
-            yield from _repr_pieces(item, open_ids)
-        yield "}" if isinstance(value, dict) else "]"
-        open_ids.discard(id(value))
+        return
+    is_dict = isinstance(value, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if id(value) in open_ids:  # a value inside itself, through a recursive alias
+        yield opening + "..." + closing
+        return
+    open_ids.add(id(value))
+    yield opening
+    for i, item in enumerate(value.items() if is_dict else value):
+        yield ", " if i else ""
+        if is_dict:
+            yield from _repr_pieces(item[0], open_ids)
+            yield ": "
+            item = item[1]
+        yield from _repr_pieces(item, open_ids)
+    yield closing
+    open_ids.discard(id(value))
 
 
 def _shown(value: Any) -> str:

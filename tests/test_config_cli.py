@@ -435,6 +435,17 @@ class TestSchema:
         assert message.startswith("cfg:3: expected an integer, got [[[[[[1, 2], [1, 2]")
         assert message.endswith("...")
 
+    def test_short_values_shown_as_repr(self):
+        from slicesim.config import _shown
+
+        inner = [1]
+        inner.append(inner)
+        outer = {"a": [1.5, {"b": None}], 2: True}
+        outer["self"] = outer
+        for value in ([], {}, inner, outer, [inner, inner], "text", 3):
+            assert _shown(value) == repr(value)
+        assert _shown(list(range(1000))) == repr(list(range(1000)))[:200] + "..."
+
     def test_merge_override_is_no_repeat(self):
         text = ("scenario: paper-scenario-1\n"
                 "sweep: &common {rounds: 2, horizon: 5.0}\n"
