@@ -62,12 +62,16 @@ _SHOWN_REPR = 200
 
 
 def _repr_pieces(value: Any, open_ids: set):
-    """``repr(value)`` piece by piece, as the built-in writes lists and dicts."""
-    if not isinstance(value, (list, dict)):
+    """``repr(value)`` piece by piece, as the built-in writes lists, tuples and dicts.
+
+    YAML's safe loader makes lists and dicts, and tuples for ``!!pairs`` and
+    ``!!omap``; anything else is printed whole.
+    """
+    if not isinstance(value, (list, tuple, dict)):
         yield repr(value)
         return
     is_dict = isinstance(value, dict)
-    opening, closing = "{}" if is_dict else "[]"
+    opening, closing = "{}" if is_dict else "()" if isinstance(value, tuple) else "[]"
     if id(value) in open_ids:  # a value inside itself, through a recursive alias
         yield opening + "..." + closing
         return
@@ -80,6 +84,8 @@ def _repr_pieces(value: Any, open_ids: set):
             yield ": "
             item = item[1]
         yield from _repr_pieces(item, open_ids)
+    if closing == ")" and len(value) == 1:
+        yield ","
     yield closing
     open_ids.discard(id(value))
 

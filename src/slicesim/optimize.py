@@ -167,8 +167,7 @@ class SearchStep:
 
 def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
                  config: SimConfig, rounds: int, metric: str = "utility",
-                 space: StateSpace | None = None,
-                 tapes: dict | None = None) -> list[SearchStep]:
+                 space: StateSpace | None = None) -> list[SearchStep]:
     """Steepest-ascent hill climbing over single-column single-swap neighbors.
 
     ``budget`` counts strategy evaluations beyond the start; waits are
@@ -176,7 +175,7 @@ def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
     seeded shuffled order so small budgets still sample across columns.
     Returns the monotone best-so-far trajectory, ending when the budget runs
     out or no neighbor improves.  Every evaluation replays one set of round
-    tapes, in ``tapes`` or in a dict of its own.
+    tapes, kept in a dict of its own.
     """
     if metric not in METRICS:
         raise ContractViolation(f"unknown metric {metric!r}; pick one of {METRICS}")
@@ -184,8 +183,7 @@ def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
         raise ContractViolation("budget must be >= 0")
     if space is None:
         space = enumerate_state_space(model)
-    if tapes is None:
-        tapes = {}
+    tapes: dict = {}
     sign = -1.0 if metric == "wait" else 1.0
     order_rng = np.random.Generator(np.random.PCG64(derived_seed(config.seed, 0x5eac)))
 

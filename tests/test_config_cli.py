@@ -427,13 +427,19 @@ class TestSchema:
                 return "&a0 [1, 2]"
             return f"&a{level} [{nested(level - 1)}{f', *a{level - 1}' * 9}]"
 
-        text = f"scenario: paper-scenario-1\nsimulate:\n  initial_state: [{nested(5)}]\n"
-        with pytest.raises(ConfigError) as info:
-            parse_config(text, source="cfg")
-        message = str(info.value)
-        assert len(message) < 300
-        assert message.startswith("cfg:3: expected an integer, got [[[[[[1, 2], [1, 2]")
-        assert message.endswith("...")
+        cases = {
+            f"[{nested(5)}]": "[[[[[[1, 2], [1, 2]",
+            # !!pairs loads as a list of tuples
+            f"!!pairs [{{a: {nested(5)}}}]": "('a', [[[[[[1, 2], [1, 2]",
+        }
+        for value, shown in cases.items():
+            text = f"scenario: paper-scenario-1\nsimulate:\n  initial_state: {value}\n"
+            with pytest.raises(ConfigError) as info:
+                parse_config(text, source="cfg")
+            message = str(info.value)
+            assert len(message) < 300
+            assert message.startswith(f"cfg:3: expected an integer, got {shown}")
+            assert message.endswith("...")
 
     def test_short_values_shown_as_repr(self):
         from slicesim.config import _shown
@@ -442,7 +448,8 @@ class TestSchema:
         inner.append(inner)
         outer = {"a": [1.5, {"b": None}], 2: True}
         outer["self"] = outer
-        for value in ([], {}, inner, outer, [inner, inner], "text", 3):
+        for value in ([], {}, inner, outer, [inner, inner], "text", 3,
+                      (), (1,), ("a", [inner]), [("k", outer)]):
             assert _shown(value) == repr(value)
         assert _shown(list(range(1000))) == repr(list(range(1000)))[:200] + "..."
 
