@@ -142,10 +142,6 @@ class QueueParams:
             raise ContractViolation("balking willingness must lie in [0, 1]")
 
     @property
-    def rho(self) -> float:
-        return self.arrival_rate / self.acceptance_rate
-
-    @property
     def gamma(self) -> float:
         self._need_impatience()
         return self.acceptance_rate / self.reneging_rate

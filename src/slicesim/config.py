@@ -22,8 +22,9 @@ from typing import Any
 import yaml
 
 from .errors import ConfigError, ContractViolation
-from .slice_model import ResourceModel, SliceType, StateSpace
-from .strategy import PreferenceMatrix, from_text, naive_strategy, random_strategy
+from .slice_model import ResourceModel, SliceType, StateSpace, is_feasible
+from .strategy import (PreferenceMatrix, from_text, naive_strategy, random_strategy,
+                       validate_matrix)
 
 OUTPUT_ROOT_ENV = "SLICESIM_OUTPUT_ROOT"
 
@@ -420,6 +421,31 @@ def _validate_model(check: _Checker, value: Any, path: tuple) -> ResourceModel:
         check.fail(path, str(exc))
 
 
+def _fit_model(check: _Checker, model: ResourceModel, blocks: dict) -> None:
+    """Check the values whose rule needs the model, at their key's line.
+
+    The messages are those of the runtime checks, which stay for API callers
+    and for a ``--scenario`` override.
+    """
+    n = model.num_types
+    for command, block in blocks.items():
+        state = block.get("initial_state")
+        if isinstance(state, tuple) and not (len(state) == n and is_feasible(model, state)):
+            check.fail((command, "initial_state"),
+                       f"state {state} is not in the feasibility space")
+        for key in ("strategy", "start"):
+            spec, path = block.get(key, {}), (command, key)
+            if spec.get("prefer_type", 1) > n:
+                check.fail(path + ("prefer_type",),
+                           f"prefer-type-{spec['prefer_type']} needs a type in 1..{n}")
+            if "columns" in spec and (problem := validate_matrix(spec["columns"], n)):
+                check.fail(path + ("columns",), f"invalid preference matrix: {problem}")
+        probs = block.get("queue_empty_probs")
+        if isinstance(probs, list) and len(probs) != n:
+            check.fail((command, "queue_empty_probs"),
+                       f"need {n} queue-empty probabilities, got {len(probs)}")
+
+
 # "scenario" and "model" both give the model; absent command blocks stay None
 _TOP = {
     "seed": (_NATURAL, 0),
@@ -449,13 +475,16 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         check.fail((), "give exactly one of 'scenario' or 'model'")
     values = _block(check, top, (), _TOP)
     scenario, output_dir = top.get("scenario"), values["output_dir"]
+    model = values["scenario"] or values["model"]
+    blocks = {command: values[command] for command in _BLOCKS if values[command] is not None}
+    _fit_model(check, model, blocks)
     return ExperimentConfig(
         source=source,
         seed=values["seed"],
         output_dir=os.environ.get(OUTPUT_ROOT_ENV, ".") if output_dir is None else output_dir,
-        model=values["scenario"] or values["model"],
+        model=model,
         scenario=SCENARIO_ALIASES.get(scenario, scenario) if scenario else None,
-        blocks={command: values[command] for command in _BLOCKS if values[command] is not None},
+        blocks=blocks,
         raw=top,
     )
 

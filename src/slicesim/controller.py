@@ -47,20 +47,14 @@ class RequestRecord:
     outcome: str = WAITING
     outcome_time: float | None = None
 
-    @property
-    def wait(self) -> float | None:
-        """Time spent in the queue, once the request has left it."""
-        if self.join_time is None or self.outcome_time is None:
-            return None
-        return self.outcome_time - self.join_time
-
 
 class QueueController:
     """Shared plumbing of the admission controllers.
 
     Holds the active-slice state and the request/release/renege handling.  A
     subclass owns its queues, names through ``queue_for`` the deque a type-``n``
-    request joins, and serves its queues in ``serve_queues``.
+    request joins, and serves its queues in ``serve_queues``; a pass that
+    accepts nothing has changed nothing, so it is the test for quiescence.
     """
 
     def __init__(self, space: StateSpace, initial_state: SystemState | None = None) -> None:
@@ -144,22 +138,6 @@ class MultiQueueController(QueueController):
         self.state_index = index
         return accepted
 
-    def is_transient(self) -> bool:
-        """Whether a serving pass would accept something right now.
-
-        True iff some queue listed before the reserve symbol in the current
-        preference vector is non-empty and its increment still fits the pool.
-        """
-        space = self.space
-        if not space.is_admissible_index(self.state_index):
-            return False
-        for pref in self.strategy.column(self.state_index):
-            if pref == RESERVE:
-                return False
-            if self.queues[pref - 1] and space.increment_index(self.state_index, pref) >= 0:
-                return True
-        return False
-
 
 class GreedySingleQueueController(QueueController):
     """Single FCFS queue for all types; accepts the head whenever it fits, never skips."""
@@ -185,7 +163,3 @@ class GreedySingleQueueController(QueueController):
             self.state_index = target
         return accepted
 
-    def is_transient(self) -> bool:
-        if not self.queue:
-            return False
-        return self.space.increment_index(self.state_index, self.queue[0].slice_type) >= 0

@@ -116,14 +116,14 @@ class SimTrace:
     state_time: dict[int, float] = field(default_factory=dict)
     slice_time: list[float] = _per_type(0.0)
     queue_time: list[float] = _per_type(0.0)
-    # in-window event counts per type
+    # in-window event counts per type: whole-run counts minus those at the window's opening
     arrivals: list[int] = _per_type(0)
     joined: list[int] = _per_type(0)
     balked: list[int] = _per_type(0)
     accepted: list[int] = _per_type(0)
     reneged: list[int] = _per_type(0)
     wait_sum: list[float] = _per_type(0.0)
-    wait_count: list[int] = _per_type(0)
+    wait_count: list[int] = _per_type(0)  # accepted + reneged
     # whole-run counts per type (conservation)
     total_arrivals: list[int] = _per_type(0)
     total_joined: list[int] = _per_type(0)
@@ -131,7 +131,7 @@ class SimTrace:
     total_accepted: list[int] = _per_type(0)
     total_reneged: list[int] = _per_type(0)
     final_queue_lengths: tuple[int, ...] = ()
-    # queue-empty measurements at arrival epochs (multi-queue only)
+    # queue-empty measurements at in-window arrivals (multi-queue only), arrival_epochs of them
     arrival_epochs: int = 0
     empty_marginal: list[int] = _per_type(0)
     scan_observed: list[int] = _per_type(0)
@@ -324,14 +324,13 @@ def run(config: SimConfig, space: StateSpace | None = None,
 
     horizon, warmup = config.horizon, config.warmup
     last_t = 0.0
-    next_id = arrival_epochs = 0
+    next_id = 0
     waiting = [0] * n_types  # per-type waiting counts, kept for both disciplines
-    records, state_time, queue_time = trace.records, trace.state_time, trace.queue_time
-    arrivals, joined, balked, accepted = trace.arrivals, trace.joined, trace.balked, trace.accepted
-    reneged, wait_sum, wait_count = trace.reneged, trace.wait_sum, trace.wait_count
-    total_arrivals, total_joined, total_balked = (
-        trace.total_arrivals, trace.total_joined, trace.total_balked)
-    total_accepted, total_reneged = trace.total_accepted, trace.total_reneged
+    records, state_time, queue_time, wait_sum = (
+        trace.records, trace.state_time, trace.queue_time, trace.wait_sum)
+    totals = (trace.total_arrivals, trace.total_joined, trace.total_balked,
+              trace.total_accepted, trace.total_reneged)
+    total_arrivals, total_joined, total_balked, total_accepted, total_reneged = totals
     num_admissible, states, all_types = space.num_admissible, space.states, range(n_types)
     serve, handle_release, remove = (
         controller.serve_queues, controller.handle_release, controller.remove)
@@ -352,7 +351,9 @@ def run(config: SimConfig, space: StateSpace | None = None,
             t, kind = horizon, EV_END
         in_window = t > warmup
         if in_window:  # occupancy over (warmup, horizon]
-            dt = t - (last_t if last_t > warmup else warmup)
+            if last_t <= warmup:  # the first event past the warm-up (EV_END at the latest)
+                last_t, at_opening = warmup, [counts[:] for counts in totals]
+            dt = t - last_t
             if dt > 0.0:
                 index = controller.state_index
                 state_time[index] = state_time.get(index, 0.0) + dt
@@ -366,8 +367,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
             n = slice_type - 1
             next_id += 1
             total_arrivals[n] += 1
-            if in_window:
-                arrivals[n] += 1
             if log:
                 log(t, "arrival", n + 1, next_id)
             queue = queues[n]
@@ -377,8 +376,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
                 rec = RequestRecord(next_id, n + 1, t, lifetime, t)
                 waiting[n] += 1
                 total_joined[n] += 1
-                if in_window:
-                    joined[n] += 1
                 if reneging[n] > 0.0:
                     rec.renege_deadline = t - math.log(1.0 - u_patience) / reneging[n]
                     seq += 1
@@ -389,8 +386,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
                     log(t, "join", n + 1, next_id)
             else:
                 total_balked[n] += 1
-                if in_window:
-                    balked[n] += 1
                 if log:
                     records.append(RequestRecord(next_id, n + 1, t, lifetime,
                                                  outcome=BALKED, outcome_time=t))
@@ -398,7 +393,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
             if multi and in_window:
                 # queue-empty observations: each queue the column lists up to the first
                 # non-empty one, given all more-preferred ones empty; marginals as fallback
-                arrival_epochs += 1
                 for m in all_types:
                     if not queues[m]:
                         trace.empty_marginal[m] += 1
@@ -427,9 +421,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
                 waiting[n] -= 1
                 total_reneged[n] += 1
                 if in_window:
-                    reneged[n] += 1
                     wait_sum[n] += t - rec.join_time
-                    wait_count[n] += 1
                 if log:
                     log(t, "renege", n + 1, rec.request_id)
         else:  # EV_END
@@ -442,21 +434,23 @@ def run(config: SimConfig, space: StateSpace | None = None,
             total_accepted[n] += 1
             trace.accept_times[n].append(t)
             if in_window:
-                accepted[n] += 1
                 wait_sum[n] += t - rec.join_time
-                wait_count[n] += 1
             seq += 1
             heappush(heap, (t + rec.lifetime, seq, EV_RELEASE, n + 1))
             if log:
                 log(t, "accept", n + 1, rec.request_id)
         if config.check_invariants:
-            assert not controller.is_transient(), "controller left transient after event"
+            assert not serve(), "controller left transient after event"
 
     for index, dt in state_time.items():
         s = states[index]
         for n in all_types:
             trace.slice_time[n] += s[n] * dt
-    trace.arrival_epochs = arrival_epochs
+    trace.arrivals, trace.joined, trace.balked, trace.accepted, trace.reneged = (
+        [total - before for total, before in zip(counts, opened)]
+        for counts, opened in zip(totals, at_opening))
+    trace.wait_count = [a + r for a, r in zip(trace.accepted, trace.reneged)]
+    trace.arrival_epochs = sum(trace.arrivals) if multi else 0
     trace.final_state = controller.state
     trace.final_queue_lengths = tuple(waiting)
     check_conservation(trace)
@@ -520,7 +514,6 @@ class MonteCarloResult:
     reports: list[MetricsReport]
     iat_samples: list[list[float]]
     master_seed: int
-    rng_info: dict = field(default_factory=lambda: dict(RNG_METADATA))
 
 
 def derived_seed(master_seed: int, index: int) -> int:

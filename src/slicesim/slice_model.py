@@ -177,10 +177,6 @@ class StateSpace:
     def __len__(self) -> int:
         return len(self.states)
 
-    @property
-    def admissible(self) -> tuple[SystemState, ...]:
-        return self.states[: self.num_admissible]
-
     def index_of(self, s: Sequence[int]) -> int:
         """Index of ``s``, reached from index 0 by s[0] type-1 increments, s[1] of type 2..."""
         state, width, index = tuple(s), self.num_types, 0
@@ -196,13 +192,8 @@ class StateSpace:
     def state_at(self, index: int) -> SystemState:
         return self.states[index]
 
-    def is_admissible_index(self, index: int) -> bool:
-        return 0 <= index < self.num_admissible
-
     def increment_index(self, index: int, n: int) -> int:
-        """Index of ``state + unit increment of type n`` (n=0 is a self-move), -1 if infeasible."""
-        if n == 0:
-            return index
+        """Index of ``state + unit increment of type n`` (n >= 1), -1 if infeasible."""
         return self._increment[index * self.num_types + n - 1]
 
     def release_index(self, index: int, n: int) -> int:

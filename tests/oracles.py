@@ -281,7 +281,7 @@ def build_transition_dense(strategy, space, queue_empty_probs, release_rates=Non
 
     def acceptance(state_index):
         out = [0.0] * (n_types + 1)
-        if not space.is_admissible_index(state_index):
+        if state_index >= space.num_admissible:
             out[0] = 1.0
             return out
         prefix = 1.0
@@ -503,7 +503,7 @@ def run_scalar(config, space=None):
                 if not q:
                     trace.empty_marginal[n] += 1
             idx = controller.state_index
-            if space.is_admissible_index(idx):
+            if idx < space.num_admissible:
                 for pref in config.strategy.column(idx):
                     if pref == RESERVE:
                         break
@@ -580,7 +580,7 @@ def run_scalar(config, space=None):
                     trace.wait_count[n - 1] += 1
                 log(t, "renege", n, rec.request_id)
         if config.check_invariants:
-            assert not controller.is_transient(), "controller left transient after event"
+            assert not controller.serve_queues(), "controller left transient after event"
 
     advance(horizon)
     for index, dt in trace.state_time.items():

@@ -364,7 +364,6 @@ class TestQueueParams:
 
     def test_derived_quantities(self):
         params = QueueParams(1.2, 1.5, reneging_rate=0.5, balking_willingness=0.4)
-        assert params.rho == pytest.approx(0.8)
         assert params.gamma == pytest.approx(3.0)
         assert params.delta == pytest.approx(0.96)
 

@@ -1,10 +1,13 @@
 """Every function, class and method in ``src/slicesim`` has a caller.
 
-A name counts as used when ``src/`` or ``perfbench/`` refers to it (as a
-bare name or as an attribute) outside its own definition.  A re-export from
-``slicesim/__init__.py`` is an import, not a use.  Matching is by name, so
-two definitions that share a name cover each other and the guard can miss
-dead code.  Dunder methods are called by the language and are skipped.
+A function or class counts as used when ``src/`` or ``perfbench/`` refers to
+it, as a bare name or as an attribute, outside its own definition.  A method
+or property counts as used only when it is referred to as an attribute
+(``x.name``), so a local variable or parameter that shares its name does not
+hide it.  A re-export from ``slicesim/__init__.py`` is an import, not a use.
+Matching is by name, so two definitions that share a name cover each other
+and the guard can miss dead code.  Dunder methods are called by the language
+and are skipped.
 """
 
 import ast
@@ -26,10 +29,11 @@ EXEMPT = {
     "analytics.gamma_fn": "criterion 9 reference check",
     "analytics.bessel_i": "criterion 9 reference check",
     # the model's definitions, and the tests' enumeration oracle
-    "slice_model.is_feasible": "model definition; enumeration oracle",
     "slice_model.apply_increment": "model definition; enumeration oracle",
     # the unit tests drive controllers one request at a time through it
     "controller.QueueController.handle_request": "unit tests' controller driver",
+    # the frozen loops of the tests' oracles read columns through it
+    "strategy.PreferenceMatrix.column": "frozen oracle loops",
     # the acceptance-criteria harness
     "experiments.collect_iat_samples": "criteria 1-3 harness",
     "experiments.divergences_by_queue": "criteria 1-3 harness",
@@ -41,35 +45,35 @@ EXEMPT = {
 }
 
 
-def _references(tree):
-    """Every bare name and attribute name that the tree refers to."""
+def _references(tree, member):
+    """Every attribute name that the tree refers to, and every bare name unless ``member``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr
+        elif isinstance(node, ast.Name) and not member:
+            yield node.id
 
 
 def _definitions():
-    """(qualified name, short name, node) of each top-level def and method."""
+    """(qualified name, short name, node, whether a method) of each top-level def and method."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            yield f"{path.stem}.{node.name}", node.name, node
+            yield f"{path.stem}.{node.name}", node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
-                        yield f"{path.stem}.{node.name}.{sub.name}", sub.name, sub
+                        yield f"{path.stem}.{node.name}.{sub.name}", sub.name, sub, True
 
 
 def _unreferenced():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    refs = Counter()
-    for path in files:
-        refs.update(_references(ast.parse(path.read_text())))
-    return {qual for qual, name, node in _definitions()
-            if refs[name] - Counter(_references(node))[name] == 0}
+    trees = [ast.parse(path.read_text()) for path in files]
+    refs = {member: Counter(name for tree in trees for name in _references(tree, member))
+            for member in (False, True)}
+    return {qual for qual, name, node, member in _definitions()
+            if refs[member][name] - Counter(_references(node, member))[name] == 0}
 
 
 def test_every_definition_has_a_caller():

@@ -376,6 +376,24 @@ class TestSchema:
             parse_config(text, source="cfg")
         assert str(info.value) == f"cfg:4: {message}"
 
+    @pytest.mark.parametrize("block, message", [
+        ("simulate:\n  initial_state: [1]\n", "cfg:3: state (1,) is not in the feasibility space"),
+        ("sweep:\n  initial_state: [99, 0]\n",
+         "cfg:3: state (99, 0) is not in the feasibility space"),
+        ("optimize:\n  initial_state: [1, 9]\n",
+         "cfg:3: state (1, 9) is not in the feasibility space"),
+        ("simulate:\n  strategy:\n    columns: [[9, 0, 1]]\n",
+         "cfg:4: invalid preference matrix: column 0: entry 9 outside 0..2"),
+        ("optimize:\n  start:\n    prefer_type: 5\n", "cfg:4: prefer-type-5 needs a type in 1..2"),
+        ("steady_state:\n  queue_empty_probs: [0.5]\n",
+         "cfg:3: need 2 queue-empty probabilities, got 1"),
+    ], ids=["initial_state-simulate", "initial_state-sweep", "initial_state-optimize",
+            "columns", "prefer_type", "queue_empty_probs"])
+    def test_values_that_do_not_fit_the_model_fail_at_their_line(self, block, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config("scenario: paper-scenario-1\n" + block, source="cfg")
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text, line, key", [
         ("seed: 1\nscenario: paper-scenario-1\nsimulate: {rounds: 1}\n"
          "simulate: {rounds: 2}\n", 4, "simulate"),

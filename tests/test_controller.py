@@ -166,16 +166,24 @@ class TestRemove:
 
 
 class TestIsTransient:
+    """The controller is transient while a serving pass would accept something.
+
+    The probe is that pass itself: one that accepts nothing changes nothing.
+    """
+
     def test_empty_queues(self):
         space = case_study_space()
         c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (0, 0))
-        assert not c.is_transient()
+        assert c.serve_queues() == []
+        assert c.state == (0, 0)
 
     def test_direct_conditions(self):
         space = case_study_space()
         c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (0, 0))
-        c.queues[0].append(make_request(1, 1))
-        assert c.is_transient()
+        head = make_request(1, 1)
+        c.queues[0].append(head)
+        assert c.serve_queues() == [head]
+        assert c.state == (1, 0)
 
     def test_quiescent_after_serving(self):
         space = case_study_space()
@@ -191,13 +199,16 @@ class TestIsTransient:
             for rid in range(rng.randint(0, 6)):
                 c.queues[rng.randint(0, 1)].append(make_request(rid, rng.randint(1, 2)))
             c.serve_queues()
-            assert not c.is_transient()
+            index, lengths = c.state_index, c.queue_lengths()
+            assert c.serve_queues() == []
+            assert (c.state_index, c.queue_lengths()) == (index, lengths)
 
     def test_starved_queue_not_transient(self):
         space = case_study_space()
         c = MultiQueueController(space, constant_strategy(space, (0, 1, 2)), (0, 0))
         c.queues[0].append(make_request(1, 1))
-        assert not c.is_transient()
+        assert c.serve_queues() == []
+        assert c.queue_lengths() == (1, 0)
 
 
 def test_steady_state_path_independence():

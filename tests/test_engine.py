@@ -157,7 +157,7 @@ class TestConservationAndOrdering:
         assert reneged, "expected some reneging in scenario 2"
         for r in reneged:
             assert r.outcome_time == pytest.approx(r.renege_deadline, abs=1e-12)
-            assert r.wait <= r.renege_deadline - r.join_time + 1e-12
+            assert r.outcome_time - r.join_time <= r.renege_deadline - r.join_time + 1e-12
 
     def test_greedy_discipline_invariants(self):
         trace, report = self._run(7, discipline="greedy-single-queue")
@@ -384,7 +384,8 @@ def oracle_rounds(draw):
         initial = draw(st.sampled_from(space.states))
     return SimConfig(
         model=model, strategy=strategy, discipline=discipline, horizon=horizon,
-        warmup=draw(st.sampled_from((0.0, horizon / 4))), seed=draw(st.integers(0, 2**32 - 1)),
+        warmup=draw(st.sampled_from((0.0, horizon / 4, horizon * 0.999))),
+        seed=draw(st.integers(0, 2**32 - 1)),
         initial_state=initial, balking=draw(st.booleans()), reneging=draw(st.booleans()),
         record_events=draw(st.booleans()),
     ), space
@@ -420,7 +421,7 @@ def shared_tape_rounds(draw):
                      discipline=MULTI_QUEUE) for _ in range(2)]
     variants.append(dict(strategy=None, discipline=GREEDY_SINGLE_QUEUE))
     return config, space, [dataclasses.replace(
-        config, warmup=draw(st.sampled_from((0.0, config.horizon / 4))),
+        config, warmup=draw(st.sampled_from((0.0, config.horizon / 4, config.horizon * 0.999))),
         balking=draw(st.booleans()), reneging=draw(st.booleans()),
         record_events=draw(st.booleans()), **variant) for variant in variants]
 

@@ -92,7 +92,7 @@ class TestEnumeration:
         space = enumerate_state_space(model)
         feasible, admissible = brute_force_state_space(model.pool, model.costs)
         assert set(space.states) == feasible
-        assert set(space.admissible) == admissible
+        assert set(space.states[:space.num_admissible]) == admissible
         assert len(space) == 96
         assert space.num_admissible == 90
 
@@ -130,9 +130,10 @@ class TestEnumeration:
 
     def test_admissible_listed_first_and_indices_agree(self):
         space = enumerate_state_space(table_model())
+        _, admissible = brute_force_state_space(space.model.pool, space.model.costs)
         for i, s in enumerate(space.states):
             assert space.index_of(s) == i
-            assert space.is_admissible_index(i) == (s in set(space.admissible))
+            assert (i < space.num_admissible) == (s in admissible)
 
     def test_index_round_trip(self):
         space = enumerate_state_space(table_model())
@@ -241,7 +242,7 @@ def test_randomized_models_match_brute_force():
         space = enumerate_state_space(model, cap=200000)
         feasible, admissible = brute_force_state_space(model.pool, model.costs)
         assert set(space.states) == feasible
-        assert set(space.admissible) == admissible
+        assert set(space.states[:space.num_admissible]) == admissible
         # states outside the admissibility region admit nothing
         for s in space.states[space.num_admissible:]:
             for n in range(1, model.num_types + 1):
