@@ -55,7 +55,7 @@ from .optimize import (
 )
 from .slice_model import enumerate_state_space
 from .statfit import empirical_pmf, fit_geometric, kld_vs_geometric
-from .strategy import naive_strategy, to_text
+from .strategy import PreferenceMatrix, naive_strategy, to_text
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -105,17 +105,20 @@ def _metric_rows(reports) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _sim_config(config: ExperimentConfig, block: dict,
+                strategy: PreferenceMatrix | None = None, **fixed) -> SimConfig:
+    """The round settings of a block that runs Monte-Carlo rounds; ``fixed`` adds those it lacks."""
+    keys = ("horizon", "warmup", "initial_state", "balking", "reneging")
+    given = {key: block[key] for key in keys if key in block}
+    return SimConfig(model=config.model, strategy=strategy, seed=config.seed, **given, **fixed)
+
+
 def _cmd_simulate(config: ExperimentConfig, outdir: str) -> int:
     block = config.block("simulate")
     space = enumerate_state_space(config.model)
     base_dir = os.path.dirname(config.source) or "."
     strategy = build_strategy(block["strategy"], space, base_dir)
-    sim = SimConfig(
-        model=config.model, strategy=strategy, horizon=block["horizon"],
-        warmup=block["warmup"], seed=config.seed,
-        initial_state=block["initial_state"],
-        balking=block["balking"], reneging=block["reneging"],
-    )
+    sim = _sim_config(config, block, strategy)
     result = monte_carlo(sim, block["rounds"], space)
     header, rows = _metric_rows(result.reports)
     _write_csv(os.path.join(outdir, "metrics.csv"), header, rows)
@@ -251,11 +254,7 @@ def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> int:
     probs = block["queue_empty_probs"]
     if isinstance(probs, dict):
         sim_spec = probs["from_simulation"]
-        sim = SimConfig(
-            model=config.model, strategy=strategy, horizon=sim_spec["horizon"],
-            seed=config.seed, initial_state="full",
-            balking=sim_spec["balking"], reneging=sim_spec["reneging"],
-        )
+        sim = _sim_config(config, sim_spec, strategy, initial_state="full")
         result = monte_carlo(sim, sim_spec["rounds"], space)
         probs = list(pooled_queue_empty_probs(result.reports))
     if len(probs) != config.model.num_types:
@@ -302,11 +301,7 @@ def _score_cells(score) -> list:
 def _cmd_sweep(config: ExperimentConfig, outdir: str) -> int:
     block = config.block("sweep")
     space = enumerate_state_space(config.model)
-    sim = SimConfig(
-        model=config.model, strategy=None, horizon=block["horizon"],
-        seed=config.seed, initial_state=block["initial_state"],
-        balking=block["balking"], reneging=block["reneging"],
-    )
+    sim = _sim_config(config, block)
     tapes: dict = {}  # the random strategies and the baselines replay the same rounds
     entries = random_sweep(config.model, block["count"], config.seed, sim,
                            block["rounds"], space, tapes)
@@ -342,11 +337,7 @@ def _cmd_optimize(config: ExperimentConfig, outdir: str) -> int:
     space = enumerate_state_space(config.model)
     base_dir = os.path.dirname(config.source) or "."
     start = build_strategy(block["start"], space, base_dir)
-    sim = SimConfig(
-        model=config.model, strategy=None, horizon=block["horizon"],
-        seed=config.seed, initial_state=block["initial_state"],
-        balking=block["balking"], reneging=block["reneging"],
-    )
+    sim = _sim_config(config, block)
     trajectory = local_search(config.model, start, block["budget"], sim,
                               block["rounds"], metric=block["metric"], space=space)
     rows = [

@@ -72,40 +72,41 @@ def _array(rows: Sequence[tuple], width: int, dtype=np.int64) -> np.ndarray:
 
 
 def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
-                            queue_empty_probs: Sequence[float],
-                            index: np.ndarray) -> np.ndarray:
-    """Probability that a serving opportunity accepts each type, one row per state.
+                            queue_empty_probs: Sequence[float]) -> np.ndarray:
+    """Probability that a serving opportunity accepts each type, one row per state index.
 
-    Row i is for the state with index ``index[i]``.  Entry 0 is the
-    no-acceptance (self-loop) mass; entries 1..N the per-type acceptance
-    masses.  Non-admissible states self-loop with probability 1; acceptance
-    mass with an infeasible target is reassigned to entry 0.
+    Entry 0 is the no-acceptance (self-loop) mass; entries 1..N the per-type
+    acceptance masses.  Non-admissible states (indices ``num_admissible`` and
+    up) self-loop with probability 1; acceptance mass with an infeasible
+    target is reassigned to entry 0.
 
     The strategy's columns are scanned one preference position at a time for
-    all states at once: ``prefix`` is the chance that every queue scanned so
-    far was empty, and ``live`` clears once the scan reaches the reserve
-    symbol.  Each entry gets the float operations of a per-state scan, in the
-    same order.
+    all admissible states at once: ``prefix`` is the chance that every queue
+    scanned so far was empty, and ``live`` clears once the scan reaches the
+    reserve symbol.  Each entry gets the float operations of a per-state
+    scan, in the same order.
     """
-    n_types = space.model.num_types
+    n_types, k = space.model.num_types, space.num_admissible
+    if strategy.num_columns != k:
+        raise ContractViolation(f"strategy has {strategy.num_columns} columns, "
+                                f"admissibility region has {k} states")
     p = np.asarray(_check_probs(queue_empty_probs, n_types))
-    out = np.zeros((len(index), n_types + 1))
-    admissible = (index >= 0) & (index < space.num_admissible)
-    out[~admissible, RESERVE] = 1.0
-    rows = np.flatnonzero(admissible)
-    at = index[rows].tolist()
-    table = _array([strategy.columns[i] for i in at], n_types + 1)
-    fits = np.array(space._increment).reshape(-1, n_types)[at] >= 0
-    prefix = np.ones(len(at))
-    live = np.ones(len(at), dtype=bool)
+    out = np.zeros((len(space), n_types + 1))
+    out[k:, RESERVE] = 1.0
+    accept = out[:k]  # a view: the admissible rows
+    table = _array(strategy.columns, n_types + 1)
+    fits = np.array(space._increment[:k * n_types]).reshape(k, n_types) >= 0
+    rows = np.arange(k)
+    prefix = np.ones(k)
+    live = np.ones(k, dtype=bool)
     for pref in table.T:
         reserve = live & (pref == RESERVE)
-        out[rows[reserve], RESERVE] += prefix[reserve]  # 1 - p_0(0) with p_0(0) = 0
+        accept[reserve, RESERVE] += prefix[reserve]  # 1 - p_0(0) with p_0(0) = 0
         live &= ~reserve
         q = p[pref - 1]
         take = prefix * (1.0 - q)
-        target = np.where(fits[np.arange(len(at)), pref - 1], pref, RESERVE)
-        out[rows[live], target[live]] += take[live]
+        target = np.where(fits[rows, pref - 1], pref, RESERVE)
+        accept[live, target[live]] += take[live]
         prefix *= q
     return out
 
@@ -170,7 +171,7 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
         raise ContractViolation("opportunity rate must be >= 0")
 
     index = np.arange(n_states)
-    accept = acceptance_distribution(strategy, space, queue_empty_probs, index)
+    accept = acceptance_distribution(strategy, space, queue_empty_probs)
     edges = []  # (rows, cols, probabilities), one group per kind of event
     scale = np.ones(n_states)
     idle = np.zeros(n_states, dtype=bool)

@@ -10,6 +10,7 @@ same dict replays each round's draws instead of drawing them again.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -142,18 +143,12 @@ def random_sweep(model: ResourceModel, count: int, master_seed: int,
     return entries
 
 
-def _column_swap_neighbors(strategy: PreferenceMatrix) -> list[PreferenceMatrix]:
-    """All strategies reachable by swapping two entries inside one column."""
-    neighbors = []
-    width = strategy.num_types + 1
-    for j, col in enumerate(strategy.columns):
-        for a in range(width):
-            for b in range(a + 1, width):
-                swapped = list(col)
-                swapped[a], swapped[b] = swapped[b], swapped[a]
-                cols = strategy.columns[:j] + (tuple(swapped),) + strategy.columns[j + 1:]
-                neighbors.append(PreferenceMatrix(columns=cols, num_types=strategy.num_types))
-    return neighbors
+def _swapped(strategy: PreferenceMatrix, j: int, a: int, b: int) -> PreferenceMatrix:
+    """The strategy with entries a and b of column j swapped."""
+    swapped = list(strategy.columns[j])
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    cols = strategy.columns[:j] + (tuple(swapped),) + strategy.columns[j + 1:]
+    return PreferenceMatrix(columns=cols, num_types=strategy.num_types)
 
 
 @dataclass
@@ -172,7 +167,8 @@ def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
 
     ``budget`` counts strategy evaluations beyond the start; waits are
     minimized, the other metrics maximized.  Neighbors are scanned in a
-    seeded shuffled order so small budgets still sample across columns.
+    seeded shuffled order so small budgets still sample across columns; each
+    is built only when it is scored.
     Returns the monotone best-so-far trajectory, ending when the budget runs
     out or no neighbor improves.  Every evaluation replays one set of round
     tapes, kept in a dict of its own.
@@ -190,6 +186,9 @@ def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
     def value(score: StrategyScore) -> float:
         return sign * score.metric(metric)
 
+    # neighbor i swaps pair i % len(pairs) of column i // len(pairs)
+    pairs = list(itertools.combinations(range(start.num_types + 1), 2))
+
     best = start
     best_score = evaluate_strategy(model, start, config, rounds, space, label="start",
                                    tapes=tapes)
@@ -199,11 +198,11 @@ def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
     while improved and used < budget:
         improved = False
         candidate, candidate_score = None, None
-        neighbors = _column_swap_neighbors(best)
-        for idx in order_rng.permutation(len(neighbors)):
+        for idx in order_rng.permutation(best.num_columns * len(pairs)).tolist():
             if used >= budget:
                 break
-            neighbor = neighbors[idx]
+            j, pair = divmod(idx, len(pairs))
+            neighbor = _swapped(best, j, *pairs[pair])
             used += 1
             score = evaluate_strategy(model, neighbor, config, rounds, space,
                                       label=f"eval-{used}", tapes=tapes)

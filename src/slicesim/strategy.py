@@ -9,7 +9,7 @@ admissible state (one column per admissible-state index).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ def validate_vector(entries: Sequence[int], num_types: int) -> str | None:
         return f"expected {num_types + 1} entries, got {len(entries)}"
     seen = set()
     for v in entries:
-        if not isinstance(v, (int, np.integer)):
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
             return f"entry {v!r} is not an integer"
         if not 0 <= v <= num_types:
             return f"entry {v} outside 0..{num_types}"
@@ -36,43 +36,43 @@ def validate_vector(entries: Sequence[int], num_types: int) -> str | None:
     return None
 
 
+def _first_problem(distinct: Iterable[tuple], columns: Sequence[Sequence[int]],
+                   num_types: int) -> str | None:
+    """Check each distinct column once; a violation names the first column that has it."""
+    for col in distinct:
+        problem = validate_vector(col, num_types)
+        if problem is not None:
+            return f"column {[tuple(c) for c in columns].index(col)}: {problem}"
+    return None
+
+
 def validate_matrix(columns: Sequence[Sequence[int]], num_types: int,
                     num_admissible: int | None = None) -> str | None:
     """Check a whole strategy; returns a violation description or None if valid."""
     if num_admissible is not None and len(columns) != num_admissible:
         return f"expected {num_admissible} columns, got {len(columns)}"
-    suspects = range(len(columns))
-    try:
-        table = np.asarray(columns)
-    except ValueError:  # ragged columns
-        table = np.empty(0)
-    if table.shape[1:] == (num_types + 1,) and table.dtype.kind in "iu":
-        # a valid column sorts to 0..N: describe only the first one that does not
-        wrong = (np.sort(table, axis=1) != np.arange(num_types + 1)).any(axis=1)
-        suspects = np.flatnonzero(wrong)[:1]
-    for j in suspects:
-        problem = validate_vector(columns[j], num_types)
-        if problem is not None:
-            return f"column {j}: {problem}"
-    return None
+    return _first_problem(dict.fromkeys(map(tuple, columns)), columns, num_types)
 
 
 @dataclass(frozen=True)
 class PreferenceMatrix:
-    """One preference vector per admissible state, indexed like the state space."""
+    """One preference vector per admissible state, indexed like the state space.
+
+    Columns are interned: equal columns share one tuple, and each distinct
+    column is checked once.  A column equal to an earlier one is stored as
+    that one, so ``(1.0, 0)`` after ``(1, 0)`` is kept as ``(1, 0)``.
+    """
 
     columns: tuple[tuple[int, ...], ...]
     num_types: int
 
     def __post_init__(self) -> None:
         table = self.columns
-        if isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype.kind in "iu":
-            cols = zip(*table.T.tolist())
-        else:
-            table = cols = tuple(tuple(int(v) for v in col) for col in table)
+        cols = zip(*table.T.tolist()) if isinstance(table, np.ndarray) else map(tuple, table)
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct column
-        object.__setattr__(self, "columns", tuple([shared.setdefault(c, c) for c in cols]))
-        problem = validate_matrix(table, self.num_types)
+        columns = tuple([shared.setdefault(c, c) for c in cols])
+        object.__setattr__(self, "columns", columns)
+        problem = _first_problem(shared, columns, self.num_types)
         if problem is not None:
             raise ContractViolation(f"invalid preference matrix: {problem}")
 
@@ -86,11 +86,8 @@ class PreferenceMatrix:
 
 def constant_strategy(space: StateSpace, vector: Sequence[int]) -> PreferenceMatrix:
     """The strategy applying the same preference vector in every admissible state."""
-    col = tuple(int(v) for v in vector)
-    return PreferenceMatrix(
-        columns=tuple(col for _ in range(space.num_admissible)),
-        num_types=space.model.num_types,
-    )
+    return PreferenceMatrix(columns=(tuple(vector),) * space.num_admissible,
+                            num_types=space.model.num_types)
 
 
 def naive_strategy(space: StateSpace, kind: str = "prefer-type-1") -> PreferenceMatrix:

@@ -3,10 +3,11 @@
 Most of it is deliberately written against the plain definitions
 (brute-force enumeration, direct balance equations, a standalone event loop
 on stdlib ``random``) so it shares no code path with the package.  The
-``enumerate_dfs``, ``build_transition_dense`` and ``run_scalar`` oracles are
-frozen copies of the package's first, slower algorithms, which its faster
-ones must reproduce exactly; ``impatient_queue_pmf`` recomputes each length
-of ``impatient_queue_pmf_table`` as its own product.
+``enumerate_dfs``, ``build_transition_dense``, ``run_scalar`` and
+``local_search_eager`` oracles are frozen copies of the package's first,
+slower algorithms, which its faster ones must reproduce exactly;
+``impatient_queue_pmf`` recomputes each length of
+``impatient_queue_pmf_table`` as its own product.
 """
 
 from __future__ import annotations
@@ -591,6 +592,70 @@ def run_scalar(config, space=None):
     trace.final_queue_lengths = tuple(waiting)
 
     return trace, overall_metrics(trace, seed=config.seed)
+
+
+def column_swap_neighbors(strategy):
+    """All strategies reachable by swapping two entries inside one column.
+
+    Copied from the package's first local search, which built this whole list
+    before scoring any of it.
+    """
+    from slicesim.strategy import PreferenceMatrix
+
+    neighbors = []
+    width = strategy.num_types + 1
+    for j, col in enumerate(strategy.columns):
+        for a in range(width):
+            for b in range(a + 1, width):
+                swapped = list(col)
+                swapped[a], swapped[b] = swapped[b], swapped[a]
+                cols = strategy.columns[:j] + (tuple(swapped),) + strategy.columns[j + 1:]
+                neighbors.append(PreferenceMatrix(columns=cols, num_types=strategy.num_types))
+    return neighbors
+
+
+def local_search_eager(model, start, budget, config, rounds, metric, space):
+    """``optimize.local_search`` as the package first wrote it, on the eager neighbor list.
+
+    The loop is copied from the former ``local_search``; it scores with the
+    package's ``evaluate_strategy`` and returns its ``SearchStep`` list.
+    """
+    import numpy as np
+
+    from slicesim.engine import derived_seed
+    from slicesim.optimize import SearchStep, evaluate_strategy
+
+    tapes = {}
+    sign = -1.0 if metric == "wait" else 1.0
+    order_rng = np.random.Generator(np.random.PCG64(derived_seed(config.seed, 0x5eac)))
+
+    def value(score):
+        return sign * score.metric(metric)
+
+    best = start
+    best_score = evaluate_strategy(model, start, config, rounds, space, label="start",
+                                   tapes=tapes)
+    trajectory = [SearchStep(evaluations=0, score=best_score, strategy=best)]
+    used = 0
+    improved = True
+    while improved and used < budget:
+        improved = False
+        candidate, candidate_score = None, None
+        neighbors = column_swap_neighbors(best)
+        for idx in order_rng.permutation(len(neighbors)):
+            if used >= budget:
+                break
+            neighbor = neighbors[idx]
+            used += 1
+            score = evaluate_strategy(model, neighbor, config, rounds, space,
+                                      label=f"eval-{used}", tapes=tapes)
+            if candidate_score is None or value(score) > value(candidate_score):
+                candidate, candidate_score = neighbor, score
+        if candidate_score is not None and value(candidate_score) > value(best_score):
+            best, best_score = candidate, candidate_score
+            improved = True
+        trajectory.append(SearchStep(evaluations=used, score=best_score, strategy=best))
+    return trajectory
 
 
 # Frozen high-precision reference values (60-digit series/gamma arithmetic).

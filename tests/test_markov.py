@@ -23,7 +23,12 @@ from slicesim.markov import (
     strategy_steady_state,
 )
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
-from slicesim.strategy import constant_strategy, naive_strategy, random_strategy
+from slicesim.strategy import (
+    PreferenceMatrix,
+    constant_strategy,
+    naive_strategy,
+    random_strategy,
+)
 
 from oracles import build_transition_dense, cesaro_average, stationary_by_linear_solve
 
@@ -81,8 +86,7 @@ def random_reducible_chain(seed):
 
 def accept_row(strategy, space, probs, state):
     """The acceptance distribution of one state, given as a tuple."""
-    index = np.array([space.index_of(state)])
-    return acceptance_distribution(strategy, space, probs, index)[0]
+    return acceptance_distribution(strategy, space, probs)[space.index_of(state)]
 
 
 class TestTransitionProbability:
@@ -231,6 +235,9 @@ class TestBuildTransitionMatrix:
             build_transition_matrix(strategy, space, (0.5, 1.5))
         with pytest.raises(ContractViolation):
             build_transition_matrix(strategy, space, (0.5, 0.5), mode="bogus")
+        longer = PreferenceMatrix(columns=strategy.columns * 2, num_types=2)
+        with pytest.raises(ContractViolation, match="columns"):
+            build_transition_matrix(longer, space, (0.5, 0.5))
 
 
 _POOLS = (0.3, 0.6, 1.0)

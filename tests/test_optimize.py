@@ -3,8 +3,9 @@ import itertools
 
 import pytest
 
+from slicesim import optimize
 from slicesim.cli import main
-
+from slicesim.config import builtin_scenario
 from slicesim.engine import SimConfig
 from slicesim.errors import ContractViolation
 from slicesim.optimize import (
@@ -16,6 +17,8 @@ from slicesim.optimize import (
 )
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import PreferenceMatrix, naive_strategy, random_strategy
+
+from oracles import local_search_eager
 
 
 def scenario_model(n=1):
@@ -204,6 +207,47 @@ class TestLocalSearch:
             budget=30, config=config, rounds=5, metric="utility", space=space,
         )
         assert trajectory[-1].score.utility_mean == pytest.approx(best_value)
+
+    # (model, budget, metric): each budget spans at least two improving steps
+    _EAGER_CASES = {
+        "scenario-2": (builtin_scenario("paper-scenario-2"), 560, "utility"),
+        "three-types": (ResourceModel(pool=(1.0,), costs=((0.3,), (0.4,), (0.5,)),
+                                      types=(SliceType(2.0, 1.0, 1.0), SliceType(1.0, 1.0, 3.0),
+                                             SliceType(1.0, 1.0, 5.0))), 120, "wait"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_EAGER_CASES))
+    def test_lazy_neighbors_match_eager_search(self, case):
+        model, budget, metric = self._EAGER_CASES[case]
+        space = enumerate_state_space(model)
+        config = SimConfig(model=model, strategy=None, horizon=8.0, seed=4,
+                           initial_state="full", balking=True, reneging=True)
+        start = random_strategy(space, 3)
+        lazy, eager = (search(model, start, budget, config, 2, metric=metric, space=space)
+                       for search in (local_search, local_search_eager))
+        steps = [(s.evaluations, s.score, s.strategy.columns) for s in lazy]
+        assert steps == [(s.evaluations, s.score, s.strategy.columns) for s in eager]
+        assert len({columns for _, _, columns in steps}) >= 3
+
+    def test_builds_only_the_neighbors_it_scores(self, monkeypatch):
+        # 5,050 admissible states: the full neighbor list would hold 15,150 matrices
+        model = ResourceModel(pool=(1.0,), costs=((0.01,), (0.01,)),
+                              types=(SliceType(2.0, 1.0, 1.0), SliceType(1.0, 1.0, 3.0)))
+        space = enumerate_state_space(model)
+        assert space.num_admissible >= 5000
+        budget, built = 4, []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            assert len(built) <= budget, "built a neighbor matrix that was not scored"
+            return PreferenceMatrix(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "PreferenceMatrix", counting)
+        config = SimConfig(model=model, strategy=None, horizon=2.0, seed=8)
+        trajectory = local_search(model, random_strategy(space, 1), budget, config, 1,
+                                  space=space)
+        assert trajectory[-1].evaluations == budget
+        assert len(built) == budget
 
 
 

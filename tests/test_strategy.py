@@ -45,6 +45,28 @@ class TestValidate:
     def test_matrix_column_count(self):
         assert "columns" in validate_matrix([[1, 2, 0]], num_types=2, num_admissible=3)
 
+    def test_bool_entry(self):
+        assert "True" in validate_vector([True, 0], num_types=1)
+
+    def test_first_bad_column_named_once_per_distinct_column(self):
+        columns = [[1, 2, 0], [1, 1, 0], [1, 2, 0], [2, 2, 0], [1, 1, 0]]
+        assert validate_matrix(columns, num_types=2) == "column 1: duplicate entry 1"
+        assert validate_matrix([[1, 2, 0], [1, 0]], num_types=2) == (
+            "column 1: expected 3 entries, got 2")
+
+    @pytest.mark.parametrize("column, entry", [((1.5, 0.2), "1.5"), ((True, 0), "True")])
+    def test_matrix_refuses_non_integer_entries(self, column, entry):
+        with pytest.raises(ContractViolation, match=f"column 0: entry {entry} is not an integer"):
+            PreferenceMatrix(columns=(column,), num_types=1)
+
+    def test_matrix_names_first_bad_column(self):
+        with pytest.raises(ContractViolation, match="column 2: duplicate entry 1"):
+            PreferenceMatrix(columns=((1, 0), (0, 1), (1, 1), (0, 1), (1, 1)), num_types=1)
+
+    def test_equal_column_stored_as_the_earlier_one(self):
+        matrix = PreferenceMatrix(columns=((1, 0), (1.0, 0)), num_types=1)
+        assert matrix.columns[1] is matrix.columns[0] == (1, 0)
+
 
 class TestNaive:
     def test_prefer_type_2(self, space):
