@@ -28,14 +28,7 @@ from .analytics import (
     wait_means,
 )
 from .casestudy import case_study_rows, render_case_study
-from .config import (
-    OUTPUT_ROOT_ENV,
-    ExperimentConfig,
-    apply_overrides,
-    build_strategy,
-    load_config,
-    read_text,
-)
+from .config import OUTPUT_ROOT_ENV, ExperimentConfig, build_strategy, load_config, read_text
 from .engine import (
     RNG_METADATA,
     SimConfig,
@@ -65,20 +58,9 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_meta(outdir: str, command: str, config: ExperimentConfig,
-                extra: dict | None = None) -> None:
-    meta = {
-        "command": command,
-        "config": config.raw,
-        "scenario": config.scenario,
-        "seed": config.seed,
-        "version": __version__,
-        "rng": RNG_METADATA,
-    }
-    if extra:
-        meta.update(extra)
-    with open(os.path.join(outdir, "run_meta.json"), "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, sort_keys=True, indent=2)
+def _write_json(path: str, value: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(value, handle, sort_keys=True, indent=2)
         handle.write("\n")
 
 
@@ -113,7 +95,7 @@ def _sim_config(config: ExperimentConfig, block: dict,
     return SimConfig(model=config.model, strategy=strategy, seed=config.seed, **given, **fixed)
 
 
-def _cmd_simulate(config: ExperimentConfig, outdir: str) -> int:
+def _cmd_simulate(config: ExperimentConfig, outdir: str) -> None:
     block = config.block("simulate")
     space = enumerate_state_space(config.model)
     base_dir = os.path.dirname(config.source) or "."
@@ -150,11 +132,9 @@ def _cmd_simulate(config: ExperimentConfig, outdir: str) -> int:
             _write_csv(os.path.join(outdir, f"trace_round_{i}.csv"),
                        ["time", "event", "type", "request_id", "s", "queue_lengths"],
                        rows)
-    _write_meta(outdir, "simulate", config)
-    return 0
 
 
-def _cmd_analyze(config: ExperimentConfig, outdir: str) -> int:
+def _cmd_analyze(config: ExperimentConfig, outdir: str) -> None:
     block = config.block("analyze")
     law = block["law"]
     path = os.path.join(outdir, "analysis.csv")
@@ -194,8 +174,6 @@ def _cmd_analyze(config: ExperimentConfig, outdir: str) -> int:
                        ["p_accept", "p_accept_and_join", "p_accept_given_join"],
                        [[probs.accept, probs.accept_and_join,
                          probs.accept_given_join]])
-    _write_meta(outdir, "analyze", config)
-    return 0
 
 
 def _read_samples(path: str, column: str) -> list[float]:
@@ -222,7 +200,7 @@ def _read_samples(path: str, column: str) -> list[float]:
     return samples
 
 
-def _cmd_fit_iat(config: ExperimentConfig, outdir: str) -> int:
+def _cmd_fit_iat(config: ExperimentConfig, outdir: str) -> None:
     block = config.block("fit_iat")
     base_dir = os.path.dirname(config.source) or "."
     samples = _read_samples(os.path.join(base_dir, block["samples"]), block["column"])
@@ -238,15 +216,11 @@ def _cmd_fit_iat(config: ExperimentConfig, outdir: str) -> int:
                ["bin", "empirical", "fitted"], rows)
     summary = {"samples": pmf.total, "bin_width": width, "p_hat": p_hat,
                "kld": divergence}
-    with open(os.path.join(outdir, "fit_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "fit_summary.json"), summary)
     print(f"fitted p={p_hat!r} kld={divergence!r} over {pmf.total} samples")
-    _write_meta(outdir, "fit-iat", config)
-    return 0
 
 
-def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> int:
+def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> dict:
     block = config.block("steady_state")
     space = enumerate_state_space(config.model)
     base_dir = os.path.dirname(config.source) or "."
@@ -257,10 +231,6 @@ def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> int:
         sim = _sim_config(config, sim_spec, strategy, initial_state="full")
         result = monte_carlo(sim, sim_spec["rounds"], space)
         probs = list(pooled_queue_empty_probs(result.reports))
-    if len(probs) != config.model.num_types:
-        raise SliceSimError(
-            f"need {config.model.num_types} queue-empty probabilities, got {len(probs)}"
-        )
     estimate = strategy_steady_state(
         config.model, space, strategy, probs, mode=block["mode"],
         opportunity_rate=block["opportunity_rate"],
@@ -282,11 +252,8 @@ def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> int:
                est_rows)
     print(f"mean utility rate estimate: {estimate.utility_rate!r} "
           f"(converged={estimate.distribution.converged})")
-    _write_meta(outdir, "steady-state", config,
-                extra={"converged": estimate.distribution.converged,
-                       "utility_rate": estimate.utility_rate,
-                       "queue_empty_probs": list(probs)})
-    return 0
+    return {"converged": estimate.distribution.converged,
+            "utility_rate": estimate.utility_rate, "queue_empty_probs": list(probs)}
 
 
 _SCORE_COLUMNS = ["u_mean", "u_ci", "Wq_mean", "Wq_ci", "PA_mean", "PA_ci"]
@@ -298,7 +265,7 @@ def _score_cells(score) -> list:
             score.admission_mean, score.admission_halfwidth]
 
 
-def _cmd_sweep(config: ExperimentConfig, outdir: str) -> int:
+def _cmd_sweep(config: ExperimentConfig, outdir: str) -> None:
     block = config.block("sweep")
     space = enumerate_state_space(config.model)
     sim = _sim_config(config, block)
@@ -328,11 +295,9 @@ def _cmd_sweep(config: ExperimentConfig, outdir: str) -> int:
     best = max(entries, key=lambda e: e.score.admission_mean)
     print(f"swept {len(entries)} strategies; "
           f"best admission {best.score.admission_mean!r} at index {best.index}")
-    _write_meta(outdir, "sweep", config)
-    return 0
 
 
-def _cmd_optimize(config: ExperimentConfig, outdir: str) -> int:
+def _cmd_optimize(config: ExperimentConfig, outdir: str) -> None:
     block = config.block("optimize")
     space = enumerate_state_space(config.model)
     base_dir = os.path.dirname(config.source) or "."
@@ -350,19 +315,20 @@ def _cmd_optimize(config: ExperimentConfig, outdir: str) -> int:
         fh.write(to_text(trajectory[-1].strategy))
     print(f"best {block['metric']}: {trajectory[-1].score.metric(block['metric'])!r} "
           f"after {trajectory[-1].evaluations} evaluations")
-    _write_meta(outdir, "optimize", config)
-    return 0
 
 
-def _cmd_casestudy(config: ExperimentConfig | None, outdir: str) -> int:
+def _cmd_casestudy(config: ExperimentConfig | None, outdir: str) -> None:
     rows = case_study_rows()
     _write_csv(os.path.join(outdir, "casestudy.csv"),
                ["panel", "time", "event", "type", "request_id", "s", "queue_lengths"],
                [list(row) for row in rows])
     print(render_case_study(rows), end="")
-    if config is not None:
-        _write_meta(outdir, "casestudy", config)
-    return 0
+
+
+# Each command writes its artifacts and returns the fields it adds to run_meta.json.
+_COMMANDS = {"simulate": _cmd_simulate, "analyze": _cmd_analyze, "fit-iat": _cmd_fit_iat,
+             "steady-state": _cmd_steady_state, "sweep": _cmd_sweep,
+             "optimize": _cmd_optimize, "casestudy": _cmd_casestudy}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "analyze", "fit-iat", "steady-state", "sweep",
-                 "optimize", "casestudy"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="experiment configuration file (YAML)",
                        required=name != "casestudy")
@@ -390,30 +355,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
+    flags = {key: getattr(args, key) for key in ("scenario", "seed", "rounds", "horizon")}
+    given = [key for key, value in flags.items() if value is not None]
     try:
-        config = load_config(args.config) if args.config else None
-        if config is not None:
-            apply_overrides(config, command, scenario=args.scenario, seed=args.seed,
-                            rounds=args.rounds, horizon=args.horizon)
+        config = None if args.config is None else load_config(args.config, command, **flags)
+        if config is None and given:  # only casestudy runs without a configuration
+            raise SliceSimError(f"--{given[0]}: {command} without --config takes no --{given[0]}")
         outdir = args.out or (config.output_dir if config else
                               os.environ.get(OUTPUT_ROOT_ENV, "."))
         try:
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise SliceSimError(f"cannot create output directory {outdir!r}: {exc}") from None
-        if command == "simulate":
-            return _cmd_simulate(config, outdir)
-        if command == "analyze":
-            return _cmd_analyze(config, outdir)
-        if command == "fit-iat":
-            return _cmd_fit_iat(config, outdir)
-        if command == "steady-state":
-            return _cmd_steady_state(config, outdir)
-        if command == "sweep":
-            return _cmd_sweep(config, outdir)
-        if command == "optimize":
-            return _cmd_optimize(config, outdir)
-        return _cmd_casestudy(config, outdir)
+        extra = _COMMANDS[command](config, outdir)
+        if config is not None:
+            _write_json(os.path.join(outdir, "run_meta.json"), {
+                "command": command,
+                "config": config.raw,
+                "scenario": config.scenario,
+                "seed": config.seed,
+                "version": __version__,
+                "rng": RNG_METADATA,
+                **(extra or {}),
+            })
+        return 0
     except SliceSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,12 +3,13 @@
 Configs are YAML: top-level keys pick the model (a named built-in scenario or
 an explicit ``model`` block), the master seed and output directory, plus one
 block per command.  One schema per block gives every key its rule and its
-default, and the command-line overrides reuse those rules.  Validation is
-strict: unknown and repeated keys anywhere are rejected, and messages carry
-the line of the offending key.  Two reference workloads ship built in
-("paper-scenario-1" and "paper-scenario-2": a two-resource pool with a cheap
-low-utility type and an expensive high-utility type at moderate and dense
-demand).
+default.  Command-line flags are written into the configuration at the key
+they override, so the same rules check them and the parsed configuration
+records them.  Validation is strict: unknown and repeated keys anywhere are
+rejected, and messages carry the line of the offending key, or its flag.
+Two reference workloads ship built in ("paper-scenario-1" and
+"paper-scenario-2": a two-resource pool with a cheap low-utility type and an
+expensive high-utility type at moderate and dense demand).
 """
 
 from __future__ import annotations
@@ -106,11 +107,11 @@ def _shown(value: Any) -> str:
 
 
 class _Checker:
-    """Checks values, failing with messages anchored at their key's line."""
+    """Checks values, failing with messages anchored at their key's line or flag."""
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.lines: dict[tuple, int] = {}
+        self.anchors: dict[tuple, str] = {}  # "source:line", or the flag that gave the value
 
     def record(self, loader: yaml.SafeLoader, node: yaml.Node, path: tuple, walked: set) -> None:
         """Record the line of every mapping key below ``node``; reject repeats.
@@ -129,7 +130,7 @@ class _Checker:
                     continue  # construction rejects it as an unhashable key
                 merge = key_node.tag == "tag:yaml.org,2002:merge"
                 key = "<<" if merge else loader.construct_object(key_node)
-                self.lines[path + (key,)] = key_node.start_mark.line + 1
+                self.anchors[path + (key,)] = f"{self.source}:{key_node.start_mark.line + 1}"
                 if key in seen:
                     self.fail(path + (key,), f"repeated key {_shown(key)}")
                 seen.add(key)
@@ -139,10 +140,9 @@ class _Checker:
                 self.record(loader, item, path + (i,), walked)
 
     def fail(self, path: tuple, message: str) -> None:
-        while path and path not in self.lines:
+        while path and path not in self.anchors:
             path = path[:-1]
-        anchor = f"{self.source}:{self.lines[path]}" if path else self.source
-        raise ConfigError(f"{anchor}: {message}")
+        raise ConfigError(f"{self.anchors[path] if path else self.source}: {message}")
 
     def mapping(self, value: Any, path: tuple, allowed) -> dict:
         if value is None:
@@ -346,10 +346,6 @@ _BLOCKS = {
 }
 
 
-def _warmup_before_horizon(block: dict) -> bool:
-    return block.get("warmup", 0.0) < block.get("horizon", math.inf)
-
-
 def _block(check: _Checker, value: Any, path: tuple, schema: dict) -> dict:
     """A block checked against its schema, with every absent key defaulted."""
     given = check.mapping(value, path, schema)
@@ -361,7 +357,10 @@ def _block(check: _Checker, value: Any, path: tuple, schema: dict) -> dict:
             check.fail(path, default)
         else:
             block[key] = None if default is None else rule(check, default, path + (key,))
-    if not _warmup_before_horizon(block):
+    if not block.get("warmup", 0.0) < block.get("horizon", math.inf):
+        horizon = path + ("horizon",)
+        if check.anchors.get(horizon) == "--horizon":  # the flag is what broke the rule
+            check.fail(horizon, f"must be > warmup {block['warmup']}, got {block['horizon']}")
         check.fail(path + ("warmup",),
                    f"must be < horizon {block['horizon']}, got {block['warmup']}")
     return block
@@ -424,8 +423,8 @@ def _validate_model(check: _Checker, value: Any, path: tuple) -> ResourceModel:
 def _fit_model(check: _Checker, model: ResourceModel, blocks: dict) -> None:
     """Check the values whose rule needs the model, at their key's line.
 
-    The messages are those of the runtime checks, which stay for API callers
-    and for a ``--scenario`` override.
+    The messages are those of the runtime checks, which stay only for API
+    callers that build a model and its blocks themselves.
     """
     n = model.num_types
     for command, block in blocks.items():
@@ -457,8 +456,67 @@ _TOP = {
 }
 
 
-def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
-    """Validate configuration text; messages carry source and line."""
+def _copy_path(top: dict, path: tuple) -> dict | None:
+    """Copy each mapping on ``path`` into its place; the last copy, or None if one is missing.
+
+    As their rules read them, a null block and an absent or null
+    ``from_simulation`` are empty, while ``queue_empty_probs`` must be a mapping.
+    """
+    mapping = top
+    for key in path:
+        value = mapping.get(key, {} if key == "from_simulation" else None)
+        if value is None and key in mapping and key != "queue_empty_probs":
+            value = {}
+        if not isinstance(value, dict):
+            return None
+        mapping[key] = mapping = dict(value)
+    return mapping
+
+
+def _with_flags(check: _Checker, data: Any, command: str | None, flags: dict) -> Any:
+    """``data`` with each given flag written in at the key it overrides, anchored at the flag.
+
+    Mappings on a flag's path are copies, so a block shared through an alias
+    keeps its value.  ``--scenario`` replaces a ``model`` block.  ``--rounds``
+    and ``--horizon`` go into the command's block (which, if absent, running
+    the command reports), and on ``steady-state`` into the ``from_simulation``
+    block they need.
+    """
+    given = {key: value for key, value in flags.items() if value is not None}
+    if not given or not isinstance(data, (dict, type(None))):
+        return data
+    top = dict(data or {})
+    if "scenario" in given:
+        top.pop("model", None)
+        given["scenario"] = SCENARIO_ALIASES.get(given["scenario"], given["scenario"])
+    for key, value in given.items():
+        path = ()
+        if key in ("rounds", "horizon"):
+            name = command.replace("-", "_")
+            if name == "steady_state":
+                path = (name, "queue_empty_probs", "from_simulation")
+            elif key not in _BLOCKS[name]:
+                raise ConfigError(f"--{key}: {command} takes no --{key}")
+            else:
+                path = (name,)
+        block = _copy_path(top, path)
+        if block is None:
+            if path[0] == "steady_state":
+                raise ConfigError(f"--{key}: steady-state needs queue_empty_probs.from_simulation")
+            continue
+        block[key] = value
+        check.anchors[path + (key,)] = f"--{key}"
+    return top
+
+
+def parse_config(text: str, source: str = "<config>", command: str | None = None, *,
+                 scenario: str | None = None, seed: int | None = None,
+                 rounds: int | None = None, horizon: float | None = None) -> ExperimentConfig:
+    """Validate configuration text, with the flags given to ``command`` written in.
+
+    Messages carry the source and line, or the flag.  The result's ``raw`` is
+    the configuration that runs, flags included.
+    """
     check = _Checker(source)
     try:
         loader = yaml.SafeLoader(text)
@@ -470,6 +528,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             loader.dispose()
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: not valid YAML: {exc}") from None
+    data = _with_flags(check, data, command, {"scenario": scenario, "seed": seed,
+                                              "rounds": rounds, "horizon": horizon})
     top = check.mapping(data, (), _TOP)
     if ("scenario" in top) == ("model" in top):
         check.fail((), "give exactly one of 'scenario' or 'model'")
@@ -487,43 +547,6 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         blocks=blocks,
         raw=top,
     )
-
-
-def apply_overrides(config: ExperimentConfig, command: str, *, scenario: str | None = None,
-                    seed: int | None = None, rounds: int | None = None,
-                    horizon: float | None = None) -> None:
-    """Apply command-line overrides, each checked by the rule of its YAML key.
-
-    ``rounds`` and ``horizon`` apply only when the command's block has that
-    key; on ``steady-state`` they set, and need, ``from_simulation``, and a
-    command whose block takes no such key rejects them.  A rejected value
-    ends in a ``ConfigError`` that names its flag.
-    """
-    if scenario:
-        config.model = _scenario(_Checker("--scenario"), scenario, ())
-        config.scenario = config.raw["scenario"] = scenario
-    if seed is not None:
-        config.seed = config.raw["seed"] = _NATURAL(_Checker("--seed"), seed, ())
-    name = command.replace("-", "_")
-    schema, block = _BLOCKS[name], config.blocks.get(name, {})
-    if name == "steady_state":
-        probs = block.get("queue_empty_probs")
-        schema = _FROM_SIMULATION
-        block = probs["from_simulation"] if isinstance(probs, dict) else {}
-    for key, value in (("rounds", rounds), ("horizon", horizon)):
-        if value is None:
-            continue
-        check = _Checker(f"--{key}")
-        if key not in block:
-            if name == "steady_state":
-                check.fail((), "steady-state needs queue_empty_probs.from_simulation")
-            if key not in schema:
-                check.fail((), f"{command} takes no --{key}")
-            continue
-        value = schema[key][0](check, value, ())
-        if not _warmup_before_horizon({**block, key: value}):
-            check.fail((), f"must be > warmup {block['warmup']}, got {value}")
-        block[key] = value
 
 
 def read_text(path: str, what: str) -> str:
@@ -550,6 +573,6 @@ def build_strategy(spec: dict, space: StateSpace, base_dir: str = ".") -> Prefer
     return PreferenceMatrix(columns=columns, num_types=space.model.num_types)
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a configuration file."""
-    return parse_config(read_text(path, "configuration"), source=path)
+def load_config(path: str, command: str | None = None, **flags) -> ExperimentConfig:
+    """Read and validate a configuration file, with ``parse_config``'s flags written in."""
+    return parse_config(read_text(path, "configuration"), path, command, **flags)

@@ -134,12 +134,12 @@ def random_strategy(space: StateSpace, seed: int) -> PreferenceMatrix:
 
 
 def to_text(matrix: PreferenceMatrix) -> str:
-    """Serialize as a plain text table: one column per line, state index first."""
-    lines = [
-        " ".join([str(j)] + [str(v) for v in col])
-        for j, col in enumerate(matrix.columns)
-    ]
-    return "\n".join(lines) + "\n"
+    """Serialize as a plain text table: one column per line, state index first.
+
+    Each distinct column is formatted once.
+    """
+    shown = {col: " ".join(map(str, col)) for col in set(matrix.columns)}
+    return "\n".join([f"{j} {shown[col]}" for j, col in enumerate(matrix.columns)]) + "\n"
 
 
 def from_text(text: str, num_types: int, num_admissible: int | None = None) -> PreferenceMatrix:

@@ -4,6 +4,7 @@ import pathlib
 import re
 
 import pytest
+import yaml
 
 from slicesim.config import build_strategy, builtin_scenario, parse_config
 from slicesim.cli import main
@@ -280,6 +281,7 @@ class TestCli:
         ("--horizon", "0", "--horizon: must be > 0.0, got 0.0"),
         ("--rounds", "0", "--rounds: must be >= 1, got 0"),
         ("--scenario", "nope", "--scenario: unknown scenario 'nope'"),
+        ("--scenario", "", "--scenario: unknown scenario ''"),  # was ignored
     ])
     def test_bad_override_rejected(self, tmp_path, capsys, monkeypatch, flag, value, message):
         def unreachable(*args, **kwargs):
@@ -360,6 +362,75 @@ class TestCli:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x")] + args) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}: {command} takes no {flag}")
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--scenario", "nope"), ("--seed", "4"), ("--rounds", "3"), ("--horizon", "-1"),
+    ])
+    def test_flag_without_config_rejected(self, tmp_path, capsys, flag, value):
+        # each was ignored and the run exited 0
+        assert main(["casestudy", "--out", str(tmp_path / "cs"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag}: casestudy without --config takes no {flag}\n"
+
+    def test_empty_config_path_is_an_error(self, tmp_path, capsys):
+        # read as "no --config": simulate ended in an AttributeError traceback
+        assert main(["simulate", "--config", "", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read configuration ''")
+
+    def test_flag_does_not_leak_through_an_alias(self, tmp_path):
+        cfg = self._write(tmp_path, "scenario: paper-scenario-1\n"
+                                    "simulate: &mc {rounds: 4, horizon: 5.0}\n"
+                                    "sweep: *mc\n"
+                                    "optimize: {<<: *mc, budget: 1}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--rounds", "2"]) == 0
+        config = json.loads((out / "run_meta.json").read_text())["config"]
+        assert config["simulate"] == {"rounds": 2, "horizon": 5.0}
+        assert config["sweep"] == {"rounds": 4, "horizon": 5.0}
+        assert config["optimize"] == {"rounds": 4, "horizon": 5.0, "budget": 1}
+
+    def test_scenario_flag_reaches_the_line_anchored_model_checks(self, tmp_path, capsys):
+        # the model's three types fit (0, 0, 1); the scenario's two do not
+        cfg = self._write(tmp_path, "model:\n  resources: [1.0]\n  slice_types:\n"
+                          + "    - {cost: [0.1], arrival_rate: 1.0, mean_lifetime: 1.0}\n" * 3
+                          + "simulate:\n  rounds: 1\n  initial_state: [0, 0, 1]\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--scenario", "scenario-1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:9: state (0, 0, 1) is not in the feasibility space\n")
+
+    MODEL_FILE = ("model:\n  resources: [1.0, 1.0]\n  slice_types:\n"
+                  "    - {cost: [0.2, 0.1], arrival_rate: 1.0, mean_lifetime: 1.0}\n"
+                  "    - {cost: [0.1, 0.3], arrival_rate: 0.5, mean_lifetime: 2.0}\n")
+
+    @pytest.mark.parametrize("command, text, scenario", [
+        ("simulate", MINIMAL, []),
+        ("sweep", "scenario: paper-scenario-1\nsweep: {count: 2, rounds: 3, horizon: 8.0}\n", []),
+        ("optimize", MODEL_FILE + "optimize: {budget: 2, rounds: 3, horizon: 8.0}\n",
+         ["--scenario", "scenario-2"]),
+        ("steady-state", MINIMAL + "steady_state:\n  queue_empty_probs:\n"
+                                   "    from_simulation: {rounds: 4, horizon: 50.0}\n", []),
+        ("steady-state", MINIMAL + "steady_state:\n  queue_empty_probs:\n"
+                                   "    from_simulation:\n", []),
+    ], ids=["simulate", "sweep", "optimize", "steady-state", "steady-state-null-block"])
+    def test_run_with_flags_regenerates_from_its_run_meta(self, tmp_path, command, text,
+                                                         scenario):
+        # run_meta.json recorded the file's rounds, horizon and model, not the flags'
+        cfg = self._write(tmp_path, text)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, "--config", cfg, "--out", str(first), "--seed", "3",
+                     "--rounds", "2", "--horizon", "6.5"] + scenario) == 0
+        meta = json.loads((first / "run_meta.json").read_text())
+        if scenario:
+            assert meta["scenario"] == meta["config"]["scenario"] == "paper-scenario-2"
+            assert "model" not in meta["config"]
+        recorded = tmp_path / "recorded.yaml"
+        recorded.write_text(yaml.safe_dump(meta["config"]), encoding="utf-8")
+        assert main([command, "--config", str(recorded), "--out", str(again)]) == 0
+        assert sorted(os.listdir(first)) == sorted(os.listdir(again))
+        for name in os.listdir(first):
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
 
 
 class TestSchema:
@@ -519,15 +590,14 @@ class TestSchema:
                              ids=[f"{k}={f}" for k, _, f in FLAGS])
     def test_yaml_and_flag_share_each_rule(self, command, inner, key, in_yaml, on_flag):
         from slicesim.cli import build_parser
-        from slicesim.config import apply_overrides
 
         head = "scenario: paper-scenario-1\n"
         with pytest.raises(ConfigError) as from_yaml:
             parse_config(head + inner.format(f"{key}: {in_yaml}"), source="cfg")
-        config = parse_config(head + inner.format("{}"))
         args = build_parser().parse_args([command, "--config", "cfg", f"--{key}", on_flag])
         with pytest.raises(ConfigError) as from_flag:
-            apply_overrides(config, command, rounds=args.rounds, horizon=args.horizon)
+            parse_config(head + inner.format("{}"), "cfg", command,
+                         rounds=args.rounds, horizon=args.horizon)
         yaml_anchor, yaml_message = str(from_yaml.value).split(": ", 1)
         flag_anchor, flag_message = str(from_flag.value).split(": ", 1)
         assert yaml_anchor.startswith("cfg:") and flag_anchor == f"--{key}"
