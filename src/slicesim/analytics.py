@@ -1,12 +1,13 @@
 """Closed-form queuing laws for a single request queue.
 
-Patient tenants give the classic single-server birth-death results (Little's
-formula, geometric queue-length distribution, exponential waiting time).
+Patient tenants give the classic geometric queue-length distribution.
 Impatient tenants combine hyperbolic balking (join probability beta/l) with
 exponential reneging; the steady state and the waiting-time laws then involve
 the modified Bessel function of the first kind of real order.  One power
 series, the confluent limit 0F1, implements it: I_v is that series times a
-leading factor, and every law below uses the series directly.
+leading factor, and every law below uses the series directly.  The integral
+that the reneging density needs is the same series integrated term by term,
+each term an incomplete beta function, so no law integrates numerically.
 
 All waiting-time densities are for requests that join the queue; waits end
 when a request either reaches the server or abandons.
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count, islice
+from typing import Callable, Iterator
 
 from .errors import ContractViolation, NoEquilibrium, NumericError
 
@@ -32,17 +34,27 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def _hyp0f1(b: float, z: float) -> float:
-    """The confluent limit series sum_k z^k / (k! (b)_k); b > 0, z >= 0."""
-    total = term = 1.0
-    for k in range(MAX_TERMS):
-        term *= z / ((k + 1.0) * (b + k))
+def _series(terms: Iterator[float], name: str, at: str = "") -> float:
+    """Sum non-negative terms up to the first one below TERM_TOL times the partial sum."""
+    total = 0.0
+    for term in islice(terms, MAX_TERMS):
         total += term
         if total == math.inf:
-            raise NumericError(f"hypergeometric series overflows a double for b={b}, z={z}")
-        if term < TERM_TOL * total:
+            raise NumericError(f"{name} overflows a double{at}")
+        if term <= TERM_TOL * total:
             return total
-    raise NumericError(f"hypergeometric series did not converge for b={b}, z={z}")
+    raise NumericError(f"{name} did not converge{at}")
+
+
+def _hyp0f1(b: float, z: float) -> float:
+    """The confluent limit series sum_k z^k / (k! (b)_k); b > 0, z >= 0."""
+    def terms() -> Iterator[float]:
+        term = 1.0
+        for k in count():
+            yield term
+            term *= z / ((k + 1.0) * (b + k))
+
+    return _series(terms(), "hypergeometric series", f" for b={b}, z={z}")
 
 
 def bessel_i(order: float, x: float) -> float:
@@ -69,13 +81,6 @@ def bessel_i(order: float, x: float) -> float:
     return value
 
 
-def little_mean_length(arrival_rate: float, mean_wait: float) -> float:
-    """Mean queue length implied by Little's formula."""
-    if arrival_rate < 0.0 or mean_wait < 0.0:
-        raise ContractViolation("little_mean_length needs non-negative arguments")
-    return arrival_rate * mean_wait
-
-
 def mm1_queue_pmf(rho: float, length: int) -> float:
     """Steady-state probability of ``length`` waiting requests, patient case."""
     if length < 0 or length != int(length):
@@ -87,30 +92,6 @@ def mm1_queue_pmf(rho: float, length: int) -> float:
             f"no statistical equilibrium: work load rate {rho} >= 1"
         )
     return (1.0 - rho) * rho ** int(length)
-
-
-def mm1_wait_pdf(arrival_rate: float, acceptance_rate: float, wait: float) -> float:
-    """Waiting-time density of the patient single-server queue."""
-    if acceptance_rate <= arrival_rate:
-        raise NoEquilibrium(
-            "no statistical equilibrium: acceptance rate must exceed arrival rate"
-        )
-    if wait < 0.0:
-        return 0.0
-    gap = acceptance_rate - arrival_rate
-    return gap * math.exp(-gap * wait)
-
-
-def mm1_wait_cdf(arrival_rate: float, acceptance_rate: float, wait: float) -> float:
-    """Waiting-time distribution function of the patient single-server queue."""
-    if acceptance_rate <= arrival_rate:
-        raise NoEquilibrium(
-            "no statistical equilibrium: acceptance rate must exceed arrival rate"
-        )
-    if wait < 0.0:
-        return 0.0
-    gap = acceptance_rate - arrival_rate
-    return 1.0 - math.exp(-gap * wait)
 
 
 def balk_join_probability(willingness: float, length: int) -> float:
@@ -212,6 +193,16 @@ def acceptance_probabilities(params: QueueParams) -> AcceptanceProbabilities:
     return _acceptance(params)[1]
 
 
+def _wait_acceptance(params: QueueParams) -> tuple[float, AcceptanceProbabilities]:
+    """``_acceptance``, refusing the queues whose waiting-time laws are undefined."""
+    p0, probs = _acceptance(params)
+    if probs.accept_and_join <= 0.0:
+        raise NumericError("degenerate queue: joining requests are never accepted")
+    if probs.accept_given_join >= 1.0 - 1e-12:
+        raise NumericError("reneging density undefined: joining requests are always accepted")
+    return p0, probs
+
+
 @dataclass(frozen=True)
 class WaitDistributions:
     """Waiting-time densities for accepted, reneging, and all joining requests."""
@@ -221,25 +212,15 @@ class WaitDistributions:
     joined: Callable[[float], float]
 
 
-def _quad(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    # imported here, so that commands that never integrate do not load scipy
-    from scipy.integrate import quad
-
-    value, abserr = quad(fn, lo, hi, epsabs=1e-12, epsrel=1e-9, limit=200)
-    if abserr > max(1e-6, 1e-6 * abs(value)):
-        raise NumericError(f"quadrature failed to converge (error {abserr})")
-    return value
-
-
 def wait_distributions(params: QueueParams) -> WaitDistributions:
     """Densities f_a, f_r, f_q of waiting time in an impatient queue."""
+    # imported here, so that commands without a waiting-time density do not load scipy
+    from scipy.special import betainc
+
     lam, mu = params.arrival_rate, params.acceptance_rate
     alpha, beta = params.reneging_rate, params.balking_willingness
-    d = params.delta
-    p0, probs = _acceptance(params)
-    if probs.accept_and_join <= 0.0:
-        raise NumericError("degenerate queue: joining requests are never accepted")
-
+    d, c = params.delta, params.gamma
+    p0, probs = _wait_acceptance(params)
     scale = p0 * lam * beta / probs.accept_and_join
 
     def f_accepted(wait: float) -> float:
@@ -250,17 +231,22 @@ def wait_distributions(params: QueueParams) -> WaitDistributions:
         return scale * math.exp(-(mu + alpha) * wait) * _hyp0f1(2.0, z)
 
     def growth(wait: float) -> float:
-        # integrand exp(alpha xi) f_a(xi) with the exponentials combined,
-        # so large waits cannot overflow
-        def integrand(xi: float) -> float:
-            z = d * (1.0 - math.exp(-alpha * xi))
-            return scale * math.exp(-mu * xi) * _hyp0f1(2.0, z)
+        # int_0^w exp(alpha xi) f_a(xi) dxi, term by term over f_a's series: the
+        # substitution x = 1 - exp(-alpha xi) turns term k into the incomplete beta
+        # function B_x(k + 1, c), c = mu / alpha, times (scale / alpha) d^k / (k! (k+1)!).
+        # That coefficient times B(k + 1, c) advances by d / ((k + 2) (k + 1 + c)),
+        # so only the regularized B_x / B is evaluated.
+        x = -math.expm1(-alpha * wait)
 
-        return _quad(integrand, 0.0, wait)
+        def terms() -> Iterator[float]:
+            coef = scale / mu  # (scale / alpha) B(1, c)
+            for k in count():
+                yield coef * float(betainc(k + 1.0, c, x))
+                coef *= d / ((k + 2.0) * (k + 1.0 + c))
+
+        return _series(terms(), "incomplete beta series", f" for wait={wait}")
 
     paj = probs.accept_given_join
-    if paj >= 1.0 - 1e-12:
-        raise NumericError("reneging density undefined: joining requests are always accepted")
 
     def f_reneged(wait: float) -> float:
         if wait < 0.0:
@@ -286,12 +272,16 @@ class WaitMeans:
 
 
 def wait_means(params: QueueParams) -> WaitMeans:
-    """Mean waiting times by numerical integration of the densities."""
-    dists = wait_distributions(params)
-    mean_accepted = _quad(lambda w: w * dists.accepted(w), 0.0, math.inf)
-    mean_reneged = _quad(lambda w: w * dists.reneged(w), 0.0, math.inf)
-    mean_joined = _quad(lambda w: w * dists.joined(w), 0.0, math.inf)
-    return WaitMeans(accepted=mean_accepted, reneged=mean_reneged, joined=mean_joined)
+    """Mean waits: the accepted series, the joined identity, and the reneged mean they leave.
+
+    A joining request is accepted with probability P(A|J), so the joined mean
+    is P(A|J) times the accepted mean plus 1 - P(A|J) times the reneged one.
+    """
+    paj = _wait_acceptance(params)[1].accept_given_join
+    accepted = mean_wait_accepted_series(params)
+    joined = mean_wait_joined_identity(params)
+    return WaitMeans(accepted=accepted, reneged=(joined - paj * accepted) / (1.0 - paj),
+                     joined=joined)
 
 
 def mean_wait_joined_identity(params: QueueParams) -> float:
@@ -301,23 +291,20 @@ def mean_wait_joined_identity(params: QueueParams) -> float:
 
 
 def mean_wait_accepted_series(params: QueueParams) -> float:
-    """Series form of the accepted-request mean wait (secondary cross-check).
+    """Mean wait of accepted requests, as a series.
 
-    The product runs over j = 1..i in the denominator of each term; the
-    quadrature result in ``wait_means`` is the normative value.
+    Term i is the i-th term of 0F1(; gamma + 1; delta) times the harmonic sum
+    of 1 / (gamma + j) over j = 1..i.
     """
     g, d = params.gamma, params.delta
     p0, probs = _acceptance(params)
-    total = 0.0
-    term = 1.0
-    harmonic = 0.0
-    for i in range(1, MAX_TERMS + 1):
-        term *= d / (i * (g + i))
-        harmonic += 1.0 / (g + i)
-        piece = term * harmonic
-        total += piece
-        if piece < TERM_TOL * total:
-            break
-    else:
-        raise NumericError("accepted-wait series did not converge")
+
+    def terms() -> Iterator[float]:
+        term, harmonic = 1.0, 0.0
+        for i in count(1):
+            term *= d / (i * (g + i))
+            harmonic += 1.0 / (g + i)
+            yield term * harmonic
+
+    total = _series(terms(), "accepted-wait series")
     return p0 / probs.accept_and_join * total / params.reneging_rate

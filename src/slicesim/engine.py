@@ -424,6 +424,8 @@ def run(config: SimConfig, space: StateSpace | None = None,
                     wait_sum[n] += t - rec.join_time
                 if log:
                     log(t, "renege", n + 1, rec.request_id)
+                if not multi:  # the greedy head that left may have blocked one that fits
+                    served = serve()
         else:  # EV_END
             break
         for rec in served:  # settle the requests the controller accepted

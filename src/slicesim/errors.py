@@ -18,7 +18,7 @@ class NoEquilibrium(SliceSimError):
 
 
 class NumericError(SliceSimError):
-    """A series or quadrature failed to converge to the requested tolerance."""
+    """A series overflowed a double or failed to converge to the requested tolerance."""
 
 
 class ConfigError(SliceSimError):

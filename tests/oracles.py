@@ -580,6 +580,8 @@ def run_scalar(config, space=None):
                     trace.wait_sum[n - 1] += t - rec.join_time
                     trace.wait_count[n - 1] += 1
                 log(t, "renege", n, rec.request_id)
+                if not multi:
+                    settle(t, controller.serve_queues())
         if config.check_invariants:
             assert not controller.serve_queues(), "controller left transient after event"
 

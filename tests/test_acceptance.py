@@ -9,6 +9,7 @@ import statistics
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from slicesim.analytics import (
     QueueParams,
@@ -18,6 +19,7 @@ from slicesim.analytics import (
     impatient_queue_pmf_table,
     mean_wait_joined_identity,
     mm1_queue_pmf,
+    wait_distributions,
     wait_means,
 )
 from slicesim.casestudy import accepted_by_panel, case_study_rows, render_case_study
@@ -178,8 +180,10 @@ def test_criterion_05_impatient_closed_forms():
     # quadrature of the joined-wait density agrees with the closed identity
     for lam, mu in ((0.6, 1.5), (1.2, 1.5), (2.0, 0.8)):
         params = QueueParams(lam, mu, GRID_ALPHA, GRID_BETA)
-        quad_mean = wait_means(params).joined
-        assert abs(quad_mean - mean_wait_joined_identity(params)) < 1e-6
+        joined = wait_distributions(params).joined
+        quad_mean, _ = quad(lambda w: w * joined(w), 0.0, np.inf,
+                            epsabs=1e-12, epsrel=1e-9, limit=200)
+        assert abs(quad_mean - wait_means(params).joined) < 1e-6
     print(f"\nPASS criterion 5: impatient closed forms vs micro-simulation, "
           f"worst TV {worst_tv:.4f}, worst probability error {worst_prob:.4f}, "
           f"worst mean-wait error {worst_mean:.4f}; quadrature identity < 1e-6")

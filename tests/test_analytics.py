@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,12 +16,9 @@ from slicesim.analytics import (
     bessel_i,
     gamma_fn,
     impatient_queue_pmf_table,
-    little_mean_length,
     mean_wait_accepted_series,
     mean_wait_joined_identity,
     mm1_queue_pmf,
-    mm1_wait_cdf,
-    mm1_wait_pdf,
     wait_distributions,
     wait_means,
 )
@@ -37,17 +35,6 @@ from oracles import (
 )
 
 
-class TestLittle:
-    def test_direct_product(self):
-        assert little_mean_length(2.0, 1.5) == 3.0
-
-    def test_zero_rate(self):
-        assert little_mean_length(0.0, 10.0) == 0.0
-
-    def test_fractional(self):
-        assert little_mean_length(0.5, 4.0) == 2.0
-
-
 class TestMm1Pmf:
     def test_half_load(self):
         assert mm1_queue_pmf(0.5, 0) == 0.5
@@ -60,24 +47,6 @@ class TestMm1Pmf:
     def test_no_equilibrium(self):
         with pytest.raises(NoEquilibrium):
             mm1_queue_pmf(1.0, 0)
-
-
-class TestMm1Wait:
-    def test_negative_wait(self):
-        assert mm1_wait_pdf(1.0, 2.0, -0.1) == 0.0
-        assert mm1_wait_cdf(1.0, 2.0, -0.1) == 0.0
-
-    def test_rate_at_origin(self):
-        assert mm1_wait_pdf(1.0, 2.0, 0.0) == pytest.approx(1.0)
-
-    def test_cdf_saturates(self):
-        lam, mu = 1.0, 2.0
-        w = 50.0 / (mu - lam)
-        assert abs(mm1_wait_cdf(lam, mu, w) - 1.0) < 1e-12
-
-    def test_requires_equilibrium(self):
-        with pytest.raises(NoEquilibrium):
-            mm1_wait_pdf(2.0, 1.0, 0.5)
 
 
 class TestBalking:
@@ -311,29 +280,39 @@ class TestWaitDistributions:
         assert dists.joined(-1.0) == 0.0
 
 
+def quad_mean(density):
+    """The mean of a waiting-time density, by adaptive quadrature."""
+    value, _ = quad(lambda w: w * density(w), 0.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)
+    return value
+
+
 class TestWaitMeans:
+    # wait_means takes the accepted mean from its series, the joined mean from
+    # the identity and the reneged mean from total expectation; these tests
+    # integrate the densities instead
     def test_joined_mean_matches_identity(self):
         for lam, mu in [(1.2, 1.5), (2.0, 1.2)]:
             params = QueueParams(lam, mu, reneging_rate=1.0, balking_willingness=0.5)
             means = wait_means(params)
-            assert abs(means.joined - mean_wait_joined_identity(params)) < 1e-6
+            assert abs(means.joined - quad_mean(wait_distributions(params).joined)) < 1e-6
+            assert means.joined == mean_wait_joined_identity(params)
 
     def test_accepted_series_cross_check(self):
         for lam, mu, alpha in [(1.2, 1.5, 1.0), (0.9, 1.1, 0.7)]:
             params = QueueParams(lam, mu, reneging_rate=alpha, balking_willingness=0.5)
             means = wait_means(params)
-            assert means.accepted == pytest.approx(
-                mean_wait_accepted_series(params), rel=1e-6
-            )
+            accepted = quad_mean(wait_distributions(params).accepted)
+            assert means.accepted == pytest.approx(accepted, rel=1e-6)
+            assert means.accepted == mean_wait_accepted_series(params)
 
     def test_total_expectation(self):
         params = QueueParams(1.2, 1.5, reneging_rate=1.0, balking_willingness=0.5)
-        means = wait_means(params)
-        probs = acceptance_probabilities(params)
-        paj = probs.accept_given_join
-        assert means.joined == pytest.approx(
-            paj * means.accepted + (1 - paj) * means.reneged, rel=1e-6
-        )
+        dists = wait_distributions(params)
+        accepted, reneged, joined = (quad_mean(density) for density in
+                                     (dists.accepted, dists.reneged, dists.joined))
+        paj = acceptance_probabilities(params).accept_given_join
+        assert joined == pytest.approx(paj * accepted + (1 - paj) * reneged, rel=1e-6)
+        assert wait_means(params).reneged == pytest.approx(reneged, rel=1e-6)
 
     def test_fast_reneging_drives_reneged_wait_to_zero(self):
         params = QueueParams(1.0, 1.0, reneging_rate=1e4, balking_willingness=0.5)
@@ -346,6 +325,44 @@ class TestWaitMeans:
         means = wait_means(params)
         assert sim.mean_wait_joiners == pytest.approx(means.joined, rel=0.03)
         assert sim.mean_wait_accepted == pytest.approx(means.accepted, rel=0.03)
+
+
+def test_wait_laws_match_a_30_digit_reference():
+    # the README's analyze example, recomputed with mpmath from the definitions:
+    # f_a from mpmath's 0F1, and the integral under f_r and f_j by quadrature
+    mp = mpmath.MPContext()
+    mp.dps = 30
+    lam, mu, alpha, beta = map(mp.mpf, ("1.2", "1.5", "1.0", "0.5"))
+    g, d = mu / alpha, lam * beta / alpha
+    p0 = 1 / (1 + d / (beta * g) * mp.hyp0f1(g + 1, d))
+    p_accept_join = (1 - p0) * beta * g / d - p0
+    paj = (mp.hyp0f1(g + 1, d) - 1) / (mp.hyp0f1(g, d) - 1)
+
+    def f_a(w):
+        return (p0 * lam * beta / p_accept_join * mp.exp(-(mu + alpha) * w)
+                * mp.hyp0f1(2, d * (1 - mp.exp(-alpha * w))))
+
+    def f_r(w):
+        growth = mp.quad(lambda xi: mp.exp(alpha * xi) * f_a(xi), [0, w])
+        return alpha * mp.exp(-alpha * w) * (1 - paj * growth) / (1 - paj)
+
+    params = QueueParams(1.2, 1.5, reneging_rate=1.0, balking_willingness=0.5)
+    dists = wait_distributions(params)
+    for w in (0.0, 0.05, 0.5, 2.0, 8.0):
+        want_a, want_r = f_a(w), f_r(w)
+        for got, want, tol in ((dists.accepted(w), want_a, 1e-12),
+                               (dists.reneged(w), want_r, 1e-9),
+                               (dists.joined(w), paj * want_a + (1 - paj) * want_r, 1e-9)):
+            assert abs(got - want) <= tol * want, (w, got, want)
+
+    # by parts, the integral of w alpha exp(-alpha w) growth(w) is that of
+    # (w + 1/alpha) f_a(w), so one quadrature of f_a gives all three means
+    accepted = mp.quad(lambda w: w * f_a(w), [0, mp.inf])
+    reneged = (1 / alpha - paj * (accepted + 1 / alpha)) / (1 - paj)
+    means = wait_means(params)
+    for got, want in ((means.accepted, accepted), (means.reneged, reneged),
+                      (means.joined, paj * accepted + (1 - paj) * reneged)):
+        assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
 class TestQueueParams:
@@ -374,6 +391,19 @@ def test_cli_import_loads_no_scipy():
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import slicesim.cli, sys; "
             "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
+
+
+def test_waiting_time_laws_load_no_quadrature():
+    # the densities and the means are series: no law needs scipy.integrate
+    src = str(pathlib.Path(slicesim.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; from slicesim import analytics as a; "
+            "p = a.QueueParams(1.2, 1.5, 1.0, 0.5); d = a.wait_distributions(p); "
+            "d.reneged(1.0); d.joined(1.0); a.wait_means(p); "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy.integrate')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"

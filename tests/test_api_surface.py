@@ -20,11 +20,7 @@ PACKAGE = ROOT / "src" / "slicesim"
 # Kept without a caller in src/ or perfbench/, each for a stated reason.
 EXEMPT = {
     # the paper's closed-form laws, which the tests compare against
-    "analytics.little_mean_length": "paper's law (Little's formula)",
-    "analytics.mm1_wait_pdf": "paper's law (patient wait density)",
-    "analytics.mm1_wait_cdf": "paper's law (patient wait distribution)",
     "analytics.balk_join_probability": "paper's law (hyperbolic balking)",
-    "analytics.mean_wait_accepted_series": "paper's series, cross-checks the quadrature",
     # the special functions that acceptance criterion 9 checks
     "analytics.gamma_fn": "criterion 9 reference check",
     "analytics.bessel_i": "criterion 9 reference check",

@@ -167,6 +167,14 @@ class TestConservationAndOrdering:
                 + trace.total_accepted[n] + trace.final_queue_lengths[n]
             )
 
+    def test_greedy_line_is_served_after_a_renege(self):
+        # a head that reneges may have blocked a request that fits: the engine must
+        # serve the line then, or the invariant check finds an acceptable head
+        config = SimConfig(model=table_model(2), discipline=GREEDY_SINGLE_QUEUE,
+                           horizon=200.0, seed=0, initial_state="full",
+                           balking=True, reneging=True, check_invariants=True)
+        monte_carlo(config, 6)
+
     def test_greedy_queue_lengths_tracked_per_type(self):
         # the single shared queue still reports per-type occupancy
         trace, report = self._run(9, discipline="greedy-single-queue")
