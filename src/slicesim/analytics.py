@@ -215,7 +215,7 @@ class WaitDistributions:
 def wait_distributions(params: QueueParams) -> WaitDistributions:
     """Densities f_a, f_r, f_q of waiting time in an impatient queue."""
     # imported here, so that commands without a waiting-time density do not load scipy
-    from scipy.special import betainc
+    from scipy.special import betaincc
 
     lam, mu = params.arrival_rate, params.acceptance_rate
     alpha, beta = params.reneging_rate, params.balking_willingness
@@ -230,34 +230,37 @@ def wait_distributions(params: QueueParams) -> WaitDistributions:
         # I_1(2 sqrt z)/sqrt z as an entire series, finite at z = 0
         return scale * math.exp(-(mu + alpha) * wait) * _hyp0f1(2.0, z)
 
-    def growth(wait: float) -> float:
-        # int_0^w exp(alpha xi) f_a(xi) dxi, term by term over f_a's series: the
-        # substitution x = 1 - exp(-alpha xi) turns term k into the incomplete beta
-        # function B_x(k + 1, c), c = mu / alpha, times (scale / alpha) d^k / (k! (k+1)!).
-        # That coefficient times B(k + 1, c) advances by d / ((k + 2) (k + 1 + c)),
-        # so only the regularized B_x / B is evaluated.
+    def unreached(wait: float) -> float:
+        # 1 - P(A|J) int_0^w exp(alpha xi) f_a(xi) dxi: the chance that a joining
+        # request, were it patient, would still wait at w.  It is summed as positive
+        # terms, since the difference cancels at long waits.  The integral goes term
+        # by term over f_a's series: the substitution x = 1 - exp(-alpha xi) turns
+        # term k into the incomplete beta function B_x(k + 1, c), c = mu / alpha,
+        # times (scale / alpha) d^k / (k! (k+1)!).  Over (0, inf) the integral is
+        # 1 / P(A|J), so 1 minus it keeps the upper tails, B(k + 1, c) - B_x(k + 1, c).
+        # The coefficient times B(k + 1, c) advances by d / ((k + 2) (k + 1 + c)),
+        # so only the regularized tail is evaluated.
         x = -math.expm1(-alpha * wait)
 
         def terms() -> Iterator[float]:
             coef = scale / mu  # (scale / alpha) B(1, c)
             for k in count():
-                yield coef * float(betainc(k + 1.0, c, x))
+                yield coef * float(betaincc(k + 1.0, c, x))
                 coef *= d / ((k + 2.0) * (k + 1.0 + c))
 
-        return _series(terms(), "incomplete beta series", f" for wait={wait}")
+        return paj * _series(terms(), "incomplete beta series", f" for wait={wait}")
 
     paj = probs.accept_given_join
 
     def f_reneged(wait: float) -> float:
         if wait < 0.0:
             return 0.0
-        return alpha * math.exp(-alpha * wait) * (1.0 - paj * growth(wait)) / (1.0 - paj)
+        return alpha * math.exp(-alpha * wait) * unreached(wait) / (1.0 - paj)
 
     def f_joined(wait: float) -> float:
         if wait < 0.0:
             return 0.0
-        shade = alpha * math.exp(-alpha * wait)
-        return paj * (f_accepted(wait) - shade * growth(wait)) + shade
+        return paj * f_accepted(wait) + alpha * math.exp(-alpha * wait) * unreached(wait)
 
     return WaitDistributions(accepted=f_accepted, reneged=f_reneged, joined=f_joined)
 

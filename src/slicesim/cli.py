@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import Iterable, Sequence
 
 from . import __version__
 from .analytics import (
@@ -51,7 +52,7 @@ from .statfit import empirical_pmf, fit_geometric, kld_vs_geometric
 from .strategy import PreferenceMatrix, naive_strategy, to_text
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -236,12 +237,9 @@ def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> dict:
         opportunity_rate=block["opportunity_rate"],
         p_init=block["initial_distribution"],
     )
-    dist_rows = [
-        [i, " ".join(str(v) for v in space.state_at(i)), p]
-        for i, p in enumerate(estimate.distribution.probabilities)
-    ]
-    _write_csv(os.path.join(outdir, "distribution.csv"),
-               ["index", "state", "probability"], dist_rows)
+    labels = map(" ".join, zip(*(map(str, column) for column in space.counts.T.tolist())))
+    _write_csv(os.path.join(outdir, "distribution.csv"), ["index", "state", "probability"],
+               zip(range(len(space)), labels, estimate.distribution.probabilities.tolist()))
     est_rows = [
         [n + 1, probs[n], estimate.acceptance_rates[n],
          estimate.mean_active_slices[n]]

@@ -190,8 +190,6 @@ def balanced_benchmark_strategy(space: StateSpace) -> PreferenceMatrix:
     """
     if space.model.num_types != 2:
         raise ContractViolation("the balanced benchmark strategy is two-type only")
-    columns = []
-    for j in range(space.num_admissible):
-        s = space.state_at(j)
-        columns.append((2, 1, 0) if s[1] * 4 <= s[0] else (1, 2, 0))
-    return PreferenceMatrix(columns=tuple(columns), num_types=2)
+    columns = tuple((2, 1, 0) if second * 4 <= first else (1, 2, 0)
+                    for first, second in space.counts[:space.num_admissible].tolist())
+    return PreferenceMatrix(columns=columns, num_types=2)

@@ -65,10 +65,10 @@ def _check_probs(queue_empty_probs: Sequence[float], num_types: int) -> list[flo
     return probs
 
 
-def _array(rows: Sequence[tuple], width: int, dtype=np.int64) -> np.ndarray:
-    """Equal-length tuples, such as states or strategy columns, as a (len(rows), width) array."""
+def _array(rows: Sequence[tuple], width: int) -> np.ndarray:
+    """Equal-length int tuples, such as strategy columns, as a (len(rows), width) array."""
     flat = itertools.chain.from_iterable(rows)
-    return np.fromiter(flat, dtype, len(rows) * width).reshape(len(rows), width)
+    return np.fromiter(flat, np.int64, len(rows) * width).reshape(len(rows), width)
 
 
 def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
@@ -178,7 +178,7 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
     if mode == WITH_RELEASES:
         # the next event is a release with weight flows[:, n], or a serving
         # opportunity with weight opportunity_rate
-        flows = _array(space.states, n_types, float) * release_rates
+        flows = space.counts * release_rates
         total = np.zeros(n_states)
         for flow in flows.T:  # in type order, as the running sum of a loop
             total += flow
@@ -330,18 +330,13 @@ def expected_active_slices(distribution: StateDistribution | np.ndarray,
     """Expected active-slice count per type under a state distribution."""
     p = (distribution.probabilities if isinstance(distribution, StateDistribution)
          else np.asarray(distribution, dtype=float))
-    counts = np.array(space.states, dtype=float)
-    return tuple(float(x) for x in p @ counts)
+    return tuple(float(x) for x in p @ space.counts.astype(float))
 
 
-def estimate_acceptance_rates(distribution: StateDistribution | np.ndarray,
-                              space: StateSpace,
-                              release_rates: Sequence[float] | None = None) -> tuple[float, ...]:
+def estimate_acceptance_rates(mean_active_slices: Sequence[float],
+                              release_rates: Sequence[float]) -> tuple[float, ...]:
     """Per-type acceptance-rate estimates: release rate times expected active count."""
-    if release_rates is None:
-        release_rates = space.model.release_rates
-    s_bar = expected_active_slices(distribution, space)
-    return tuple(eta * s for eta, s in zip(release_rates, s_bar))
+    return tuple(eta * s for eta, s in zip(release_rates, mean_active_slices))
 
 
 def estimate_mean_utility(acceptance_rates: Sequence[float],
@@ -372,11 +367,12 @@ def strategy_steady_state(model: ResourceModel, space: StateSpace,
     psi = build_transition_matrix(strategy, space, queue_empty_probs,
                                   model.release_rates, mode, opportunity_rate)
     dist = long_term_distribution(psi, initial_distribution(space, p_init))
-    mu_hat = estimate_acceptance_rates(dist, space, model.release_rates)
+    s_bar = expected_active_slices(dist, space)
+    mu_hat = estimate_acceptance_rates(s_bar, model.release_rates)
     utility = estimate_mean_utility(mu_hat, model.release_rates, model.utility_rates)
     return SteadyStateEstimate(
         distribution=dist,
         acceptance_rates=mu_hat,
-        mean_active_slices=expected_active_slices(dist, space),
+        mean_active_slices=s_bar,
         utility_rate=utility,
     )

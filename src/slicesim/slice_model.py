@@ -11,6 +11,7 @@ first, so the two index maps agree on the admissibility region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -162,20 +163,28 @@ class StateSpace:
     """Enumerated feasibility space with dense indices, admissible states first.
 
     Indices are 0-based; a state is admissible iff its index is below
-    ``num_admissible``.  The transition tables are flat int tuples, entry
-    ``index * num_types + n - 1`` for a type-n move (-1: infeasible / invalid).
-    ``index_of`` walks the increment table from the empty state (index 0).
+    ``num_admissible``.  ``counts`` is the one record of what each state
+    holds: a read-only integer array, one row of slice counts per state in
+    index order.  ``states`` is the same rows as int tuples, a view built on
+    first read.  The transition tables are flat int tuples, entry
+    ``index * num_types + n - 1`` for a type-n move (-1: infeasible / invalid),
+    because the event loop reads them on every serving pass.  ``index_of``
+    walks the increment table from the empty state (index 0).
     """
 
     model: ResourceModel
-    states: tuple[SystemState, ...]
+    counts: np.ndarray = field(repr=False, compare=False)
     num_admissible: int
     num_types: int
     _increment: tuple[int, ...] = field(repr=False)
     _release: tuple[int, ...] = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.counts)
+
+    @cached_property
+    def states(self) -> tuple[SystemState, ...]:
+        return tuple(map(tuple, self.counts.tolist()))
 
     def index_of(self, s: Sequence[int]) -> int:
         """Index of ``s``, reached from index 0 by s[0] type-1 increments, s[1] of type 2..."""
@@ -190,7 +199,7 @@ class StateSpace:
         raise ContractViolation(f"state {state} is not in the feasibility space")
 
     def state_at(self, index: int) -> SystemState:
-        return self.states[index]
+        return tuple(self.counts[index].tolist())
 
     def increment_index(self, index: int, n: int) -> int:
         """Index of ``state + unit increment of type n`` (n >= 1), -1 if infeasible."""
@@ -262,11 +271,12 @@ def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) ->
     order = np.concatenate((np.flatnonzero(admissible), np.flatnonzero(~admissible)))
     new_index = np.full(size + 1, -1)  # the last entry maps -1 to itself
     new_index[order] = np.arange(size)
-    # int tuples made before the states: the collector untracks them for good
     up, down = (tuple(new_index[table[order]].ravel().tolist()) for table in (increment, release))
+    counts = rows[order]
+    counts.flags.writeable = False
     return StateSpace(
         model=model,
-        states=tuple(zip(*rows[order].T.tolist())),
+        counts=counts,
         num_admissible=int(admissible.sum()),
         num_types=n_types,
         _increment=up,

@@ -351,8 +351,8 @@ def test_wait_laws_match_a_30_digit_reference():
     for w in (0.0, 0.05, 0.5, 2.0, 8.0):
         want_a, want_r = f_a(w), f_r(w)
         for got, want, tol in ((dists.accepted(w), want_a, 1e-12),
-                               (dists.reneged(w), want_r, 1e-9),
-                               (dists.joined(w), paj * want_a + (1 - paj) * want_r, 1e-9)):
+                               (dists.reneged(w), want_r, 1e-12),
+                               (dists.joined(w), paj * want_a + (1 - paj) * want_r, 1e-12)):
             assert abs(got - want) <= tol * want, (w, got, want)
 
     # by parts, the integral of w alpha exp(-alpha w) growth(w) is that of

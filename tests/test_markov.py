@@ -31,6 +31,7 @@ from slicesim.strategy import (
 )
 
 from oracles import build_transition_dense, cesaro_average, stationary_by_linear_solve
+from test_slice_model import small_models
 
 
 def case_study_space():
@@ -300,6 +301,37 @@ def test_benchmark_chains_match_dense_oracle(spec):
                                 block["mode"], block["opportunity_rate"])
 
 
+@st.composite
+def small_model_chains(draw):
+    """A chain on one of ``small_models``: a random strategy, either mode, and
+    queue-empty probabilities in [0.3, 0.7], so that every acceptance edge
+    carries enough mass for the Cesaro oracle's burn-in to drain transient states."""
+    space = enumerate_state_space(draw(small_models()))
+    strategy = random_strategy(space, draw(st.integers(0, 2**32 - 1)))
+    probs = tuple(draw(st.floats(0.3, 0.7)) for _ in range(space.num_types))
+    mode = draw(st.sampled_from([WITH_RELEASES, ACCEPTANCE_ONLY]))
+    start = draw(st.sampled_from(["empty", "uniform", "full"]))
+    return strategy, space, probs, mode, start
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_model_chains())
+def test_small_model_chains_match_the_oracles(case):
+    strategy, space, probs, mode, start = case
+    psi = build_transition_matrix(strategy, space, probs, mode=mode)
+    dense = psi.matrix.toarray()
+    oracle = build_transition_dense(strategy, space, probs, mode=mode)
+    assert np.all(dense >= 0.0)
+    assert np.allclose(dense.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(dense, oracle, rtol=0.0, atol=1e-12)
+    p_init = initial_distribution(space, start)
+    dist = long_term_distribution(psi, p_init)
+    # with-releases edges move one slice up or down, so every period divides 2
+    cesaro = cesaro_average(oracle, p_init, burn_in=3000, window=600)
+    assert dist.converged
+    assert np.allclose(dist.probabilities, cesaro, rtol=0.0, atol=1e-10)
+
+
 class TestLongTermDistribution:
     def test_periodic_two_state_chain(self):
         psi = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -403,7 +435,7 @@ class TestEstimators:
     def test_point_mass_on_empty(self):
         space = case_study_space()
         p = initial_distribution(space, "empty")
-        mu = estimate_acceptance_rates(p, space, (1.0, 1.0))
+        mu = estimate_acceptance_rates(expected_active_slices(p, space), (1.0, 1.0))
         assert mu == (0.0, 0.0)
         assert estimate_mean_utility(mu, (1.0, 1.0), (1.0, 10.0)) == 0.0
 
@@ -418,7 +450,7 @@ class TestEstimators:
         p[space.index_of((2, 1))] = 1.0
         s_bar = expected_active_slices(p, space)
         assert s_bar == (2.0, 1.0)
-        mu = estimate_acceptance_rates(p, space, model.release_rates)
+        mu = estimate_acceptance_rates(s_bar, model.release_rates)
         utility = estimate_mean_utility(mu, model.release_rates, model.utility_rates)
         assert utility == pytest.approx(12.0)
 
@@ -426,7 +458,7 @@ class TestEstimators:
         space = case_study_space()
         p = initial_distribution(space, "uniform")
         s_bar = expected_active_slices(p, space)
-        mu = estimate_acceptance_rates(p, space, (0.25, 4.0))
+        mu = estimate_acceptance_rates(s_bar, (0.25, 4.0))
         assert mu == pytest.approx((0.25 * s_bar[0], 4.0 * s_bar[1]))
 
 

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slicesim.config import load_config
+from slicesim.engine import SimConfig, run
 from slicesim.errors import ContractViolation, StateSpaceTooLarge
+from slicesim.experiments import balanced_benchmark_strategy
+from slicesim.markov import strategy_steady_state
 from slicesim.slice_model import (
     ResourceModel,
     SliceType,
@@ -252,6 +255,8 @@ def test_randomized_models_match_brute_force():
 def assert_matches_dfs(model):
     space = enumerate_state_space(model)
     states, num_admissible, index, increment, release = enumerate_dfs(model)
+    assert np.issubdtype(space.counts.dtype, np.integer)
+    assert space.counts.tolist() == [list(s) for s in states]
     assert space.states == states
     assert space.num_admissible == num_admissible
     assert space.num_types == model.num_types
@@ -260,8 +265,11 @@ def assert_matches_dfs(model):
     assert space._increment == tuple(i for row in increment for i in row)
     assert space._release == tuple(i for row in release for i in row)
     assert [space.index_of(s) for s in states] == [index[s] for s in states]
-    # the engine reads these on every event: plain ints, not numpy scalars
-    space_ints = [v for s in space.states for v in s] + [*space._increment, *space._release]
+    # the engine reads the tables on every event, and the tape and the event
+    # log read states through state_at: plain int tuples, not numpy scalars
+    rows = [space.state_at(i) for i in range(len(space))]
+    assert rows == list(states) and {type(s) for s in rows} == {tuple}
+    space_ints = [v for s in rows for v in s] + [*space._increment, *space._release]
     assert {type(v) for v in space_ints} == {int}
     return space
 
@@ -336,3 +344,20 @@ def test_fine_grid_space_and_strategy_stay_small():
     assert len(space) == 125751 and strategy.num_columns == space.num_admissible
     assert len(set(map(id, strategy.columns))) <= 6  # (N + 1)! for N = 2
     assert retained < 40 * 2**20
+
+
+def test_package_reads_counts_not_the_states_view():
+    # ``counts`` is what the package reads; the tuple view ``states`` is built
+    # only when something asks for it
+    types = tuple(SliceType(2.0, 0.5, u, reneging_rate=1.0, balking_willingness=0.5)
+                  for u in (1.0, 10.0))
+    model = ResourceModel(pool=(1.0, 1.0), costs=((0.2, 0.1), (0.1, 0.3)), types=types)
+    space = enumerate_state_space(model)
+    strategy = random_strategy(space, 3)
+    trace, _ = run(SimConfig(model=model, strategy=strategy, horizon=20.0, seed=5,
+                             initial_state="full", balking=True, reneging=True,
+                             record_events=True), space)
+    assert trace.events and any(trace.slice_time)
+    strategy_steady_state(model, space, strategy, (0.4, 0.6))
+    balanced_benchmark_strategy(space)
+    assert "states" not in vars(space)
