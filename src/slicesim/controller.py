@@ -14,8 +14,10 @@ and the request/release/renege handling of ``QueueController``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ContractViolation
 from .slice_model import StateSpace, SystemState
@@ -48,14 +50,20 @@ class RequestRecord:
     outcome_time: float | None = None
 
 
+_JOIN_TIME = attrgetter("join_time")
+
+
 class QueueController:
     """Shared plumbing of the admission controllers.
 
     Holds the active-slice state and the request/release/renege handling.  A
-    subclass owns its queues, names through ``queue_for`` the deque a type-``n``
-    request joins, and serves its queues in ``serve_queues``; a pass that
-    accepts nothing has changed nothing, so it is the test for quiescence.
+    subclass owns its queues, lists them in ``lines``, names through
+    ``queue_for`` the deque a type-``n`` request joins, and serves its queues in
+    ``serve_queues``; a pass that accepts nothing has changed nothing, so it is
+    the test for quiescence.
     """
+
+    lines: list[deque[RequestRecord]]
 
     def __init__(self, space: StateSpace, initial_state: SystemState | None = None) -> None:
         self.space = space
@@ -64,6 +72,9 @@ class QueueController:
     @property
     def state(self) -> SystemState:
         return self.space.state_at(self.state_index)
+
+    def queue_lengths(self) -> tuple[int, ...]:
+        return tuple(map(len, self.lines))
 
     def queue_for(self, n: int) -> deque[RequestRecord]:
         """The queue a type-``n`` request joins (and leaves when it reneges)."""
@@ -75,19 +86,40 @@ class QueueController:
         return self.serve_queues()
 
     def handle_release(self, n: int) -> list[RequestRecord]:
-        """Release one active slice of type ``n``, then serve; returns the accepted requests."""
+        """Release one active slice of type ``n``, then serve if a request waits;
+        returns the accepted requests."""
         new_index = self.space.release_index(self.state_index, n)
         if new_index < 0:
             raise ContractViolation(f"cannot release a type-{n} slice: none active")
         self.state_index = new_index
-        return self.serve_queues()
+        return self.serve_queues() if any(self.lines) else []
 
-    def remove(self, record: RequestRecord) -> None:
-        """Remove a still-waiting request by identity (reneging)."""
+    def remove(self, record: RequestRecord) -> bool:
+        """Remove a still-waiting request by identity (reneging); True if it was the head.
+
+        Requests join at non-decreasing times, so a queue is in join order: the
+        record is bisected for on ``join_time`` and picked by identity from its
+        run of equal times.  A queue out of that order falls back to a linear
+        search.
+        """
+        queue = self.queue_for(record.slice_type)
+        if queue and queue[0] is record:
+            queue.popleft()
+            return True
+        t = record.join_time
+        if t is not None:
+            for i in range(bisect_left(queue, t, key=_JOIN_TIME), len(queue)):
+                other = queue[i]
+                if other is record:
+                    del queue[i]
+                    return False
+                if other.join_time != t:
+                    break
         try:
-            self.queue_for(record.slice_type).remove(record)
+            queue.remove(record)
         except ValueError:
             raise ContractViolation("request is not waiting in its queue") from None
+        return False
 
 
 class MultiQueueController(QueueController):
@@ -107,9 +139,7 @@ class MultiQueueController(QueueController):
         self.queues: list[deque[RequestRecord]] = [
             deque() for _ in range(space.model.num_types)
         ]
-
-    def queue_lengths(self) -> tuple[int, ...]:
-        return tuple(len(q) for q in self.queues)
+        self.lines = self.queues
 
     def queue_for(self, n: int) -> deque[RequestRecord]:
         if not 1 <= n <= len(self.queues):
@@ -145,9 +175,7 @@ class GreedySingleQueueController(QueueController):
     def __init__(self, space: StateSpace, initial_state: SystemState | None = None) -> None:
         super().__init__(space, initial_state)
         self.queue: deque[RequestRecord] = deque()
-
-    def queue_lengths(self) -> tuple[int, ...]:
-        return (len(self.queue),)
+        self.lines = [self.queue]
 
     def queue_for(self, n: int) -> deque[RequestRecord]:
         return self.queue

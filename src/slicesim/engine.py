@@ -18,12 +18,20 @@ the toggles.  Monte-Carlo round ``i`` of master seed ``m`` runs with seed
 ``SeedSequence([m, i]).generate_state(1)``.
 
 An arrival stream draws only exponentials, so it is drawn in blocks of
-``ARRIVAL_BLOCK`` whose values equal scalar draws one by one; the tape merges
-the per-type streams by ``(t, type)``, and arrivals stay out of the event heap
-(releases and reneges).  A lone round streams its tape: memory stays
-O(block) whatever the horizon.  ``monte_carlo`` given a ``tapes`` dict keeps
-each round's tape, its arrivals in typed arrays (O(arrivals per round) each),
-and replays it for every strategy and discipline that asks for the same round.
+``ARRIVAL_BLOCK`` whose values equal scalar draws one by one, each block's
+marks drawn after it in arrival order.  The tape merges the per-type blocks
+into chunks sorted by ``(t, type)``, each holding what no later draw can
+precede, and arrivals stay out of the event heap (releases and reneges).  A
+lone round streams its tape: memory stays O(block) per type whatever the
+horizon.  ``monte_carlo`` given a ``tapes`` dict keeps each round's tape, its
+arrivals in typed arrays (O(arrivals per round) each), and replays it for
+every strategy and discipline that asks for the same round.
+
+The controller is quiescent before every event, so a serving pass runs only
+where it can accept: after a join to an empty queue (under greedy, the single
+line), a release while a request waits, and a greedy renege of the head.  A
+join behind a waiting request changes neither the state nor which queues are
+non-empty, and a multi-queue renege only empties queues.
 """
 
 from __future__ import annotations
@@ -31,8 +39,11 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,26 +200,58 @@ def _draw_initial_index(space: StateSpace, policy: str | tuple[int, ...],
     return int(rng.integers(low, high))
 
 
-def _arrival_times(rng: np.random.Generator, scale: float):
-    """A type's arrival epochs, ``ARRIVAL_BLOCK`` draws at a time; ``np.cumsum`` adds left
-    to right, so each equals the running ``t + rng.exponential(scale)`` of scalar draws."""
-    last = 0.0
-    while True:
-        draws = rng.exponential(scale, size=ARRIVAL_BLOCK)
-        draws[0] += last
-        block = np.cumsum(draws).tolist()
-        last = block[-1]
-        yield from block
+def _arrival_blocks(slice_type: int, rate: float, lifetime_scale: float, horizon: float,
+                    arrival_rng: np.random.Generator, mark_rng: np.random.Generator):
+    """A type's arrivals up to ``horizon`` in non-empty blocks of at most ``ARRIVAL_BLOCK``.
 
-
-def _type_arrivals(slice_type: int, rate: float, lifetime_scale: float, horizon: float,
-                   arrival_rng: np.random.Generator, mark_rng: np.random.Generator):
-    """A type's arrivals up to ``horizon``, each with its three marks drawn in order."""
+    ``np.cumsum`` adds left to right, so each epoch equals the running
+    ``t + rng.exponential(scale)`` of scalar draws; each arrival then draws its
+    three marks in order.
+    """
     lifetime, uniform = mark_rng.exponential, mark_rng.random
-    for t in _arrival_times(arrival_rng, 1.0 / rate):
-        if t > horizon:
+    last = 0.0
+    while last <= horizon:
+        draws = arrival_rng.exponential(1.0 / rate, size=ARRIVAL_BLOCK)
+        draws[0] += last
+        times = np.cumsum(draws).tolist()
+        last = times[-1]
+        if last > horizon:
+            del times[bisect_right(times, horizon):]
+        if times:
+            yield [(t, slice_type, lifetime(lifetime_scale), uniform(), uniform())
+                   for t in times]
+
+
+_TIME = itemgetter(0)
+
+
+def _merge_blocks(streams: list) -> Iterator[list]:
+    """``heapq.merge``'s order of the per-type block ``streams`` (in type order), a
+    sorted chunk at a time: by ``(t, type)``, each type's own order kept.
+
+    A stream's later arrivals come at or after its last drawn epoch, and a tie goes
+    to the lower type, so no later draw can precede what lies up to the least
+    ``(last epoch, type)`` of the live streams.  That is a chunk, sorted stably by
+    time after concatenation in type order; the stream that set the cut refills.
+    """
+    buffers = [next(stream, []) for stream in streams]
+    live = [j for j, buffer in enumerate(buffers) if buffer]
+    while True:
+        # once every stream has run out, the cut takes all that is left
+        cut, dry = min(((buffers[j][-1][0], j) for j in live),
+                       default=(math.inf, len(buffers)))
+        chunk = []
+        for j, buffer in enumerate(buffers):
+            k = (bisect_right if j <= dry else bisect_left)(buffer, cut, key=_TIME)
+            chunk += buffer[:k]
+            buffers[j] = buffer[k:]
+        chunk.sort(key=_TIME)
+        yield chunk
+        if not live:
             return
-        yield t, slice_type, lifetime(lifetime_scale), uniform(), uniform()
+        buffers[dry] = next(streams[dry], [])
+        if not buffers[dry]:
+            live.remove(dry)
 
 
 class _ArrivalColumns:
@@ -254,10 +297,10 @@ def build_tape(config: SimConfig, space: StateSpace) -> RoundTape:
     # initial active slices: memoryless lifetimes drawn at t = 0
     releases = tuple((init_rng.exponential(scales[n]), n + 1)
                      for n, count in enumerate(space.state_at(index)) for _ in range(count))
-    streams = [_type_arrivals(n + 1, ty.arrival_rate, scales[n], config.horizon,
-                              rngs[n], rngs[n_types + n])
+    streams = [_arrival_blocks(n + 1, ty.arrival_rate, scales[n], config.horizon,
+                               rngs[n], rngs[n_types + n])
                for n, ty in enumerate(types) if ty.arrival_rate > 0.0]
-    return RoundTape(index, releases, heapq.merge(*streams))
+    return RoundTape(index, releases, chain.from_iterable(_merge_blocks(streams)))
 
 
 # what ``run`` reads once the tape's arrivals run out: later than any horizon
@@ -405,7 +448,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
                         if queues[pref - 1]:
                             break
                         trace.scan_empty[pref - 1] += 1
-            if joins:
+            if joins and not backlog:  # a join behind a waiting request cannot be served
                 served = serve()
         elif kind == EV_RELEASE:
             if log:
@@ -414,7 +457,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
         elif kind == EV_RENEGE:
             rec = payload
             if rec.outcome == WAITING:
-                remove(rec)
+                head_left = remove(rec)
                 rec.outcome = RENEGED
                 rec.outcome_time = t
                 n = rec.slice_type - 1
@@ -424,7 +467,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
                     wait_sum[n] += t - rec.join_time
                 if log:
                     log(t, "renege", n + 1, rec.request_id)
-                if not multi:  # the greedy head that left may have blocked one that fits
+                if head_left and not multi:  # the greedy head may have blocked one that fits
                     served = serve()
         else:  # EV_END
             break

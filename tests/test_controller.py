@@ -164,6 +164,50 @@ class TestRemove:
         with pytest.raises(ContractViolation, match="not waiting"):
             c.remove(make_request(2, 1))
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_finds_a_record_among_equal_join_times(self, index):
+        c = _blocked_controllers(case_study_space())[index]
+        records = [make_request(rid, 1, t) for rid, t in enumerate((0.5, 1.0, 1.0, 1.0, 2.0))]
+        for rec in records:
+            c.handle_request(rec)
+        assert c.remove(records[2]) is False
+        assert list(c.queue_for(1)) == records[:2] + records[3:]
+        assert c.remove(records[0]) is True
+        assert list(c.queue_for(1)) == [records[1], records[3], records[4]]
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_queue_out_of_join_order_falls_back_to_a_scan(self, index):
+        c = _blocked_controllers(case_study_space())[index]
+        records = [make_request(rid, 1, t) for rid, t in enumerate((3.0, 5.0, 1.0, 2.0, 4.0))]
+        for rec in records:
+            c.handle_request(rec)
+        for rec in (records[2], records[4], records[3]):
+            assert c.remove(rec) is False
+        assert list(c.queue_for(1)) == [records[0], records[1]]
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_refuses_records_that_never_joined_or_already_left(self, index):
+        c = _blocked_controllers(case_study_space())[index]
+        waiting = make_request(1, 1, 1.0)
+        c.handle_request(waiting)
+        with pytest.raises(ContractViolation, match="not waiting"):
+            c.remove(RequestRecord(2, 1, 1.0))  # join_time is None
+        c.remove(waiting)
+        with pytest.raises(ContractViolation, match="not waiting"):
+            c.remove(waiting)
+
+    def test_greedy_head_renege_lets_the_next_request_in(self):
+        # at (1, 1) a type-1 head does not fit and blocks a type-2 request that does
+        c = GreedySingleQueueController(case_study_space(), (1, 1))
+        head, behind, last = make_request(1, 1, 1.0), make_request(2, 2, 2.0), make_request(3, 1, 3.0)
+        for rec in (head, behind, last):
+            assert c.handle_request(rec) == []
+        assert c.remove(last) is False
+        assert c.serve_queues() == []
+        assert c.remove(head) is True
+        assert c.serve_queues() == [behind]
+        assert c.state == (1, 2)
+
 
 class TestIsTransient:
     """The controller is transient while a serving pass would accept something.

@@ -1,11 +1,14 @@
 import dataclasses
+import heapq
 import math
 import statistics
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import run_scalar
+from test_slice_model import small_models
 from slicesim import engine
 from slicesim.engine import (
     GREEDY_SINGLE_QUEUE,
@@ -510,3 +513,116 @@ class TestRoundTapes:
 
         monkeypatch.setattr(StateSpace, "index_of", unexpected)
         assert run(config, space)[1] == expected[1]
+
+
+def _merged(per_type):
+    """``engine._merge_blocks`` of hand-made per-type blocks, flattened."""
+    return list(chain.from_iterable(engine._merge_blocks([iter(b) for b in per_type])))
+
+
+def _heap_merged(per_type):
+    return list(heapq.merge(*(chain.from_iterable(blocks) for blocks in per_type)))
+
+
+def test_merge_keeps_heapq_order_across_ties_and_chunk_cuts():
+    # type 1's second block starts at its first block's last epoch (a zero draw at
+    # the cut), where type 2 has two arrivals whose tags a full-tuple sort would swap
+    type1 = [[(1.0, 1, 0.5), (3.0, 1, 0.5)], [(3.0, 1, 0.4), (5.0, 1, 0.5)]]
+    type2 = [[(0.5, 2, 0.5), (3.0, 2, 0.9), (3.0, 2, 0.1), (4.0, 2, 0.5)]]
+    expected = _heap_merged([type1, type2])
+    assert _merged([type1, type2]) == expected
+    assert [a[1:] for a in expected[2:6]] == [(1, 0.5), (1, 0.4), (2, 0.9), (2, 0.1)]
+
+
+@st.composite
+def block_streams(draw):
+    """1-4 types, each a non-decreasing run of epochs on a coarse grid (many ties)
+    cut into non-empty blocks, each arrival tagged with a random mark."""
+    per_type = []
+    for n in range(1, draw(st.integers(1, 4)) + 1):
+        times = sorted(draw(st.lists(st.integers(0, 8), max_size=12)))
+        arrivals = [(float(t), n, draw(st.floats(0.0, 1.0))) for t in times]
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(arrivals) - 1)))))
+        bounds = [0] + [c for c in cuts if c < len(arrivals)] + [len(arrivals)]
+        per_type.append([arrivals[a:b] for a, b in zip(bounds, bounds[1:]) if b > a])
+    return per_type
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_streams())
+def test_merge_matches_heapq_merge(per_type):
+    assert _merged(per_type) == _heap_merged(per_type)
+
+
+@st.composite
+def impatient_rounds(draw):
+    """A round on one of ``small_models`` under either discipline, balking and
+    reneging on, with patience short enough that requests renege mid-queue."""
+    model = draw(small_models())
+    model = dataclasses.replace(model, types=tuple(SliceType(
+        arrival_rate=draw(st.sampled_from((1.0, 3.0, 8.0))),
+        release_rate=draw(st.sampled_from((0.2, 1.0))),
+        reneging_rate=draw(st.sampled_from((0.5, 2.0, 5.0))),
+        balking_willingness=draw(st.sampled_from((None, 0.5, 1.0))),
+    ) for _ in model.types))
+    space = enumerate_state_space(model)
+    discipline = draw(st.sampled_from((MULTI_QUEUE, GREEDY_SINGLE_QUEUE)))
+    strategy = None
+    if discipline == MULTI_QUEUE:
+        strategy = random_strategy(space, draw(st.integers(0, 2**16)))
+    return SimConfig(
+        model=model, strategy=strategy, discipline=discipline, horizon=15.0,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        initial_state=draw(st.sampled_from(("empty", "full"))),
+        balking=True, reneging=True, record_events=True, check_invariants=True,
+    ), space
+
+
+def _replay_event_log(config, space, trace):
+    """Rebuild the queues from the event log and check the log against them.
+
+    Every logged state is feasible, every accept takes the head of its queue,
+    and every logged queue length is its joins minus its accepts and reneges so
+    far.  Returns the number of reneges from behind a head.
+    """
+    multi = config.discipline == MULTI_QUEUE
+    queues = [[] for _ in range(config.model.num_types if multi else 1)]
+    behind_head, lengths = 0, []
+    for _, kind, slice_type, request_id, state, _ in trace.events:
+        assert space.state_at(space.index_of(state)) == state
+        queue = queues[slice_type - 1 if multi else 0]
+        if kind == "join":
+            queue.append(request_id)
+        elif kind == "accept":
+            assert queue.pop(0) == request_id
+        elif kind == "renege":
+            behind_head += queue.index(request_id) > 0
+            queue.remove(request_id)
+        lengths.append(tuple(map(len, queues)))
+    # an accept is logged once its whole serving pass is done
+    for i in reversed(range(len(lengths) - 1)):
+        if trace.events[i][1] == trace.events[i + 1][1] == "accept":
+            lengths[i] = lengths[i + 1]
+    assert [event[5] for event in trace.events] == lengths
+    return behind_head
+
+
+# ``check_invariants`` runs one more serving pass after every event, which must
+# accept nothing: the guard for every pass the loop skips
+@settings(max_examples=150, deadline=None)
+@given(impatient_rounds())
+def test_skipped_passes_leave_the_controller_quiescent(case):
+    config, space = case
+    trace, _ = run(config, space)
+    _replay_event_log(config, space, trace)
+
+
+@pytest.mark.parametrize("discipline", [MULTI_QUEUE, GREEDY_SINGLE_QUEUE])
+def test_event_log_replays_with_reneges_behind_the_head(discipline):
+    model = table_model(2)
+    space = enumerate_state_space(model)
+    strategy = naive_strategy(space, "prefer-type-1") if discipline == MULTI_QUEUE else None
+    config = SimConfig(model=model, strategy=strategy, discipline=discipline, horizon=60.0,
+                       seed=3, initial_state="full", reneging=True, check_invariants=True)
+    trace, _ = run(config, space)
+    assert _replay_event_log(config, space, trace) > 0
