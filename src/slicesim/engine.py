@@ -294,9 +294,10 @@ def build_tape(config: SimConfig, space: StateSpace) -> RoundTape:
                        for child in np.random.SeedSequence(config.seed).spawn(1 + 2 * n_types))
     index = _draw_initial_index(space, config.initial_state, init_rng)
     scales = [1.0 / ty.release_rate for ty in types]
-    # initial active slices: memoryless lifetimes drawn at t = 0
-    releases = tuple((init_rng.exponential(scales[n]), n + 1)
-                     for n, count in enumerate(space.state_at(index)) for _ in range(count))
+    # initial active slices: memoryless lifetimes drawn at t = 0, a type's all at once
+    # (the values of one scalar draw each, in the same order)
+    releases = tuple((t, n + 1) for n, count in enumerate(space.state_at(index))
+                     for t in init_rng.exponential(scales[n], count).tolist())
     streams = [_arrival_blocks(n + 1, ty.arrival_rate, scales[n], config.horizon,
                                rngs[n], rngs[n_types + n])
                for n, ty in enumerate(types) if ty.arrival_rate > 0.0]

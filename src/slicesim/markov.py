@@ -31,8 +31,9 @@ per-type acceptance-rate estimates follow from it.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -65,16 +66,19 @@ def _check_probs(queue_empty_probs: Sequence[float], num_types: int) -> list[flo
     return probs
 
 
-def _table(flat: Iterable[int], rows: int, width: int) -> np.ndarray:
-    """The first ``rows * width`` ints of ``flat`` as a (rows, width) array, such as a
-    state space's flat increment and release tables; ``np.fromiter`` copies a tuple
-    about twice as fast as ``np.array``."""
-    return np.fromiter(flat, np.int64, rows * width).reshape(rows, width)
+def _moves(flat: array, width: int) -> np.ndarray:
+    """A state space's flat increment or release table as a read-only (states, width)
+    int64 view of its buffer, without a copy."""
+    view = np.frombuffer(flat, np.int64).reshape(-1, width)
+    view.flags.writeable = False
+    return view
 
 
 def _array(rows: Sequence[tuple], width: int) -> np.ndarray:
-    """Equal-length int tuples, such as strategy columns, as a (len(rows), width) array."""
-    return _table(itertools.chain.from_iterable(rows), len(rows), width)
+    """Equal-length int tuples, such as strategy columns, as a (len(rows), width) array;
+    ``np.fromiter`` copies them about twice as fast as ``np.array``."""
+    return np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                       len(rows) * width).reshape(len(rows), width)
 
 
 def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
@@ -101,7 +105,7 @@ def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
     out[k:, RESERVE] = 1.0
     accept = out[:k]  # a view: the admissible rows
     table = _array(strategy.columns, n_types + 1)
-    fits = _table(space._increment, k, n_types) >= 0
+    fits = _moves(space._increment, n_types)[:k] >= 0
     rows = np.arange(k)
     prefix = np.ones(k)
     live = np.ones(k, dtype=bool)
@@ -192,13 +196,13 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
         idle = total <= 0.0  # no event at all: the state holds
         total[idle] = 1.0
         at, n = np.nonzero(flows > 0.0)
-        down = _table(space._release, n_states, n_types)
+        down = _moves(space._release, n_types)
         edges.append((at, down[at, n], flows[at, n] / total[at]))
         scale = opportunity_rate / total
     edges.append((index, index, np.where(idle, 1.0, scale * accept[:, RESERVE])))
     # an idle row has scale 0, and its zero entries are not stored
     at, n = np.nonzero(accept[:, 1:] > 0.0)
-    up = _table(space._increment, n_states, n_types)
+    up = _moves(space._increment, n_types)
     edges.append((at, up[at, n], scale[at] * accept[at, n + 1]))
 
     row, col, prob = map(np.concatenate, zip(*edges))

@@ -10,6 +10,7 @@ first, so the two index maps agree on the admissibility region.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -114,18 +115,25 @@ class ResourceModel:
 SystemState = tuple[int, ...]
 
 
+def _count(v) -> int | None:
+    """``v`` as a slice count if it is a non-negative integral number, else None."""
+    try:
+        iv = int(v)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf, ...
+        return None
+    return iv if iv == v and iv >= 0 else None
+
+
 def _check_state(model: ResourceModel, s: Sequence[int]) -> SystemState:
     if len(s) != model.num_types:
         raise ContractViolation(
             f"state has {len(s)} entries, model has {model.num_types} slice types"
         )
-    out = []
-    for v in s:
-        iv = int(v)
-        if iv != v or iv < 0:
-            raise ContractViolation(f"slice counts must be non-negative integers, got {v!r}")
-        out.append(iv)
-    return tuple(out)
+    out = tuple(map(_count, s))
+    if None in out:
+        raise ContractViolation(
+            f"slice counts must be non-negative integers, got {s[out.index(None)]!r}")
+    return out
 
 
 def assigned_resources(model: ResourceModel, s: Sequence[int]) -> np.ndarray:
@@ -166,18 +174,19 @@ class StateSpace:
     ``num_admissible``.  ``counts`` is the one record of what each state
     holds: a read-only integer array, one row of slice counts per state in
     index order.  ``states`` is the same rows as int tuples, a view built on
-    first read.  The transition tables are flat int tuples, entry
-    ``index * num_types + n - 1`` for a type-n move (-1: infeasible / invalid),
-    because the event loop reads them on every serving pass.  ``index_of``
-    walks the increment table from the empty state (index 0).
+    first read.  The transition tables are flat ``array('q')`` buffers, entry
+    ``index * num_types + n - 1`` for a type-n move (-1: infeasible / invalid):
+    the event loop reads one entry at a time on every serving pass and gets a
+    plain int, and the chain reads them whole as zero-copy int64 views.
+    ``index_of`` walks the increment table from the empty state (index 0).
     """
 
     model: ResourceModel
     counts: np.ndarray = field(repr=False, compare=False)
     num_admissible: int
     num_types: int
-    _increment: tuple[int, ...] = field(repr=False)
-    _release: tuple[int, ...] = field(repr=False)
+    _increment: array = field(repr=False)
+    _release: array = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -189,8 +198,9 @@ class StateSpace:
     def index_of(self, s: Sequence[int]) -> int:
         """Index of ``s``, reached from index 0 by s[0] type-1 increments, s[1] of type 2..."""
         state, width, index = tuple(s), self.num_types, 0
-        if len(state) == width and all(c == int(c) >= 0 for c in state):
-            for n in (n for n, count in enumerate(state) for _ in range(int(count))):
+        counts = tuple(map(_count, state))
+        if len(state) == width and None not in counts:
+            for n in (n for n, count in enumerate(counts) for _ in range(count)):
                 index = self._increment[index * width + n]
                 if index < 0:
                     break
@@ -269,9 +279,9 @@ def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) ->
 
     admissible = (increment >= 0).any(axis=1)
     order = np.concatenate((np.flatnonzero(admissible), np.flatnonzero(~admissible)))
-    new_index = np.full(size + 1, -1)  # the last entry maps -1 to itself
+    new_index = np.full(size + 1, -1, dtype=np.int64)  # the last entry maps -1 to itself
     new_index[order] = np.arange(size)
-    up, down = (tuple(new_index[table[order]].ravel().tolist()) for table in (increment, release))
+    up, down = (array("q", new_index[table[order]].tobytes()) for table in (increment, release))
     counts = rows[order]
     counts.flags.writeable = False
     return StateSpace(

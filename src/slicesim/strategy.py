@@ -54,13 +54,41 @@ def validate_matrix(columns: Sequence[Sequence[int]], num_types: int,
     return _first_problem(dict.fromkeys(map(tuple, columns)), columns, num_types)
 
 
+# Largest N with (N + 1) ** (N + 1) < 2 ** 63: a column read as N + 1 digits in
+# base N + 1 has an exact 64-bit code.
+_MAX_CODED_TYPES = 14
+
+
+def _intern_coded(table: np.ndarray, num_types: int) -> tuple[list, tuple] | None:
+    """Distinct columns in first-occurrence order, and every column as its distinct
+    tuple, from one ``np.unique`` over the columns' mixed-radix codes.
+
+    ``table`` holds one column per row.  None unless it is an integer array of
+    N + 1 entries a row, N <= ``_MAX_CODED_TYPES`` and every entry in 0..N, the
+    range where the codes are exact; any other input is interned column by column.
+    """
+    if not (table.ndim == 2 and table.shape[1] == num_types + 1
+            and np.issubdtype(table.dtype, np.integer) and num_types <= _MAX_CODED_TYPES
+            and 0 <= table.min(initial=0) and table.max(initial=0) <= num_types):
+        return None
+    # in the narrowest unsigned type, whose stable sort is a radix sort up to 16 bits
+    radix = np.min_scalar_type((num_types + 1) ** (num_types + 1) - 1)
+    codes = table.astype(radix) @ (num_types + 1) ** np.arange(num_types, -1, -1, dtype=radix)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_code = list(map(tuple, table[first].tolist()))
+    return ([by_code[i] for i in np.argsort(first).tolist()],
+            tuple(map(by_code.__getitem__, inverse.tolist())))
+
+
 @dataclass(frozen=True)
 class PreferenceMatrix:
     """One preference vector per admissible state, indexed like the state space.
 
     Columns are interned: equal columns share one tuple, and each distinct
     column is checked once.  A column equal to an earlier one is stored as
-    that one, so ``(1.0, 0)`` after ``(1, 0)`` is kept as ``(1, 0)``.
+    that one, so ``(1.0, 0)`` after ``(1, 0)`` is kept as ``(1, 0)``.  An
+    integer array (one column per row) is interned in one pass where its
+    columns have exact codes (see ``_intern_coded``).
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -68,11 +96,14 @@ class PreferenceMatrix:
 
     def __post_init__(self) -> None:
         table = self.columns
-        cols = zip(*table.T.tolist()) if isinstance(table, np.ndarray) else map(tuple, table)
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct column
-        columns = tuple([shared.setdefault(c, c) for c in cols])
+        coded = _intern_coded(table, self.num_types) if isinstance(table, np.ndarray) else None
+        if coded is None:
+            cols = zip(*table.T.tolist()) if isinstance(table, np.ndarray) else map(tuple, table)
+            shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct column
+            coded = shared, tuple([shared.setdefault(c, c) for c in cols])
+        distinct, columns = coded
         object.__setattr__(self, "columns", columns)
-        problem = _first_problem(shared, columns, self.num_types)
+        problem = _first_problem(distinct, columns, self.num_types)
         if problem is not None:
             raise ContractViolation(f"invalid preference matrix: {problem}")
 

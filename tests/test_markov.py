@@ -11,6 +11,7 @@ from slicesim.config import build_strategy, load_config
 from slicesim.errors import ContractViolation
 from slicesim.markov import (
     ACCEPTANCE_ONLY,
+    _moves,
     RESIDUAL_L1_BOUND,
     WITH_RELEASES,
     acceptance_distribution,
@@ -226,6 +227,17 @@ class TestBuildTransitionMatrix:
             tracemalloc.stop()
         assert dist.converged
         assert peak < 32 * 2**20
+
+    def test_move_tables_are_read_only_views_of_the_space(self):
+        # the chain reads the space's flat tables in place: no copy, and no writes
+        space = case_study_space()
+        for flat, step in ((space._increment, space.increment_index),
+                           (space._release, space.release_index)):
+            view = _moves(flat, space.num_types)
+            assert np.shares_memory(view, flat) and not view.flags.writeable
+            assert view.tolist() == [[step(i, n) for n in (1, 2)] for i in range(len(space))]
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 0
 
     def test_validation(self):
         space = case_study_space()

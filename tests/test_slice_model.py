@@ -1,4 +1,6 @@
+import math
 import os
+import pickle
 import random
 import re
 import tracemalloc
@@ -59,7 +61,21 @@ class TestAssignedResources:
             assigned_resources(case_study_model(), (1, 0, 2))
 
 
+# counts that are not numbers, or not finite; int() raises on each of them
+_NOT_COUNTS = [(math.nan, 0), (math.inf, 0), (0, -math.inf), (None, 0), ("1", 0)]
+_NOT_COUNT_IDS = ["nan", "inf", "minus-inf", "none", "string"]
+
+
 class TestFeasibility:
+    @pytest.mark.parametrize("state", [(-1, 0), (0.5, 0), *_NOT_COUNTS],
+                             ids=["negative", "fraction", *_NOT_COUNT_IDS])
+    def test_malformed_counts_rejected(self, state):
+        bad = next(v for v in state if not (isinstance(v, int) and v >= 0))
+        for check in (is_feasible, assigned_resources):
+            with pytest.raises(ContractViolation, match=re.escape(
+                    f"slice counts must be non-negative integers, got {bad!r}")):
+                check(case_study_model(), state)
+
     def test_case_study_end_state(self):
         assert is_feasible(case_study_model(), (1, 2))
 
@@ -176,9 +192,10 @@ class TestIndexOf:
                            match=re.escape(f"state {state} is not in the feasibility space")):
             space.index_of(state)
 
-    @pytest.mark.parametrize("state", [(1,), (0, 0, 0), (), (-1, 0), (0, -1), (0.5, 0), (1, 1.5)],
+    @pytest.mark.parametrize("state", [(1,), (0, 0, 0), (), (-1, 0), (0, -1), (0.5, 0), (1, 1.5),
+                                       *_NOT_COUNTS],
                              ids=["short", "long", "empty", "negative-1", "negative-2",
-                                  "fraction-1", "fraction-2"])
+                                  "fraction-1", "fraction-2", *_NOT_COUNT_IDS])
     def test_malformed_state_rejected(self, state):
         space = enumerate_state_space(case_study_model())
         with pytest.raises(ContractViolation, match="is not in the feasibility space"):
@@ -262,8 +279,8 @@ def assert_matches_dfs(model):
     assert space.num_types == model.num_types
     assert space.states[0] == (0,) * model.num_types
     assert space.index_of((0,) * model.num_types) == 0
-    assert space._increment == tuple(i for row in increment for i in row)
-    assert space._release == tuple(i for row in release for i in row)
+    assert list(space._increment) == [i for row in increment for i in row]
+    assert list(space._release) == [i for row in release for i in row]
     assert [space.index_of(s) for s in states] == [index[s] for s in states]
     # the engine reads the tables on every event, and the tape and the event
     # log read states through state_at: plain int tuples, not numpy scalars
@@ -331,8 +348,9 @@ def test_benchmark_models_match_dfs_oracle(name):
 
 
 def test_fine_grid_space_and_strategy_stay_small():
-    # 125,751 states: the tables are flat int tuples and the strategy shares
-    # one tuple per distinct column
+    # 125,751 states: counts and the two flat int64 tables take 2 MB each, and
+    # the strategy holds one 8-byte reference per column to one tuple per
+    # distinct column
     model = load_config(os.path.join(_BENCH_CONFIGS, "fine-grid.yaml")).model
     tracemalloc.start()
     try:
@@ -343,7 +361,16 @@ def test_fine_grid_space_and_strategy_stay_small():
         tracemalloc.stop()
     assert len(space) == 125751 and strategy.num_columns == space.num_admissible
     assert len(set(map(id, strategy.columns))) <= 6  # (N + 1)! for N = 2
-    assert retained < 40 * 2**20
+    assert retained < 12 * 2**20
+
+
+def test_state_space_pickles():
+    # the benchmark harness pickles a set-up's output; the tables are buffers
+    space = enumerate_state_space(table_model())
+    copy = pickle.loads(pickle.dumps(space))
+    assert copy == space and copy is not space
+    assert copy.counts.tolist() == space.counts.tolist()
+    assert [copy.index_of(s) for s in space.states] == list(range(len(space)))
 
 
 def test_package_reads_counts_not_the_states_view():

@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+import slicesim.strategy as strategy_module
 from slicesim.config import builtin_scenario
 from slicesim.errors import ContractViolation
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
@@ -101,6 +103,68 @@ class TestNaive:
     def test_unknown_kind(self, space):
         with pytest.raises(ContractViolation):
             naive_strategy(space, "prefer-type-9")
+
+
+def _types(n):
+    return ResourceModel(pool=(1.0,), costs=((0.5,),) * n, types=(SliceType(1.0, 1.0),) * n)
+
+
+class TestInterning:
+    # random_strategy hands PreferenceMatrix an integer array, which is interned
+    # in one pass through each column's code in base N + 1 up to N = 14, and
+    # column by column above that or for any other input
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**31])
+    @pytest.mark.parametrize("model", [_types(1), _types(2), _types(3), _types(4), _types(14),
+                                       _types(15),
+                                       ResourceModel(pool=(1.0,), costs=((0.1,), (0.2,), (0.25,),
+                                                                        (0.3,)),
+                                                     types=(SliceType(1.0, 1.0),) * 4)],
+                             ids=["N1", "N2", "N3", "N4", "N14", "N15-uncoded", "N4-many"])
+    def test_random_columns_equal_the_per_column_path(self, monkeypatch, model, seed):
+        tables = []
+
+        def recording(columns, num_types):
+            tables.append(columns.copy())
+            return PreferenceMatrix(columns=columns, num_types=num_types)
+
+        monkeypatch.setattr(strategy_module, "PreferenceMatrix", recording)
+        space = enumerate_state_space(model)
+        coded = random_strategy(space, seed)
+        (table,) = tables
+        assert isinstance(table, np.ndarray) and table.shape == (space.num_admissible,
+                                                                 model.num_types + 1)
+        looped = PreferenceMatrix(columns=tuple(map(tuple, table.tolist())),
+                                  num_types=model.num_types)
+        assert coded.columns == looped.columns
+        assert {type(v) for col in coded.columns for v in col} == {int}
+        # equal columns are one object, and there are at most (N + 1)! of them
+        distinct = {id(col) for col in coded.columns}
+        assert len(distinct) == len(set(coded.columns)) <= math.factorial(model.num_types + 1)
+
+    def test_equal_rows_share_one_tuple(self):
+        table = np.array([[2, 1, 0], [0, 1, 2], [2, 1, 0], [1, 0, 2], [0, 1, 2]])
+        matrix = PreferenceMatrix(columns=table, num_types=2)
+        assert matrix.columns == tuple(map(tuple, table.tolist()))
+        assert matrix.columns[2] is matrix.columns[0] and matrix.columns[4] is matrix.columns[1]
+
+    @pytest.mark.parametrize("table", [
+        [[1, 2, 0], [1, 3, 0]],     # an entry N + 1
+        [[1, 2, 0], [-1, 2, 0]],    # an entry -1
+        [[1, 2, 0], [1, 1, 3]],     # in base 3, the same code as the valid column
+        [[1, 2, 0], [1, 1, 0]],     # a duplicate entry
+        [[2, 2, 0], [1, 1, 0]],     # two bad columns, the first with the larger code
+        [[1, 2, 0, 3], [1, 2, 0, 3]],  # too wide
+        [[1, 0], [0, 1]],           # too narrow
+    ], ids=["entry-n-plus-1", "entry-minus-1", "code-alias", "duplicate", "two-bad", "wide", "narrow"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_bad_arrays_refused_as_the_same_tuples(self, table, dtype):
+        with pytest.raises(ContractViolation) as from_tuples:
+            PreferenceMatrix(columns=tuple(map(tuple, table)), num_types=2)
+        with pytest.raises(ContractViolation) as from_array:
+            PreferenceMatrix(columns=np.array(table, dtype=dtype), num_types=2)
+        assert str(from_array.value) == str(from_tuples.value)
+        assert str(from_array.value).startswith("invalid preference matrix: column ")
 
 
 class TestRandom:
