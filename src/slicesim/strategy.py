@@ -59,25 +59,29 @@ def validate_matrix(columns: Sequence[Sequence[int]], num_types: int,
 _MAX_CODED_TYPES = 14
 
 
-def _intern_coded(table: np.ndarray, num_types: int) -> tuple[list, tuple] | None:
-    """Distinct columns in first-occurrence order, and every column as its distinct
-    tuple, from one ``np.unique`` over the columns' mixed-radix codes.
+def _intern(columns, num_types: int) -> tuple[Iterable[tuple], tuple[tuple, ...]]:
+    """The distinct columns in first-occurrence order, and every column as its distinct tuple.
 
-    ``table`` holds one column per row.  None unless it is an integer array of
-    N + 1 entries a row, N <= ``_MAX_CODED_TYPES`` and every entry in 0..N, the
-    range where the codes are exact; any other input is interned column by column.
+    An integer array (one column per row) of N + 1 entries a row, with
+    N <= ``_MAX_CODED_TYPES`` and every entry in 0..N, is interned with one
+    ``np.unique`` over the columns' codes in base N + 1, exact in that range;
+    any other input column by column.
     """
-    if not (table.ndim == 2 and table.shape[1] == num_types + 1
-            and np.issubdtype(table.dtype, np.integer) and num_types <= _MAX_CODED_TYPES
-            and 0 <= table.min(initial=0) and table.max(initial=0) <= num_types):
-        return None
-    # in the narrowest unsigned type, whose stable sort is a radix sort up to 16 bits
-    radix = np.min_scalar_type((num_types + 1) ** (num_types + 1) - 1)
-    codes = table.astype(radix) @ (num_types + 1) ** np.arange(num_types, -1, -1, dtype=radix)
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    by_code = list(map(tuple, table[first].tolist()))
-    return ([by_code[i] for i in np.argsort(first).tolist()],
-            tuple(map(by_code.__getitem__, inverse.tolist())))
+    if (isinstance(columns, np.ndarray) and columns.ndim == 2
+            and columns.shape[1] == num_types + 1 and np.issubdtype(columns.dtype, np.integer)
+            and num_types <= _MAX_CODED_TYPES
+            and 0 <= columns.min(initial=0) and columns.max(initial=0) <= num_types):
+        # in the narrowest unsigned type, whose stable sort is a radix sort up to 16 bits
+        radix = np.min_scalar_type((num_types + 1) ** (num_types + 1) - 1)
+        digits = (num_types + 1) ** np.arange(num_types, -1, -1, dtype=radix)
+        codes = columns.astype(radix) @ digits
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        by_code = list(map(tuple, columns[first].tolist()))
+        return ([by_code[i] for i in np.argsort(first).tolist()],
+                tuple(map(by_code.__getitem__, inverse.tolist())))
+    shared: dict[tuple, tuple] = {}  # one tuple per distinct column
+    rows = columns.tolist() if isinstance(columns, np.ndarray) else columns
+    return shared, tuple([shared.setdefault(c, c) for c in map(tuple, rows)])
 
 
 @dataclass(frozen=True)
@@ -88,20 +92,14 @@ class PreferenceMatrix:
     column is checked once.  A column equal to an earlier one is stored as
     that one, so ``(1.0, 0)`` after ``(1, 0)`` is kept as ``(1, 0)``.  An
     integer array (one column per row) is interned in one pass where its
-    columns have exact codes (see ``_intern_coded``).
+    columns have exact codes (see ``_intern``).
     """
 
     columns: tuple[tuple[int, ...], ...]
     num_types: int
 
     def __post_init__(self) -> None:
-        table = self.columns
-        coded = _intern_coded(table, self.num_types) if isinstance(table, np.ndarray) else None
-        if coded is None:
-            cols = zip(*table.T.tolist()) if isinstance(table, np.ndarray) else map(tuple, table)
-            shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct column
-            coded = shared, tuple([shared.setdefault(c, c) for c in cols])
-        distinct, columns = coded
+        distinct, columns = _intern(self.columns, self.num_types)
         object.__setattr__(self, "columns", columns)
         problem = _first_problem(distinct, columns, self.num_types)
         if problem is not None:
