@@ -11,7 +11,6 @@ from slicesim.config import build_strategy, load_config
 from slicesim.errors import ContractViolation
 from slicesim.markov import (
     ACCEPTANCE_ONLY,
-    _moves,
     RESIDUAL_L1_BOUND,
     WITH_RELEASES,
     acceptance_distribution,
@@ -22,6 +21,7 @@ from slicesim.markov import (
     initial_distribution,
     long_term_distribution,
     strategy_steady_state,
+    _moves,
 )
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import (

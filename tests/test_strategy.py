@@ -156,7 +156,8 @@ class TestInterning:
         [[2, 2, 0], [1, 1, 0]],     # two bad columns, the first with the larger code
         [[1, 2, 0, 3], [1, 2, 0, 3]],  # too wide
         [[1, 0], [0, 1]],           # too narrow
-    ], ids=["entry-n-plus-1", "entry-minus-1", "code-alias", "duplicate", "two-bad", "wide", "narrow"])
+    ], ids=["entry-n-plus-1", "entry-minus-1", "code-alias", "duplicate", "two-bad", "wide",
+            "narrow"])
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     def test_bad_arrays_refused_as_the_same_tuples(self, table, dtype):
         with pytest.raises(ContractViolation) as from_tuples:
