@@ -492,11 +492,12 @@ def _with_flags(check: _Checker, data: Any, command: str | None, flags: dict) ->
     for key, value in given.items():
         path = ()
         if key in ("rounds", "horizon"):
-            name = command.replace("-", "_")
+            name = (command or "").replace("-", "_")
             if name == "steady_state":
                 path = (name, "queue_empty_probs", "from_simulation")
-            elif key not in _BLOCKS[name]:
-                raise ConfigError(f"--{key}: {command} takes no --{key}")
+            elif key not in _BLOCKS.get(name, ()):
+                raise ConfigError(f"--{key}: {command or 'a run without a command'} "
+                                  f"takes no --{key}")
             else:
                 path = (name,)
         block = _copy_path(top, path)

@@ -97,10 +97,10 @@ class QueueController:
     def remove(self, record: RequestRecord) -> bool:
         """Remove a still-waiting request by identity (reneging); True if it was the head.
 
-        Requests join at non-decreasing times, so a queue is in join order: the
-        record is bisected for on ``join_time`` and picked by identity from its
-        run of equal times.  A queue out of that order falls back to a linear
-        search.
+        Precondition: requests join their queue at non-decreasing ``join_time``,
+        as they do in the event loop, so a queue is in join order.  The record
+        is bisected for on ``join_time`` and picked by identity from its run of
+        equal times.
         """
         queue = self.queue_for(record.slice_type)
         if queue and queue[0] is record:
@@ -115,11 +115,7 @@ class QueueController:
                     return False
                 if other.join_time != t:
                     break
-        try:
-            queue.remove(record)
-        except ValueError:
-            raise ContractViolation("request is not waiting in its queue") from None
-        return False
+        raise ContractViolation("request is not waiting in its queue")
 
 
 class MultiQueueController(QueueController):

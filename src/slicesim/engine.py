@@ -18,14 +18,14 @@ the toggles.  Monte-Carlo round ``i`` of master seed ``m`` runs with seed
 ``SeedSequence([m, i]).generate_state(1)``.
 
 An arrival stream draws only exponentials, so it is drawn in blocks of
-``ARRIVAL_BLOCK`` whose values equal scalar draws one by one, each block's
-marks drawn after it in arrival order.  The tape merges the per-type blocks
-into chunks sorted by ``(t, type)``, each holding what no later draw can
-precede, and arrivals stay out of the event heap (releases and reneges).  A
-lone round streams its tape: memory stays O(block) per type whatever the
-horizon.  ``monte_carlo`` given a ``tapes`` dict keeps each round's tape, its
-arrivals in typed arrays (O(arrivals per round) each), and replays it for
-every strategy and discipline that asks for the same round.
+``ARRIVAL_BLOCK`` whose values equal scalar draws one by one, until a block
+passes the horizon; the type's marks follow in arrival order.  One stable
+sort merges the types by ``(t, type)``, and the tape keeps the arrivals as
+five typed columns, 40 bytes an arrival: its memory is O(arrivals per round),
+as is a round's record of acceptance times.  Arrivals stay out of the event
+heap (releases and reneges).  ``monte_carlo`` given a ``tapes`` dict keeps
+each round's tape and replays it for every strategy and discipline that asks
+for the same round.
 
 The controller is quiescent before every event, so a serving pass runs only
 where it can accept: after a join to an empty queue (under greedy, the single
@@ -39,11 +39,8 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields, replace
-from itertools import chain
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,7 +66,7 @@ RNG_METADATA = {
 MULTI_QUEUE = "multi-queue"
 GREEDY_SINGLE_QUEUE = "greedy-single-queue"
 
-#: Arrival epochs drawn per refill of a type's stream (memory stays O(block), whatever the horizon).
+#: Arrival epochs drawn at a time from a type's stream.
 ARRIVAL_BLOCK = 256
 
 
@@ -103,6 +100,8 @@ class SimConfig:
                     f"initial_state must be 'empty', 'full' or an explicit state, "
                     f"got {self.initial_state!r}"
                 )
+        else:  # one hashable form of an explicit state, for the tape cache's key
+            object.__setattr__(self, "initial_state", tuple(self.initial_state))
 
 
 def _per_type(zero: int | float):
@@ -189,7 +188,7 @@ class MetricsReport:
 
 def _draw_initial_index(space: StateSpace, policy: str | tuple[int, ...],
                         rng: np.random.Generator) -> int:
-    if isinstance(policy, tuple) or isinstance(policy, list):
+    if isinstance(policy, tuple):
         return space.index_of(policy)
     if policy == "empty":
         return space.index_of((0,) * space.model.num_types)
@@ -200,90 +199,60 @@ def _draw_initial_index(space: StateSpace, policy: str | tuple[int, ...],
     return int(rng.integers(low, high))
 
 
-def _arrival_blocks(slice_type: int, rate: float, lifetime_scale: float, horizon: float,
-                    arrival_rng: np.random.Generator, mark_rng: np.random.Generator):
-    """A type's arrivals up to ``horizon`` in non-empty blocks of at most ``ARRIVAL_BLOCK``.
+def _arrival_columns(slice_type: int, rate: float, lifetime_scale: float, horizon: float,
+                     arrival_rng: np.random.Generator, mark_rng: np.random.Generator):
+    """A type's arrivals up to ``horizon`` as columns ``(t, type, lifetime, u_balk, u_patience)``.
 
+    Epochs come in blocks of ``ARRIVAL_BLOCK`` until one passes the horizon;
     ``np.cumsum`` adds left to right, so each epoch equals the running
-    ``t + rng.exponential(scale)`` of scalar draws; each arrival then draws its
-    three marks in order.
+    ``t + rng.exponential(scale)`` of scalar draws.  Each arrival then draws
+    its three marks in order.
     """
-    lifetime, uniform = mark_rng.exponential, mark_rng.random
-    last = 0.0
-    while last <= horizon:
+    blocks, last = [], 0.0
+    while rate > 0.0 and last <= horizon:
         draws = arrival_rng.exponential(1.0 / rate, size=ARRIVAL_BLOCK)
         draws[0] += last
-        times = np.cumsum(draws).tolist()
+        times = np.cumsum(draws)
         last = times[-1]
-        if last > horizon:
-            del times[bisect_right(times, horizon):]
-        if times:
-            yield [(t, slice_type, lifetime(lifetime_scale), uniform(), uniform())
-                   for t in times]
+        blocks.append(times[:np.searchsorted(times, horizon, side="right")])
+    epochs = np.concatenate(blocks) if blocks else np.empty(0)
+    marks = array("d")
+    lifetime, uniform, keep = mark_rng.exponential, mark_rng.random, marks.append
+    for _ in range(len(epochs)):
+        keep(lifetime(lifetime_scale))
+        keep(uniform())
+        keep(uniform())
+    lifetimes, u_balk, u_patience = np.frombuffer(marks).reshape(-1, 3).T
+    return epochs, np.full(len(epochs), slice_type), lifetimes, u_balk, u_patience
 
 
-_TIME = itemgetter(0)
+# the typecodes of the columns (t, type, lifetime, u_balk, u_patience)
+_CODES = "dqddd"
 
 
-def _merge_blocks(streams: list) -> Iterator[list]:
-    """``heapq.merge``'s order of the per-type block ``streams`` (in type order), a
-    sorted chunk at a time: by ``(t, type)``, each type's own order kept.
+def _merge(per_type: list) -> tuple[array, ...]:
+    """Per-type arrival columns, in type order and each sorted by time, as one set
+    of typed arrays sorted by ``(t, type)``.
 
-    A stream's later arrivals come at or after its last drawn epoch, and a tie goes
-    to the lower type, so no later draw can precede what lies up to the least
-    ``(last epoch, type)`` of the live streams.  That is a chunk, sorted stably by
-    time after concatenation in type order; the stream that set the cut refills.
+    A stable sort of their concatenation in type order is ``heapq.merge``'s
+    order: each type's own order kept, a tie going to the lower type.
     """
-    buffers = [next(stream, []) for stream in streams]
-    live = [j for j, buffer in enumerate(buffers) if buffer]
-    while True:
-        # once every stream has run out, the cut takes all that is left
-        cut, dry = min(((buffers[j][-1][0], j) for j in live),
-                       default=(math.inf, len(buffers)))
-        chunk = []
-        for j, buffer in enumerate(buffers):
-            k = (bisect_right if j <= dry else bisect_left)(buffer, cut, key=_TIME)
-            chunk += buffer[:k]
-            buffers[j] = buffer[k:]
-        chunk.sort(key=_TIME)
-        yield chunk
-        if not live:
-            return
-        buffers[dry] = next(streams[dry], [])
-        if not buffers[dry]:
-            live.remove(dry)
-
-
-class _ArrivalColumns:
-    """Kept arrivals, one typed array per field: 36 bytes an arrival against
-    about 184 as a list of tuples.  Each iteration yields the tuples afresh."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, arrivals: Iterable[tuple[float, int, float, float, float]]) -> None:
-        self.columns = tuple(array(code, values)
-                             for code, values in zip("diddd", zip(*arrivals)))
-
-    def __iter__(self):
-        return zip(*self.columns)
+    order = np.argsort(np.concatenate([columns[0] for columns in per_type]), kind="stable")
+    return tuple(array(code, np.concatenate(parts, dtype=code)[order].tobytes())
+                 for code, parts in zip(_CODES, zip(*per_type)))
 
 
 class RoundTape(NamedTuple):
-    """One round's strategy-independent input, which ``run`` replays.
+    """One round's strategy-independent input, which ``run`` replays any number of times.
 
     ``releases`` holds the initial slices' ``(time, type)`` in push order;
-    ``arrivals`` yields ``(t, type, lifetime, u_balk, u_patience)`` up to the
-    horizon, ordered by ``(t, type)``.  A freshly built tape streams its
-    arrivals and replays once; ``materialise`` makes one that keeps them and
-    replays any number of times.
+    ``arrivals`` holds the columns ``(t, type, lifetime, u_balk, u_patience)``
+    of the arrivals up to the horizon, ordered by ``(t, type)``.
     """
 
     initial_index: int
     releases: tuple[tuple[float, int], ...]
-    arrivals: Iterable[tuple[float, int, float, float, float]]
-
-    def materialise(self) -> "RoundTape":
-        return self._replace(arrivals=_ArrivalColumns(self.arrivals))
+    arrivals: tuple[array, ...]
 
 
 def build_tape(config: SimConfig, space: StateSpace) -> RoundTape:
@@ -298,10 +267,10 @@ def build_tape(config: SimConfig, space: StateSpace) -> RoundTape:
     # (the values of one scalar draw each, in the same order)
     releases = tuple((t, n + 1) for n, count in enumerate(space.state_at(index))
                      for t in init_rng.exponential(scales[n], count).tolist())
-    streams = [_arrival_blocks(n + 1, ty.arrival_rate, scales[n], config.horizon,
-                               rngs[n], rngs[n_types + n])
-               for n, ty in enumerate(types) if ty.arrival_rate > 0.0]
-    return RoundTape(index, releases, chain.from_iterable(_merge_blocks(streams)))
+    arrivals = _merge([_arrival_columns(n + 1, ty.arrival_rate, scales[n], config.horizon,
+                                        rngs[n], rngs[n_types + n])
+                       for n, ty in enumerate(types)])
+    return RoundTape(index, releases, arrivals)
 
 
 # what ``run`` reads once the tape's arrivals run out: later than any horizon
@@ -363,7 +332,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
         for seq, (t, slice_type) in enumerate(tape.releases, start=1)]
     heapq.heapify(heap)
     seq = len(heap)
-    arrivals_left = iter(tape.arrivals)
+    arrivals_left = zip(*tape.arrivals)
     pending = next(arrivals_left, _NO_ARRIVAL)
 
     horizon, warmup = config.horizon, config.warmup
@@ -580,9 +549,7 @@ def monte_carlo(config: SimConfig, rounds: int, space: StateSpace | None = None,
     if space is None:
         space = enumerate_state_space(config.model)
     n_types = config.model.num_types
-    initial = config.initial_state
-    round_key = (config.model, config.horizon,
-                 tuple(initial) if isinstance(initial, list) else initial)
+    round_key = (config.model, config.horizon, config.initial_state)
     reports: list[MetricsReport] = []
     pooled: list[list[float]] = [[] for _ in range(n_types)]
     for i in range(rounds):
@@ -593,7 +560,7 @@ def monte_carlo(config: SimConfig, rounds: int, space: StateSpace | None = None,
             key = round_key + (round_config.seed,)
             tape = tapes.get(key)
             if tape is None:
-                tape = tapes[key] = build_tape(round_config, space).materialise()
+                tape = tapes[key] = build_tape(round_config, space)
         trace, report = run(round_config, space, tape)
         reports.append(report)
         for n in range(1, n_types + 1):

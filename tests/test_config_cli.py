@@ -6,7 +6,7 @@ import re
 import pytest
 import yaml
 
-from slicesim.config import build_strategy, builtin_scenario, parse_config
+from slicesim.config import build_strategy, builtin_scenario, load_config, parse_config
 from slicesim.cli import main
 from slicesim.errors import ConfigError, SliceSimError
 from slicesim.slice_model import enumerate_state_space
@@ -602,6 +602,17 @@ class TestSchema:
         flag_anchor, flag_message = str(from_flag.value).split(": ", 1)
         assert yaml_anchor.startswith("cfg:") and flag_anchor == f"--{key}"
         assert yaml_message == flag_message
+
+    @pytest.mark.parametrize("command", [None, "no-such-command"], ids=["none", "unknown"])
+    @pytest.mark.parametrize("key", ["rounds", "horizon"])
+    def test_block_flag_without_a_known_command_names_the_flag(self, tmp_path, command, key):
+        # no command raised an AttributeError, an unknown one a KeyError
+        path = tmp_path / "cfg.yaml"
+        path.write_text(MINIMAL)
+        for parse in (lambda: parse_config(MINIMAL, "cfg", command, **{key: 3}),
+                      lambda: load_config(str(path), command, **{key: 3})):
+            with pytest.raises(ConfigError, match=f"^--{key}: .* takes no --{key}$"):
+                parse()
 
 
 def _readme_grammar() -> dict[str, str]:

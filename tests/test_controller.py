@@ -176,16 +176,6 @@ class TestRemove:
         assert list(c.queue_for(1)) == [records[1], records[3], records[4]]
 
     @pytest.mark.parametrize("index", [0, 1])
-    def test_queue_out_of_join_order_falls_back_to_a_scan(self, index):
-        c = _blocked_controllers(case_study_space())[index]
-        records = [make_request(rid, 1, t) for rid, t in enumerate((3.0, 5.0, 1.0, 2.0, 4.0))]
-        for rec in records:
-            c.handle_request(rec)
-        for rec in (records[2], records[4], records[3]):
-            assert c.remove(rec) is False
-        assert list(c.queue_for(1)) == [records[0], records[1]]
-
-    @pytest.mark.parametrize("index", [0, 1])
     def test_refuses_records_that_never_joined_or_already_left(self, index):
         c = _blocked_controllers(case_study_space())[index]
         waiting = make_request(1, 1, 1.0)

@@ -2,8 +2,8 @@ import dataclasses
 import heapq
 import math
 import statistics
-from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -441,7 +441,7 @@ def shared_tape_rounds(draw):
 @given(shared_tape_rounds())
 def test_cached_tape_replays_match_scalar_oracle(case):
     config, space, variants = case
-    tape = build_tape(config, space).materialise()
+    tape = build_tape(config, space)
     for variant in variants:
         trace, report = run(variant, space, tape)
         expected_trace, expected_report = run_scalar(variant, space)
@@ -490,16 +490,17 @@ class TestRoundTapes:
         assert [r.reports for r in shared] == [r.reports for r in fresh]
         assert len(tapes) == 3
 
-    def test_kept_tape_replays_the_streamed_arrivals(self):
+    def test_tape_replays_identical_arrivals_sorted_by_time_and_type(self):
         model = table_model(2)
         space = enumerate_state_space(model)
         config = SimConfig(model=model, horizon=25.0, seed=8)
-        streamed = list(build_tape(config, space).arrivals)
-        kept = build_tape(config, space).materialise()
-        assert list(kept.arrivals) == list(kept.arrivals) == streamed
-        assert streamed == sorted(streamed, key=lambda a: (a[0], a[1]))
-        assert all(0.0 < a[0] <= 25.0 for a in streamed)
-        assert {a[1] for a in streamed} == {1, 2}
+        tape = build_tape(config, space)
+        arrivals = list(zip(*tape.arrivals))
+        assert list(zip(*tape.arrivals)) == arrivals
+        assert list(zip(*build_tape(config, space).arrivals)) == arrivals
+        assert arrivals == sorted(arrivals, key=lambda a: (a[0], a[1]))
+        assert all(0.0 < a[0] <= 25.0 for a in arrivals)
+        assert {a[1] for a in arrivals} == {1, 2}
 
     def test_controller_starts_from_the_tape_index(self, monkeypatch):
         model = table_model(2)
@@ -516,40 +517,41 @@ class TestRoundTapes:
 
 
 def _merged(per_type):
-    """``engine._merge_blocks`` of hand-made per-type blocks, flattened."""
-    return list(chain.from_iterable(engine._merge_blocks([iter(b) for b in per_type])))
+    """``engine._merge`` of hand-made per-type arrivals ``(t, type, *marks)``, as tuples."""
+    empty = ((), np.empty(0, np.int64), (), (), ())
+    columns = [tuple(zip(*arrivals)) or empty for arrivals in per_type]
+    return list(zip(*engine._merge(columns)))
 
 
 def _heap_merged(per_type):
-    return list(heapq.merge(*(chain.from_iterable(blocks) for blocks in per_type)))
+    return list(heapq.merge(*per_type))
 
 
 def test_merge_keeps_heapq_order_across_ties_and_chunk_cuts():
-    # type 1's second block starts at its first block's last epoch (a zero draw at
-    # the cut), where type 2 has two arrivals whose tags a full-tuple sort would swap
-    type1 = [[(1.0, 1, 0.5), (3.0, 1, 0.5)], [(3.0, 1, 0.4), (5.0, 1, 0.5)]]
-    type2 = [[(0.5, 2, 0.5), (3.0, 2, 0.9), (3.0, 2, 0.1), (4.0, 2, 0.5)]]
+    # type 1 repeats an epoch where one block of draws ends and the next begins (a
+    # zero draw at the cut), where type 2 has two arrivals whose marks a full-tuple
+    # sort would swap
+    type1 = [(1.0, 1, 0.5, 0.0, 0.0), (3.0, 1, 0.5, 0.0, 0.0),
+             (3.0, 1, 0.4, 0.0, 0.0), (5.0, 1, 0.5, 0.0, 0.0)]
+    type2 = [(0.5, 2, 0.5, 0.0, 0.0), (3.0, 2, 0.9, 0.0, 0.0),
+             (3.0, 2, 0.1, 0.0, 0.0), (4.0, 2, 0.5, 0.0, 0.0)]
     expected = _heap_merged([type1, type2])
     assert _merged([type1, type2]) == expected
-    assert [a[1:] for a in expected[2:6]] == [(1, 0.5), (1, 0.4), (2, 0.9), (2, 0.1)]
+    assert [a[1:3] for a in expected[2:6]] == [(1, 0.5), (1, 0.4), (2, 0.9), (2, 0.1)]
 
 
 @st.composite
-def block_streams(draw):
-    """1-4 types, each a non-decreasing run of epochs on a coarse grid (many ties)
-    cut into non-empty blocks, each arrival tagged with a random mark."""
-    per_type = []
-    for n in range(1, draw(st.integers(1, 4)) + 1):
-        times = sorted(draw(st.lists(st.integers(0, 8), max_size=12)))
-        arrivals = [(float(t), n, draw(st.floats(0.0, 1.0))) for t in times]
-        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(arrivals) - 1)))))
-        bounds = [0] + [c for c in cuts if c < len(arrivals)] + [len(arrivals)]
-        per_type.append([arrivals[a:b] for a, b in zip(bounds, bounds[1:]) if b > a])
-    return per_type
+def arrival_streams(draw):
+    """1-4 types, each a non-decreasing run of epochs on a coarse grid (many ties),
+    each arrival with three random marks."""
+    marks = st.tuples(*[st.floats(0.0, 1.0)] * 3)
+    return [[(float(t), n, *draw(marks))
+             for t in sorted(draw(st.lists(st.integers(0, 8), max_size=12)))]
+            for n in range(1, draw(st.integers(1, 4)) + 1)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(block_streams())
+@given(arrival_streams())
 def test_merge_matches_heapq_merge(per_type):
     assert _merged(per_type) == _heap_merged(per_type)
 
