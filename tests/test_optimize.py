@@ -265,7 +265,7 @@ def test_sweep_entries_same_with_outer_tape_dict():
             == greedy_single_queue_baseline(model, config, 4, space))
     assert len(tapes) == 4
 
-# sha256 of every artefact of a small scenario-2 sweep and local search, with
+# sha256 of every artefact of a small scenario-2 sweep, local search and chain, with
 # impatience on and a full start.  Speed-ups of the simulation must leave the
 # files byte for byte as they are; only a change meant to alter seeded outputs
 # rewrites these digests.
@@ -287,6 +287,16 @@ _PINNED_COMMANDS = {
                      "run_meta.json":
                          "d014d76bae9e4482b1e415b3b23a9bb50586d0a005b29a1ffa3fce45da932519",
                  }),
+    # the chain fed queue-empty probabilities measured on Monte-Carlo rounds
+    "steady-state": ("steady_state: {strategy: {prefer_type: 1}, queue_empty_probs: "
+                     "{from_simulation: {rounds: 3, horizon: 30.0}}}\n", {
+                         "distribution.csv":
+                             "e46658c0385c62f7222ffb5a58a005036f42a29cc76729543a9750a674cfaac9",
+                         "estimates.csv":
+                             "86e5e67e83e9a7c716cf9768a99b70c2058fa2db97187d02b6409dfebea02605",
+                         "run_meta.json":
+                             "148a63bd2d8eadb63f2fde36dcac885746e851a7d6a30b0b070e98d9d326de30",
+                     }),
 }
 
 
