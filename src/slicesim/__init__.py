@@ -21,9 +21,11 @@ from .engine import (
     MonteCarloResult,
     SimConfig,
     SimTrace,
+    logged_rounds,
     monte_carlo,
     overall_metrics,
     pooled_queue_empty_probs,
+    queue_empty_counts,
     run,
 )
 

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import Iterable, Sequence
 
 from . import __version__
@@ -33,10 +32,10 @@ from .config import OUTPUT_ROOT_ENV, ExperimentConfig, build_strategy, load_conf
 from .engine import (
     RNG_METADATA,
     SimConfig,
-    derived_seed,
+    logged_rounds,
     monte_carlo,
     pooled_queue_empty_probs,
-    run,
+    queue_empty_counts,
 )
 from .errors import SliceSimError
 from .experiments import default_bin_width, geometric_fit_table, iat_bin_widths
@@ -120,10 +119,7 @@ def _cmd_simulate(config: ExperimentConfig, outdir: str) -> None:
                ["queue", "samples", "bin_width", "p_hat", "kld"], fit_rows)
 
     if block["write_traces"]:
-        for i in range(block["rounds"]):
-            round_sim = replace(sim, seed=derived_seed(config.seed, i),
-                                record_events=True)
-            trace, _ = run(round_sim, space)
+        for i, (trace, _) in enumerate(logged_rounds(sim, block["rounds"], space)):
             rows = [
                 [t, kind, slice_type, request_id,
                  " ".join(str(v) for v in state),
@@ -230,8 +226,9 @@ def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> dict:
     if isinstance(probs, dict):
         sim_spec = probs["from_simulation"]
         sim = _sim_config(config, sim_spec, strategy, initial_state="full")
-        result = monte_carlo(sim, sim_spec["rounds"], space)
-        probs = list(pooled_queue_empty_probs(result.reports))
+        probs = list(pooled_queue_empty_probs([
+            queue_empty_counts(trace, space, strategy)
+            for trace, _ in logged_rounds(sim, sim_spec["rounds"], space)]))
     estimate = strategy_steady_state(
         config.model, space, strategy, probs, mode=block["mode"],
         opportunity_rate=block["opportunity_rate"],

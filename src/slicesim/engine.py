@@ -32,6 +32,14 @@ where it can accept: after a join to an empty queue (under greedy, the single
 line), a release while a request waits, and a greedy renege of the head.  A
 join behind a waiting request changes neither the state nor which queues are
 non-empty, and a multi-queue renege only empties queues.
+
+The event heap holds bare release and renege times, and a dict maps each time
+to its event; events due at one time leave in push order, and an arrival at a
+heap event's time goes first.  The loop does only what Monte-Carlo scoring
+reads.  The queue-empty observations that feed the chain come from a logged
+round's ``join`` and ``balk`` entries (``queue_empty_counts``), on rounds that
+``logged_rounds`` reruns with ``monte_carlo``'s seeds, and a
+``MonteCarloResult`` pools inter-acceptance times when first asked.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,23 +150,12 @@ class SimTrace:
     total_accepted: list[int] = _per_type(0)
     total_reneged: list[int] = _per_type(0)
     final_queue_lengths: tuple[int, ...] = ()
-    # queue-empty measurements at in-window arrivals (multi-queue only), arrival_epochs of them
-    arrival_epochs: int = 0
-    empty_marginal: list[int] = _per_type(0)
-    scan_observed: list[int] = _per_type(0)
-    scan_empty: list[int] = _per_type(0)
 
     def __post_init__(self) -> None:
         self.accept_times = [[] for _ in range(self.num_types)]
         for f in fields(self):
             if "zero" in f.metadata:
                 setattr(self, f.name, [f.metadata["zero"]] * self.num_types)
-
-    def iat_samples(self, slice_type: int) -> list[float]:
-        """Inter-acceptance times of one queue inside the measurement window."""
-        times = [t for t in self.accept_times[slice_type - 1]
-                 if self.warmup < t <= self.horizon]
-        return [b - a for a, b in zip(times, times[1:])]
 
 
 @dataclass
@@ -180,10 +178,6 @@ class MetricsReport:
     accepted: tuple[int, ...]
     reneged: tuple[int, ...]
     still_waiting: tuple[int, ...]
-    arrival_epochs: int = 0
-    empty_marginal: tuple[int, ...] = ()
-    scan_observed: tuple[int, ...] = ()
-    scan_empty: tuple[int, ...] = ()
 
 
 def _draw_initial_index(space: StateSpace, policy: str | tuple[int, ...],
@@ -277,6 +271,14 @@ def build_tape(config: SimConfig, space: StateSpace) -> RoundTape:
 _NO_ARRIVAL = (math.inf,)
 
 
+def _due_behind(due: dict, when: float, event) -> None:
+    """Queue ``event`` behind what is already due at ``when``: ``run``'s ``due`` maps a time
+    to a slice type (a release), a request record (a renege) or, rarely, a list of them
+    in push order, the order a heap of ``(time, push count)`` pairs gives."""
+    first = due[when]
+    due[when] = first + [event] if first.__class__ is list else [first, event]
+
+
 def check_conservation(trace: SimTrace) -> None:
     """Raise ``ContractViolation`` unless every request of the run is accounted for.
 
@@ -311,7 +313,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
     multi = config.discipline == MULTI_QUEUE
     if multi:
         controller = MultiQueueController(space, config.strategy)
-        columns = config.strategy.columns
     else:
         controller = GreedySingleQueueController(space)
     controller.state_index = tape.initial_index
@@ -325,13 +326,18 @@ def run(config: SimConfig, space: StateSpace | None = None,
     reneging = [ty.reneging_rate if config.reneging else 0.0 for ty in types]
     queues = [controller.queue_for(n) for n in range(1, n_types + 1)]
 
-    # releases and reneges wait in the heap; the next arrival waits in ``pending``
+    # releases and reneges wait in the heap as bare times, and ``due`` maps each time to
+    # its event (see ``_due_behind``); the next arrival waits in ``pending``
     EV_ARRIVAL, EV_RELEASE, EV_RENEGE, EV_END = 0, 1, 2, 3
-    heap: list[tuple[float, int, int, object]] = [
-        (t, seq, EV_RELEASE, slice_type)
-        for seq, (t, slice_type) in enumerate(tape.releases, start=1)]
+    heap: list[float] = []
+    due: dict[float, object] = {}
+    for t, slice_type in tape.releases:
+        heap.append(t)
+        if t in due:
+            _due_behind(due, t, slice_type)
+        else:
+            due[t] = slice_type
     heapq.heapify(heap)
-    seq = len(heap)
     arrivals_left = zip(*tape.arrivals)
     pending = next(arrivals_left, _NO_ARRIVAL)
 
@@ -344,10 +350,10 @@ def run(config: SimConfig, space: StateSpace | None = None,
     totals = (trace.total_arrivals, trace.total_joined, trace.total_balked,
               trace.total_accepted, trace.total_reneged)
     total_arrivals, total_joined, total_balked, total_accepted, total_reneged = totals
-    num_admissible, all_types = space.num_admissible, range(n_types)
+    all_types = range(n_types)
     serve, handle_release, remove = (
         controller.serve_queues, controller.handle_release, controller.remove)
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush, heappop, pop_due = heapq.heappush, heapq.heappop, due.pop
     log = None  # the event log, kept together with the request records
     if trace.events is not None:
         def log(t: float, kind: str, slice_type: int, request_id: int) -> None:
@@ -356,8 +362,13 @@ def run(config: SimConfig, space: StateSpace | None = None,
 
     while True:
         t = pending[0]
-        if heap and heap[0][0] < t:
-            t, _, kind, payload = heappop(heap)
+        if heap and heap[0] < t:
+            t = heappop(heap)
+            payload = pop_due(t)
+            if payload.__class__ is list:  # events due at one time leave in push order
+                payload, *later = payload
+                due[t] = later if len(later) > 1 else later[0]
+            kind = EV_RELEASE if payload.__class__ is int else EV_RENEGE
         else:
             kind = EV_ARRIVAL
         if t > horizon:
@@ -390,9 +401,12 @@ def run(config: SimConfig, space: StateSpace | None = None,
                 waiting[n] += 1
                 total_joined[n] += 1
                 if reneging[n] > 0.0:
-                    rec.renege_deadline = t - math.log(1.0 - u_patience) / reneging[n]
-                    seq += 1
-                    heappush(heap, (rec.renege_deadline, seq, EV_RENEGE, rec))
+                    rec.renege_deadline = when = t - math.log(1.0 - u_patience) / reneging[n]
+                    heappush(heap, when)
+                    if when in due:
+                        _due_behind(due, when, rec)
+                    else:
+                        due[when] = rec
                 queue.append(rec)
                 if log:
                     records.append(rec)
@@ -403,21 +417,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
                     records.append(RequestRecord(next_id, n + 1, t, lifetime,
                                                  outcome=BALKED, outcome_time=t))
                     log(t, "balk", n + 1, next_id)
-            if multi and in_window:
-                # queue-empty observations: each queue the column lists up to the first
-                # non-empty one, given all more-preferred ones empty; marginals as fallback
-                for m in all_types:
-                    if not queues[m]:
-                        trace.empty_marginal[m] += 1
-                index = controller.state_index
-                if index < num_admissible:
-                    for pref in columns[index]:
-                        if pref == RESERVE:
-                            break
-                        trace.scan_observed[pref - 1] += 1
-                        if queues[pref - 1]:
-                            break
-                        trace.scan_empty[pref - 1] += 1
             if joins and not backlog:  # a join behind a waiting request cannot be served
                 served = serve()
         elif kind == EV_RELEASE:
@@ -450,8 +449,12 @@ def run(config: SimConfig, space: StateSpace | None = None,
             trace.accept_times[n].append(t)
             if in_window:
                 wait_sum[n] += t - rec.join_time
-            seq += 1
-            heappush(heap, (t + rec.lifetime, seq, EV_RELEASE, n + 1))
+            when = t + rec.lifetime
+            heappush(heap, when)
+            if when in due:
+                _due_behind(due, when, n + 1)
+            else:
+                due[when] = n + 1
             if log:
                 log(t, "accept", n + 1, rec.request_id)
         if config.check_invariants:
@@ -465,7 +468,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
         [total - before for total, before in zip(counts, opened)]
         for counts, opened in zip(totals, at_opening))
     trace.wait_count = [a + r for a, r in zip(trace.accepted, trace.reneged)]
-    trace.arrival_epochs = sum(trace.arrivals) if multi else 0
     trace.final_state = controller.state
     trace.final_queue_lengths = tuple(waiting)
     check_conservation(trace)
@@ -515,20 +517,27 @@ def overall_metrics(trace: SimTrace, seed: int = 0) -> MetricsReport:
         accepted=tuple(trace.accepted),
         reneged=tuple(trace.reneged),
         still_waiting=trace.final_queue_lengths,
-        arrival_epochs=trace.arrival_epochs,
-        empty_marginal=tuple(trace.empty_marginal),
-        scan_observed=tuple(trace.scan_observed),
-        scan_empty=tuple(trace.scan_empty),
     )
 
 
 @dataclass
 class MonteCarloResult:
-    """Per-round reports plus pooled per-queue inter-acceptance samples."""
+    """Per-round reports and acceptance times; per-queue inter-acceptance samples on first read."""
 
     reports: list[MetricsReport]
-    iat_samples: list[list[float]]
+    accept_times: list[list[list[float]]]  # per round, per type, whole-run
+    warmup: float
     master_seed: int
+
+    @cached_property
+    def iat_samples(self) -> list[list[float]]:
+        """Each queue's inter-acceptance times inside the rounds' window, pooled in round order."""
+        pooled: list[list[float]] = [[] for _ in self.accept_times[0]]
+        for per_type in self.accept_times:
+            for samples, times in zip(pooled, per_type):
+                times = [t for t in times if t > self.warmup]  # none lies past the horizon
+                samples.extend(b - a for a, b in zip(times, times[1:]))
+        return pooled
 
 
 def derived_seed(master_seed: int, index: int) -> int:
@@ -536,57 +545,115 @@ def derived_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
+def _round_runs(config: SimConfig, rounds: int, space: StateSpace | None,
+                tapes: dict | None, record_events: bool) -> Iterator[tuple[SimTrace, MetricsReport]]:
+    """``run`` of each Monte-Carlo round of ``config`` in turn; round ``i`` has seed
+    ``derived_seed(config.seed, i)``."""
+    if rounds < 1:
+        raise ContractViolation("need at least one Monte-Carlo round")
+    if space is None:
+        space = enumerate_state_space(config.model)
+    for i in range(rounds):
+        round_config = replace(config, seed=derived_seed(config.seed, i),
+                               record_events=record_events)
+        tape = None
+        if tapes is not None:
+            key = (config.model, config.horizon, config.initial_state, round_config.seed)
+            tape = tapes.get(key)
+            if tape is None:
+                tape = tapes[key] = build_tape(round_config, space)
+        yield run(round_config, space, tape)
+
+
 def monte_carlo(config: SimConfig, rounds: int, space: StateSpace | None = None,
                 tapes: dict | None = None) -> MonteCarloResult:
-    """Independent rounds with seeds derived from ``config.seed``; pools IATs per queue.
+    """Independent rounds with seeds derived from ``config.seed``, without event logs.
 
     With a ``tapes`` dict, each round replays the tape kept there for its
     ``(model, horizon, initial_state, round seed)``, drawn and kept on first
     use, so the strategies of one command share their rounds' draws.
     """
-    if rounds < 1:
-        raise ContractViolation("need at least one Monte-Carlo round")
-    if space is None:
-        space = enumerate_state_space(config.model)
-    n_types = config.model.num_types
-    round_key = (config.model, config.horizon, config.initial_state)
-    reports: list[MetricsReport] = []
-    pooled: list[list[float]] = [[] for _ in range(n_types)]
-    for i in range(rounds):
-        round_config = replace(config, seed=derived_seed(config.seed, i),
-                               record_events=False)
-        tape = None
-        if tapes is not None:
-            key = round_key + (round_config.seed,)
-            tape = tapes.get(key)
-            if tape is None:
-                tape = tapes[key] = build_tape(round_config, space)
-        trace, report = run(round_config, space, tape)
+    reports, accept_times = [], []
+    for trace, report in _round_runs(config, rounds, space, tapes, record_events=False):
         reports.append(report)
-        for n in range(1, n_types + 1):
-            pooled[n - 1].extend(trace.iat_samples(n))
-    return MonteCarloResult(reports=reports, iat_samples=pooled, master_seed=config.seed)
+        accept_times.append(trace.accept_times)
+    return MonteCarloResult(reports, accept_times, config.warmup, config.seed)
 
 
-def pooled_queue_empty_probs(reports: Sequence[MetricsReport]) -> tuple[float, ...]:
-    """Measured queue-empty probabilities pooled over rounds.
+def logged_rounds(config: SimConfig, rounds: int, space: StateSpace | None = None,
+                  tapes: dict | None = None) -> Iterator[tuple[SimTrace, MetricsReport]]:
+    """``monte_carlo``'s rounds of ``config`` with their event logs and request records.
+
+    Round ``i`` has the seed, and so the report, of ``monte_carlo``'s round
+    ``i``.  A logged round costs about twice an unlogged one.
+    """
+    return _round_runs(config, rounds, space, tapes, record_events=True)
+
+
+class QueueEmptyCounts(NamedTuple):
+    """Queue-empty observations at a round's in-window arrivals, per type."""
+
+    arrival_epochs: int
+    empty_marginal: tuple[int, ...]  # epochs that found the queue empty
+    scan_observed: tuple[int, ...]  # preference scans that reached the queue
+    scan_empty: tuple[int, ...]  # of those, scans that found it empty
+
+
+def queue_empty_counts(trace: SimTrace, space: StateSpace,
+                       strategy: PreferenceMatrix | None) -> QueueEmptyCounts:
+    """The queue-empty observations of a logged multi-queue round; zeros under greedy
+    (``strategy`` None).
+
+    At every arrival past the warm-up, after it joined or balked and before
+    the serving pass (its ``join`` or ``balk`` entry), each queue counts
+    toward its marginal emptiness; the state's column is then scanned in
+    preference order up to the reserve, and each queue it reaches up to the
+    first non-empty one is observed, given all more-preferred ones empty.
+    """
+    n_types = trace.num_types
+    marginal, observed, empty = [0] * n_types, [0] * n_types, [0] * n_types
+    epochs = 0
+    if strategy is not None:
+        if trace.events is None:
+            raise ContractViolation("queue-empty counts need a round run with record_events")
+        columns, num_admissible, index_of = strategy.columns, space.num_admissible, space.index_of
+        for t, kind, _, _, state, lengths in trace.events:
+            if t <= trace.warmup or (kind != "join" and kind != "balk"):
+                continue
+            epochs += 1
+            for m, length in enumerate(lengths):
+                if not length:
+                    marginal[m] += 1
+            index = index_of(state)
+            if index < num_admissible:
+                for pref in columns[index]:
+                    if pref == RESERVE:
+                        break
+                    observed[pref - 1] += 1
+                    if lengths[pref - 1]:
+                        break
+                    empty[pref - 1] += 1
+    return QueueEmptyCounts(epochs, tuple(marginal), tuple(observed), tuple(empty))
+
+
+def pooled_queue_empty_probs(counts: Sequence[QueueEmptyCounts]) -> tuple[float, ...]:
+    """Measured queue-empty probabilities pooled over rounds' ``queue_empty_counts``.
 
     Uses the preference-scan (prefix-conditional) observations; queues the
     scan never reached fall back to marginal emptiness at arrival epochs, and
     to 1 when there were no epochs at all.
     """
-    if not reports:
-        raise ContractViolation("need at least one report")
-    n_types = len(reports[0].acceptance_rates)
+    if not counts:
+        raise ContractViolation("need at least one round's counts")
     probs = []
-    epochs = sum(r.arrival_epochs for r in reports)
-    for n in range(n_types):
-        observed = sum(r.scan_observed[n] for r in reports)
-        empty = sum(r.scan_empty[n] for r in reports)
+    epochs = sum(c.arrival_epochs for c in counts)
+    for n in range(len(counts[0].scan_observed)):
+        observed = sum(c.scan_observed[n] for c in counts)
+        empty = sum(c.scan_empty[n] for c in counts)
         if observed > 0:
             probs.append(empty / observed)
         elif epochs > 0:
-            probs.append(sum(r.empty_marginal[n] for r in reports) / epochs)
+            probs.append(sum(c.empty_marginal[n] for c in counts) / epochs)
         else:
             probs.append(1.0)
     return tuple(probs)

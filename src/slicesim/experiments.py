@@ -14,7 +14,14 @@ import random as _pyrandom
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import SimConfig, derived_seed, monte_carlo, pooled_queue_empty_probs
+from .engine import (
+    SimConfig,
+    derived_seed,
+    logged_rounds,
+    monte_carlo,
+    pooled_queue_empty_probs,
+    queue_empty_counts,
+)
 from .errors import ContractViolation
 from .markov import strategy_steady_state
 from .slice_model import ResourceModel, StateSpace
@@ -158,18 +165,20 @@ def markov_consistency(model: ResourceModel, space: StateSpace,
     """Full pipeline per strategy: simulate, measure queue-empty probabilities,
     build the default-mode chain, and compare estimated acceptance rates.
 
-    The strategies run on the same round seeds and replay one set of round tapes."""
+    The strategies run on the same round seeds and replay one set of round tapes;
+    the rounds are logged, since the queue-empty counts come from their event logs."""
     rows, tapes = [], {}
     for label, strategy in strategies.items():
         config = SimConfig(model=model, strategy=strategy, horizon=horizon,
                            seed=master_seed, initial_state="full",
                            balking=impatient, reneging=impatient)
-        result = monte_carlo(config, rounds, space, tapes)
-        empty_probs = pooled_queue_empty_probs(result.reports)
-        measured = [
-            sum(r.acceptance_rates[n] for r in result.reports) / len(result.reports)
-            for n in range(model.num_types)
-        ]
+        counts, reports = [], []
+        for trace, report in logged_rounds(config, rounds, space, tapes):
+            counts.append(queue_empty_counts(trace, space, strategy))
+            reports.append(report)
+        empty_probs = pooled_queue_empty_probs(counts)
+        measured = [sum(r.acceptance_rates[n] for r in reports) / len(reports)
+                    for n in range(model.num_types)]
         estimate = strategy_steady_state(model, space, strategy, empty_probs)
         for n in range(model.num_types):
             rows.append(ConsistencyRow(

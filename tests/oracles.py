@@ -369,17 +369,27 @@ def kld_direct(probabilities, p_hat):
     return total
 
 
-def run_scalar(config, space=None):
+def run_scalar(config, space=None, tape=None):
     """``engine.run`` as the package first wrote it: one heap for every event.
 
     The loop is copied from the former ``engine.run``.  Each arrival is a heap
     event and schedules the next one with one scalar exponential draw, and
-    every step goes through a closure.  It shares the package's trace,
-    metrics and controller types, so a faster loop must reproduce its
-    outputs exactly (ties between events at one instant aside, which
-    continuous draws never produce).
+    every step goes through a closure.  It shares the package's metrics and
+    controller types, so a faster loop must reproduce its outputs exactly.
+    Its trace is the package's plus the queue-empty counts the loop takes at
+    each in-window arrival (``arrival_epochs``, ``empty_marginal``,
+    ``scan_observed``, ``scan_empty``), which ``engine.queue_empty_counts``
+    must reproduce from the event log.
+
+    The heap orders events by ``(t, not an arrival, push count)``: at one
+    instant arrivals go first, then releases and reneges in the order they
+    were pushed.  Continuous draws never tie; a hand-built ``tape`` (an
+    ``engine.RoundTape``) can, and replaces the draws: its initial state and
+    releases are pushed first, then every arrival in tape order, which is
+    ``(t, type)``.
     """
     import math
+    from dataclasses import field
 
     import numpy as np
 
@@ -410,7 +420,10 @@ def run_scalar(config, space=None):
     arrival_rngs = [np.random.Generator(np.random.PCG64(children[1 + n])) for n in range(n_types)]
     mark_rngs = [np.random.Generator(np.random.PCG64(children[1 + n_types + n])) for n in range(n_types)]
 
-    initial_index = _draw_initial_index(space, config.initial_state, init_rng)
+    if tape is None:
+        initial_index = _draw_initial_index(space, config.initial_state, init_rng)
+    else:
+        initial_index = tape.initial_index
     initial_state = space.state_at(initial_index)
 
     multi = config.discipline == MULTI_QUEUE
@@ -419,7 +432,14 @@ def run_scalar(config, space=None):
     else:
         controller = GreedySingleQueueController(space, initial_state)
 
-    trace = SimTrace(
+    @dataclass
+    class ScalarTrace(SimTrace):
+        arrival_epochs: int = 0
+        empty_marginal: list[int] = field(init=False, metadata={"zero": 0})
+        scan_observed: list[int] = field(init=False, metadata={"zero": 0})
+        scan_empty: list[int] = field(init=False, metadata={"zero": 0})
+
+    trace = ScalarTrace(
         num_types=n_types,
         horizon=config.horizon,
         warmup=config.warmup,
@@ -433,23 +453,29 @@ def run_scalar(config, space=None):
     renege_on = [config.reneging and model.types[n].reneging_rate > 0.0
                  for n in range(n_types)]
 
-    heap: list[tuple[float, int, int, object]] = []
+    heap: list[tuple[float, bool, int, int, object]] = []
     seq = 0
     EV_ARRIVAL, EV_RELEASE, EV_RENEGE = 0, 1, 2
 
     def push(t: float, kind: int, payload: object) -> None:
         nonlocal seq
         seq += 1
-        heapq.heappush(heap, (t, seq, kind, payload))
+        heapq.heappush(heap, (t, kind != EV_ARRIVAL, seq, kind, payload))
 
-    # initial active slices: memoryless lifetimes drawn at t = 0
-    for n in range(n_types):
-        for _ in range(initial_state[n]):
-            push(init_rng.exponential(1.0 / model.types[n].release_rate), EV_RELEASE, n + 1)
-    for n in range(n_types):
-        rate = model.types[n].arrival_rate
-        if rate > 0.0:
-            push(arrival_rngs[n].exponential(1.0 / rate), EV_ARRIVAL, n + 1)
+    if tape is None:
+        # initial active slices: memoryless lifetimes drawn at t = 0
+        for n in range(n_types):
+            for _ in range(initial_state[n]):
+                push(init_rng.exponential(1.0 / model.types[n].release_rate), EV_RELEASE, n + 1)
+        for n in range(n_types):
+            rate = model.types[n].arrival_rate
+            if rate > 0.0:
+                push(arrival_rngs[n].exponential(1.0 / rate), EV_ARRIVAL, n + 1)
+    else:
+        for t, n in tape.releases:
+            push(t, EV_RELEASE, n)
+        for arrival in zip(*tape.arrivals):  # (t, type, lifetime, u_balk, u_patience)
+            push(arrival[0], EV_ARRIVAL, arrival)
 
     horizon, warmup = config.horizon, config.warmup
     in_window = lambda t: warmup < t <= horizon
@@ -514,16 +540,20 @@ def run_scalar(config, space=None):
                     trace.scan_empty[pref - 1] += 1
 
     while heap:
-        t, _, kind, payload = heapq.heappop(heap)
+        t, _, _, kind, payload = heapq.heappop(heap)
         if t > horizon:
             break
         advance(t)
         if kind == EV_ARRIVAL:
-            n = payload
-            ty = model.types[n - 1]
-            lifetime = mark_rngs[n - 1].exponential(1.0 / ty.release_rate)
-            u_balk = mark_rngs[n - 1].random()
-            u_patience = mark_rngs[n - 1].random()
+            if tape is None:
+                n = payload
+                ty = model.types[n - 1]
+                lifetime = mark_rngs[n - 1].exponential(1.0 / ty.release_rate)
+                u_balk = mark_rngs[n - 1].random()
+                u_patience = mark_rngs[n - 1].random()
+            else:
+                _, n, lifetime, u_balk, u_patience = payload
+                ty = model.types[n - 1]
             next_id += 1
             rec = RequestRecord(next_id, n, t, lifetime=lifetime)
             if trace.events is not None:
@@ -560,7 +590,7 @@ def run_scalar(config, space=None):
                 log(t, "balk", n, rec.request_id)
                 if multi:
                     measure_epoch(t)
-            if ty.arrival_rate > 0.0:
+            if tape is None and ty.arrival_rate > 0.0:
                 push(t + arrival_rngs[n - 1].exponential(1.0 / ty.arrival_rate), EV_ARRIVAL, n)
         elif kind == EV_RELEASE:
             n = payload

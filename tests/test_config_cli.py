@@ -323,7 +323,7 @@ class TestCli:
         def record(sim, rounds, space):
             seen.update(rounds=rounds, horizon=sim.horizon)
             raise SliceSimError("stop after recording")
-        monkeypatch.setattr("slicesim.cli.monte_carlo", record)
+        monkeypatch.setattr("slicesim.cli.logged_rounds", record)
         cfg = self._write(tmp_path, self.STEADY_FROM_SIM)
         assert main(["steady-state", "--config", cfg, "--out", str(tmp_path / "x"),
                      "--rounds", "2", "--horizon", "7.5"]) == 1

@@ -2,6 +2,7 @@ import dataclasses
 import heapq
 import math
 import statistics
+from array import array
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from slicesim import engine
 from slicesim.engine import (
     GREEDY_SINGLE_QUEUE,
     MULTI_QUEUE,
+    RoundTape,
     SimConfig,
     build_tape,
     check_conservation,
     derived_seed,
+    logged_rounds,
     monte_carlo,
     pooled_queue_empty_probs,
+    queue_empty_counts,
     run,
 )
 from slicesim.errors import ContractViolation
@@ -351,14 +355,42 @@ class TestQueueEmptyMeasurement:
         space = enumerate_state_space(model)
         strategy = naive_strategy(space, "prefer-type-1")
         config = SimConfig(model=model, strategy=strategy, horizon=200.0, seed=3)
-        result = monte_carlo(config, rounds=4, space=space)
-        probs = pooled_queue_empty_probs(result.reports)
+        probs = pooled_queue_empty_probs([queue_empty_counts(trace, space, strategy)
+                                          for trace, _ in logged_rounds(config, 4, space)])
         assert len(probs) == 2
         assert all(0.0 <= p <= 1.0 for p in probs)
         # light load: the top-preference queue is non-empty at its own arrival
         # epochs only, so its scan-empty share is near 1 - lambda_1 / Lambda
         lam = model.arrival_rates
         assert probs[0] == pytest.approx(1 - lam[0] / sum(lam), abs=0.05)
+
+    def test_logged_rounds_report_as_monte_carlo_rounds(self):
+        model = table_model(2)
+        space = enumerate_state_space(model)
+        config = SimConfig(model=model, strategy=naive_strategy(space, "prefer-type-2"),
+                           horizon=30.0, warmup=5.0, seed=8, initial_state="full",
+                           balking=True, reneging=True)
+        logged = list(logged_rounds(config, 3, space, tapes={}))
+        assert [report for _, report in logged] == monte_carlo(config, 3, space).reports
+        assert all(trace.events for trace, _ in logged)
+
+    def test_counts_need_an_event_log(self):
+        model = table_model()
+        space = enumerate_state_space(model)
+        strategy = naive_strategy(space, "prefer-type-1")
+        trace, _ = run(SimConfig(model=model, strategy=strategy, record_events=False), space)
+        with pytest.raises(ContractViolation, match="record_events"):
+            queue_empty_counts(trace, space, strategy)
+
+    def test_pooling_falls_back_to_marginals_then_one(self):
+        counts = engine.QueueEmptyCounts
+        # the scan reached queue 1 only; queue 2 falls back to its marginal
+        assert pooled_queue_empty_probs(
+            [counts(4, (1, 3), (2, 0), (1, 0)), counts(2, (0, 1), (2, 0), (0, 0))]
+        ) == (0.25, 4 / 6)
+        assert pooled_queue_empty_probs([counts(0, (0, 0), (0, 0), (0, 0))]) == (1.0, 1.0)
+        with pytest.raises(ContractViolation):
+            pooled_queue_empty_probs([])
 
 
 _ORACLE_POOLS = (0.5, 1.0)
@@ -450,6 +482,81 @@ def test_cached_tape_replays_match_scalar_oracle(case):
         for f in dataclasses.fields(trace):
             if f.name != "records":
                 assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+
+
+# the queue-empty counts the scalar oracle takes in its loop
+_SCAN_FIELDS = ("arrival_epochs", "empty_marginal", "scan_observed", "scan_empty")
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_rounds())
+def test_queue_empty_counts_match_the_scalar_loop(case):
+    config, space = case
+    trace, _ = run(dataclasses.replace(config, record_events=True), space)
+    expected, _ = run_scalar(config, space)
+    counts = queue_empty_counts(trace, space, config.strategy)
+    assert counts == tuple(
+        value if isinstance(value, int) else tuple(value)
+        for value in (getattr(expected, name) for name in _SCAN_FIELDS))
+    if config.strategy is None:  # greedy
+        zeros = (0,) * config.model.num_types
+        assert counts == (0, zeros, zeros, zeros)
+
+
+def _tie_tapes(space):
+    """Hand-built tapes on ``_TIE_MODEL`` whose heap events tie, by name.
+
+    ``releases``: two initial releases at one time, the type-2 one pushed
+    first, and an arrival at that time too.  ``renege``: a release pushed
+    before a renege with the same time, then a renege pushed before a release
+    with the same time (an acceptance whose lifetime ends at the deadline).
+    """
+    full = space.index_of((1, 1))
+
+    def arrivals(*rows):  # rows of (t, type, lifetime, u_balk, u_patience)
+        return tuple(array(code, column) for code, column in zip("dqddd", zip(*rows)))
+
+    deadline = 1.0 - math.log(1.0 - 0.5)  # type 1 joins at 1.0; reneging rate 1
+    later = 1.5 - math.log(1.0 - 0.6)  # type 2 joins at 1.5
+    lifetime = later - deadline
+    assert deadline + lifetime == later
+    return {
+        "releases": RoundTape(full, ((2.0, 2), (2.0, 1)), arrivals(
+            (0.5, 1, 3.0, 0.0, 0.9), (1.0, 2, 3.0, 0.0, 0.9),
+            (2.0, 1, 3.0, 0.0, 0.9), (3.0, 2, 3.0, 0.0, 0.9))),
+        "renege": RoundTape(full, ((deadline, 2), (5.0, 1)), arrivals(
+            (1.0, 1, lifetime, 0.0, 0.5), (1.5, 2, 3.0, 0.0, 0.6))),
+    }, (deadline, later)
+
+
+# two slices of either type fit; both types renege at rate 1
+_TIE_MODEL = ResourceModel(pool=(2.0,), costs=((1.0,), (1.0,)), types=(
+    SliceType(1.0, 1.0, 1.0, reneging_rate=1.0), SliceType(1.0, 1.0, 5.0, reneging_rate=1.0)))
+
+
+@pytest.mark.parametrize("discipline", [MULTI_QUEUE, GREEDY_SINGLE_QUEUE])
+@pytest.mark.parametrize("name", ["releases", "renege"])
+@pytest.mark.parametrize("warmup", [0.0, 1.2])
+def test_tied_events_leave_in_push_order(name, discipline, warmup):
+    space = enumerate_state_space(_TIE_MODEL)
+    strategy = naive_strategy(space, "prefer-type-1") if discipline == MULTI_QUEUE else None
+    config = SimConfig(model=_TIE_MODEL, strategy=strategy, discipline=discipline,
+                       horizon=6.0, warmup=warmup, reneging=True, check_invariants=True)
+    tapes, (deadline, later) = _tie_tapes(space)
+    trace, report = run(config, space, tapes[name])
+    expected_trace, expected_report = run_scalar(config, space, tapes[name])
+    assert trace.events == expected_trace.events
+    assert _record_fields(trace) == _record_fields(expected_trace)
+    for f in dataclasses.fields(trace):
+        if f.name != "records":
+            assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+    assert report == expected_report
+    tied = [event[:3] for event in trace.events if event[0] in (2.0, deadline, later)]
+    if name == "releases":  # the arrival first, then the releases as pushed
+        assert tied[:3] == [(2.0, "arrival", 1), (2.0, "join", 1), (2.0, "release", 2)]
+    elif discipline == MULTI_QUEUE:
+        assert tied == [(deadline, "release", 2), (deadline, "accept", 1),
+                        (later, "renege", 2), (later, "release", 1)]
 
 
 class TestRoundTapes:

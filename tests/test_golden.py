@@ -24,7 +24,15 @@ import pytest
 
 from slicesim.casestudy import case_study_rows
 from slicesim.config import builtin_scenario
-from slicesim.engine import GREEDY_SINGLE_QUEUE, MULTI_QUEUE, SimConfig, monte_carlo, run
+from slicesim.engine import (
+    GREEDY_SINGLE_QUEUE,
+    MULTI_QUEUE,
+    SimConfig,
+    logged_rounds,
+    monte_carlo,
+    queue_empty_counts,
+    run,
+)
 from slicesim.slice_model import enumerate_state_space
 from slicesim.strategy import naive_strategy, random_strategy
 
@@ -35,8 +43,7 @@ HORIZON, WARMUP = 20.0, 4.0
 COUNT_FIELDS = (
     "arrivals", "joined", "balked", "accepted", "reneged", "wait_count",
     "total_arrivals", "total_joined", "total_balked", "total_accepted",
-    "total_reneged", "final_queue_lengths", "empty_marginal", "scan_observed",
-    "scan_empty", "initial_state", "final_state", "arrival_epochs",
+    "total_reneged", "final_queue_lengths", "initial_state", "final_state",
 )
 FLOAT_FIELDS = ("slice_time", "queue_time", "wait_sum")
 
@@ -75,10 +82,13 @@ def _run_snapshot(config, space):
         ],
         "accept_times": trace.accept_times,
     }
+    # the queue-empty counts, pinned under the names of the trace and report fields they once were
+    counts = queue_empty_counts(trace, space, config.strategy)._asdict()
     exact.update((name, getattr(trace, name)) for name in COUNT_FIELDS)
+    exact.update(counts)
     floats = {name: getattr(trace, name) for name in FLOAT_FIELDS}
     floats["state_time"] = sorted(trace.state_time.items())
-    floats["report"] = dataclasses.asdict(report)
+    floats["report"] = {**dataclasses.asdict(report), **counts}
     return {"exact": exact, "floats": floats}
 
 
@@ -89,9 +99,14 @@ def _monte_carlo_snapshot():
                        warmup=WARMUP, seed=99, initial_state="full",
                        balking=True, reneging=True)
     result = monte_carlo(config, rounds=3, space=space)
+    # each report with its round's queue-empty counts, from the same rounds logged
+    reports = []
+    for report, (trace, logged) in zip(result.reports, logged_rounds(config, 3, space)):
+        assert logged == report
+        reports.append({**dataclasses.asdict(report),
+                        **queue_empty_counts(trace, space, config.strategy)._asdict()})
     return {"exact": {"master_seed": result.master_seed},
-            "floats": {"reports": [dataclasses.asdict(r) for r in result.reports],
-                       "iat_samples": result.iat_samples}}
+            "floats": {"reports": reports, "iat_samples": result.iat_samples}}
 
 
 def _snapshots():
