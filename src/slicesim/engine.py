@@ -616,7 +616,8 @@ def queue_empty_counts(trace: SimTrace, space: StateSpace,
     if strategy is not None:
         if trace.events is None:
             raise ContractViolation("queue-empty counts need a round run with record_events")
-        columns, num_admissible, index_of = strategy.columns, space.num_admissible, space.index_of
+        columns, num_admissible = strategy.columns, space.num_admissible
+        indices: dict[SystemState, int] = {}  # index_of walks one step per active slice
         for t, kind, _, _, state, lengths in trace.events:
             if t <= trace.warmup or (kind != "join" and kind != "balk"):
                 continue
@@ -624,7 +625,9 @@ def queue_empty_counts(trace: SimTrace, space: StateSpace,
             for m, length in enumerate(lengths):
                 if not length:
                     marginal[m] += 1
-            index = index_of(state)
+            index = indices.get(state)
+            if index is None:
+                index = indices[state] = space.index_of(state)
             if index < num_admissible:
                 for pref in columns[index]:
                     if pref == RESERVE:
