@@ -35,11 +35,11 @@ non-empty, and a multi-queue renege only empties queues.
 
 The event heap holds bare release and renege times, and a dict maps each time
 to its event; events due at one time leave in push order, and an arrival at a
-heap event's time goes first.  The loop does only what Monte-Carlo scoring
-reads.  The queue-empty observations that feed the chain come from a logged
-round's ``join`` and ``balk`` entries (``queue_empty_counts``), on rounds that
-``logged_rounds`` reruns with ``monte_carlo``'s seeds, and a
-``MonteCarloResult`` pools inter-acceptance times when first asked.
+heap event's time goes first.  The loop keeps no queue-empty counts: those
+that feed the chain come from a logged round's ``join`` and ``balk`` entries
+(``queue_empty_counts``), on rounds that ``logged_rounds`` reruns with
+``monte_carlo``'s seeds.  A ``MonteCarloResult`` pools inter-acceptance times
+when first asked.
 """
 
 from __future__ import annotations
