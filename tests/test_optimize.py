@@ -297,6 +297,24 @@ _PINNED_COMMANDS = {
                          "run_meta.json":
                              "148a63bd2d8eadb63f2fde36dcac885746e851a7d6a30b0b070e98d9d326de30",
                      }),
+    # Monte-Carlo rounds with a warm-up, and the event log of each round
+    "simulate": ("simulate: {strategy: {random_seed: 5}, rounds: 3, horizon: 12.0, warmup: 2.0, "
+                 "balking: true, reneging: true, initial_state: full, write_traces: true}\n", {
+                     "metrics.csv":
+                         "5f2a644191df9ab5bd5bab8a784efeb8f36f5c65bf316e874d2969126e976711",
+                     "pooled_iat.csv":
+                         "ca1b1b8b58204df166d75fcb8bdf00e0b686d386bc2a8d4606c22c62c1529770",
+                     "iat_fit.csv":
+                         "249050e8a9abde623a11c99f4486e1059ae8e493015fbbcec9bffe354e1d9b6c",
+                     "trace_round_0.csv":
+                         "697562b8c4899fd2ead177b06d5a679e37dd2c690ffc588664334f79b3e6c0bf",
+                     "trace_round_1.csv":
+                         "bd1ca1de4bd8dc6d90444fe8e539a36d23d32ae4dc2b6d53e1650b74b0c38655",
+                     "trace_round_2.csv":
+                         "1023362157845571d30209615c74bc4f002244b0e8f12a7993db88840d989dac",
+                     "run_meta.json":
+                         "21ce257fb6c48c427234235dc757a3db25e05732b8817b7b5d50ee655491e58e",
+                 }),
 }
 
 
