@@ -40,10 +40,8 @@ class _HomogeneousQueues(QueueController):
     def __init__(self, space, initial_state) -> None:
         super().__init__(space, initial_state)
         self.queues = [deque(), deque()]
+        self.lines = self.queues
         self._next = 0
-
-    def queue_lengths(self):
-        return tuple(len(q) for q in self.queues)
 
     def queue_for(self, n: int) -> deque[RequestRecord]:
         """The next queue in turn, whatever the type: each call places one request."""

@@ -40,13 +40,8 @@ from .engine import (
 from .errors import SliceSimError
 from .experiments import default_bin_width, geometric_fit_table, iat_bin_widths
 from .markov import strategy_steady_state
-from .optimize import (
-    evaluate_strategy,
-    greedy_single_queue_baseline,
-    local_search,
-    random_sweep,
-)
-from .slice_model import enumerate_state_space
+from .optimize import GREEDY_SINGLE_QUEUE, evaluate_strategy, local_search, random_sweep
+from .slice_model import StateSpace, enumerate_state_space
 from .statfit import empirical_pmf, fit_geometric, kld_vs_geometric
 from .strategy import PreferenceMatrix, naive_strategy, to_text
 
@@ -87,6 +82,11 @@ def _metric_rows(reports) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _state_labels(space: StateSpace) -> list[str]:
+    """Each state's slice counts as the artefacts write them (``"2 0"``), in index order."""
+    return list(map(" ".join, zip(*(map(str, column) for column in space.counts.T.tolist()))))
+
+
 def _sim_config(config: ExperimentConfig, block: dict,
                 strategy: PreferenceMatrix | None = None, **fixed) -> SimConfig:
     """The round settings of a block that runs Monte-Carlo rounds; ``fixed`` adds those it lacks."""
@@ -119,12 +119,12 @@ def _cmd_simulate(config: ExperimentConfig, outdir: str) -> None:
                ["queue", "samples", "bin_width", "p_hat", "kld"], fit_rows)
 
     if block["write_traces"]:
+        labels = _state_labels(space)
         for i, (trace, _) in enumerate(logged_rounds(sim, block["rounds"], space)):
             rows = [
-                [t, kind, slice_type, request_id,
-                 " ".join(str(v) for v in state),
+                [t, kind, slice_type, request_id, labels[index],
                  " ".join(str(v) for v in queues)]
-                for t, kind, slice_type, request_id, state, queues in trace.events
+                for t, kind, slice_type, request_id, index, queues in trace.events
             ]
             _write_csv(os.path.join(outdir, f"trace_round_{i}.csv"),
                        ["time", "event", "type", "request_id", "s", "queue_lengths"],
@@ -234,9 +234,9 @@ def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> dict:
         opportunity_rate=block["opportunity_rate"],
         p_init=block["initial_distribution"],
     )
-    labels = map(" ".join, zip(*(map(str, column) for column in space.counts.T.tolist())))
     _write_csv(os.path.join(outdir, "distribution.csv"), ["index", "state", "probability"],
-               zip(range(len(space)), labels, estimate.distribution.probabilities.tolist()))
+               zip(range(len(space)), _state_labels(space),
+                   estimate.distribution.probabilities.tolist()))
     est_rows = [
         [n + 1, probs[n], estimate.acceptance_rates[n],
          estimate.mean_active_slices[n]]
@@ -274,16 +274,17 @@ def _cmd_sweep(config: ExperimentConfig, outdir: str) -> None:
     _write_csv(os.path.join(outdir, "sweep.csv"),
                ["index", "seed"] + _SCORE_COLUMNS, rows)
 
-    baseline_rows = []
+    baselines = []  # (label, strategy); the greedy single queue runs without one
     if block["include_naive"]:
-        for n in range(1, config.model.num_types + 1):
-            kind = f"prefer-type-{n}"
-            score = evaluate_strategy(config.model, naive_strategy(space, kind),
-                                      sim, block["rounds"], space, label=kind, tapes=tapes)
-            baseline_rows.append([kind] + _score_cells(score))
+        kinds = [f"prefer-type-{n}" for n in range(1, config.model.num_types + 1)]
+        baselines += [(kind, naive_strategy(space, kind)) for kind in kinds]
     if block["include_greedy_baseline"]:
-        score = greedy_single_queue_baseline(config.model, sim, block["rounds"], space, tapes)
-        baseline_rows.append(["greedy-single-queue"] + _score_cells(score))
+        baselines.append((GREEDY_SINGLE_QUEUE, None))
+    baseline_rows = [
+        [label] + _score_cells(evaluate_strategy(config.model, strategy, sim, block["rounds"],
+                                                 space, label=label, tapes=tapes))
+        for label, strategy in baselines
+    ]
     if baseline_rows:
         _write_csv(os.path.join(outdir, "baselines.csv"),
                    ["label"] + _SCORE_COLUMNS, baseline_rows)

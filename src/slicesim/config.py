@@ -293,6 +293,11 @@ def _queue_empty_probs(check: _Checker, value: Any, path: tuple):
                                       path + ("from_simulation",), _FROM_SIMULATION)}
 
 
+_LAWS = ("mm1-pmf", "impatient-pmf", "wait-densities", "wait-means", "acceptance-probabilities")
+
+#: A bound on wait_stop / wait_step, the number of steps of a wait-densities table.
+_MAX_WAIT_STEPS = 10**6
+
 _BLOCKS = {
     "simulate": {
         **_monte_carlo(rounds=20, horizon=40.0, impatience=False),
@@ -303,9 +308,8 @@ _BLOCKS = {
         "strategy": (_strategy, {"prefer_type": 1}),
     },
     "analyze": {
-        "law": (partial(_Checker.string, choices=(
-            "mm1-pmf", "impatient-pmf", "wait-densities", "wait-means",
-            "acceptance-probabilities")), ""),
+        "law": (partial(_Checker.string, choices=_LAWS),
+                _Required(f"analyze needs a 'law': one of {', '.join(_LAWS)}")),
         "arrival_rate": (_POSITIVE, 1.0),
         "acceptance_rate": (_POSITIVE, 2.0),
         "reneging_rate": (_NONNEGATIVE, 1.0),
@@ -363,6 +367,9 @@ def _block(check: _Checker, value: Any, path: tuple, schema: dict) -> dict:
             check.fail(horizon, f"must be > warmup {block['warmup']}, got {block['horizon']}")
         check.fail(path + ("warmup",),
                    f"must be < horizon {block['horizon']}, got {block['warmup']}")
+    if block.get("wait_stop", 0.0) >= _MAX_WAIT_STEPS * block.get("wait_step", 1.0):
+        check.fail(path + ("wait_step",), f"wait_stop / wait_step must be < {_MAX_WAIT_STEPS}, "
+                                          f"got {block['wait_stop']} / {block['wait_step']}")
     return block
 
 

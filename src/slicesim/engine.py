@@ -24,8 +24,8 @@ sort merges the types by ``(t, type)``, and the tape keeps the arrivals as
 five typed columns, 40 bytes an arrival: its memory is O(arrivals per round),
 as is a round's record of acceptance times.  Arrivals stay out of the event
 heap (releases and reneges).  ``monte_carlo`` given a ``tapes`` dict keeps
-each round's tape and replays it for every strategy and discipline that asks
-for the same round.
+each round's tape and replays it for every strategy (and the greedy single
+queue, ``strategy`` None) that asks for the same round.
 
 The controller is quiescent before every event, so a serving pass runs only
 where it can accept: after a join to an empty queue (under greedy, the single
@@ -72,9 +72,6 @@ RNG_METADATA = {
     "rounds": "round i uses SeedSequence([master_seed, i]).generate_state(1)",
 }
 
-MULTI_QUEUE = "multi-queue"
-GREEDY_SINGLE_QUEUE = "greedy-single-queue"
-
 #: Arrival epochs drawn at a time from a type's stream.
 ARRIVAL_BLOCK = 256
 
@@ -83,12 +80,12 @@ ARRIVAL_BLOCK = 256
 class SimConfig:
     """Everything one simulation round needs.
 
-    ``record_events`` keeps the event log and the per-request records (off in Monte-Carlo).
+    ``strategy`` None runs the greedy single queue.  ``record_events`` keeps the
+    event log and the per-request records (off in Monte-Carlo).
     """
 
     model: ResourceModel
     strategy: PreferenceMatrix | None = None
-    discipline: str = MULTI_QUEUE
     horizon: float = 40.0
     warmup: float = 0.0
     seed: int = 0
@@ -101,8 +98,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.horizon > self.warmup >= 0.0:
             raise ContractViolation("need horizon > warmup >= 0")
-        if self.discipline not in (MULTI_QUEUE, GREEDY_SINGLE_QUEUE):
-            raise ContractViolation(f"unknown discipline {self.discipline!r}")
         if isinstance(self.initial_state, str):
             if self.initial_state not in ("empty", "full"):
                 raise ContractViolation(
@@ -120,7 +115,10 @@ def _per_type(zero: int | float):
 
 @dataclass
 class SimTrace:
-    """Raw material of one round: event log, request records, accumulators."""
+    """Raw material of one round: event log, request records, accumulators.
+
+    An ``events`` entry is ``(t, kind, type, request_id, state index, queue lengths)``.
+    """
 
     num_types: int
     horizon: float
@@ -128,7 +126,7 @@ class SimTrace:
     initial_state: SystemState
     utility_rates: tuple[float, ...] = ()
     final_state: SystemState = ()
-    events: list[tuple[float, str, int, int, SystemState, tuple[int, ...]]] | None = None
+    events: list[tuple[float, str, int, int, int, tuple[int, ...]]] | None = None
     records: list[RequestRecord] = field(default_factory=list)
     accept_times: list[list[float]] = field(init=False)
     # in-window time per state index, the one occupancy accumulator (slice_time derives from it)
@@ -184,8 +182,8 @@ def _draw_initial_index(space: StateSpace, policy: str | tuple[int, ...],
                         rng: np.random.Generator) -> int:
     if isinstance(policy, tuple):
         return space.index_of(policy)
-    if policy == "empty":
-        return space.index_of((0,) * space.model.num_types)
+    if policy == "empty":  # index 0 by construction
+        return 0
     # "full": uniform over fully-utilized states (no increment of any type fits)
     low, high = space.num_admissible, len(space)
     if low == high:
@@ -303,14 +301,12 @@ def run(config: SimConfig, space: StateSpace | None = None,
     """
     model = config.model
     n_types = model.num_types
-    if config.discipline == MULTI_QUEUE and config.strategy is None:
-        raise ContractViolation("multi-queue simulation needs a strategy")
     if space is None:
         space = enumerate_state_space(model)
     if tape is None:
         tape = build_tape(config, space)
 
-    multi = config.discipline == MULTI_QUEUE
+    multi = config.strategy is not None
     if multi:
         controller = MultiQueueController(space, config.strategy)
     else:
@@ -344,7 +340,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
     horizon, warmup = config.horizon, config.warmup
     last_t = 0.0
     next_id = 0
-    waiting = [0] * n_types  # per-type waiting counts, kept for both disciplines
+    waiting = [0] * n_types  # per-type waiting counts, kept for both controllers
     records, state_time, queue_time, wait_sum = (
         trace.records, trace.state_time, trace.queue_time, trace.wait_sum)
     totals = (trace.total_arrivals, trace.total_joined, trace.total_balked,
@@ -358,7 +354,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
     if trace.events is not None:
         def log(t: float, kind: str, slice_type: int, request_id: int) -> None:
             trace.events.append((t, kind, slice_type, request_id,
-                                 controller.state, controller.queue_lengths()))
+                                 controller.state_index, controller.queue_lengths()))
 
     while True:
         t = pending[0]
@@ -617,17 +613,13 @@ def queue_empty_counts(trace: SimTrace, space: StateSpace,
         if trace.events is None:
             raise ContractViolation("queue-empty counts need a round run with record_events")
         columns, num_admissible = strategy.columns, space.num_admissible
-        indices: dict[SystemState, int] = {}  # index_of walks one step per active slice
-        for t, kind, _, _, state, lengths in trace.events:
+        for t, kind, _, _, index, lengths in trace.events:
             if t <= trace.warmup or (kind != "join" and kind != "balk"):
                 continue
             epochs += 1
             for m, length in enumerate(lengths):
                 if not length:
                     marginal[m] += 1
-            index = indices.get(state)
-            if index is None:
-                index = indices[state] = space.index_of(state)
             if index < num_admissible:
                 for pref in columns[index]:
                     if pref == RESERVE:

@@ -239,7 +239,7 @@ def initial_distribution(space: StateSpace, policy: str | Sequence[float] = "emp
     if isinstance(policy, str):
         if policy == "empty":
             p = np.zeros(n)
-            p[space.index_of((0,) * space.model.num_types)] = 1.0
+            p[0] = 1.0  # the empty state is index 0 by construction
             return p
         if policy == "uniform":
             return np.full(n, 1.0 / n)

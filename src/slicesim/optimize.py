@@ -16,18 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import (
-    GREEDY_SINGLE_QUEUE,
-    MonteCarloResult,
-    SimConfig,
-    derived_seed,
-    monte_carlo,
-)
+from .engine import MonteCarloResult, SimConfig, derived_seed, monte_carlo
 from .errors import ContractViolation
 from .slice_model import ResourceModel, StateSpace, enumerate_state_space
 from .strategy import PreferenceMatrix, random_strategy
 
 METRICS = ("utility", "wait", "admission")
+
+#: The label of the greedy single-queue controller's scores.
+GREEDY_SINGLE_QUEUE = "greedy-single-queue"
 
 
 @dataclass(frozen=True)
@@ -84,28 +81,23 @@ def score_from_result(result: MonteCarloResult, label: str) -> StrategyScore:
     )
 
 
-def evaluate_strategy(model: ResourceModel, strategy: PreferenceMatrix,
+def evaluate_strategy(model: ResourceModel, strategy: PreferenceMatrix | None,
                       config: SimConfig, rounds: int,
                       space: StateSpace | None = None,
                       label: str = "strategy", tapes: dict | None = None) -> StrategyScore:
-    """Score one strategy by a seeded Monte-Carlo batch."""
+    """Score one strategy by a seeded Monte-Carlo batch; ``strategy`` None scores the
+    greedy single-queue controller on the same random numbers."""
     if space is None:
         space = enumerate_state_space(model)
-    run_config = replace(config, model=model, strategy=strategy, discipline="multi-queue")
-    result = monte_carlo(run_config, rounds, space, tapes)
+    result = monte_carlo(replace(config, model=model, strategy=strategy), rounds, space, tapes)
     return score_from_result(result, label)
 
 
 def greedy_single_queue_baseline(model: ResourceModel, config: SimConfig, rounds: int,
                                  space: StateSpace | None = None,
                                  tapes: dict | None = None) -> StrategyScore:
-    """Score the benchmark single-queue controller on the same random numbers."""
-    if space is None:
-        space = enumerate_state_space(model)
-    run_config = replace(config, model=model, strategy=None,
-                         discipline=GREEDY_SINGLE_QUEUE)
-    result = monte_carlo(run_config, rounds, space, tapes)
-    return score_from_result(result, GREEDY_SINGLE_QUEUE)
+    """``evaluate_strategy`` of the greedy single queue, under its label."""
+    return evaluate_strategy(model, None, config, rounds, space, GREEDY_SINGLE_QUEUE, tapes)
 
 
 @dataclass(frozen=True)

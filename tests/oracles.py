@@ -402,15 +402,12 @@ def run_scalar(config, space=None, tape=None):
         MultiQueueController,
         RequestRecord,
     )
-    from slicesim.engine import MULTI_QUEUE, SimTrace, _draw_initial_index, overall_metrics
-    from slicesim.errors import ContractViolation
+    from slicesim.engine import SimTrace, _draw_initial_index, overall_metrics
     from slicesim.slice_model import enumerate_state_space
     from slicesim.strategy import RESERVE
 
     model = config.model
     n_types = model.num_types
-    if config.discipline == MULTI_QUEUE and config.strategy is None:
-        raise ContractViolation("multi-queue simulation needs a strategy")
     if space is None:
         space = enumerate_state_space(model)
 
@@ -426,7 +423,7 @@ def run_scalar(config, space=None, tape=None):
         initial_index = tape.initial_index
     initial_state = space.state_at(initial_index)
 
-    multi = config.discipline == MULTI_QUEUE
+    multi = config.strategy is not None
     if multi:
         controller = MultiQueueController(space, config.strategy, initial_state)
     else:

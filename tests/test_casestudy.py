@@ -1,8 +1,13 @@
 from slicesim.casestudy import (
+    INITIAL_STATE,
+    _HomogeneousQueues,
     accepted_by_panel,
+    case_study_model,
     case_study_rows,
     render_case_study,
 )
+from slicesim.controller import RequestRecord
+from slicesim.slice_model import enumerate_state_space
 
 
 def test_deterministic_replay():
@@ -26,6 +31,20 @@ def test_single_queue_blocks_everything():
 def test_homogeneous_queues_block_behind_type1_heads():
     accepted = accepted_by_panel(case_study_rows())
     assert accepted["homogeneous-queues"] == []
+
+
+def test_homogeneous_queues_release_and_serve():
+    # the shared controller plumbing reads the queues through ``lines``
+    controller = _HomogeneousQueues(enumerate_state_space(case_study_model()), INITIAL_STATE)
+    assert controller.handle_request(RequestRecord(1, 1, 1.0, join_time=1.0)) == []
+    assert controller.handle_request(RequestRecord(2, 2, 2.0, join_time=2.0))[0].request_id == 2
+    assert controller.queue_lengths() == (1, 0)
+    assert controller.state == (1, 1)
+    assert [r.request_id for r in controller.handle_release(1)] == [1]
+    assert controller.queue_lengths() == (0, 0)
+    assert controller.state == (1, 1)
+    assert controller.handle_release(2) == []
+    assert controller.state == (1, 0)
 
 
 def test_heterogeneous_end_state_fully_used():

@@ -161,6 +161,27 @@ model:
             parse_config(text, source="cfg")
         assert str(info.value) == f"cfg:4: must be < horizon 10.0, got {warmup}"
 
+    def test_analyze_needs_a_law(self):
+        # the message quoted an empty law the file never gave
+        with pytest.raises(ConfigError) as info:
+            parse_config("scenario: paper-scenario-1\nanalyze:\n  arrival_rate: 1.0\n",
+                         source="cfg")
+        assert str(info.value) == (
+            "cfg:2: analyze needs a 'law': one of mm1-pmf, impatient-pmf, wait-densities, "
+            "wait-means, acceptance-probabilities")
+
+    @pytest.mark.parametrize("stop, step", [("1.0e+300", "1.0e-10"), ("1.0", "1.0e-6")])
+    def test_wait_steps_bounded(self, stop, step):
+        # the first overflowed when the table's row count was rounded to an integer
+        text = (f"scenario: paper-scenario-1\nanalyze:\n  law: wait-densities\n"
+                f"  wait_stop: {stop}\n  wait_step: {step}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == (f"cfg:5: wait_stop / wait_step must be < 1000000, "
+                                   f"got {float(stop)} / {float(step)}")
+        below = text.replace(f"wait_stop: {stop}", f"wait_stop: {float(step) * 999999}")
+        assert parse_config(below).block("analyze")["wait_step"] == float(step)
+
     def test_missing_block_reported(self):
         config = parse_config(MINIMAL)
         with pytest.raises(ConfigError, match="no 'sweep' block"):
@@ -676,6 +697,13 @@ class TestFileErrors:
                         {"cfg.yaml": MINIMAL + "fit_iat: {samples: iat.csv}\n",
                          "iat.csv": samples})
         assert f"row 3: expected a finite number in column {column}, got" in err
+
+    def test_sample_past_every_bin_index(self, tmp_path, capsys):
+        # 1e308 over the default width of 0.05 overflowed the bin index
+        err = self._run(tmp_path, capsys, ["fit-iat", "--out", str(tmp_path / "o")],
+                        {"cfg.yaml": MINIMAL + "fit_iat: {samples: iat.csv}\n",
+                         "iat.csv": "iat\n0.5\n1e308\n"})
+        assert "sample 1e+308 has no finite bin of width 0.05" in err
 
     def test_out_names_an_existing_file(self, tmp_path, capsys):
         (tmp_path / "taken").write_text("", encoding="utf-8")

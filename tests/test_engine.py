@@ -12,8 +12,6 @@ from oracles import run_scalar
 from test_slice_model import small_models
 from slicesim import engine
 from slicesim.engine import (
-    GREEDY_SINGLE_QUEUE,
-    MULTI_QUEUE,
     RoundTape,
     SimConfig,
     build_tape,
@@ -107,12 +105,12 @@ class TestRunBasics:
 
 
 class TestConservationAndOrdering:
-    def _run(self, seed, scenario=2, discipline="multi-queue"):
+    def _run(self, seed, scenario=2, greedy=False):
         model = table_model(scenario)
         space = enumerate_state_space(model)
-        strategy = random_strategy(space, seed) if discipline == "multi-queue" else None
-        config = SimConfig(model=model, strategy=strategy, discipline=discipline,
-                           horizon=40.0, seed=seed, initial_state="full",
+        strategy = None if greedy else random_strategy(space, seed)
+        config = SimConfig(model=model, strategy=strategy, horizon=40.0,
+                           seed=seed, initial_state="full",
                            balking=True, reneging=True, check_invariants=True)
         return run(config, space)
 
@@ -167,7 +165,7 @@ class TestConservationAndOrdering:
             assert r.outcome_time - r.join_time <= r.renege_deadline - r.join_time + 1e-12
 
     def test_greedy_discipline_invariants(self):
-        trace, report = self._run(7, discipline="greedy-single-queue")
+        trace, report = self._run(7, greedy=True)
         for n in range(2):
             assert trace.total_arrivals[n] == (
                 trace.total_balked[n] + trace.total_reneged[n]
@@ -177,14 +175,14 @@ class TestConservationAndOrdering:
     def test_greedy_line_is_served_after_a_renege(self):
         # a head that reneges may have blocked a request that fits: the engine must
         # serve the line then, or the invariant check finds an acceptable head
-        config = SimConfig(model=table_model(2), discipline=GREEDY_SINGLE_QUEUE,
-                           horizon=200.0, seed=0, initial_state="full",
+        config = SimConfig(model=table_model(2), strategy=None, horizon=200.0,
+                           seed=0, initial_state="full",
                            balking=True, reneging=True, check_invariants=True)
         monte_carlo(config, 6)
 
     def test_greedy_queue_lengths_tracked_per_type(self):
         # the single shared queue still reports per-type occupancy
-        trace, report = self._run(9, discipline="greedy-single-queue")
+        trace, report = self._run(9, greedy=True)
         assert len(report.queue_length_means) == 2
         assert all(l >= 0.0 for l in report.queue_length_means)
         expected = sum(
@@ -324,8 +322,7 @@ class TestMonteCarlo:
 
     def test_rounds_validation(self):
         model = table_model()
-        config = SimConfig(model=model, strategy=None,
-                           discipline="greedy-single-queue", horizon=4.0)
+        config = SimConfig(model=model, strategy=None, horizon=4.0)
         with pytest.raises(ContractViolation):
             monte_carlo(config, rounds=0)
 
@@ -338,7 +335,7 @@ class TestCommonRandomNumbers:
                    balking=True, reneging=True)
         t1, _ = run(SimConfig(strategy=naive_strategy(space, "prefer-type-1"), **cfg), space)
         t2, _ = run(SimConfig(strategy=naive_strategy(space, "prefer-type-2"), **cfg), space)
-        t3, _ = run(SimConfig(strategy=None, discipline="greedy-single-queue", **cfg), space)
+        t3, _ = run(SimConfig(strategy=None, **cfg), space)
         def arrival_times(trace):
             return [(e[0], e[2]) for e in trace.events if e[1] == "arrival"]
         assert arrival_times(t1) == arrival_times(t2) == arrival_times(t3)
@@ -417,16 +414,15 @@ def oracle_rounds(draw):
         ))
     model = ResourceModel(pool=pool, costs=tuple(costs), types=tuple(types))
     space = enumerate_state_space(model)
-    discipline = draw(st.sampled_from((MULTI_QUEUE, GREEDY_SINGLE_QUEUE)))
-    strategy = None
-    if discipline == MULTI_QUEUE:
+    strategy = None  # the greedy single queue, or else a random strategy
+    if draw(st.booleans()):
         strategy = random_strategy(space, draw(st.integers(0, 2**16)))
     horizon = draw(st.sampled_from((3.0, 10.0, 30.0, 60.0)))
     initial = draw(st.sampled_from(("empty", "full", "explicit")))
     if initial == "explicit":
         initial = draw(st.sampled_from(space.states))
     return SimConfig(
-        model=model, strategy=strategy, discipline=discipline, horizon=horizon,
+        model=model, strategy=strategy, horizon=horizon,
         warmup=draw(st.sampled_from((0.0, horizon / 4, horizon * 0.999))),
         seed=draw(st.integers(0, 2**32 - 1)),
         initial_state=initial, balking=draw(st.booleans()), reneging=draw(st.booleans()),
@@ -438,6 +434,24 @@ def _record_fields(trace):
     return [dataclasses.astuple(r) for r in trace.records]
 
 
+def _state_tuples(events, space):
+    """An event log with each state index as its slice counts, as ``run_scalar`` logs it."""
+    if events is None:
+        return None
+    return [(t, kind, slice_type, request_id, space.state_at(index), lengths)
+            for t, kind, slice_type, request_id, index, lengths in events]
+
+
+def _assert_matches_oracle(space, trace, report, expected_trace, expected_report):
+    """A round of ``run`` equals the same round of ``run_scalar``, field by field."""
+    assert report == expected_report
+    assert _record_fields(trace) == _record_fields(expected_trace)
+    assert _state_tuples(trace.events, space) == expected_trace.events
+    for f in dataclasses.fields(trace):
+        if f.name not in ("records", "events"):
+            assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+
+
 # short blocks make block refills happen on short horizons
 @pytest.mark.parametrize("block", [engine.ARRIVAL_BLOCK, 1, 3])
 @settings(max_examples=120, deadline=None)
@@ -447,26 +461,20 @@ def test_run_matches_scalar_oracle(block, case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "ARRIVAL_BLOCK", block)
         trace, report = run(config, space)
-    expected_trace, expected_report = run_scalar(config, space)
-    assert report == expected_report
-    assert _record_fields(trace) == _record_fields(expected_trace)
-    for f in dataclasses.fields(trace):
-        if f.name != "records":
-            assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+    _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
 
 
 @st.composite
 def shared_tape_rounds(draw):
-    """An oracle round plus two strategies and the greedy discipline on its seed, horizon and
-    initial state, each with its own warm-up, toggles and event log."""
+    """An oracle round plus two strategies and the greedy single queue on its seed, horizon
+    and initial state, each with its own warm-up, toggles and event log."""
     config, space = draw(oracle_rounds())
-    variants = [dict(strategy=random_strategy(space, draw(st.integers(0, 2**16))),
-                     discipline=MULTI_QUEUE) for _ in range(2)]
-    variants.append(dict(strategy=None, discipline=GREEDY_SINGLE_QUEUE))
+    strategies = [random_strategy(space, draw(st.integers(0, 2**16))) for _ in range(2)]
     return config, space, [dataclasses.replace(
         config, warmup=draw(st.sampled_from((0.0, config.horizon / 4, config.horizon * 0.999))),
         balking=draw(st.booleans()), reneging=draw(st.booleans()),
-        record_events=draw(st.booleans()), **variant) for variant in variants]
+        record_events=draw(st.booleans()), strategy=strategy)
+        for strategy in strategies + [None]]
 
 
 @settings(max_examples=80, deadline=None)
@@ -475,13 +483,7 @@ def test_cached_tape_replays_match_scalar_oracle(case):
     config, space, variants = case
     tape = build_tape(config, space)
     for variant in variants:
-        trace, report = run(variant, space, tape)
-        expected_trace, expected_report = run_scalar(variant, space)
-        assert report == expected_report
-        assert _record_fields(trace) == _record_fields(expected_trace)
-        for f in dataclasses.fields(trace):
-            if f.name != "records":
-                assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
+        _assert_matches_oracle(space, *run(variant, space, tape), *run_scalar(variant, space))
 
 
 # the queue-empty counts the scalar oracle takes in its loop
@@ -534,27 +536,22 @@ _TIE_MODEL = ResourceModel(pool=(2.0,), costs=((1.0,), (1.0,)), types=(
     SliceType(1.0, 1.0, 1.0, reneging_rate=1.0), SliceType(1.0, 1.0, 5.0, reneging_rate=1.0)))
 
 
-@pytest.mark.parametrize("discipline", [MULTI_QUEUE, GREEDY_SINGLE_QUEUE])
+@pytest.mark.parametrize("discipline", ["multi-queue", "greedy-single-queue"])
 @pytest.mark.parametrize("name", ["releases", "renege"])
 @pytest.mark.parametrize("warmup", [0.0, 1.2])
 def test_tied_events_leave_in_push_order(name, discipline, warmup):
     space = enumerate_state_space(_TIE_MODEL)
-    strategy = naive_strategy(space, "prefer-type-1") if discipline == MULTI_QUEUE else None
-    config = SimConfig(model=_TIE_MODEL, strategy=strategy, discipline=discipline,
-                       horizon=6.0, warmup=warmup, reneging=True, check_invariants=True)
+    multi = discipline == "multi-queue"
+    strategy = naive_strategy(space, "prefer-type-1") if multi else None
+    config = SimConfig(model=_TIE_MODEL, strategy=strategy, horizon=6.0, warmup=warmup,
+                       reneging=True, check_invariants=True)
     tapes, (deadline, later) = _tie_tapes(space)
     trace, report = run(config, space, tapes[name])
-    expected_trace, expected_report = run_scalar(config, space, tapes[name])
-    assert trace.events == expected_trace.events
-    assert _record_fields(trace) == _record_fields(expected_trace)
-    for f in dataclasses.fields(trace):
-        if f.name != "records":
-            assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
-    assert report == expected_report
+    _assert_matches_oracle(space, trace, report, *run_scalar(config, space, tapes[name]))
     tied = [event[:3] for event in trace.events if event[0] in (2.0, deadline, later)]
     if name == "releases":  # the arrival first, then the releases as pushed
         assert tied[:3] == [(2.0, "arrival", 1), (2.0, "join", 1), (2.0, "release", 2)]
-    elif discipline == MULTI_QUEUE:
+    elif multi:
         assert tied == [(deadline, "release", 2), (deadline, "accept", 1),
                         (later, "renege", 2), (later, "release", 1)]
 
@@ -591,8 +588,7 @@ class TestRoundTapes:
                          horizon=25.0, seed=8, initial_state=[3, 1])
         configs = [base,
                    dataclasses.replace(base, initial_state=(3, 1), balking=True, warmup=5.0),
-                   dataclasses.replace(base, strategy=None, discipline=GREEDY_SINGLE_QUEUE,
-                                       reneging=True)]
+                   dataclasses.replace(base, strategy=None, reneging=True)]
         fresh, shared, tapes = self._fresh_and_shared(configs, space)
         assert [r.reports for r in shared] == [r.reports for r in fresh]
         assert len(tapes) == 3
@@ -665,7 +661,7 @@ def test_merge_matches_heapq_merge(per_type):
 
 @st.composite
 def impatient_rounds(draw):
-    """A round on one of ``small_models`` under either discipline, balking and
+    """A round on one of ``small_models`` under either controller, balking and
     reneging on, with patience short enough that requests renege mid-queue."""
     model = draw(small_models())
     model = dataclasses.replace(model, types=tuple(SliceType(
@@ -675,12 +671,11 @@ def impatient_rounds(draw):
         balking_willingness=draw(st.sampled_from((None, 0.5, 1.0))),
     ) for _ in model.types))
     space = enumerate_state_space(model)
-    discipline = draw(st.sampled_from((MULTI_QUEUE, GREEDY_SINGLE_QUEUE)))
-    strategy = None
-    if discipline == MULTI_QUEUE:
+    strategy = None  # the greedy single queue, or else a random strategy
+    if draw(st.booleans()):
         strategy = random_strategy(space, draw(st.integers(0, 2**16)))
     return SimConfig(
-        model=model, strategy=strategy, discipline=discipline, horizon=15.0,
+        model=model, strategy=strategy, horizon=15.0,
         seed=draw(st.integers(0, 2**32 - 1)),
         initial_state=draw(st.sampled_from(("empty", "full"))),
         balking=True, reneging=True, record_events=True, check_invariants=True,
@@ -690,15 +685,16 @@ def impatient_rounds(draw):
 def _replay_event_log(config, space, trace):
     """Rebuild the queues from the event log and check the log against them.
 
-    Every logged state is feasible, every accept takes the head of its queue,
-    and every logged queue length is its joins minus its accepts and reneges so
-    far.  Returns the number of reneges from behind a head.
+    Every logged state is an index into the space, every accept takes the
+    head of its queue, and every logged queue length is its joins minus its
+    accepts and reneges so far.  Returns the number of reneges from behind a
+    head.
     """
-    multi = config.discipline == MULTI_QUEUE
+    multi = config.strategy is not None
     queues = [[] for _ in range(config.model.num_types if multi else 1)]
     behind_head, lengths = 0, []
-    for _, kind, slice_type, request_id, state, _ in trace.events:
-        assert space.state_at(space.index_of(state)) == state
+    for _, kind, slice_type, request_id, index, _ in trace.events:
+        assert index.__class__ is int and 0 <= index < len(space)
         queue = queues[slice_type - 1 if multi else 0]
         if kind == "join":
             queue.append(request_id)
@@ -726,12 +722,12 @@ def test_skipped_passes_leave_the_controller_quiescent(case):
     _replay_event_log(config, space, trace)
 
 
-@pytest.mark.parametrize("discipline", [MULTI_QUEUE, GREEDY_SINGLE_QUEUE])
+@pytest.mark.parametrize("discipline", ["multi-queue", "greedy-single-queue"])
 def test_event_log_replays_with_reneges_behind_the_head(discipline):
     model = table_model(2)
     space = enumerate_state_space(model)
-    strategy = naive_strategy(space, "prefer-type-1") if discipline == MULTI_QUEUE else None
-    config = SimConfig(model=model, strategy=strategy, discipline=discipline, horizon=60.0,
+    strategy = naive_strategy(space, "prefer-type-1") if discipline == "multi-queue" else None
+    config = SimConfig(model=model, strategy=strategy, horizon=60.0,
                        seed=3, initial_state="full", reneging=True, check_invariants=True)
     trace, _ = run(config, space)
     assert _replay_event_log(config, space, trace) > 0

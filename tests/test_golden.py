@@ -2,7 +2,7 @@
 
 Pins what ``engine.run``, ``engine.monte_carlo`` and
 ``casestudy.case_study_rows`` produce for fixed seeds, on both built-in
-scenarios, both queueing disciplines, with impatience on and off and a
+scenarios, both controllers, with impatience on and off and a
 warm-up window.  Event logs, request records, acceptance times and integer
 counts must match exactly; float accumulators and metrics must match within
 1e-12 relative.
@@ -25,8 +25,6 @@ import pytest
 from slicesim.casestudy import case_study_rows
 from slicesim.config import builtin_scenario
 from slicesim.engine import (
-    GREEDY_SINGLE_QUEUE,
-    MULTI_QUEUE,
     SimConfig,
     logged_rounds,
     monte_carlo,
@@ -54,18 +52,18 @@ def _run_configs():
     for scenario in ("paper-scenario-1", "paper-scenario-2"):
         model = builtin_scenario(scenario)
         space = enumerate_state_space(model)
-        for discipline in (MULTI_QUEUE, GREEDY_SINGLE_QUEUE):
+        for discipline in ("multi-queue", "greedy-single-queue"):
             for impatient in (False, True):
                 for seed in (3, 11):
-                    strategy = None
-                    if discipline == MULTI_QUEUE:
+                    strategy = None  # the greedy single queue
+                    if discipline == "multi-queue":
                         strategy = (naive_strategy(space, "prefer-type-2") if seed == 3
                                     else random_strategy(space, seed))
                     name = (f"{scenario}/{discipline}/"
                             f"{'impatient' if impatient else 'patient'}/seed-{seed}")
                     configs[name] = (SimConfig(
-                        model=model, strategy=strategy, discipline=discipline,
-                        horizon=HORIZON, warmup=WARMUP, seed=seed, initial_state="full",
+                        model=model, strategy=strategy, horizon=HORIZON,
+                        warmup=WARMUP, seed=seed, initial_state="full",
                         balking=impatient, reneging=impatient,
                     ), space)
     return configs
@@ -73,8 +71,9 @@ def _run_configs():
 
 def _run_snapshot(config, space):
     trace, report = run(config, space)
-    exact = {
-        "events": trace.events,
+    exact = {  # the log's states as slice counts, as the fixture holds them
+        "events": [(t, kind, slice_type, request_id, space.state_at(index), lengths)
+                   for t, kind, slice_type, request_id, index, lengths in trace.events],
         "records": [
             (r.request_id, r.slice_type, r.arrival_time, r.lifetime, r.join_time,
              r.renege_deadline, r.outcome, r.outcome_time)

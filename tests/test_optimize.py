@@ -141,6 +141,19 @@ class TestGreedyBaseline:
         # slow releases: the multi-queue controller admits strictly more
         assert multi.admission_mean > score.admission_mean
 
+    def test_is_evaluate_strategy_without_a_strategy(self):
+        model = scenario_model(2)
+        space = enumerate_state_space(model)
+        config = SimConfig(model=model, strategy=None, horizon=15.0, seed=6,
+                           initial_state="full", balking=True, reneging=True)
+        label = optimize.GREEDY_SINGLE_QUEUE
+        score = evaluate_strategy(model, None, config, 3, space, label=label)
+        assert score == greedy_single_queue_baseline(model, config, 3, space)
+        assert score.label == "greedy-single-queue"
+        # not the scores of a multi-queue strategy on the same rounds
+        assert score != evaluate_strategy(model, naive_strategy(space, "prefer-type-1"), config,
+                                          3, space, label=label)
+
     def test_empty_arrivals(self):
         model = ResourceModel(
             pool=(1.0,), costs=((0.5,),), types=(SliceType(0.0, 1.0, 1.0),)

@@ -282,8 +282,9 @@ def assert_matches_dfs(model):
     assert list(space._increment) == [i for row in increment for i in row]
     assert list(space._release) == [i for row in release for i in row]
     assert [space.index_of(s) for s in states] == [index[s] for s in states]
-    # the engine reads the tables on every event, and the tape and the event
-    # log read states through state_at: plain int tuples, not numpy scalars
+    # the engine reads the tables on every event, and the tape and the trace's
+    # initial and final states read states through state_at: plain int tuples,
+    # not numpy scalars
     rows = [space.state_at(i) for i in range(len(space))]
     assert rows == list(states) and {type(s) for s in rows} == {tuple}
     space_ints = [v for s in rows for v in s] + [*space._increment, *space._release]

@@ -39,6 +39,11 @@ class TestEmpiricalPmf:
         with pytest.raises(ContractViolation):
             empirical_pmf([-0.1], 0.1)
 
+    @pytest.mark.parametrize("sample, width", [(1e308, 0.05), (1.0, 5e-324), (math.nan, 0.1)])
+    def test_sample_without_a_finite_bin_rejected(self, sample, width):
+        with pytest.raises(ContractViolation, match="no finite bin"):
+            empirical_pmf([0.5, sample], width)
+
 
 class TestFitGeometric:
     def test_point_mass_at_zero(self):
