@@ -367,9 +367,6 @@ def _block(check: _Checker, value: Any, path: tuple, schema: dict) -> dict:
             check.fail(horizon, f"must be > warmup {block['warmup']}, got {block['horizon']}")
         check.fail(path + ("warmup",),
                    f"must be < horizon {block['horizon']}, got {block['warmup']}")
-    if block.get("wait_stop", 0.0) >= _MAX_WAIT_STEPS * block.get("wait_step", 1.0):
-        check.fail(path + ("wait_step",), f"wait_stop / wait_step must be < {_MAX_WAIT_STEPS}, "
-                                          f"got {block['wait_stop']} / {block['wait_step']}")
     return block
 
 
@@ -545,6 +542,10 @@ def parse_config(text: str, source: str = "<config>", command: str | None = None
     scenario, output_dir = top.get("scenario"), values["output_dir"]
     model = values["scenario"] or values["model"]
     blocks = {command: values[command] for command in _BLOCKS if values[command] is not None}
+    analyze = blocks.get("analyze")  # its wait grid: finite values can ask for endless rows
+    if analyze and analyze["wait_stop"] >= _MAX_WAIT_STEPS * analyze["wait_step"]:
+        check.fail(("analyze", "wait_step"), f"wait_stop / wait_step must be < {_MAX_WAIT_STEPS}, "
+                                             f"got {analyze['wait_stop']} / {analyze['wait_step']}")
     _fit_model(check, model, blocks)
     return ExperimentConfig(
         source=source,
