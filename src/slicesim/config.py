@@ -542,11 +542,11 @@ def parse_config(text: str, source: str = "<config>", command: str | None = None
     scenario, output_dir = top.get("scenario"), values["output_dir"]
     model = values["scenario"] or values["model"]
     blocks = {command: values[command] for command in _BLOCKS if values[command] is not None}
+    _fit_model(check, model, blocks)
     analyze = blocks.get("analyze")  # its wait grid: finite values can ask for endless rows
     if analyze and analyze["wait_stop"] >= _MAX_WAIT_STEPS * analyze["wait_step"]:
         check.fail(("analyze", "wait_step"), f"wait_stop / wait_step must be < {_MAX_WAIT_STEPS}, "
                                              f"got {analyze['wait_stop']} / {analyze['wait_step']}")
-    _fit_model(check, model, blocks)
     return ExperimentConfig(
         source=source,
         seed=values["seed"],

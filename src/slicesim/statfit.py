@@ -38,10 +38,10 @@ def empirical_pmf(samples: Sequence[float], bin_width: float) -> EmpiricalPmf:
     for t in samples:
         if t < 0.0:
             raise ContractViolation(f"samples must be non-negative, got {t}")
-        k = t // bin_width
-        if not k < math.inf:  # a bin index past any float (or a nan sample)
-            raise ContractViolation(f"sample {t} has no finite bin of width {bin_width}")
-        k = int(k)
+        try:
+            k = int(t // bin_width)
+        except (OverflowError, ValueError):  # a bin index past any float, or a nan sample
+            raise ContractViolation(f"sample {t} has no finite bin of width {bin_width}") from None
         counts[k] = counts.get(k, 0) + 1
     ordered = tuple(sorted(counts.items()))
     return EmpiricalPmf(bin_width=bin_width, counts=ordered, total=len(samples))
