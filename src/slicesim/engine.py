@@ -581,7 +581,7 @@ def logged_rounds(config: SimConfig, rounds: int, space: StateSpace | None = Non
     """``monte_carlo``'s rounds of ``config`` with their event logs and request records.
 
     Round ``i`` has the seed, and so the report, of ``monte_carlo``'s round
-    ``i``.  A logged round costs about twice an unlogged one.
+    ``i``.  A logged round costs about 1.7 times an unlogged one.
     """
     return _round_runs(config, rounds, space, tapes, record_events=True)
 
