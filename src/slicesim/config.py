@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
@@ -104,6 +105,18 @@ def _shown(value: Any) -> str:
         if len(text) > _SHOWN_REPR:
             return text[:_SHOWN_REPR] + "..."
     return text
+
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, also reading YAML 1.2 floats such as ``1e3`` and
+    ``1.0e-3``, which its YAML 1.1 rules (a dot and a signed exponent) leave
+    as strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."))
 
 
 class _Checker:
@@ -524,7 +537,7 @@ def parse_config(text: str, source: str = "<config>", command: str | None = None
     """
     check = _Checker(source)
     try:
-        loader = yaml.SafeLoader(text)
+        loader = _Loader(text)
         try:
             node = loader.get_single_node()
             check.record(loader, node, (), set())  # first: construction flattens '<<' merges

@@ -130,6 +130,23 @@ model:
             parse_config(text, source="cfg")
         assert str(info.value) == f"cfg:5: {message}"
 
+    def test_exponent_floats_are_numbers(self):
+        # YAML 1.1 needs a dot and a signed exponent, and read these as strings
+        text = ("model:\n  resources: [1E5]\n  slice_types:\n"
+                "    - {cost: [1.0e3], arrival_rate: 1.0, release_rate: 1.0,\n"
+                "       reneging_rate: 1e-3}\n"
+                "simulate:\n  rounds: 1\n  horizon: 1e3\n")
+        config = parse_config(text, source="cfg")
+        assert config.block("simulate")["horizon"] == 1000.0
+        assert config.model.types[0].reneging_rate == 0.001
+        assert config.model.pool == (1e5,) and config.model.costs == ((1e3,),)
+
+    def test_quoted_exponent_is_a_string(self):
+        text = "scenario: paper-scenario-1\nsimulate:\n  rounds: 1\n  horizon: '1e3'\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, source="cfg")
+        assert str(info.value) == "cfg:4: expected a number, got '1e3'"
+
     def test_queue_empty_probs_bounded_by_one(self):
         text = ("scenario: paper-scenario-1\nsteady_state:\n"
                 "  queue_empty_probs: [0.2, 1.5]\n")

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
-from slicesim.config import build_strategy, load_config
+from slicesim.config import build_strategy, builtin_scenario, load_config
 from slicesim.errors import ContractViolation
 from slicesim.markov import (
     ACCEPTANCE_ONLY,
     RESIDUAL_L1_BOUND,
     WITH_RELEASES,
+    TransitionMatrix,
     acceptance_distribution,
     build_transition_matrix,
     estimate_acceptance_rates,
@@ -21,10 +22,12 @@ from slicesim.markov import (
     initial_distribution,
     long_term_distribution,
     strategy_steady_state,
+    _csr,
     _moves,
 )
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import (
+    RESERVE,
     PreferenceMatrix,
     constant_strategy,
     naive_strategy,
@@ -84,6 +87,34 @@ def random_reducible_chain(seed):
     p = rng.random(n) * (rng.random(n) < 0.6)
     p[rng.integers(n)] += 1.0
     return m, p / p.sum()
+
+
+def assert_canonical_csr(m):
+    """A float64 ``csr_array`` whose rows hold strictly increasing column indices
+    and whose stored entries are all nonzero."""
+    assert type(m) is sparse.csr_array and m.dtype == np.float64
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    assert np.all(np.diff(rows * m.shape[1] + m.indices) > 0)
+    assert np.all(m.data != 0.0)
+
+
+def count_solves(monkeypatch):
+    """Count the sparse solves ``long_term_distribution`` makes, by the size of
+    each system; it imports ``spsolve`` on every call."""
+    from scipy.sparse import linalg
+
+    sizes = []
+    solve = linalg.spsolve
+
+    def spy(op, rhs, *args, **kwargs):
+        sizes.append(op.shape[0])
+        return solve(op, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "spsolve", spy)
+    return sizes
+
+
+_CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs")
 
 
 def accept_row(strategy, space, probs, state):
@@ -239,6 +270,56 @@ class TestBuildTransitionMatrix:
             with pytest.raises(ValueError, match="read-only"):
                 view[0, 0] = 0
 
+    @pytest.mark.parametrize("name", ["sweep-s2", "backlog-renege", "chain-s2x3", "fine-grid"])
+    def test_one_csr_assembly_matches_the_copy_route(self, name, monkeypatch):
+        # the COO is converted once; a float copy of it with its zeros
+        # eliminated, as the matrix was built before, has the same arrays
+        cfg = load_config(os.path.join(_CONFIG_DIR, f"{name}.yaml"))
+        space = enumerate_state_space(cfg.model)
+        made = []
+        coo = sparse.coo_array
+        monkeypatch.setattr(sparse, "coo_array", lambda *a, **k: made.append(coo(*a, **k))
+                            or made[-1])
+        psi = build_transition_matrix(random_strategy(space, 7), space, (0.2, 0.8))
+        monkeypatch.undo()
+        assert len(made) == 1
+        assert_canonical_csr(psi.matrix)
+        copied = _csr(made[0])
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(psi.matrix, part), getattr(copied, part))
+
+    def test_canonical_csr_is_not_copied(self):
+        m = sparse.csr_array(np.array([[0.5, 0.5], [1.0, 0.0]]))
+        assert TransitionMatrix(matrix=m, mode=WITH_RELEASES).matrix is m
+
+    def test_foreign_inputs_are_canonicalised(self):
+        dense = np.array([[0.5, 0.25, 0.25], [0.0, 0.0, 1.0], [0.75, 0.25, 0.0]])
+        rows, cols = np.nonzero(dense)
+        halves = dense[rows, cols] / 2  # each entry given twice, summed on conversion
+        unsorted = sparse.csr_array(  # row 0 in reverse column order, one stored zero
+            (np.array([0.25, 0.25, 0.5, 0.0, 1.0, 0.75, 0.25]),
+             np.array([2, 1, 0, 1, 2, 0, 1]), np.array([0, 3, 5, 7])), shape=(3, 3))
+        zeros = sparse.csr_array(  # sorted, with a stored zero
+            (np.array([0.5, 0.25, 0.25, 0.0, 1.0, 0.75, 0.25]),
+             np.array([0, 1, 2, 1, 2, 0, 1]), np.array([0, 3, 5, 7])), shape=(3, 3))
+        cycle = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        cases = [
+            (dense, dense),
+            (sparse.coo_array((np.tile(halves, 2), (np.tile(rows, 2), np.tile(cols, 2))),
+                              shape=(3, 3)), dense),
+            (unsorted, dense),
+            (zeros, dense),
+            (sparse.csr_matrix(cycle), cycle.astype(float)),
+            (cycle, cycle.astype(float)),
+        ]
+        start = np.array([0.25, 0.25, 0.5])
+        for given, as_dense in cases:
+            psi = TransitionMatrix(matrix=given, mode=WITH_RELEASES)
+            assert_canonical_csr(psi.matrix)
+            assert np.array_equal(psi.matrix.toarray(), as_dense)
+            assert np.array_equal(long_term_distribution(psi, start).probabilities,
+                                  long_term_distribution(as_dense, start).probabilities)
+
     def test_validation(self):
         space = case_study_space()
         strategy = naive_strategy(space, "prefer-type-1")
@@ -296,8 +377,7 @@ def test_build_matches_dense_oracle(case):
     assert_matches_dense_oracle(*case)
 
 
-_CHAIN_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs",
-                             "chain-s2x3.yaml")
+_CHAIN_CONFIG = os.path.join(_CONFIG_DIR, "chain-s2x3.yaml")
 
 
 @pytest.mark.parametrize("spec", [{"prefer_type": 1}, {"prefer_type": 2},
@@ -342,6 +422,29 @@ def test_small_model_chains_match_the_oracles(case):
     cesaro = cesaro_average(oracle, p_init, burn_in=3000, window=600)
     assert dist.converged
     assert np.allclose(dist.probabilities, cesaro, rtol=0.0, atol=1e-10)
+
+
+# 0, 1 transient; {2, 3} closed with pi = (1/3, 2/3); {4, 5} a closed
+# 2-cycle.  Absorption into {2, 3}: h0 = h1/2 + 1/4, h1 = h0/2, so
+# h0 = 1/3 and h1 = 1/6.
+TWO_CLOSED_CLASSES = np.array([
+    [0.0, 0.5, 0.25, 0.0, 0.25, 0.0],
+    [0.5, 0.0, 0.0, 0.0, 0.0, 0.5],
+    [0.0, 0.0, 0.5, 0.5, 0.0, 0.0],
+    [0.0, 0.0, 0.25, 0.75, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+])
+
+# 0, 1 transient and feeding {2, 3, 4}, the only closed class: a birth-death
+# chain with pi = (1/4, 1/2, 1/4), which takes all of the mass.
+ONE_CLOSED_CLASS = np.array([
+    [0.25, 0.5, 0.25, 0.0, 0.0],
+    [0.5, 0.0, 0.0, 0.0, 0.5],
+    [0.0, 0.0, 0.5, 0.5, 0.0],
+    [0.0, 0.0, 0.25, 0.5, 0.25],
+    [0.0, 0.0, 0.0, 0.5, 0.5],
+])
 
 
 class TestLongTermDistribution:
@@ -397,17 +500,7 @@ class TestLongTermDistribution:
         assert np.allclose(dist.probabilities, 1.0 / 3.0, rtol=0.0, atol=1e-12)
 
     def test_two_closed_classes_absorption_weights(self):
-        # 0, 1 transient; {2, 3} closed with pi = (1/3, 2/3); {4, 5} a closed
-        # 2-cycle.  Absorption into {2, 3}: h0 = h1/2 + 1/4, h1 = h0/2, so
-        # h0 = 1/3 and h1 = 1/6.
-        psi = np.array([
-            [0.0, 0.5, 0.25, 0.0, 0.25, 0.0],
-            [0.5, 0.0, 0.0, 0.0, 0.0, 0.5],
-            [0.0, 0.0, 0.5, 0.5, 0.0, 0.0],
-            [0.0, 0.0, 0.25, 0.75, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-        ])
+        psi = TWO_CLOSED_CLASSES
         cases = [
             ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0, 0, 1 / 9, 2 / 9, 1 / 3, 1 / 3]),
             ([0.5, 0.5, 0.0, 0.0, 0.0, 0.0], [0, 0, 1 / 12, 2 / 12, 3 / 8, 3 / 8]),
@@ -431,6 +524,38 @@ class TestLongTermDistribution:
         # states only fill up, so the power sequence itself converges
         limit = start @ np.linalg.matrix_power(psi.matrix.toarray(), 4096)
         assert np.allclose(dist.probabilities, limit, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("start", [[0.625, 0.375, 0.0, 0.0, 0.0],
+                                       [0.25, 0.0, 0.0, 0.0, 0.75],
+                                       [0.0, 1.0, 0.0, 0.0, 0.0]])
+    def test_one_closed_class_takes_all_transient_mass(self, start):
+        dist = long_term_distribution(ONE_CLOSED_CLASS, np.array(start))
+        assert dist.converged
+        assert np.allclose(dist.probabilities, [0, 0, 0.25, 0.5, 0.25], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("chain, start, solves", [
+        # the stationary solve of the class's states other than its anchor
+        (ONE_CLOSED_CLASS, [0.625, 0.375, 0.0, 0.0, 0.0], [2]),
+        # absorption over the two transient states, then both classes at once
+        (TWO_CLOSED_CLASSES, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [2, 2]),
+    ], ids=["one-class", "two-classes"])
+    def test_sparse_solves_per_chain(self, chain, start, solves, monkeypatch):
+        sizes = count_solves(monkeypatch)
+        long_term_distribution(chain, np.array(start))
+        assert sizes == solves
+
+    def test_reserve_trap_is_a_point_mass_on_empty(self, monkeypatch):
+        # the empty state's column starts with the reserve symbol, so the
+        # empty state is the one closed class, a single state: nothing to solve
+        space = enumerate_state_space(builtin_scenario("paper-scenario-2"))
+        strategy = random_strategy(space, 5)
+        assert strategy.columns[0][0] == RESERVE
+        psi = build_transition_matrix(strategy, space, (0.5, 0.5))
+        sizes = count_solves(monkeypatch)
+        dist = long_term_distribution(psi, initial_distribution(space, "full"))
+        assert sizes == []
+        assert dist.converged
+        assert np.array_equal(dist.probabilities, initial_distribution(space, "empty"))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_long_cesaro_average(self, seed):
