@@ -278,8 +278,12 @@ class TestBuildTransitionMatrix:
         space = enumerate_state_space(cfg.model)
         made = []
         coo = sparse.coo_array
-        monkeypatch.setattr(sparse, "coo_array", lambda *a, **k: made.append(coo(*a, **k))
-                            or made[-1])
+
+        def recorded(*args, **kwargs):
+            made.append(coo(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(sparse, "coo_array", recorded)
         psi = build_transition_matrix(random_strategy(space, 7), space, (0.2, 0.8))
         monkeypatch.undo()
         assert len(made) == 1
