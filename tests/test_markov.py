@@ -272,8 +272,8 @@ class TestBuildTransitionMatrix:
 
     @pytest.mark.parametrize("name", ["sweep-s2", "backlog-renege", "chain-s2x3", "fine-grid"])
     def test_one_csr_assembly_matches_the_copy_route(self, name, monkeypatch):
-        # the COO is converted once; a float copy of it with its zeros
-        # eliminated, as the matrix was built before, has the same arrays
+        # one tocsr of the zero-free COO gives the arrays of _csr's float copy
+        # with its zeros eliminated
         cfg = load_config(os.path.join(_CONFIG_DIR, f"{name}.yaml"))
         space = enumerate_state_space(cfg.model)
         made = []
