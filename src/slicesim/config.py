@@ -7,6 +7,8 @@ default.  Command-line flags are written into the configuration at the key
 they override, so the same rules check them and the parsed configuration
 records them.  Validation is strict: unknown and repeated keys anywhere are
 rejected, and messages carry the line of the offending key, or its flag.
+Text is parsed by PyYAML's libyaml binding where PyYAML has it, else by its
+pure-Python parser; both read YAML 1.2 exponent floats (``1e3``) as numbers.
 Two reference workloads ship built in ("paper-scenario-1" and
 "paper-scenario-2": a two-resource pool with a cheap low-utility type and an
 expensive high-utility type at moderate and dense demand).
@@ -107,16 +109,50 @@ def _shown(value: Any) -> str:
     return text
 
 
-class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, also reading YAML 1.2 floats such as ``1e3`` and
-    ``1.0e-3``, which its YAML 1.1 rules (a dot and a signed exponent) leave
-    as strings."""
+def _loader_on(base: type) -> type:
+    """``_Loader`` built on PyYAML's safe loader ``base``."""
+
+    class _Loader(base):
+        """PyYAML's safe loader, also reading YAML 1.2 floats such as ``1e3`` and
+        ``1.0e-3``, which its YAML 1.1 rules (a dot and a signed exponent) leave
+        as strings."""
+
+    _Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+0123456789."))
+    return _Loader
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
-    list("-+0123456789."))
+#: The configuration loader: PyYAML's libyaml binding where PyYAML was built with
+#: it, else its pure-Python parser.  The two differ in that libyaml accepts a tab
+#: after ``key:`` and words its messages differently.
+_Loader = _loader_on(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+#: How deep collections may nest.  libyaml's composer recurses in C and crashes
+#: the process on nesting some 10**5 deep; the key-line walk recurses in Python.
+_MAX_DEPTH = 1000
+
+
+def _nests_too_deep(text: str) -> bool:
+    """Whether collections in ``text`` nest deeper than ``_MAX_DEPTH``.
+
+    Each collection owns one of the characters ``[{-?:``, so a text with no
+    more of them than that cannot; otherwise the parser's events are counted
+    until the depth passes it or the text ends.
+    """
+    if sum(map(text.count, "[{-?:")) <= _MAX_DEPTH:
+        return False
+    loader, depth = _Loader(text), 0
+    try:
+        while depth <= _MAX_DEPTH and (event := loader.get_event()) is not None:
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    finally:
+        loader.dispose()
+    return depth > _MAX_DEPTH
 
 
 class _Checker:
@@ -126,7 +162,8 @@ class _Checker:
         self.source = source
         self.anchors: dict[tuple, str] = {}  # "source:line", or the flag that gave the value
 
-    def record(self, loader: yaml.SafeLoader, node: yaml.Node, path: tuple, walked: set) -> None:
+    def record(self, loader: yaml.constructor.SafeConstructor, node: yaml.Node, path: tuple,
+               walked: set) -> None:
         """Record the line of every mapping key below ``node``; reject repeats.
 
         Keys that a ``<<`` merge brings in stay in the merged node, so
@@ -527,6 +564,27 @@ def _with_flags(check: _Checker, data: Any, command: str | None, flags: dict) ->
     return top
 
 
+def _load(text: str, source: str) -> tuple[Any, _Checker]:
+    """The data of YAML ``text``, and a checker holding the line of each of its keys."""
+    check = _Checker(source)
+    try:
+        if _nests_too_deep(text):
+            raise ConfigError(f"{source}: not valid YAML: collections nest deeper than "
+                              f"{_MAX_DEPTH} levels")
+        loader = _Loader(text)
+        try:
+            node = loader.get_single_node()
+            check.record(loader, node, (), set())  # first: construction flattens '<<' merges
+            data = loader.construct_document(node) if node else None
+        finally:
+            loader.dispose()
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml cannot encode a lone surrogate
+        raise ConfigError(f"{source}: not valid YAML: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{source}: not valid YAML: collections nest too deeply") from None
+    return data, check
+
+
 def parse_config(text: str, source: str = "<config>", command: str | None = None, *,
                  scenario: str | None = None, seed: int | None = None,
                  rounds: int | None = None, horizon: float | None = None) -> ExperimentConfig:
@@ -535,17 +593,7 @@ def parse_config(text: str, source: str = "<config>", command: str | None = None
     Messages carry the source and line, or the flag.  The result's ``raw`` is
     the configuration that runs, flags included.
     """
-    check = _Checker(source)
-    try:
-        loader = _Loader(text)
-        try:
-            node = loader.get_single_node()
-            check.record(loader, node, (), set())  # first: construction flattens '<<' merges
-            data = loader.construct_document(node) if node else None
-        finally:
-            loader.dispose()
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{source}: not valid YAML: {exc}") from None
+    data, check = _load(text, source)
     data = _with_flags(check, data, command, {"scenario": scenario, "seed": seed,
                                               "rounds": rounds, "horizon": horizon})
     top = check.mapping(data, (), _TOP)

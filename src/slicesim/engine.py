@@ -33,13 +33,13 @@ line), a release while a request waits, and a greedy renege of the head.  A
 join behind a waiting request changes neither the state nor which queues are
 non-empty, and a multi-queue renege only empties queues.
 
-The event heap holds bare release and renege times, and a dict maps each time
-to its event; events due at one time leave in push order, and an arrival at a
-heap event's time goes first.  The loop keeps no queue-empty counts: those
-that feed the chain come from a logged round's ``join`` and ``balk`` entries
-(``queue_empty_counts``), on rounds that ``logged_rounds`` reruns with
-``monte_carlo``'s seeds.  A ``MonteCarloResult`` pools inter-acceptance times
-when first asked.
+The event heap holds bare release and renege times up to the horizon (a later
+one would never pop), and a dict maps each time to its event; events due at
+one time leave in push order, and an arrival at a heap event's time goes
+first.  The loop keeps no queue-empty counts: those that feed the chain come
+from a logged round's ``join`` and ``balk`` entries (``queue_empty_counts``),
+on rounds that ``logged_rounds`` reruns with ``monte_carlo``'s seeds.  A
+``MonteCarloResult`` pools inter-acceptance times when first asked.
 """
 
 from __future__ import annotations
@@ -327,7 +327,10 @@ def run(config: SimConfig, space: StateSpace | None = None,
     EV_ARRIVAL, EV_RELEASE, EV_RENEGE, EV_END = 0, 1, 2, 3
     heap: list[float] = []
     due: dict[float, object] = {}
+    horizon, warmup = config.horizon, config.warmup
     for t, slice_type in tape.releases:
+        if t > horizon:
+            continue
         heap.append(t)
         if t in due:
             _due_behind(due, t, slice_type)
@@ -337,7 +340,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
     arrivals_left = zip(*tape.arrivals)
     pending = next(arrivals_left, _NO_ARRIVAL)
 
-    horizon, warmup = config.horizon, config.warmup
     last_t = 0.0
     next_id = 0
     waiting = [0] * n_types  # per-type waiting counts, kept for both controllers
@@ -398,11 +400,12 @@ def run(config: SimConfig, space: StateSpace | None = None,
                 total_joined[n] += 1
                 if reneging[n] > 0.0:
                     rec.renege_deadline = when = t - math.log(1.0 - u_patience) / reneging[n]
-                    heappush(heap, when)
-                    if when in due:
-                        _due_behind(due, when, rec)
-                    else:
-                        due[when] = rec
+                    if when <= horizon:  # a later event never pops
+                        heappush(heap, when)
+                        if when in due:
+                            _due_behind(due, when, rec)
+                        else:
+                            due[when] = rec
                 queue.append(rec)
                 if log:
                     records.append(rec)
@@ -446,11 +449,12 @@ def run(config: SimConfig, space: StateSpace | None = None,
             if in_window:
                 wait_sum[n] += t - rec.join_time
             when = t + rec.lifetime
-            heappush(heap, when)
-            if when in due:
-                _due_behind(due, when, n + 1)
-            else:
-                due[when] = n + 1
+            if when <= horizon:
+                heappush(heap, when)
+                if when in due:
+                    _due_behind(due, when, n + 1)
+                else:
+                    due[when] = n + 1
             if log:
                 log(t, "accept", n + 1, rec.request_id)
         if config.check_invariants:

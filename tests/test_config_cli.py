@@ -3,9 +3,13 @@ import os
 import pathlib
 import re
 
+import subprocess
+import sys
+
 import pytest
 import yaml
 
+from slicesim import config
 from slicesim.config import build_strategy, builtin_scenario, load_config, parse_config
 from slicesim.cli import main
 from slicesim.errors import ConfigError, SliceSimError
@@ -21,6 +25,16 @@ simulate:
   strategy: {prefer_type: 1}
 casestudy: {}
 """
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML was built without libyaml")
+PARSERS = [pytest.param("SafeLoader", id="pure-python"),
+           pytest.param("CSafeLoader", id="libyaml", marks=needs_libyaml)]
+
+
+def _parse_with(monkeypatch, base: str) -> None:
+    """Parse configurations on PyYAML's loader ``base`` from here on."""
+    monkeypatch.setattr(config, "_Loader", config._loader_on(getattr(yaml, base)))
 
 
 class TestScenarios:
@@ -515,12 +529,44 @@ class TestSchema:
             parse_config(text, source="cfg")
         assert str(info.value) == f"cfg:{line}: repeated key {key!r}"
 
-    @pytest.mark.parametrize("text", ["seed: \x01\n", "seed: [1\n", "a: *missing\n"],
-                             ids=["unprintable", "unclosed", "undefined-alias"])
-    def test_malformed_yaml_is_a_config_error(self, text):
-        # the reader, parser and composer each raise their own YAML error
+    @pytest.mark.parametrize("base", PARSERS)
+    @pytest.mark.parametrize("text", [
+        "seed: \x01\n", "seed: [1\n", "a: *missing\n", "a: &x 1\nb: &x 2\n",
+        "seed: " + "[" * 3000 + "]" * 3000 + "\n", "seed: '\ud800'",
+    ], ids=["unprintable", "unclosed", "undefined-alias", "duplicate-anchor",
+            "deep-nesting", "lone-surrogate"])
+    def test_malformed_yaml_is_a_config_error(self, monkeypatch, base, text):
+        # the reader, parser and composer each raise their own YAML error; deep
+        # nesting ended in a RecursionError, and libyaml cannot encode a lone surrogate
+        _parse_with(monkeypatch, base)
         with pytest.raises(ConfigError, match="^cfg: not valid YAML: "):
             parse_config(text, source="cfg")
+
+    @pytest.mark.parametrize("base", PARSERS)
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ("{a: ", "}")],
+                             ids=["flow-sequence", "flow-mapping"])
+    def test_recursion_in_the_loader_is_a_config_error(self, monkeypatch, base,
+                                                       opening, closing):
+        # past the depth bound, the pure-Python composer or the key-line walk recurses too far
+        _parse_with(monkeypatch, base)
+        monkeypatch.setattr(config, "_MAX_DEPTH", 10**4)
+        text = "seed: " + opening * 3000 + "1" + closing * 3000 + "\n"
+        with pytest.raises(ConfigError, match="^cfg: not valid YAML: collections nest too deeply$"):
+            parse_config(text, source="cfg")
+
+    def test_nesting_past_the_c_stack_is_a_config_error(self, tmp_path):
+        # libyaml's composer recursed in C until the process died of a segfault;
+        # a subprocess keeps such a crash from taking the test run with it
+        path = tmp_path / "deep.yaml"
+        path.write_text("seed:\n" + "- " * 10**5 + "1\n", encoding="utf-8")
+        src = pathlib.Path(config.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "slicesim.cli", "simulate", "--config", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 1
+        assert result.stderr == (f"error: {path}: not valid YAML: "
+                                 f"collections nest deeper than {config._MAX_DEPTH} levels\n")
 
     def test_recursive_alias_is_a_config_error(self):
         # the key-line walk used to recurse until RecursionError
@@ -600,17 +646,17 @@ class TestSchema:
         assert str(info.value) == (
             "cfg:2: type 1 does not fit an empty pool (cost bundle exceeds pool)")
 
-    def test_each_document_composed_once(self, monkeypatch):
-        import yaml.composer
-
+    @pytest.mark.parametrize("base", PARSERS)
+    def test_each_document_composed_once(self, monkeypatch, base):
+        _parse_with(monkeypatch, base)
         calls = []
-        compose = yaml.composer.Composer.compose_document
+        compose = config._Loader.get_single_node
 
         def counted(self):
             calls.append(1)
             return compose(self)
 
-        monkeypatch.setattr(yaml.composer.Composer, "compose_document", counted)
+        monkeypatch.setattr(config._Loader, "get_single_node", counted)
         parse_config(MINIMAL)
         assert len(calls) == 1
 
@@ -722,8 +768,86 @@ class TestFileErrors:
                          "iat.csv": "iat\n0.5\n1e308\n"})
         assert "sample 1e+308 has no finite bin of width 0.05" in err
 
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        # 3000 levels of '[' ended in a RecursionError traceback
+        err = self._run(tmp_path, capsys, ["simulate", "--out", str(tmp_path / "o")],
+                        {"cfg.yaml": "seed: " + "[" * 3000 + "]" * 3000 + "\n"})
+        assert "cfg.yaml: not valid YAML: collections nest deeper than 1000 levels" in err
+
     def test_out_names_an_existing_file(self, tmp_path, capsys):
         (tmp_path / "taken").write_text("", encoding="utf-8")
         err = self._run(tmp_path, capsys, ["simulate", "--out", str(tmp_path / "taken")],
                         {"cfg.yaml": MINIMAL})
         assert "cannot create output directory" in err
+
+
+# valid texts at the edges of what the two parsers must read alike
+_EDGE_TEXTS = {
+    "merge-override": ("scenario: paper-scenario-1\n"
+                       "sweep: &common {rounds: 2, horizon: 5.0}\n"
+                       "optimize:\n  <<: *common\n  rounds: 3\n  budget: 4\n"),
+    "merge-bad-value": ("scenario: paper-scenario-1\n"
+                        "sweep: &common {rounds: 2, horizon: 5.0}\n"
+                        "optimize:\n  <<: *common\n  rounds: 3\n  budget: -1\n"),
+    "aliases": ("scenario: paper-scenario-2\n"
+                "simulate:\n  rounds: 2\n  initial_state: &state [1, 0]\n"
+                "  strategy: &strategy {random_seed: 3}\n"
+                "sweep: {initial_state: *state}\n"
+                "optimize:\n  initial_state: *state\n  start: *strategy\n"),
+    "exponents": ("model:\n  resources: [1E5]\n  slice_types:\n"
+                  "    - {cost: [1.0e3], arrival_rate: 1.0, release_rate: 1.0,\n"
+                  "       reneging_rate: 1.0e-3}\n"
+                  "simulate:\n  rounds: 1\n  horizon: 1e3\n"),
+    "quoted-exponent": "scenario: paper-scenario-1\nsimulate:\n  rounds: 1\n  horizon: '1e3'\n",
+    "repeated-key": "scenario: paper-scenario-1\nsweep:\n  rounds: 1\n  count: 2\n  rounds: 3\n",
+}
+
+
+_PARITY_TEXTS = {
+    **{path.stem: path.read_text(encoding="utf-8") for path in sorted(
+        (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.yaml"))},
+    "readme-grammar": "".join(_readme_grammar().values()),
+    **_EDGE_TEXTS,
+}
+
+
+def _read(text: str) -> tuple:
+    """What one parser makes of ``text``: its data and key lines, then the config or
+    the message; only the message if loading fails."""
+    try:
+        data, check = config._load(text, "cfg")
+    except ConfigError as exc:
+        return (str(exc),)
+    try:
+        parsed = parse_config(text, source="cfg")
+    except ConfigError as exc:
+        parsed = str(exc)
+    return data, check.anchors, parsed
+
+
+class TestParsers:
+    def test_libyaml_parses_where_pyyaml_has_it(self):
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert issubclass(config._Loader, base)
+
+    @needs_libyaml
+    @pytest.mark.parametrize("name", _PARITY_TEXTS)
+    def test_both_parsers_read_alike(self, monkeypatch, name):
+        read = []
+        for base in ("SafeLoader", "CSafeLoader"):
+            _parse_with(monkeypatch, base)
+            read.append(_read(_PARITY_TEXTS[name]))
+        assert read[0] == read[1]
+        if name in ("merge-bad-value", "quoted-exponent", "repeated-key"):
+            assert re.match(r"cfg:\d+: ", read[0][-1])  # a schema message, at its line
+        else:
+            assert isinstance(read[0][-1], config.ExperimentConfig)
+
+    @needs_libyaml
+    def test_only_libyaml_takes_a_tab_after_a_colon(self, monkeypatch):
+        text = "seed:\t3\nscenario: paper-scenario-1\n"
+        _parse_with(monkeypatch, "CSafeLoader")
+        assert parse_config(text, source="cfg").seed == 3
+        _parse_with(monkeypatch, "SafeLoader")
+        with pytest.raises(ConfigError, match="^cfg: not valid YAML: while scanning"):
+            parse_config(text, source="cfg")

@@ -156,6 +156,20 @@ class TestConservationAndOrdering:
             joins = [r.join_time for r in by_accept]
             assert joins == sorted(joins)
 
+    def test_no_event_scheduled_past_the_horizon(self, monkeypatch):
+        # such a release or renege never pops: the loop ends at the first time past it
+        pushed = []
+        push = heapq.heappush
+
+        def counted(heap, when):
+            pushed.append(when)
+            push(heap, when)
+
+        monkeypatch.setattr(heapq, "heappush", counted)
+        trace, _ = self._run(6)
+        assert trace.total_reneged[0] and trace.total_accepted[1]
+        assert pushed and max(pushed) <= trace.horizon
+
     def test_reneged_leave_exactly_at_deadline(self):
         trace, _ = self._run(6)
         reneged = [r for r in trace.records if r.outcome == "reneged"]
