@@ -5,7 +5,6 @@ from .slice_model import (
     SliceType,
     StateSpace,
     assigned_resources,
-    apply_increment,
     enumerate_state_space,
     is_feasible,
 )

@@ -27,13 +27,6 @@ TERM_TOL = 1e-12
 MAX_TERMS = 10**4
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function on x > 0."""
-    if x <= 0.0:
-        raise ContractViolation(f"gamma_fn needs x > 0, got {x}")
-    return math.gamma(x)
-
-
 def _series(terms: Iterator[float], name: str, at: str = "") -> float:
     """Sum non-negative terms up to the first one below TERM_TOL times the partial sum."""
     total = 0.0
@@ -57,30 +50,6 @@ def _hyp0f1(b: float, z: float) -> float:
     return _series(terms(), "hypergeometric series", f" for b={b}, z={z}")
 
 
-def bessel_i(order: float, x: float) -> float:
-    """Modified Bessel function of the first kind, real order >= 0.
-
-    I_v(x) = (x/2)^v / Gamma(v + 1) * 0F1(; v + 1; x^2/4), so it is the one
-    series ``_hyp0f1`` times a leading factor.
-    """
-    if order < 0.0:
-        raise ContractViolation(f"bessel_i needs order >= 0, got {order}")
-    if x < 0.0:
-        raise ContractViolation(f"bessel_i needs x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if order == 0.0 else 0.0
-    # the leading factor via logs to survive large orders; where it underflows
-    # the value is 0.0, where it or the product overflows a NumericError
-    try:
-        lead = math.exp(order * math.log(x / 2.0) - math.lgamma(order + 1.0))
-    except OverflowError:
-        lead = math.inf
-    value = lead * _hyp0f1(order + 1.0, x * x / 4.0)
-    if value == math.inf:
-        raise NumericError(f"bessel_i overflows a double for order={order}, x={x}")
-    return value
-
-
 def mm1_queue_pmf(rho: float, length: int) -> float:
     """Steady-state probability of ``length`` waiting requests, patient case."""
     if length < 0 or length != int(length):
@@ -92,17 +61,6 @@ def mm1_queue_pmf(rho: float, length: int) -> float:
             f"no statistical equilibrium: work load rate {rho} >= 1"
         )
     return (1.0 - rho) * rho ** int(length)
-
-
-def balk_join_probability(willingness: float, length: int) -> float:
-    """Probability that an arrival joins a queue of the given length."""
-    if not 0.0 <= willingness <= 1.0:
-        raise ContractViolation(f"willingness must lie in [0, 1], got {willingness}")
-    if length < 0 or length != int(length):
-        raise ContractViolation(f"queue length must be a non-negative integer, got {length}")
-    if length == 0:
-        return 1.0
-    return min(1.0, willingness / length)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ slice already active, and four requests arriving in the order 1, 1, 2, 2.
 Three schemes process the same burst: a single FCFS queue for all types, two
 mixed queues filled round-robin, and per-type queues driven by a preference
 vector.  Only the per-type scheme accepts the two type-2 requests; the other
-two block behind the waiting type-1 head although the pool has room.
+two block behind the waiting type-1 head although the pool has room.  Each
+request joins the queue its controller's ``queue_for`` names and is followed
+by one ``serve_queues`` pass.  ``case_study_rows`` is the event timeline that
+the ``casestudy`` command writes, and ``render_case_study`` its text form.
 """
 
 from __future__ import annotations
@@ -95,15 +98,6 @@ def case_study_rows() -> list[Row]:
                              accepted.request_id,
                              fmt(controller.state), fmt(controller.queue_lengths())))
     return rows
-
-
-def accepted_by_panel(rows: list[Row]) -> dict[str, list[int]]:
-    """Request ids accepted in each panel, in acceptance order."""
-    out: dict[str, list[int]] = {panel: [] for panel in PANELS}
-    for panel, _, event, _, request_id, _, _ in rows:
-        if event == "accept":
-            out[panel].append(request_id)
-    return out
 
 
 def render_case_study(rows: list[Row] | None = None) -> str:

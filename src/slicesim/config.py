@@ -26,9 +26,10 @@ from typing import Any
 import yaml
 
 from .errors import ConfigError, ContractViolation
+from .experiments import IAT_BIN_DIVISOR
 from .slice_model import ResourceModel, SliceType, StateSpace, is_feasible
-from .strategy import (PreferenceMatrix, from_text, naive_strategy, random_strategy,
-                       validate_matrix)
+from .strategy import (PreferenceMatrix, TableLineError, from_text, naive_strategy,
+                       random_strategy, validate_matrix)
 
 OUTPUT_ROOT_ENV = "SLICESIM_OUTPUT_ROOT"
 
@@ -353,7 +354,7 @@ _BLOCKS = {
         **_monte_carlo(rounds=20, horizon=40.0, impatience=False),
         "warmup": (_NONNEGATIVE, 0.0),
         "write_traces": (_BOOLEAN, False),
-        "bin_width_divisor": (_POSITIVE, 5.0),
+        "bin_width_divisor": (_POSITIVE, IAT_BIN_DIVISOR),
         "initial_state": (_initial_state, "empty"),
         "strategy": (_strategy, {"prefer_type": 1}),
     },
@@ -499,6 +500,30 @@ def _fit_model(check: _Checker, model: ResourceModel, blocks: dict) -> None:
                        f"need {n} queue-empty probabilities, got {len(probs)}")
 
 
+def _fit_law(check: _Checker, block: dict) -> None:
+    """Check the preconditions of ``analyze``'s law at their key's line.
+
+    The messages are those of the laws' runtime checks.  The wait grid is
+    bounded too, since finite values can ask for endless rows.
+    """
+    if block["law"] == "mm1-pmf":
+        rho = block["arrival_rate"] / block["acceptance_rate"]
+        if rho >= 1.0:
+            check.fail(("analyze", "arrival_rate"),
+                       f"no statistical equilibrium: work load rate {rho} >= 1")
+    else:
+        for key in ("reneging_rate", "balking_willingness"):
+            if block[key] <= 0.0:
+                check.fail(("analyze", key),
+                           f"impatient-tenant laws need a {key.replace('_', ' ')} > 0")
+        if block["balking_willingness"] > 1.0:
+            check.fail(("analyze", "balking_willingness"),
+                       "balking willingness must lie in [0, 1]")
+    if block["wait_stop"] >= _MAX_WAIT_STEPS * block["wait_step"]:
+        check.fail(("analyze", "wait_step"), f"wait_stop / wait_step must be < {_MAX_WAIT_STEPS}, "
+                                             f"got {block['wait_stop']} / {block['wait_step']}")
+
+
 # "scenario" and "model" both give the model; absent command blocks stay None
 _TOP = {
     "seed": (_NATURAL, 0),
@@ -604,10 +629,8 @@ def parse_config(text: str, source: str = "<config>", command: str | None = None
     model = values["scenario"] or values["model"]
     blocks = {command: values[command] for command in _BLOCKS if values[command] is not None}
     _fit_model(check, model, blocks)
-    analyze = blocks.get("analyze")  # its wait grid: finite values can ask for endless rows
-    if analyze and analyze["wait_stop"] >= _MAX_WAIT_STEPS * analyze["wait_step"]:
-        check.fail(("analyze", "wait_step"), f"wait_stop / wait_step must be < {_MAX_WAIT_STEPS}, "
-                                             f"got {analyze['wait_stop']} / {analyze['wait_step']}")
+    if "analyze" in blocks:
+        _fit_law(check, blocks["analyze"])
     return ExperimentConfig(
         source=source,
         seed=values["seed"],
@@ -635,8 +658,14 @@ def build_strategy(spec: dict, space: StateSpace, base_dir: str = ".") -> Prefer
     if "random_seed" in spec:
         return random_strategy(space, spec["random_seed"])
     if "file" in spec:
-        text = read_text(os.path.join(base_dir, spec["file"]), "strategy file")
-        return from_text(text, space.model.num_types, space.num_admissible)
+        path = os.path.join(base_dir, spec["file"])
+        text = read_text(path, "strategy file")
+        try:
+            return from_text(text, space.model.num_types, space.num_admissible)
+        except TableLineError as exc:
+            raise ConfigError(f"{path}:{exc.line}: {exc.problem}") from None
+        except ContractViolation as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     columns = tuple(tuple(col) for col in spec["columns"])
     if len(columns) == 1:
         columns = columns * space.num_admissible

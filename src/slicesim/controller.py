@@ -9,7 +9,9 @@ until a full pass changes nothing.
 
 A greedy single-queue controller (one FCFS line for all types, head-of-line
 blocking, no preference) is provided as a benchmark.  Both share the state
-and the request/release/renege handling of ``QueueController``.
+and the release and renege handling of ``QueueController``.  A request joins
+by an append to the queue that ``queue_for`` names, and whoever appended it
+then calls ``serve_queues``; the engine does so only where a pass can accept.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ _JOIN_TIME = attrgetter("join_time")
 class QueueController:
     """Shared plumbing of the admission controllers.
 
-    Holds the active-slice state and the request/release/renege handling.  A
+    Holds the active-slice state and the release/renege handling.  A
     subclass owns its queues, lists them in ``lines``, names through
     ``queue_for`` the deque a type-``n`` request joins, and serves its queues in
     ``serve_queues``; a pass that accepts nothing has changed nothing, so it is
@@ -79,11 +81,6 @@ class QueueController:
     def queue_for(self, n: int) -> deque[RequestRecord]:
         """The queue a type-``n`` request joins (and leaves when it reneges)."""
         raise NotImplementedError
-
-    def handle_request(self, record: RequestRecord) -> list[RequestRecord]:
-        """Enqueue a joining request, then serve; returns the accepted requests."""
-        self.queue_for(record.slice_type).append(record)
-        return self.serve_queues()
 
     def handle_release(self, n: int) -> list[RequestRecord]:
         """Release one active slice of type ``n``, then serve if a request waits;

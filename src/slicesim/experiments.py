@@ -1,35 +1,22 @@
-"""Reusable experiment pipelines built on the simulator.
+"""Bin widths and geometric fits of inter-acceptance times (IATs).
 
-The inter-acceptance-time (IAT) study runs many seeded random strategies
-through Monte-Carlo batches, pools per-queue IATs, fits geometric laws and
-reports divergences.  Cells that are compared against each other (patient vs
-impatient, across load scenarios) are first subsampled to a common per-queue
-sample count so that the finite-sample bias of the divergence estimator is
-matched and differences reflect distribution shape, not sample volume.
+``fit-iat`` bins samples at one global width, ``simulate`` at one width per
+queue; both are a mean inter-arrival time divided.  ``simulate``'s fit table
+fits each (strategy, queue) cell's binned IATs with a geometric law and
+scores the fit by its divergence.
 """
 
 from __future__ import annotations
 
-import random as _pyrandom
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import (
-    SimConfig,
-    derived_seed,
-    logged_rounds,
-    monte_carlo,
-    pooled_queue_empty_probs,
-    queue_empty_counts,
-)
 from .errors import ContractViolation
-from .markov import strategy_steady_state
-from .slice_model import ResourceModel, StateSpace
+from .slice_model import ResourceModel
 from .statfit import empirical_pmf, fit_geometric, kld_vs_geometric
-from .strategy import PreferenceMatrix, random_strategy
 
-#: Granularity of the per-queue IAT bins used by the fit experiments, as a
-#: divisor of the mean request inter-arrival time of the queue.
+#: Granularity of the per-queue IAT bins, as a divisor of the mean request
+#: inter-arrival time of the queue; the default of ``simulate.bin_width_divisor``.
 IAT_BIN_DIVISOR = 5.0
 
 
@@ -47,26 +34,6 @@ def iat_bin_widths(model: ResourceModel,
     if any(t.arrival_rate <= 0.0 for t in model.types):
         raise ContractViolation("per-queue bin widths need positive arrival rates")
     return tuple(1.0 / t.arrival_rate / divisor for t in model.types)
-
-
-def collect_iat_samples(model: ResourceModel, space: StateSpace,
-                        n_strategies: int, rounds: int, horizon: float,
-                        impatient: bool, master_seed: int) -> list[list[list[float]]]:
-    """Pooled IAT samples per (random strategy, queue).
-
-    Strategy i is generated from a seed derived from the master seed, and all
-    strategies run on the same Monte-Carlo round seeds, so cells collected
-    with the same master seed are paired; they replay one set of round tapes.
-    """
-    out, tapes = [], {}
-    for i in range(n_strategies):
-        strategy = random_strategy(space, derived_seed(master_seed, i))
-        config = SimConfig(model=model, strategy=strategy, horizon=horizon,
-                           seed=master_seed, initial_state="full",
-                           balking=impatient, reneging=impatient)
-        result = monte_carlo(config, rounds, space, tapes)
-        out.append([list(queue) for queue in result.iat_samples])
-    return out
 
 
 @dataclass(frozen=True)
@@ -101,104 +68,3 @@ def geometric_fit_table(samples: Sequence[Sequence[Sequence[float]]],
                 divergence=kld_vs_geometric(pmf, p_hat),
             ))
     return rows
-
-
-def divergences_by_queue(rows: Sequence[FitRow], num_types: int) -> list[list[float]]:
-    out: list[list[float]] = [[] for _ in range(num_types)]
-    for row in rows:
-        out[row.queue - 1].append(row.divergence)
-    return out
-
-
-def matched_divergences(cells: dict[str, Sequence[Sequence[Sequence[float]]]],
-                        bin_widths: dict[str, Sequence[float]],
-                        subsample_seed: int = 20240707,
-                        min_samples: int = 10) -> dict[str, list[float]]:
-    """Divergences comparable across cells: equal sample counts per pair.
-
-    For every (strategy, queue) pair the cells are subsampled (seeded,
-    without replacement) to the smallest count any cell collected; pairs
-    below ``min_samples`` anywhere are dropped everywhere.  The divergence
-    estimator's finite-sample bias is then common to all cells and
-    differences reflect the shape of the IAT laws.
-    """
-    names = list(cells)
-    if not names:
-        raise ContractViolation("need at least one cell to compare")
-    n_strategies = len(cells[names[0]])
-    n_queues = len(cells[names[0]][0])
-    rng = _pyrandom.Random(subsample_seed)
-    out: dict[str, list[float]] = {name: [] for name in names}
-    for i in range(n_strategies):
-        for q in range(n_queues):
-            count = min(len(cells[name][i][q]) for name in names)
-            if count < min_samples:
-                continue
-            for name in names:
-                picked = rng.sample(cells[name][i][q], count)
-                pmf = empirical_pmf(picked, bin_widths[name][q])
-                out[name].append(kld_vs_geometric(pmf, fit_geometric(pmf)))
-    return out
-
-
-@dataclass(frozen=True)
-class ConsistencyRow:
-    """Chain-model acceptance-rate estimate against the measured rate, per type."""
-
-    label: str
-    queue: int
-    measured: float
-    estimated: float
-    queue_empty_prob: float
-
-    @property
-    def relative_error(self) -> float:
-        if self.measured == 0.0:
-            return float("inf") if self.estimated != 0.0 else 0.0
-        return abs(self.estimated - self.measured) / self.measured
-
-
-def markov_consistency(model: ResourceModel, space: StateSpace,
-                       strategies: dict[str, PreferenceMatrix],
-                       rounds: int, horizon: float, master_seed: int,
-                       impatient: bool = True) -> list[ConsistencyRow]:
-    """Full pipeline per strategy: simulate, measure queue-empty probabilities,
-    build the default-mode chain, and compare estimated acceptance rates.
-
-    The strategies run on the same round seeds and replay one set of round tapes;
-    the rounds are logged, since the queue-empty counts come from their event logs."""
-    rows, tapes = [], {}
-    for label, strategy in strategies.items():
-        config = SimConfig(model=model, strategy=strategy, horizon=horizon,
-                           seed=master_seed, initial_state="full",
-                           balking=impatient, reneging=impatient)
-        counts, reports = [], []
-        for trace, report in logged_rounds(config, rounds, space, tapes):
-            counts.append(queue_empty_counts(trace, space, strategy))
-            reports.append(report)
-        empty_probs = pooled_queue_empty_probs(counts)
-        measured = [sum(r.acceptance_rates[n] for r in reports) / len(reports)
-                    for n in range(model.num_types)]
-        estimate = strategy_steady_state(model, space, strategy, empty_probs)
-        for n in range(model.num_types):
-            rows.append(ConsistencyRow(
-                label=label,
-                queue=n + 1,
-                measured=measured[n],
-                estimated=float(estimate.acceptance_rates[n]),
-                queue_empty_prob=empty_probs[n],
-            ))
-    return rows
-
-
-def balanced_benchmark_strategy(space: StateSpace) -> PreferenceMatrix:
-    """Reserve-free strategy preferring whichever type is under-provisioned.
-
-    Columns favour the second type until it holds one active slice per four
-    of the first; two-type models only.
-    """
-    if space.model.num_types != 2:
-        raise ContractViolation("the balanced benchmark strategy is two-type only")
-    columns = tuple((2, 1, 0) if second * 4 <= first else (1, 2, 0)
-                    for first, second in space.counts[:space.num_admissible].tolist())
-    return PreferenceMatrix(columns=columns, num_types=2)

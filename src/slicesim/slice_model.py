@@ -153,19 +153,6 @@ def is_feasible(model: ResourceModel, s: Sequence[int]) -> bool:
     return not np.any(excess > FEASIBILITY_REL_TOL * np.maximum(1.0, pool))
 
 
-def apply_increment(s: Sequence[int], n: int, release: bool = False) -> SystemState:
-    """Add (or release) one slice of type ``n``; ``n == 0`` is the no-op reserve symbol."""
-    s = tuple(int(v) for v in s)
-    if not 0 <= n <= len(s):
-        raise ContractViolation(f"slice type must lie in 0..{len(s)}, got {n}")
-    if n == 0:
-        return s
-    delta = -1 if release else 1
-    if release and s[n - 1] < 1:
-        raise ContractViolation(f"cannot release a type-{n} slice: none active")
-    return s[: n - 1] + (s[n - 1] + delta,) + s[n:]
-
-
 @dataclass
 class StateSpace:
     """Enumerated feasibility space with dense indices, admissible states first.

@@ -109,9 +109,6 @@ class PreferenceMatrix:
     def num_columns(self) -> int:
         return len(self.columns)
 
-    def column(self, admissible_index: int) -> tuple[int, ...]:
-        return self.columns[admissible_index]
-
 
 def constant_strategy(space: StateSpace, vector: Sequence[int]) -> PreferenceMatrix:
     """The strategy applying the same preference vector in every admissible state."""
@@ -171,10 +168,22 @@ def to_text(matrix: PreferenceMatrix) -> str:
     return "\n".join([f"{j} {shown[col]}" for j, col in enumerate(matrix.columns)]) + "\n"
 
 
+class TableLineError(ContractViolation):
+    """A malformed line of a strategy table: its 1-based number and the problem."""
+
+    def __init__(self, line: int, problem: str) -> None:
+        super().__init__(f"strategy table line {line}: {problem}")
+        self.line, self.problem = line, problem
+
+
 def from_text(text: str, num_types: int, num_admissible: int | None = None) -> PreferenceMatrix:
-    """Parse the plain text table produced by ``to_text``."""
+    """Parse the plain text table produced by ``to_text``.
+
+    A malformed line raises ``TableLineError``; a well-formed table that is
+    no valid strategy, ``ContractViolation``.
+    """
     columns: list[tuple[int, ...]] = []
-    for lineno, line in enumerate(text.splitlines()):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -182,15 +191,11 @@ def from_text(text: str, num_types: int, num_admissible: int | None = None) -> P
         try:
             values = [int(p) for p in parts]
         except ValueError:
-            raise ContractViolation(f"strategy table line {lineno + 1}: non-integer entry") from None
+            raise TableLineError(lineno, "non-integer entry") from None
         if len(values) != num_types + 2:
-            raise ContractViolation(
-                f"strategy table line {lineno + 1}: expected index plus {num_types + 1} entries"
-            )
+            raise TableLineError(lineno, f"expected index plus {num_types + 1} entries")
         if values[0] != len(columns):
-            raise ContractViolation(
-                f"strategy table line {lineno + 1}: expected state index {len(columns)}, got {values[0]}"
-            )
+            raise TableLineError(lineno, f"expected state index {len(columns)}, got {values[0]}")
         columns.append(tuple(values[1:]))
     problem = validate_matrix(columns, num_types, num_admissible)
     if problem is not None:

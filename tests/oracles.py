@@ -8,14 +8,40 @@ on stdlib ``random``) so it shares no code path with the package.  The
 slower algorithms, which its faster ones must reproduce exactly;
 ``impatient_queue_pmf`` recomputes each length of
 ``impatient_queue_pmf_table`` as its own product.
+
+The rest are the model's and the paper's definitions that no command needs
+(``apply_increment``, ``balk_join_probability``), ``bessel_i`` as the
+package's 0F1 series times its leading factor, and ``handle_request``, which
+drives a controller one request at a time by the engine's own join path.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
+
+
+def apply_increment(s, n, release=False):
+    """Add (or release) one slice of type ``n``; ``n == 0`` is the no-op reserve symbol."""
+    from slicesim.errors import ContractViolation
+
+    s = tuple(int(v) for v in s)
+    if not 0 <= n <= len(s):
+        raise ContractViolation(f"slice type must lie in 0..{len(s)}, got {n}")
+    if n == 0:
+        return s
+    if release and s[n - 1] < 1:
+        raise ContractViolation(f"cannot release a type-{n} slice: none active")
+    return s[: n - 1] + (s[n - 1] + (-1 if release else 1),) + s[n:]
+
+
+def handle_request(controller, record):
+    """Join ``record`` to its queue, then serve; the requests accepted, in order."""
+    controller.queue_for(record.slice_type).append(record)
+    return controller.serve_queues()
 
 
 def brute_force_state_space(pool, bundles):
@@ -143,6 +169,25 @@ def impatient_queue_pmf(params, length):
     for l in range(1, int(length)):
         p *= d / (l * (g + l))
     return p
+
+
+def balk_join_probability(willingness, length):
+    """Hyperbolic balking: an arrival joins a queue of length l with probability min(1, beta / l)."""
+    return 1.0 if length == 0 else min(1.0, willingness / length)
+
+
+def bessel_i(order, x):
+    """I_v(x) = (x/2)^v / Gamma(v + 1) * 0F1(; v + 1; x^2/4), on the package's 0F1 series.
+
+    The leading factor goes through logs, so that at large orders it
+    underflows to 0.0 rather than overflowing.
+    """
+    from slicesim.analytics import _hyp0f1
+
+    if x == 0.0:
+        return 1.0 if order == 0.0 else 0.0
+    lead = math.exp(order * math.log(x / 2.0) - math.lgamma(order + 1.0))
+    return lead * _hyp0f1(order + 1.0, x * x / 4.0)
 
 
 @dataclass
@@ -286,7 +331,7 @@ def build_transition_dense(strategy, space, queue_empty_probs, release_rates=Non
             out[0] = 1.0
             return out
         prefix = 1.0
-        for pref in strategy.column(state_index):
+        for pref in strategy.columns[state_index]:
             if pref == 0:
                 out[0] += prefix
                 break
@@ -528,7 +573,7 @@ def run_scalar(config, space=None, tape=None):
                     trace.empty_marginal[n] += 1
             idx = controller.state_index
             if idx < space.num_admissible:
-                for pref in config.strategy.column(idx):
+                for pref in config.strategy.columns[idx]:
                     if pref == RESERVE:
                         break
                     trace.scan_observed[pref - 1] += 1

@@ -8,6 +8,11 @@ hide it.  A re-export from ``slicesim/__init__.py`` is an import, not a use.
 Matching is by name, so two definitions that share a name cover each other
 and the guard can miss dead code.  Dunder methods are called by the language
 and are skipped.
+
+A definition that only the tests call does not belong in the package: the
+tests' helpers live in ``tests/oracles.py`` (oracles, the model's definitions
+that no command needs, and test drivers) and ``tests/criteria.py`` (the
+acceptance criteria's harness).
 """
 
 import ast
@@ -17,28 +22,8 @@ from collections import Counter
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "slicesim"
 
-# Kept without a caller in src/ or perfbench/, each for a stated reason.
-EXEMPT = {
-    # the paper's closed-form laws, which the tests compare against
-    "analytics.balk_join_probability": "paper's law (hyperbolic balking)",
-    # the special functions that acceptance criterion 9 checks
-    "analytics.gamma_fn": "criterion 9 reference check",
-    "analytics.bessel_i": "criterion 9 reference check",
-    # the model's definitions, and the tests' enumeration oracle
-    "slice_model.apply_increment": "model definition; enumeration oracle",
-    # the unit tests drive controllers one request at a time through it
-    "controller.QueueController.handle_request": "unit tests' controller driver",
-    # the frozen loops of the tests' oracles read columns through it
-    "strategy.PreferenceMatrix.column": "frozen oracle loops",
-    # the acceptance-criteria harness
-    "experiments.collect_iat_samples": "criteria 1-3 harness",
-    "experiments.divergences_by_queue": "criteria 1-3 harness",
-    "experiments.matched_divergences": "criteria 1-3 harness",
-    "experiments.markov_consistency": "criterion 7 harness",
-    "experiments.ConsistencyRow.relative_error": "criterion 7 harness",
-    "experiments.balanced_benchmark_strategy": "criterion 7 harness",
-    "casestudy.accepted_by_panel": "criterion 8 harness",
-}
+# Definitions kept without a caller in src/ or perfbench/, each with its reason.
+EXEMPT: dict[str, str] = {}
 
 
 def _references(tree, member):

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from slicesim import config
+from slicesim.analytics import QueueParams, mm1_queue_pmf
 from slicesim.config import build_strategy, builtin_scenario, load_config, parse_config
 from slicesim.cli import main
 from slicesim.errors import ConfigError, SliceSimError
@@ -211,6 +212,26 @@ model:
                                    f"got {float(stop)} / {float(step)}")
         below = text.replace(f"wait_stop: {stop}", f"wait_stop: {float(step) * 999999}")
         assert parse_config(below).block("analyze")["wait_step"] == float(step)
+
+    @pytest.mark.parametrize("law, keys, runtime", [
+        ("mm1-pmf", "  arrival_rate: 3.0\n  acceptance_rate: 2.0\n",
+         lambda: mm1_queue_pmf(3.0 / 2.0, 0)),
+        ("wait-means", "  reneging_rate: 0\n",
+         lambda: QueueParams(1.0, 2.0, reneging_rate=0.0).gamma),
+        ("impatient-pmf", "  balking_willingness: 0\n",
+         lambda: QueueParams(1.0, 2.0, 1.0, balking_willingness=0.0).gamma),
+        ("acceptance-probabilities", "  balking_willingness: 2\n",
+         lambda: QueueParams(1.0, 2.0, 1.0, balking_willingness=2.0)),
+    ], ids=["no-equilibrium", "no-reneging", "no-balking", "willingness-above-1"])
+    def test_law_preconditions_carry_a_line(self, tmp_path, capsys, law, keys, runtime):
+        # each failed in the law, with the runtime's message but without a line
+        with pytest.raises(SliceSimError) as raised:
+            runtime()
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"scenario: paper-scenario-1\nanalyze:\n  law: {law}\n{keys}",
+                       encoding="utf-8")
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:4: {raised.value}\n"
 
     def test_missing_block_reported(self):
         config = parse_config(MINIMAL)
@@ -744,6 +765,17 @@ class TestFileErrors:
         err = self._run(tmp_path, capsys, ["simulate", "--out", str(tmp_path / "o")],
                         {"cfg.yaml": cfg})
         assert "cannot read strategy file" in err and "missing.txt" in err
+
+    @pytest.mark.parametrize("table, message", [
+        ("0 1 2 0\n1 1 2\n", ":2: expected index plus 3 entries"),
+        ("0 1 2 0\n", ": invalid strategy table: expected 90 columns, got 1"),
+    ], ids=["short-row", "invalid-table"])
+    def test_bad_strategy_file_names_itself(self, tmp_path, capsys, table, message):
+        # the messages named neither the file nor, for a short row, its line
+        cfg = MINIMAL.replace("{prefer_type: 1}", "{file: bad.txt}")
+        err = self._run(tmp_path, capsys, ["simulate", "--out", str(tmp_path / "o")],
+                        {"cfg.yaml": cfg, "bad.txt": table})
+        assert err == f"error: {tmp_path / 'bad.txt'}{message}\n"
 
     def test_unreadable_samples(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, ["fit-iat", "--out", str(tmp_path / "o")],

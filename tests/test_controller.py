@@ -11,6 +11,8 @@ from slicesim.errors import ContractViolation
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import PreferenceMatrix, constant_strategy, naive_strategy
 
+from oracles import handle_request
+
 
 def case_study_space():
     model = ResourceModel(
@@ -31,7 +33,7 @@ class TestHandleRequest:
     def test_empty_system_accepts_immediately(self):
         space = case_study_space()
         c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (0, 0))
-        accepted = c.handle_request(make_request(1, 1))
+        accepted = handle_request(c, make_request(1, 1))
         assert [r.request_id for r in accepted] == [1]
         assert c.state == (1, 0)
         assert c.queue_lengths() == (0, 0)
@@ -42,7 +44,7 @@ class TestHandleRequest:
         c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 0))
         accepted = []
         for rid, n in enumerate([1, 1, 2, 2], start=1):
-            accepted += c.handle_request(make_request(rid, n))
+            accepted += handle_request(c, make_request(rid, n))
         assert [r.request_id for r in accepted] == [3, 4]
         assert c.state == (1, 2)
         assert c.queue_lengths() == (2, 0)
@@ -50,10 +52,10 @@ class TestHandleRequest:
     def test_queue_after_reserve_starves(self):
         space = case_study_space()
         c = MultiQueueController(space, constant_strategy(space, (2, 0, 1)), (0, 0))
-        assert c.handle_request(make_request(1, 1)) == []
+        assert handle_request(c, make_request(1, 1)) == []
         assert c.queue_lengths() == (1, 0)
         # a type-2 request is still served
-        accepted = c.handle_request(make_request(2, 2))
+        accepted = handle_request(c, make_request(2, 2))
         assert [r.request_id for r in accepted] == [2]
 
 
@@ -62,7 +64,7 @@ class TestHandleRelease:
         space = case_study_space()
         c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 0))
         for rid, n in enumerate([1, 1, 2, 2], start=1):
-            c.handle_request(make_request(rid, n))
+            handle_request(c, make_request(rid, n))
         accepted = c.handle_release(1)
         assert [r.request_id for r in accepted] == [1]
         assert c.state == (1, 2)
@@ -110,7 +112,7 @@ class TestServeQueues:
         space = case_study_space()
         c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 0))
         for rid in range(1, 5):
-            c.handle_request(make_request(rid, 2))
+            handle_request(c, make_request(rid, 2))
         order = [r.request_id for r in c.handle_release(1) + c.serve_queues()]
         # two fit immediately after the release; queue order is preserved
         assert order == sorted(order)
@@ -122,7 +124,7 @@ class TestGreedySingleQueue:
         c = GreedySingleQueueController(space, (1, 0))
         accepted = []
         for rid, n in enumerate([1, 1, 2, 2], start=1):
-            accepted += c.handle_request(make_request(rid, n))
+            accepted += handle_request(c, make_request(rid, n))
         assert accepted == []
         assert c.queue_lengths() == (4,)
 
@@ -130,7 +132,7 @@ class TestGreedySingleQueue:
         space = case_study_space()
         c = GreedySingleQueueController(space, (1, 0))
         for rid, n in enumerate([1, 2, 2], start=1):
-            c.handle_request(make_request(rid, n))
+            handle_request(c, make_request(rid, n))
         accepted = c.handle_release(1)
         assert [r.request_id for r in accepted] == [1, 2, 3]
         assert c.state == (1, 2)
@@ -151,8 +153,8 @@ class TestRemove:
         # must leave the first at the head
         c = _blocked_controllers(case_study_space())[index]
         first, second = make_request(1, 1), make_request(1, 1)
-        c.handle_request(first)
-        c.handle_request(second)
+        handle_request(c, first)
+        handle_request(c, second)
         c.remove(second)
         queue = c.queue_for(1)
         assert len(queue) == 1 and queue[0] is first
@@ -160,7 +162,7 @@ class TestRemove:
     @pytest.mark.parametrize("index", [0, 1])
     def test_request_not_waiting_is_rejected(self, index):
         c = _blocked_controllers(case_study_space())[index]
-        c.handle_request(make_request(1, 1))
+        handle_request(c, make_request(1, 1))
         with pytest.raises(ContractViolation, match="not waiting"):
             c.remove(make_request(2, 1))
 
@@ -169,7 +171,7 @@ class TestRemove:
         c = _blocked_controllers(case_study_space())[index]
         records = [make_request(rid, 1, t) for rid, t in enumerate((0.5, 1.0, 1.0, 1.0, 2.0))]
         for rec in records:
-            c.handle_request(rec)
+            handle_request(c, rec)
         assert c.remove(records[2]) is False
         assert list(c.queue_for(1)) == records[:2] + records[3:]
         assert c.remove(records[0]) is True
@@ -179,7 +181,7 @@ class TestRemove:
     def test_refuses_records_that_never_joined_or_already_left(self, index):
         c = _blocked_controllers(case_study_space())[index]
         waiting = make_request(1, 1, 1.0)
-        c.handle_request(waiting)
+        handle_request(c, waiting)
         with pytest.raises(ContractViolation, match="not waiting"):
             c.remove(RequestRecord(2, 1, 1.0))  # join_time is None
         c.remove(waiting)
@@ -191,7 +193,7 @@ class TestRemove:
         c = GreedySingleQueueController(case_study_space(), (1, 1))
         head, behind, last = make_request(1, 1, 1.0), make_request(2, 2, 2.0), make_request(3, 1, 3.0)
         for rec in (head, behind, last):
-            assert c.handle_request(rec) == []
+            assert handle_request(c, rec) == []
         assert c.remove(last) is False
         assert c.serve_queues() == []
         assert c.remove(head) is True
@@ -282,7 +284,7 @@ def test_state_safety_under_random_driving():
     for _ in range(500):
         if rng.random() < 0.6:
             rid += 1
-            c.handle_request(make_request(rid, rng.randint(1, 2)))
+            handle_request(c, make_request(rid, rng.randint(1, 2)))
         else:
             s = c.state
             live = [n for n in (1, 2) if s[n - 1] > 0]

@@ -2,18 +2,18 @@ import pytest
 
 from slicesim.config import builtin_scenario
 from slicesim.errors import ContractViolation
-from slicesim.experiments import (
+from slicesim.experiments import default_bin_width, geometric_fit_table, iat_bin_widths
+from slicesim.slice_model import enumerate_state_space
+from slicesim.strategy import naive_strategy
+
+from criteria import (
+    ConsistencyRow,
     balanced_benchmark_strategy,
     collect_iat_samples,
-    default_bin_width,
     divergences_by_queue,
-    geometric_fit_table,
-    iat_bin_widths,
     markov_consistency,
     matched_divergences,
 )
-from slicesim.slice_model import enumerate_state_space
-from slicesim.strategy import naive_strategy
 
 
 class TestBinWidths:
@@ -87,8 +87,6 @@ class TestMarkovConsistency:
             assert 0.0 <= row.queue_empty_prob <= 1.0
 
     def test_relative_error_handles_zero_measured(self):
-        from slicesim.experiments import ConsistencyRow
-
         row = ConsistencyRow("x", 1, measured=0.0, estimated=0.0, queue_empty_prob=0.5)
         assert row.relative_error == 0.0
 

@@ -12,19 +12,18 @@ from hypothesis import example, given, settings, strategies as st
 from slicesim.config import load_config
 from slicesim.engine import SimConfig, run
 from slicesim.errors import ContractViolation, StateSpaceTooLarge
-from slicesim.experiments import balanced_benchmark_strategy
 from slicesim.markov import strategy_steady_state
 from slicesim.slice_model import (
     ResourceModel,
     SliceType,
-    apply_increment,
     assigned_resources,
     enumerate_state_space,
     is_feasible,
 )
 from slicesim.strategy import random_strategy
 
-from oracles import brute_force_state_space, enumerate_dfs
+from criteria import balanced_benchmark_strategy
+from oracles import apply_increment, brute_force_state_space, enumerate_dfs
 
 
 def case_study_model():
