@@ -88,9 +88,7 @@ def case_study_rows() -> list[Row]:
         rows.append((panel, 0.0, "start", 0, -1,
                      fmt(controller.state), fmt(controller.queue_lengths())))
         for request_id, (time, slice_type) in enumerate(ARRIVALS, start=1):
-            record = RequestRecord(request_id, slice_type, time)
-            record.join_time = time
-            controller.queue_for(slice_type).append(record)
+            controller.queue_for(slice_type).append(RequestRecord(request_id, slice_type, time))
             rows.append((panel, time, "join", slice_type, request_id,
                          fmt(controller.state), fmt(controller.queue_lengths())))
             for accepted in controller.serve_queues():

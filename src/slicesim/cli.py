@@ -22,7 +22,6 @@ from .analytics import (
     QueueParams,
     acceptance_probabilities,
     impatient_queue_pmf_table,
-    mean_wait_joined_identity,
     mm1_queue_pmf,
     wait_distributions,
     wait_means,
@@ -37,7 +36,7 @@ from .engine import (
     pooled_queue_empty_probs,
     queue_empty_counts,
 )
-from .errors import SliceSimError
+from .errors import ConfigError, NumericError, SliceSimError
 from .experiments import default_bin_width, geometric_fit_table, iat_bin_widths
 from .markov import strategy_steady_state
 from .optimize import GREEDY_SINGLE_QUEUE, evaluate_strategy, local_search, random_sweep
@@ -131,46 +130,47 @@ def _cmd_simulate(config: ExperimentConfig, outdir: str) -> None:
                        rows)
 
 
-def _cmd_analyze(config: ExperimentConfig, outdir: str) -> None:
-    block = config.block("analyze")
+def _law_table(block: dict) -> tuple[list[str], list[list]]:
+    """The header and rows of ``analysis.csv`` for the law an ``analyze`` block names."""
     law = block["law"]
-    path = os.path.join(outdir, "analysis.csv")
     if law == "mm1-pmf":
         rho = block["arrival_rate"] / block["acceptance_rate"]
-        rows = [[l, mm1_queue_pmf(rho, l)] for l in range(block["max_length"] + 1)]
-        _write_csv(path, ["length", "probability"], rows)
-    else:
-        params = QueueParams(
-            arrival_rate=block["arrival_rate"],
-            acceptance_rate=block["acceptance_rate"],
-            reneging_rate=block["reneging_rate"],
-            balking_willingness=block["balking_willingness"],
-        )
-        if law == "impatient-pmf":
-            table = impatient_queue_pmf_table(params)
-            rows = [[l, p] for l, p in enumerate(table[: block["max_length"] + 1])]
-            _write_csv(path, ["length", "probability"], rows)
-        elif law == "wait-densities":
-            dists = wait_distributions(params)
-            rows = []
-            steps = int(round(block["wait_stop"] / block["wait_step"]))
-            for k in range(steps + 1):
-                w = k * block["wait_step"]
-                rows.append([w, dists.accepted(w), dists.reneged(w), dists.joined(w)])
-            _write_csv(path, ["wait", "f_accepted", "f_reneged", "f_joined"], rows)
-        elif law == "wait-means":
-            means = wait_means(params)
-            _write_csv(path,
-                       ["mean_wait_accepted", "mean_wait_reneged",
-                        "mean_wait_joined", "joined_identity"],
-                       [[means.accepted, means.reneged, means.joined,
-                         mean_wait_joined_identity(params)]])
-        else:  # acceptance-probabilities
-            probs = acceptance_probabilities(params)
-            _write_csv(path,
-                       ["p_accept", "p_accept_and_join", "p_accept_given_join"],
-                       [[probs.accept, probs.accept_and_join,
-                         probs.accept_given_join]])
+        return ["length", "probability"], [[l, mm1_queue_pmf(rho, l)]
+                                           for l in range(block["max_length"] + 1)]
+    params = QueueParams(
+        arrival_rate=block["arrival_rate"],
+        acceptance_rate=block["acceptance_rate"],
+        reneging_rate=block["reneging_rate"],
+        balking_willingness=block["balking_willingness"],
+    )
+    if law == "impatient-pmf":
+        table = impatient_queue_pmf_table(params)
+        return ["length", "probability"], [[l, p] for l, p in
+                                           enumerate(table[: block["max_length"] + 1])]
+    if law == "wait-densities":
+        dists = wait_distributions(params)
+        rows = []
+        steps = int(round(block["wait_stop"] / block["wait_step"]))
+        for k in range(steps + 1):
+            w = k * block["wait_step"]
+            rows.append([w, dists.accepted(w), dists.reneged(w), dists.joined(w)])
+        return ["wait", "f_accepted", "f_reneged", "f_joined"], rows
+    if law == "wait-means":
+        means = wait_means(params)
+        return (["mean_wait_accepted", "mean_wait_reneged", "mean_wait_joined",
+                 "joined_identity"],
+                [[means.accepted, means.reneged, means.joined, means.joined]])
+    probs = acceptance_probabilities(params)  # acceptance-probabilities
+    return (["p_accept", "p_accept_and_join", "p_accept_given_join"],
+            [[probs.accept, probs.accept_and_join, probs.accept_given_join]])
+
+
+def _cmd_analyze(config: ExperimentConfig, outdir: str) -> None:
+    try:
+        header, rows = _law_table(config.block("analyze"))
+    except NumericError as exc:  # rates that pass every check can still overflow a series
+        raise ConfigError(f"{config.anchors[('analyze', 'law')]}: {exc}") from None
+    _write_csv(os.path.join(outdir, "analysis.csv"), header, rows)
 
 
 def _read_samples(path: str, column: str) -> list[float]:

@@ -241,7 +241,11 @@ class _Checker:
 
 @dataclass
 class ExperimentConfig:
-    """A validated configuration: model, seed, output directory, command blocks."""
+    """A validated configuration: model, seed, output directory, command blocks.
+
+    ``anchors`` maps each key's path to its ``source:line``, or to the flag
+    that gave it, for errors that only running a command can find.
+    """
 
     source: str
     seed: int
@@ -250,6 +254,7 @@ class ExperimentConfig:
     scenario: str | None
     blocks: dict[str, dict] = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
+    anchors: dict[tuple, str] = field(default_factory=dict)
 
     def block(self, command: str) -> dict:
         if command not in self.blocks:
@@ -503,8 +508,9 @@ def _fit_model(check: _Checker, model: ResourceModel, blocks: dict) -> None:
 def _fit_law(check: _Checker, block: dict) -> None:
     """Check the preconditions of ``analyze``'s law at their key's line.
 
-    The messages are those of the laws' runtime checks.  The wait grid is
-    bounded too, since finite values can ask for endless rows.
+    The messages are those of the laws' runtime checks.  The wait grid of
+    ``wait-densities`` is bounded too, since finite values can ask for
+    endless rows.
     """
     if block["law"] == "mm1-pmf":
         rho = block["arrival_rate"] / block["acceptance_rate"]
@@ -519,7 +525,8 @@ def _fit_law(check: _Checker, block: dict) -> None:
         if block["balking_willingness"] > 1.0:
             check.fail(("analyze", "balking_willingness"),
                        "balking willingness must lie in [0, 1]")
-    if block["wait_stop"] >= _MAX_WAIT_STEPS * block["wait_step"]:
+    if (block["law"] == "wait-densities"
+            and block["wait_stop"] >= _MAX_WAIT_STEPS * block["wait_step"]):
         check.fail(("analyze", "wait_step"), f"wait_stop / wait_step must be < {_MAX_WAIT_STEPS}, "
                                              f"got {block['wait_stop']} / {block['wait_step']}")
 
@@ -639,6 +646,7 @@ def parse_config(text: str, source: str = "<config>", command: str | None = None
         scenario=SCENARIO_ALIASES.get(scenario, scenario) if scenario else None,
         blocks=blocks,
         raw=top,
+        anchors=check.anchors,
     )
 
 

@@ -25,31 +25,23 @@ from .errors import ContractViolation
 from .slice_model import StateSpace, SystemState
 from .strategy import RESERVE, PreferenceMatrix
 
-#: Request outcome tags.
-WAITING = "waiting"
-ACCEPTED = "accepted"
-BALKED = "balked"
-RENEGED = "reneged"
-
-
 @dataclass(eq=False, slots=True)
 class RequestRecord:
-    """One slice request and its fate.
+    """One waiting slice request: what the event loop and the queues read of it.
 
     Records compare by identity, so a queue removes exactly the one given.
-    ``lifetime`` is the slice lifetime used if the request is accepted;
-    ``renege_deadline`` is the absolute time at which a still-waiting request
-    abandons (None when reneging does not apply).
+    ``join_time`` is when it joined its queue, the key ``remove`` bisects on;
+    ``lifetime`` is the slice lifetime used if the request is accepted; and
+    ``accepted`` is set on acceptance, so that a renege deadline still due
+    afterwards is ignored.  What happened to each request is in the round's
+    event log.
     """
 
     request_id: int
     slice_type: int
-    arrival_time: float
+    join_time: float
     lifetime: float = 0.0
-    join_time: float | None = None
-    renege_deadline: float | None = None
-    outcome: str = WAITING
-    outcome_time: float | None = None
+    accepted: bool = False
 
 
 _JOIN_TIME = attrgetter("join_time")
@@ -104,14 +96,13 @@ class QueueController:
             queue.popleft()
             return True
         t = record.join_time
-        if t is not None:
-            for i in range(bisect_left(queue, t, key=_JOIN_TIME), len(queue)):
-                other = queue[i]
-                if other is record:
-                    del queue[i]
-                    return False
-                if other.join_time != t:
-                    break
+        for i in range(bisect_left(queue, t, key=_JOIN_TIME), len(queue)):
+            other = queue[i]
+            if other is record:
+                del queue[i]
+                return False
+            if other.join_time != t:
+                break
         raise ContractViolation("request is not waiting in its queue")
 
 

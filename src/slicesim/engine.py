@@ -53,17 +53,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .controller import (
-    ACCEPTED,
-    BALKED,
-    RENEGED,
-    WAITING,
-    GreedySingleQueueController,
-    MultiQueueController,
-    RequestRecord,
-)
+from .controller import GreedySingleQueueController, MultiQueueController, RequestRecord
 from .errors import ContractViolation
-from .slice_model import ResourceModel, StateSpace, SystemState, enumerate_state_space
+from .slice_model import ResourceModel, StateSpace, enumerate_state_space
 from .strategy import RESERVE, PreferenceMatrix
 
 RNG_METADATA = {
@@ -81,7 +73,8 @@ class SimConfig:
     """Everything one simulation round needs.
 
     ``strategy`` None runs the greedy single queue.  ``record_events`` keeps the
-    event log and the per-request records (off in Monte-Carlo).
+    event log, the round's one record of what happened to each request (off
+    in Monte-Carlo).
     """
 
     model: ResourceModel
@@ -93,7 +86,6 @@ class SimConfig:
     balking: bool = False
     reneging: bool = False
     record_events: bool = True
-    check_invariants: bool = False
 
     def __post_init__(self) -> None:
         if not self.horizon > self.warmup >= 0.0:
@@ -115,19 +107,18 @@ def _per_type(zero: int | float):
 
 @dataclass
 class SimTrace:
-    """Raw material of one round: event log, request records, accumulators.
+    """Raw material of one round: the event log and the accumulators.
 
-    An ``events`` entry is ``(t, kind, type, request_id, state index, queue lengths)``.
+    An ``events`` entry is ``(t, kind, type, request_id, state index, queue lengths)``,
+    of kind ``arrival``, ``join``, ``balk``, ``accept``, ``renege`` or
+    ``release`` (request id -1); it is the one record of each request's fate.
     """
 
     num_types: int
     horizon: float
     warmup: float
-    initial_state: SystemState
     utility_rates: tuple[float, ...] = ()
-    final_state: SystemState = ()
     events: list[tuple[float, str, int, int, int, tuple[int, ...]]] | None = None
-    records: list[RequestRecord] = field(default_factory=list)
     accept_times: list[list[float]] = field(init=False)
     # in-window time per state index, the one occupancy accumulator (slice_time derives from it)
     state_time: dict[int, float] = field(default_factory=dict)
@@ -161,11 +152,9 @@ class MetricsReport:
     """The three headline metrics plus per-type detail for one round."""
 
     seed: int
-    duration: float
     utility_rate_mean: float
     wait_mean: float
     admission_rate: float
-    no_arrivals: bool
     acceptance_rates: tuple[float, ...]
     queue_length_means: tuple[float, ...]
     wait_means: tuple[float, ...]
@@ -312,9 +301,8 @@ def run(config: SimConfig, space: StateSpace | None = None,
     else:
         controller = GreedySingleQueueController(space)
     controller.state_index = tape.initial_index
-    initial_state = space.state_at(tape.initial_index)
 
-    trace = SimTrace(n_types, config.horizon, config.warmup, initial_state, model.utility_rates,
+    trace = SimTrace(n_types, config.horizon, config.warmup, model.utility_rates,
                      events=[] if config.record_events else None)
 
     types = model.types
@@ -343,8 +331,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
     last_t = 0.0
     next_id = 0
     waiting = [0] * n_types  # per-type waiting counts, kept for both controllers
-    records, state_time, queue_time, wait_sum = (
-        trace.records, trace.state_time, trace.queue_time, trace.wait_sum)
+    state_time, queue_time, wait_sum = trace.state_time, trace.queue_time, trace.wait_sum
     totals = (trace.total_arrivals, trace.total_joined, trace.total_balked,
               trace.total_accepted, trace.total_reneged)
     total_arrivals, total_joined, total_balked, total_accepted, total_reneged = totals
@@ -352,7 +339,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
     serve, handle_release, remove = (
         controller.serve_queues, controller.handle_release, controller.remove)
     heappush, heappop, pop_due = heapq.heappush, heapq.heappop, due.pop
-    log = None  # the event log, kept together with the request records
+    log = None
     if trace.events is not None:
         def log(t: float, kind: str, slice_type: int, request_id: int) -> None:
             trace.events.append((t, kind, slice_type, request_id,
@@ -395,11 +382,11 @@ def run(config: SimConfig, space: StateSpace | None = None,
             backlog, willingness = len(queue), balking[n]
             joins = willingness is None or backlog < 1 or u_balk < min(1.0, willingness / backlog)
             if joins:
-                rec = RequestRecord(next_id, n + 1, t, lifetime, t)
+                rec = RequestRecord(next_id, n + 1, t, lifetime)
                 waiting[n] += 1
                 total_joined[n] += 1
                 if reneging[n] > 0.0:
-                    rec.renege_deadline = when = t - math.log(1.0 - u_patience) / reneging[n]
+                    when = t - math.log(1.0 - u_patience) / reneging[n]
                     if when <= horizon:  # a later event never pops
                         heappush(heap, when)
                         if when in due:
@@ -408,13 +395,10 @@ def run(config: SimConfig, space: StateSpace | None = None,
                             due[when] = rec
                 queue.append(rec)
                 if log:
-                    records.append(rec)
                     log(t, "join", n + 1, next_id)
             else:
                 total_balked[n] += 1
                 if log:
-                    records.append(RequestRecord(next_id, n + 1, t, lifetime,
-                                                 outcome=BALKED, outcome_time=t))
                     log(t, "balk", n + 1, next_id)
             if joins and not backlog:  # a join behind a waiting request cannot be served
                 served = serve()
@@ -424,10 +408,8 @@ def run(config: SimConfig, space: StateSpace | None = None,
             served = handle_release(payload)
         elif kind == EV_RENEGE:
             rec = payload
-            if rec.outcome == WAITING:
+            if not rec.accepted:
                 head_left = remove(rec)
-                rec.outcome = RENEGED
-                rec.outcome_time = t
                 n = rec.slice_type - 1
                 waiting[n] -= 1
                 total_reneged[n] += 1
@@ -440,8 +422,7 @@ def run(config: SimConfig, space: StateSpace | None = None,
         else:  # EV_END
             break
         for rec in served:  # settle the requests the controller accepted
-            rec.outcome = ACCEPTED
-            rec.outcome_time = t
+            rec.accepted = True
             n = rec.slice_type - 1
             waiting[n] -= 1
             total_accepted[n] += 1
@@ -457,8 +438,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
                     due[when] = n + 1
             if log:
                 log(t, "accept", n + 1, rec.request_id)
-        if config.check_invariants:
-            assert not serve(), "controller left transient after event"
 
     # one list per type, not one per visited state: fewer objects for the collector
     for n, visited in enumerate(space.counts[list(state_time)].T.tolist()):
@@ -468,7 +447,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
         [total - before for total, before in zip(counts, opened)]
         for counts, opened in zip(totals, at_opening))
     trace.wait_count = [a + r for a, r in zip(trace.accepted, trace.reneged)]
-    trace.final_state = controller.state
     trace.final_queue_lengths = tuple(waiting)
     check_conservation(trace)
 
@@ -479,10 +457,9 @@ def overall_metrics(trace: SimTrace, seed: int = 0) -> MetricsReport:
     """Aggregate a trace into the three headline metrics plus per-type detail.
 
     The overall waiting time is the queue-length-weighted mean of the
-    per-queue mean waits; the admission rate is accepted over arrived, with
-    the empty-denominator convention of reporting 1 plus a flag.
+    per-queue mean waits; the admission rate is accepted over arrived, and 1
+    when nothing arrived.
     """
-    n_types = trace.num_types
     duration = trace.horizon - trace.warmup
     mean_active = tuple(x / duration for x in trace.slice_time)
     queue_means = tuple(x / duration for x in trace.queue_time)
@@ -496,17 +473,14 @@ def overall_metrics(trace: SimTrace, seed: int = 0) -> MetricsReport:
     else:
         wait_mean = 0.0
     total_arrivals = sum(trace.arrivals)
-    no_arrivals = total_arrivals == 0
-    admission = 1.0 if no_arrivals else sum(trace.accepted) / total_arrivals
+    admission = sum(trace.accepted) / total_arrivals if total_arrivals else 1.0
     utility = sum(u * m for u, m in zip(trace.utility_rates, mean_active))
 
     return MetricsReport(
         seed=seed,
-        duration=duration,
         utility_rate_mean=utility,
         wait_mean=wait_mean,
         admission_rate=admission,
-        no_arrivals=no_arrivals,
         acceptance_rates=accept_rates,
         queue_length_means=queue_means,
         wait_means=wait_means,
@@ -582,7 +556,7 @@ def monte_carlo(config: SimConfig, rounds: int, space: StateSpace | None = None,
 
 def logged_rounds(config: SimConfig, rounds: int, space: StateSpace | None = None,
                   tapes: dict | None = None) -> Iterator[tuple[SimTrace, MetricsReport]]:
-    """``monte_carlo``'s rounds of ``config`` with their event logs and request records.
+    """``monte_carlo``'s rounds of ``config`` with their event logs.
 
     Round ``i`` has the seed, and so the report, of ``monte_carlo``'s round
     ``i``.  A logged round costs about 1.7 times an unlogged one.

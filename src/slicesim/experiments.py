@@ -40,7 +40,6 @@ def iat_bin_widths(model: ResourceModel,
 class FitRow:
     """Geometric fit of one queue's pooled IATs under one strategy."""
 
-    strategy_index: int
     queue: int
     samples: int
     bin_width: float
@@ -53,14 +52,13 @@ def geometric_fit_table(samples: Sequence[Sequence[Sequence[float]]],
                         min_samples: int = 2) -> list[FitRow]:
     """Fit every (strategy, queue) cell with enough samples."""
     rows = []
-    for i, per_queue in enumerate(samples):
+    for per_queue in samples:
         for q, iats in enumerate(per_queue):
             if len(iats) < min_samples:
                 continue
             pmf = empirical_pmf(iats, bin_widths[q])
             p_hat = fit_geometric(pmf)
             rows.append(FitRow(
-                strategy_index=i,
                 queue=q + 1,
                 samples=len(iats),
                 bin_width=bin_widths[q],

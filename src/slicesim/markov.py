@@ -142,7 +142,6 @@ class TransitionMatrix:
     """Row-stochastic transition matrix over the full state space, as a CSR array."""
 
     matrix: sparse.csr_array
-    mode: str
 
     def __post_init__(self) -> None:
         from scipy import sparse
@@ -223,7 +222,7 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
     if not stored.all():
         row, col, prob = row[stored], col[stored], prob[stored]
     matrix = sparse.coo_array((prob, (row, col)), shape=(n_states, n_states)).tocsr()
-    return TransitionMatrix(matrix=matrix, mode=mode)
+    return TransitionMatrix(matrix=matrix)
 
 
 @dataclass(frozen=True)

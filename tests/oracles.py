@@ -421,7 +421,10 @@ def run_scalar(config, space=None, tape=None):
     event and schedules the next one with one scalar exponential draw, and
     every step goes through a closure.  It shares the package's metrics and
     controller types, so a faster loop must reproduce its outputs exactly.
-    Its trace is the package's plus the queue-empty counts the loop takes at
+    After every event it runs one more serving pass and asserts that it
+    accepts nothing: the controller is quiescent between events, so a test
+    that compares ``run`` with this loop catches a serving pass that ``run``
+    wrongly skips.  Its trace is the package's plus the queue-empty counts the loop takes at
     each in-window arrival (``arrival_epochs``, ``empty_marginal``,
     ``scan_observed``, ``scan_empty``), which ``engine.queue_empty_counts``
     must reproduce from the event log.
@@ -439,10 +442,6 @@ def run_scalar(config, space=None, tape=None):
     import numpy as np
 
     from slicesim.controller import (
-        ACCEPTED,
-        BALKED,
-        RENEGED,
-        WAITING,
         GreedySingleQueueController,
         MultiQueueController,
         RequestRecord,
@@ -485,7 +484,6 @@ def run_scalar(config, space=None, tape=None):
         num_types=n_types,
         horizon=config.horizon,
         warmup=config.warmup,
-        initial_state=initial_state,
         utility_rates=model.utility_rates,
         events=[] if config.record_events else None,
     )
@@ -544,8 +542,7 @@ def run_scalar(config, space=None, tape=None):
 
     def settle(t: float, accepted: list[RequestRecord]) -> None:
         for rec in accepted:
-            rec.outcome = ACCEPTED
-            rec.outcome_time = t
+            rec.accepted = True
             n = rec.slice_type
             waiting[n - 1] -= 1
             trace.total_accepted[n - 1] += 1
@@ -598,8 +595,6 @@ def run_scalar(config, space=None, tape=None):
                 ty = model.types[n - 1]
             next_id += 1
             rec = RequestRecord(next_id, n, t, lifetime=lifetime)
-            if trace.events is not None:
-                trace.records.append(rec)
             trace.total_arrivals[n - 1] += 1
             if in_window(t):
                 trace.arrivals[n - 1] += 1
@@ -610,22 +605,18 @@ def run_scalar(config, space=None, tape=None):
             if balk_on[n - 1] and backlog >= 1:
                 join_prob = min(1.0, ty.balking_willingness / backlog)
             if u_balk < join_prob:
-                rec.join_time = t
                 waiting[n - 1] += 1
                 trace.total_joined[n - 1] += 1
                 if in_window(t):
                     trace.joined[n - 1] += 1
                 if renege_on[n - 1]:
-                    rec.renege_deadline = t - math.log(1.0 - u_patience) / ty.reneging_rate
-                    push(rec.renege_deadline, EV_RENEGE, rec)
+                    push(t - math.log(1.0 - u_patience) / ty.reneging_rate, EV_RENEGE, rec)
                 queue.append(rec)
                 log(t, "join", n, rec.request_id)
                 if multi:
                     measure_epoch(t)
                 settle(t, controller.serve_queues())
             else:
-                rec.outcome = BALKED
-                rec.outcome_time = t
                 trace.total_balked[n - 1] += 1
                 if in_window(t):
                     trace.balked[n - 1] += 1
@@ -640,10 +631,8 @@ def run_scalar(config, space=None, tape=None):
             settle(t, controller.handle_release(n))
         else:  # EV_RENEGE
             rec = payload
-            if rec.outcome == WAITING:
+            if not rec.accepted:
                 controller.remove(rec)
-                rec.outcome = RENEGED
-                rec.outcome_time = t
                 n = rec.slice_type
                 waiting[n - 1] -= 1
                 trace.total_reneged[n - 1] += 1
@@ -654,15 +643,13 @@ def run_scalar(config, space=None, tape=None):
                 log(t, "renege", n, rec.request_id)
                 if not multi:
                     settle(t, controller.serve_queues())
-        if config.check_invariants:
-            assert not controller.serve_queues(), "controller left transient after event"
+        assert not controller.serve_queues(), "controller left transient after event"
 
     advance(horizon)
     for index, dt in trace.state_time.items():
         s = space.state_at(index)
         for n in range(n_types):
             trace.slice_time[n] += s[n] * dt
-    trace.final_state = controller.state
     trace.final_queue_lengths = tuple(waiting)
 
     return trace, overall_metrics(trace, seed=config.seed)

@@ -50,6 +50,7 @@ from oracles import (
     GAMMA_REFERENCE,
     bessel_i,
     micro_queue,
+    run_scalar,
 )
 
 
@@ -63,7 +64,7 @@ def test_criterion_01_little_law_harness():
     result = monte_carlo(config, rounds=20, space=space)
     diffs = []
     for report in result.reports:
-        join_rate = report.joined[0] / report.duration
+        join_rate = report.joined[0] / (config.horizon - config.warmup)
         diffs.append(report.queue_length_means[0] - join_rate * report.wait_means[0])
     mean = statistics.mean(diffs)
     se = statistics.stdev(diffs) / math.sqrt(len(diffs))
@@ -301,8 +302,13 @@ def test_criterion_10_invariant_suite():
         strategy = random_strategy(space, rng.randrange(10**6))
         config = SimConfig(model=model, strategy=strategy, horizon=30.0,
                            seed=rng.randrange(10**6), initial_state="full",
-                           balking=True, reneging=True, check_invariants=True)
-        trace, report = run(config, space)  # quiescence asserted inside
+                           balking=True, reneging=True)
+        trace, report = run(config, space)
+        # quiescence: the oracle asserts it after every event, and run must equal it
+        expected_trace, expected_report = run_scalar(config, space)
+        assert report == expected_report
+        assert [(t, kind, ty, rid, space.state_at(index), lengths)
+                for t, kind, ty, rid, index, lengths in trace.events] == expected_trace.events
 
         for _, _, _, _, index, _ in trace.events:
             assert 0 <= index < len(space)  # state safety on every event
@@ -314,11 +320,11 @@ def test_criterion_10_invariant_suite():
             )
 
         for n in range(1, model.num_types + 1):  # FCFS within each queue
-            accepted = [r for r in trace.records
-                        if r.slice_type == n and r.outcome == "accepted"]
-            accepted.sort(key=lambda r: (r.outcome_time, r.request_id))
-            joins = [r.join_time for r in accepted]
-            assert joins == sorted(joins)
+            joined = [rid for _, kind, ty, rid, _, _ in trace.events
+                      if kind == "join" and ty == n]
+            accepted = [joined.index(rid) for _, kind, ty, rid, _, _ in trace.events
+                        if kind == "accept" and ty == n]
+            assert accepted == sorted(accepted)
 
         probs = tuple(rng.random() for _ in range(model.num_types))
         psi = build_transition_matrix(strategy, space, probs)  # row-stochastic

@@ -38,8 +38,8 @@ def test_homogeneous_queues_block_behind_type1_heads():
 def test_homogeneous_queues_release_and_serve():
     # the shared controller plumbing reads the queues through ``lines``
     controller = _HomogeneousQueues(enumerate_state_space(case_study_model()), INITIAL_STATE)
-    assert handle_request(controller, RequestRecord(1, 1, 1.0, join_time=1.0)) == []
-    assert handle_request(controller, RequestRecord(2, 2, 2.0, join_time=2.0))[0].request_id == 2
+    assert handle_request(controller, RequestRecord(1, 1, 1.0)) == []
+    assert handle_request(controller, RequestRecord(2, 2, 2.0))[0].request_id == 2
     assert controller.queue_lengths() == (1, 0)
     assert controller.state == (1, 1)
     assert [r.request_id for r in controller.handle_release(1)] == [1]

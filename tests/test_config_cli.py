@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from slicesim import config
-from slicesim.analytics import QueueParams, mm1_queue_pmf
+from slicesim.analytics import QueueParams, mm1_queue_pmf, wait_distributions, wait_means
 from slicesim.config import build_strategy, builtin_scenario, load_config, parse_config
 from slicesim.cli import main
 from slicesim.errors import ConfigError, SliceSimError
@@ -201,11 +201,20 @@ model:
             "cfg:2: analyze needs a 'law': one of mm1-pmf, impatient-pmf, wait-densities, "
             "wait-means, acceptance-probabilities")
 
-    @pytest.mark.parametrize("stop, step", [("1.0e+300", "1.0e-10"), ("1.0", "1.0e-6")])
-    def test_wait_steps_bounded(self, stop, step):
+    @pytest.mark.parametrize("law, stop, step", [
+        ("wait-densities", "1.0e+300", "1.0e-10"), ("wait-densities", "1.0", "1.0e-6"),
+        ("mm1-pmf", "8.0", "1.0e-7"),
+    ], ids=["1.0e+300-1.0e-10", "1.0-1.0e-6", "unread-by-mm1-pmf"])
+    def test_wait_steps_bounded(self, tmp_path, law, stop, step):
         # the first overflowed when the table's row count was rounded to an integer
-        text = (f"scenario: paper-scenario-1\nanalyze:\n  law: wait-densities\n"
+        text = (f"scenario: paper-scenario-1\nanalyze:\n  law: {law}\n"
                 f"  wait_stop: {stop}\n  wait_step: {step}\n")
+        if law != "wait-densities":  # no other law reads the grid, so none bounds it
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(text, encoding="utf-8")
+            assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+            assert (tmp_path / "o" / "analysis.csv").is_file()
+            return
         with pytest.raises(ConfigError) as info:
             parse_config(text, source="cfg")
         assert str(info.value) == (f"cfg:5: wait_stop / wait_step must be < 1000000, "
@@ -213,17 +222,25 @@ model:
         below = text.replace(f"wait_stop: {stop}", f"wait_stop: {float(step) * 999999}")
         assert parse_config(below).block("analyze")["wait_step"] == float(step)
 
-    @pytest.mark.parametrize("law, keys, runtime", [
+    @pytest.mark.parametrize("law, keys, runtime, line", [
         ("mm1-pmf", "  arrival_rate: 3.0\n  acceptance_rate: 2.0\n",
-         lambda: mm1_queue_pmf(3.0 / 2.0, 0)),
+         lambda: mm1_queue_pmf(3.0 / 2.0, 0), 4),
         ("wait-means", "  reneging_rate: 0\n",
-         lambda: QueueParams(1.0, 2.0, reneging_rate=0.0).gamma),
+         lambda: QueueParams(1.0, 2.0, reneging_rate=0.0).gamma, 4),
         ("impatient-pmf", "  balking_willingness: 0\n",
-         lambda: QueueParams(1.0, 2.0, 1.0, balking_willingness=0.0).gamma),
+         lambda: QueueParams(1.0, 2.0, 1.0, balking_willingness=0.0).gamma, 4),
         ("acceptance-probabilities", "  balking_willingness: 2\n",
-         lambda: QueueParams(1.0, 2.0, 1.0, balking_willingness=2.0)),
-    ], ids=["no-equilibrium", "no-reneging", "no-balking", "willingness-above-1"])
-    def test_law_preconditions_carry_a_line(self, tmp_path, capsys, law, keys, runtime):
+         lambda: QueueParams(1.0, 2.0, 1.0, balking_willingness=2.0), 4),
+        # valid rates whose series overflow a double, anchored at the law: the leading
+        # series of the second is finite, and its accepted density overflows first at 1.5
+        ("wait-means", "  arrival_rate: 1000\n  acceptance_rate: 0.001\n  reneging_rate: 0.0001\n",
+         lambda: wait_means(QueueParams(1000.0, 0.001, 0.0001, 0.5)), 3),
+        ("wait-densities", "  arrival_rate: 200000\n  acceptance_rate: 1000\n  reneging_rate: 1\n"
+                           "  balking_willingness: 1.0\n  wait_stop: 2.0\n  wait_step: 0.5\n",
+         lambda: wait_distributions(QueueParams(2e5, 1e3, 1.0, 1.0)).accepted(1.5), 3),
+    ], ids=["no-equilibrium", "no-reneging", "no-balking", "willingness-above-1",
+            "wait-means-overflow", "wait-densities-overflow"])
+    def test_law_preconditions_carry_a_line(self, tmp_path, capsys, law, keys, runtime, line):
         # each failed in the law, with the runtime's message but without a line
         with pytest.raises(SliceSimError) as raised:
             runtime()
@@ -231,7 +248,7 @@ model:
         cfg.write_text(f"scenario: paper-scenario-1\nanalyze:\n  law: {law}\n{keys}",
                        encoding="utf-8")
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == f"error: {cfg}:4: {raised.value}\n"
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {raised.value}\n"
 
     def test_missing_block_reported(self):
         config = parse_config(MINIMAL)

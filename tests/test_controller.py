@@ -24,9 +24,7 @@ def case_study_space():
 
 
 def make_request(rid, slice_type, t=0.0):
-    rec = RequestRecord(rid, slice_type, t)
-    rec.join_time = t
-    return rec
+    return RequestRecord(rid, slice_type, t)
 
 
 class TestHandleRequest:
@@ -183,7 +181,7 @@ class TestRemove:
         waiting = make_request(1, 1, 1.0)
         handle_request(c, waiting)
         with pytest.raises(ContractViolation, match="not waiting"):
-            c.remove(RequestRecord(2, 1, 1.0))  # join_time is None
+            c.remove(RequestRecord(2, 1, 1.0))  # never joined, at a waiting one's join time
         c.remove(waiting)
         with pytest.raises(ContractViolation, match="not waiting"):
             c.remove(waiting)

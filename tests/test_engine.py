@@ -58,7 +58,7 @@ class TestRunBasics:
         config = SimConfig(model=model, strategy=constant_strategy(space, (1, 0)),
                            horizon=10.0)
         trace, report = run(config, space)
-        assert report.no_arrivals
+        assert report.arrivals == (0,)
         assert report.admission_rate == 1.0
         assert report.utility_rate_mean == 0.0
 
@@ -100,19 +100,24 @@ class TestRunBasics:
         for seed in range(10):
             config = SimConfig(model=model, strategy=strategy, horizon=1.0,
                                seed=seed, initial_state="full")
-            trace, _ = run(config, space)
-            assert not space.index_of(trace.initial_state) < space.num_admissible
+            assert not build_tape(config, space).initial_index < space.num_admissible
 
 
 class TestConservationAndOrdering:
-    def _run(self, seed, scenario=2, greedy=False):
-        model = table_model(scenario)
+    def _config(self, seed, greedy=False):
+        model = table_model(2)
         space = enumerate_state_space(model)
         strategy = None if greedy else random_strategy(space, seed)
-        config = SimConfig(model=model, strategy=strategy, horizon=40.0,
-                           seed=seed, initial_state="full",
-                           balking=True, reneging=True, check_invariants=True)
-        return run(config, space)
+        return SimConfig(model=model, strategy=strategy, horizon=40.0,
+                         seed=seed, initial_state="full",
+                         balking=True, reneging=True), space
+
+    def _run(self, seed, greedy=False):
+        """A round of ``run``, checked against the scalar oracle (quiescence included)."""
+        config, space = self._config(seed, greedy)
+        trace, report = run(config, space)
+        _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
+        return trace, report
 
     def test_conservation_per_type(self):
         for seed in range(8):
@@ -150,11 +155,11 @@ class TestConservationAndOrdering:
     def test_fcfs_acceptance_order(self):
         trace, _ = self._run(5)
         for n in (1, 2):
-            accepted = [r for r in trace.records
-                        if r.slice_type == n and r.outcome == "accepted"]
-            by_accept = sorted(accepted, key=lambda r: (r.outcome_time, r.request_id))
-            joins = [r.join_time for r in by_accept]
-            assert joins == sorted(joins)
+            joined = [rid for _, kind, ty, rid, _, _ in trace.events
+                      if kind == "join" and ty == n]
+            accepted = [joined.index(rid) for _, kind, ty, rid, _, _ in trace.events
+                        if kind == "accept" and ty == n]
+            assert accepted and accepted == sorted(accepted)
 
     def test_no_event_scheduled_past_the_horizon(self, monkeypatch):
         # such a release or renege never pops: the loop ends at the first time past it
@@ -166,17 +171,22 @@ class TestConservationAndOrdering:
             push(heap, when)
 
         monkeypatch.setattr(heapq, "heappush", counted)
-        trace, _ = self._run(6)
+        trace, _ = run(*self._config(6))
         assert trace.total_reneged[0] and trace.total_accepted[1]
         assert pushed and max(pushed) <= trace.horizon
 
     def test_reneged_leave_exactly_at_deadline(self):
-        trace, _ = self._run(6)
-        reneged = [r for r in trace.records if r.outcome == "reneged"]
+        config, space = self._config(6)
+        trace, _ = run(config, space)
+        # request i is the tape's arrival i - 1; its patience mark sets its deadline
+        arrived, _, _, _, u_patience = build_tape(config, space).arrivals
+        joined = {rid: t for t, kind, _, rid, _, _ in trace.events if kind == "join"}
+        reneged = [(t, ty, rid) for t, kind, ty, rid, _, _ in trace.events if kind == "renege"]
         assert reneged, "expected some reneging in scenario 2"
-        for r in reneged:
-            assert r.outcome_time == pytest.approx(r.renege_deadline, abs=1e-12)
-            assert r.outcome_time - r.join_time <= r.renege_deadline - r.join_time + 1e-12
+        for t, ty, rid in reneged:
+            assert joined[rid] == arrived[rid - 1]
+            rate = config.model.types[ty - 1].reneging_rate
+            assert t == joined[rid] - math.log(1.0 - u_patience[rid - 1]) / rate
 
     def test_greedy_discipline_invariants(self):
         trace, report = self._run(7, greedy=True)
@@ -188,33 +198,35 @@ class TestConservationAndOrdering:
 
     def test_greedy_line_is_served_after_a_renege(self):
         # a head that reneges may have blocked a request that fits: the engine must
-        # serve the line then, or the invariant check finds an acceptable head
-        config = SimConfig(model=table_model(2), strategy=None, horizon=200.0,
-                           seed=0, initial_state="full",
-                           balking=True, reneging=True, check_invariants=True)
-        monte_carlo(config, 6)
+        # serve the line then, or it parts from the oracle, which serves and then
+        # finds nothing more to accept
+        model = table_model(2)
+        space = enumerate_state_space(model)
+        config = SimConfig(model=model, strategy=None, horizon=200.0,
+                           seed=0, initial_state="full", balking=True, reneging=True)
+        for i in range(6):
+            round_config = dataclasses.replace(config, seed=derived_seed(config.seed, i))
+            _assert_matches_oracle(space, *run(round_config, space),
+                                   *run_scalar(round_config, space))
 
     def test_greedy_queue_lengths_tracked_per_type(self):
         # the single shared queue still reports per-type occupancy
         trace, report = self._run(9, greedy=True)
         assert len(report.queue_length_means) == 2
         assert all(l >= 0.0 for l in report.queue_length_means)
-        expected = sum(
-            (r.outcome_time - r.join_time)
-            for r in trace.records if r.join_time is not None
-            and r.outcome_time is not None and r.slice_type == 1
-        )
-        # time-integrated occupancy of type 1 equals its summed waits
-        # (warmup is zero and no request is still waiting past the horizon
-        # in this impatient run except the final-queue remainder)
-        residual = sum(
-            (trace.horizon - r.join_time)
-            for r in trace.records
-            if r.slice_type == 1 and r.outcome == "waiting"
-        )
-        assert report.queue_length_means[0] * report.duration == pytest.approx(
-            expected + residual, rel=1e-9
-        )
+        # time-integrated occupancy of type 1 equals its summed waits from the log
+        # (warmup is zero; a request still waiting waits until the horizon)
+        joined, waited = {}, 0.0
+        for t, kind, ty, rid, _, _ in trace.events:
+            if ty != 1:
+                continue
+            if kind == "join":
+                joined[rid] = t
+            elif kind in ("accept", "renege"):
+                waited += t - joined.pop(rid)
+        waited += sum(trace.horizon - t for t in joined.values())
+        assert len(joined) == trace.final_queue_lengths[0]
+        assert report.queue_length_means[0] * trace.horizon == pytest.approx(waited, rel=1e-9)
 
 
 class TestUtilityIdentity:
@@ -255,7 +267,7 @@ class TestLittleLaw:
         result = monte_carlo(config, rounds=20, space=space)
         diffs = []
         for report in result.reports:
-            joins_per_time = report.joined[0] / report.duration
+            joins_per_time = report.joined[0] / (config.horizon - config.warmup)
             diffs.append(report.queue_length_means[0]
                          - joins_per_time * report.wait_means[0])
         mean = statistics.mean(diffs)
@@ -310,7 +322,7 @@ class TestMonteCarlo:
                            horizon=20.0, seed=3, record_events=False)
         trace, report = run(config, space)
         assert sum(report.arrivals) > 0
-        assert trace.events is None and trace.records == []
+        assert trace.events is None
 
     def test_master_seed_determinism(self):
         model = table_model()
@@ -347,17 +359,16 @@ class TestCommonRandomNumbers:
         space = enumerate_state_space(model)
         cfg = dict(model=model, horizon=20.0, seed=13, initial_state="full",
                    balking=True, reneging=True)
-        t1, _ = run(SimConfig(strategy=naive_strategy(space, "prefer-type-1"), **cfg), space)
-        t2, _ = run(SimConfig(strategy=naive_strategy(space, "prefer-type-2"), **cfg), space)
-        t3, _ = run(SimConfig(strategy=None, **cfg), space)
+        configs = [SimConfig(strategy=strategy, **cfg) for strategy in (
+            naive_strategy(space, "prefer-type-1"), naive_strategy(space, "prefer-type-2"), None)]
+        t1, t2, t3 = (run(config, space)[0] for config in configs)
         def arrival_times(trace):
             return [(e[0], e[2]) for e in trace.events if e[1] == "arrival"]
         assert arrival_times(t1) == arrival_times(t2) == arrival_times(t3)
-        assert t1.initial_state == t2.initial_state == t3.initial_state
-        # per-request lifetimes and deadlines are identical marks
-        for a, b in zip(t1.records, t2.records):
-            assert a.request_id == b.request_id
-            assert a.lifetime == b.lifetime
+        # the initial state, the initial lifetimes and every arrival's marks are one tape
+        tape, *others = (build_tape(config, space) for config in configs)
+        assert all(other == tape for other in others)
+        assert arrival_times(t1) == list(zip(*tape.arrivals[:2]))
 
 
 class TestQueueEmptyMeasurement:
@@ -444,10 +455,6 @@ def oracle_rounds(draw):
     ), space
 
 
-def _record_fields(trace):
-    return [dataclasses.astuple(r) for r in trace.records]
-
-
 def _state_tuples(events, space):
     """An event log with each state index as its slice counts, as ``run_scalar`` logs it."""
     if events is None:
@@ -459,10 +466,9 @@ def _state_tuples(events, space):
 def _assert_matches_oracle(space, trace, report, expected_trace, expected_report):
     """A round of ``run`` equals the same round of ``run_scalar``, field by field."""
     assert report == expected_report
-    assert _record_fields(trace) == _record_fields(expected_trace)
     assert _state_tuples(trace.events, space) == expected_trace.events
     for f in dataclasses.fields(trace):
-        if f.name not in ("records", "events"):
+        if f.name != "events":
             assert getattr(trace, f.name) == getattr(expected_trace, f.name), f.name
 
 
@@ -498,6 +504,23 @@ def test_cached_tape_replays_match_scalar_oracle(case):
     tape = build_tape(config, space)
     for variant in variants:
         _assert_matches_oracle(space, *run(variant, space, tape), *run_scalar(variant, space))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_rounds())
+def test_tape_marks_equal_scalar_draws(case):
+    # each arrival's lifetime and two uniforms, drawn one by one from its type's mark
+    # stream in arrival order, as ``run_scalar`` draws them
+    config, space = case
+    types = config.model.types
+    streams = np.random.SeedSequence(config.seed).spawn(1 + 2 * len(types))
+    marks = [np.random.Generator(np.random.PCG64(child)) for child in streams[1 + len(types):]]
+    _, slice_types, *columns = build_tape(config, space).arrivals
+    drawn = []
+    for n in slice_types:
+        rng = marks[n - 1]
+        drawn.append((rng.exponential(1.0 / types[n - 1].release_rate), rng.random(), rng.random()))
+    assert list(zip(*columns)) == drawn
 
 
 # the queue-empty counts the scalar oracle takes in its loop
@@ -558,7 +581,7 @@ def test_tied_events_leave_in_push_order(name, discipline, warmup):
     multi = discipline == "multi-queue"
     strategy = naive_strategy(space, "prefer-type-1") if multi else None
     config = SimConfig(model=_TIE_MODEL, strategy=strategy, horizon=6.0, warmup=warmup,
-                       reneging=True, check_invariants=True)
+                       reneging=True)
     tapes, (deadline, later) = _tie_tapes(space)
     trace, report = run(config, space, tapes[name])
     _assert_matches_oracle(space, trace, report, *run_scalar(config, space, tapes[name]))
@@ -692,7 +715,7 @@ def impatient_rounds(draw):
         model=model, strategy=strategy, horizon=15.0,
         seed=draw(st.integers(0, 2**32 - 1)),
         initial_state=draw(st.sampled_from(("empty", "full"))),
-        balking=True, reneging=True, record_events=True, check_invariants=True,
+        balking=True, reneging=True, record_events=True,
     ), space
 
 
@@ -726,13 +749,14 @@ def _replay_event_log(config, space, trace):
     return behind_head
 
 
-# ``check_invariants`` runs one more serving pass after every event, which must
-# accept nothing: the guard for every pass the loop skips
+# the oracle serves after every join and asserts that one more serving pass after
+# every event accepts nothing: equality with it guards every pass the loop skips
 @settings(max_examples=150, deadline=None)
 @given(impatient_rounds())
 def test_skipped_passes_leave_the_controller_quiescent(case):
     config, space = case
-    trace, _ = run(config, space)
+    trace, report = run(config, space)
+    _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
     _replay_event_log(config, space, trace)
 
 
@@ -742,6 +766,7 @@ def test_event_log_replays_with_reneges_behind_the_head(discipline):
     space = enumerate_state_space(model)
     strategy = naive_strategy(space, "prefer-type-1") if discipline == "multi-queue" else None
     config = SimConfig(model=model, strategy=strategy, horizon=60.0,
-                       seed=3, initial_state="full", reneging=True, check_invariants=True)
-    trace, _ = run(config, space)
+                       seed=3, initial_state="full", reneging=True)
+    trace, report = run(config, space)
+    _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
     assert _replay_event_log(config, space, trace) > 0

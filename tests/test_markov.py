@@ -294,7 +294,7 @@ class TestBuildTransitionMatrix:
 
     def test_canonical_csr_is_not_copied(self):
         m = sparse.csr_array(np.array([[0.5, 0.5], [1.0, 0.0]]))
-        assert TransitionMatrix(matrix=m, mode=WITH_RELEASES).matrix is m
+        assert TransitionMatrix(matrix=m).matrix is m
 
     def test_foreign_inputs_are_canonicalised(self):
         dense = np.array([[0.5, 0.25, 0.25], [0.0, 0.0, 1.0], [0.75, 0.25, 0.0]])
@@ -318,7 +318,7 @@ class TestBuildTransitionMatrix:
         ]
         start = np.array([0.25, 0.25, 0.5])
         for given, as_dense in cases:
-            psi = TransitionMatrix(matrix=given, mode=WITH_RELEASES)
+            psi = TransitionMatrix(matrix=given)
             assert_canonical_csr(psi.matrix)
             assert np.array_equal(psi.matrix.toarray(), as_dense)
             assert np.array_equal(long_term_distribution(psi, start).probabilities,
