@@ -107,15 +107,15 @@ def _empty_probability(params: QueueParams) -> tuple[float, float]:
     return 1.0 / (1.0 + x), series
 
 
-def impatient_queue_pmf_table(params: QueueParams, tail: float = 1e-12,
-                              max_length: int = MAX_TERMS) -> list[float]:
-    """PMF values from length 0 until the remaining tail is below ``tail``."""
+def impatient_queue_pmf_table(params: QueueParams) -> list[float]:
+    """PMF values from length 0 until the remaining tail is below 1e-12, at most
+    ``MAX_TERMS`` of them."""
     g, d, b = params.gamma, params.delta, params.balking_willingness
     values = [_empty_probability(params)[0]]
     values.append(values[0] * d / (b * g))
     total = values[0] + values[1]
     l = 1
-    while 1.0 - total > tail and l < max_length:
+    while 1.0 - total > 1e-12 and l < MAX_TERMS:
         values.append(values[-1] * d / (l * (g + l)))
         total += values[-1]
         l += 1
@@ -235,30 +235,15 @@ class WaitMeans:
 def wait_means(params: QueueParams) -> WaitMeans:
     """Mean waits: the accepted series, the joined identity, and the reneged mean they leave.
 
-    A joining request is accepted with probability P(A|J), so the joined mean
-    is P(A|J) times the accepted mean plus 1 - P(A|J) times the reneged one.
-    """
-    paj = _wait_acceptance(params)[1].accept_given_join
-    accepted = mean_wait_accepted_series(params)
-    joined = mean_wait_joined_identity(params)
-    return WaitMeans(accepted=accepted, reneged=(joined - paj * accepted) / (1.0 - paj),
-                     joined=joined)
-
-
-def mean_wait_joined_identity(params: QueueParams) -> float:
-    """Closed-form mean wait over joining requests: (1 - P(A|J)) / reneging rate."""
-    probs = acceptance_probabilities(params)
-    return (1.0 - probs.accept_given_join) / params.reneging_rate
-
-
-def mean_wait_accepted_series(params: QueueParams) -> float:
-    """Mean wait of accepted requests, as a series.
-
-    Term i is the i-th term of 0F1(; gamma + 1; delta) times the harmonic sum
-    of 1 / (gamma + j) over j = 1..i.
+    Term i of the accepted series is the i-th term of 0F1(; gamma + 1; delta)
+    times the harmonic sum of 1 / (gamma + j) over j = 1..i.  The joined mean
+    is the closed form (1 - P(A|J)) / reneging rate.  A joining request is
+    accepted with probability P(A|J), so the joined mean is P(A|J) times the
+    accepted mean plus 1 - P(A|J) times the reneged one.
     """
     g, d = params.gamma, params.delta
-    p0, probs = _acceptance(params)
+    p0, probs = _wait_acceptance(params)
+    paj = probs.accept_given_join
 
     def terms() -> Iterator[float]:
         term, harmonic = 1.0, 0.0
@@ -268,4 +253,7 @@ def mean_wait_accepted_series(params: QueueParams) -> float:
             yield term * harmonic
 
     total = _series(terms(), "accepted-wait series")
-    return p0 / probs.accept_and_join * total / params.reneging_rate
+    accepted = p0 / probs.accept_and_join * total / params.reneging_rate
+    joined = (1.0 - paj) / params.reneging_rate
+    return WaitMeans(accepted=accepted, reneged=(joined - paj * accepted) / (1.0 - paj),
+                     joined=joined)

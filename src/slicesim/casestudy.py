@@ -98,10 +98,8 @@ def case_study_rows() -> list[Row]:
     return rows
 
 
-def render_case_study(rows: list[Row] | None = None) -> str:
+def render_case_study(rows: list[Row]) -> str:
     """Fixed-format text rendering of the three panels."""
-    if rows is None:
-        rows = case_study_rows()
     lines = []
     for panel in PANELS:
         lines.append(f"== {panel} ==")

@@ -205,14 +205,14 @@ class _Checker:
                 self.fail(path + (key,), f"unknown key {_shown(key)}")
         return value
 
-    def number(self, value: Any, path: tuple, minimum=None, strict=False,
+    def number(self, value: Any, path: tuple, minimum: float, strict=False,
                maximum=None) -> float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             self.fail(path, f"expected a number, got {_shown(value)}")
         v = float(value)
         if not math.isfinite(v):
             self.fail(path, f"expected a finite number, got {value}")
-        if minimum is not None and (v <= minimum if strict else v < minimum):
+        if v <= minimum if strict else v < minimum:
             op = ">" if strict else ">="
             self.fail(path, f"must be {op} {minimum}, got {value}")
         if maximum is not None and v > maximum:
@@ -503,6 +503,9 @@ def _fit_model(check: _Checker, model: ResourceModel, blocks: dict) -> None:
         if isinstance(probs, list) and len(probs) != n:
             check.fail((command, "queue_empty_probs"),
                        f"need {n} queue-empty probabilities, got {len(probs)}")
+    fit = blocks.get("fit_iat")
+    if fit is not None and fit["bin_width"] is None and max(model.arrival_rates) <= 0.0:
+        check.fail(("fit_iat",), "bin width needs at least one positive arrival rate")
 
 
 def _fit_law(check: _Checker, block: dict) -> None:

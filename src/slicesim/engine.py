@@ -55,7 +55,7 @@ import numpy as np
 
 from .controller import GreedySingleQueueController, MultiQueueController, RequestRecord
 from .errors import ContractViolation
-from .slice_model import ResourceModel, StateSpace, enumerate_state_space
+from .slice_model import ResourceModel, StateSpace
 from .strategy import RESERVE, PreferenceMatrix
 
 RNG_METADATA = {
@@ -282,7 +282,7 @@ def check_conservation(trace: SimTrace) -> None:
                 f"reneged, still waiting) = {counts}")
 
 
-def run(config: SimConfig, space: StateSpace | None = None,
+def run(config: SimConfig, space: StateSpace,
         tape: RoundTape | None = None) -> tuple[SimTrace, MetricsReport]:
     """Execute one round over [0, horizon] and report metrics over (warmup, horizon].
 
@@ -290,8 +290,6 @@ def run(config: SimConfig, space: StateSpace | None = None,
     """
     model = config.model
     n_types = model.num_types
-    if space is None:
-        space = enumerate_state_space(model)
     if tape is None:
         tape = build_tape(config, space)
 
@@ -519,14 +517,12 @@ def derived_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1)[0])
 
 
-def _round_runs(config: SimConfig, rounds: int, space: StateSpace | None,
+def _round_runs(config: SimConfig, rounds: int, space: StateSpace,
                 tapes: dict | None, record_events: bool) -> Iterator[tuple[SimTrace, MetricsReport]]:
     """``run`` of each Monte-Carlo round of ``config`` in turn; round ``i`` has seed
     ``derived_seed(config.seed, i)``."""
     if rounds < 1:
         raise ContractViolation("need at least one Monte-Carlo round")
-    if space is None:
-        space = enumerate_state_space(config.model)
     for i in range(rounds):
         round_config = replace(config, seed=derived_seed(config.seed, i),
                                record_events=record_events)
@@ -539,7 +535,7 @@ def _round_runs(config: SimConfig, rounds: int, space: StateSpace | None,
         yield run(round_config, space, tape)
 
 
-def monte_carlo(config: SimConfig, rounds: int, space: StateSpace | None = None,
+def monte_carlo(config: SimConfig, rounds: int, space: StateSpace,
                 tapes: dict | None = None) -> MonteCarloResult:
     """Independent rounds with seeds derived from ``config.seed``, without event logs.
 
@@ -554,14 +550,14 @@ def monte_carlo(config: SimConfig, rounds: int, space: StateSpace | None = None,
     return MonteCarloResult(reports, accept_times, config.warmup, config.seed)
 
 
-def logged_rounds(config: SimConfig, rounds: int, space: StateSpace | None = None,
-                  tapes: dict | None = None) -> Iterator[tuple[SimTrace, MetricsReport]]:
+def logged_rounds(config: SimConfig, rounds: int,
+                  space: StateSpace) -> Iterator[tuple[SimTrace, MetricsReport]]:
     """``monte_carlo``'s rounds of ``config`` with their event logs.
 
     Round ``i`` has the seed, and so the report, of ``monte_carlo``'s round
     ``i``.  A logged round costs about 1.7 times an unlogged one.
     """
-    return _round_runs(config, rounds, space, tapes, record_events=True)
+    return _round_runs(config, rounds, space, None, record_events=True)
 
 
 class QueueEmptyCounts(NamedTuple):

@@ -167,7 +167,7 @@ class TransitionMatrix:
 
 def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
                             queue_empty_probs: Sequence[float],
-                            release_rates: Sequence[float] | None = None,
+                            release_rates: Sequence[float],
                             mode: str = WITH_RELEASES,
                             opportunity_rate: float | None = None) -> TransitionMatrix:
     """Assemble the chain over all states in the chosen construction mode.
@@ -182,8 +182,6 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
     n_types = space.model.num_types
     if mode not in (WITH_RELEASES, ACCEPTANCE_ONLY):
         raise ContractViolation(f"unknown transition-matrix mode {mode!r}")
-    if release_rates is None:
-        release_rates = space.model.release_rates
     release_rates = [float(r) for r in release_rates]
     if len(release_rates) != n_types:
         raise ContractViolation("need one release rate per type")
@@ -248,28 +246,23 @@ class StateDistribution:
             raise ContractViolation(f"distribution sums to {p.sum()}, not 1")
 
 
-def initial_distribution(space: StateSpace, policy: str | Sequence[float] = "empty") -> np.ndarray:
-    """Point mass on the empty state, uniform over all or fully-utilized states, or explicit."""
+def initial_distribution(space: StateSpace, policy: str) -> np.ndarray:
+    """Point mass on the empty state, or uniform over all or over fully-utilized states."""
     n = len(space)
-    if isinstance(policy, str):
-        if policy == "empty":
-            p = np.zeros(n)
-            p[0] = 1.0  # the empty state is index 0 by construction
-            return p
-        if policy == "uniform":
-            return np.full(n, 1.0 / n)
-        if policy == "full":
-            p = np.zeros(n)
-            low = space.num_admissible
-            if low == n:
-                raise ContractViolation("model has no fully-utilized state")
-            p[low:] = 1.0 / (n - low)
-            return p
-        raise ContractViolation(f"unknown initial distribution {policy!r}")
-    p = np.asarray(policy, dtype=float)
-    if p.shape != (n,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ContractViolation("explicit initial distribution must be a probability vector")
-    return p
+    if policy == "empty":
+        p = np.zeros(n)
+        p[0] = 1.0  # the empty state is index 0 by construction
+        return p
+    if policy == "uniform":
+        return np.full(n, 1.0 / n)
+    if policy == "full":
+        p = np.zeros(n)
+        low = space.num_admissible
+        if low == n:
+            raise ContractViolation("model has no fully-utilized state")
+        p[low:] = 1.0 / (n - low)
+        return p
+    raise ContractViolation(f"unknown initial distribution {policy!r}")
 
 
 def long_term_distribution(psi: TransitionMatrix | np.ndarray | sparse.sparray,
@@ -358,12 +351,10 @@ def long_term_distribution(psi: TransitionMatrix | np.ndarray | sparse.sparray,
     return StateDistribution(pi, p_init, bool(residual <= RESIDUAL_L1_BOUND), residual)
 
 
-def expected_active_slices(distribution: StateDistribution | np.ndarray,
+def expected_active_slices(distribution: StateDistribution,
                            space: StateSpace) -> tuple[float, ...]:
     """Expected active-slice count per type under a state distribution."""
-    p = (distribution.probabilities if isinstance(distribution, StateDistribution)
-         else np.asarray(distribution, dtype=float))
-    return tuple(float(x) for x in p @ space.counts.astype(float))
+    return tuple(float(x) for x in distribution.probabilities @ space.counts.astype(float))
 
 
 def estimate_acceptance_rates(mean_active_slices: Sequence[float],
@@ -395,7 +386,7 @@ def strategy_steady_state(model: ResourceModel, space: StateSpace,
                           queue_empty_probs: Sequence[float],
                           mode: str = WITH_RELEASES,
                           opportunity_rate: float | None = None,
-                          p_init: str | Sequence[float] = "full") -> SteadyStateEstimate:
+                          p_init: str = "full") -> SteadyStateEstimate:
     """Full evaluation pipeline for one strategy given queue-empty probabilities."""
     psi = build_transition_matrix(strategy, space, queue_empty_probs,
                                   model.release_rates, mode, opportunity_rate)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import MonteCarloResult, SimConfig, derived_seed, monte_carlo
 from .errors import ContractViolation
-from .slice_model import ResourceModel, StateSpace, enumerate_state_space
+from .slice_model import ResourceModel, StateSpace
 from .strategy import PreferenceMatrix, random_strategy
 
 METRICS = ("utility", "wait", "admission")
@@ -82,22 +82,18 @@ def score_from_result(result: MonteCarloResult, label: str) -> StrategyScore:
 
 
 def evaluate_strategy(model: ResourceModel, strategy: PreferenceMatrix | None,
-                      config: SimConfig, rounds: int,
-                      space: StateSpace | None = None,
+                      config: SimConfig, rounds: int, space: StateSpace,
                       label: str = "strategy", tapes: dict | None = None) -> StrategyScore:
     """Score one strategy by a seeded Monte-Carlo batch; ``strategy`` None scores the
     greedy single-queue controller on the same random numbers."""
-    if space is None:
-        space = enumerate_state_space(model)
     result = monte_carlo(replace(config, model=model, strategy=strategy), rounds, space, tapes)
     return score_from_result(result, label)
 
 
 def greedy_single_queue_baseline(model: ResourceModel, config: SimConfig, rounds: int,
-                                 space: StateSpace | None = None,
-                                 tapes: dict | None = None) -> StrategyScore:
+                                 space: StateSpace) -> StrategyScore:
     """``evaluate_strategy`` of the greedy single queue, under its label."""
-    return evaluate_strategy(model, None, config, rounds, space, GREEDY_SINGLE_QUEUE, tapes)
+    return evaluate_strategy(model, None, config, rounds, space, GREEDY_SINGLE_QUEUE)
 
 
 @dataclass(frozen=True)
@@ -110,8 +106,7 @@ class SweepEntry:
 
 
 def random_sweep(model: ResourceModel, count: int, master_seed: int,
-                 config: SimConfig, rounds: int,
-                 space: StateSpace | None = None,
+                 config: SimConfig, rounds: int, space: StateSpace,
                  tapes: dict | None = None) -> list[SweepEntry]:
     """Score ``count`` seeded random strategies; entry i is reproducible from (seed, i).
 
@@ -121,8 +116,6 @@ def random_sweep(model: ResourceModel, count: int, master_seed: int,
     """
     if count < 1:
         raise ContractViolation("sweep needs at least one strategy")
-    if space is None:
-        space = enumerate_state_space(model)
     if tapes is None:
         tapes = {}
     entries = []
@@ -153,8 +146,8 @@ class SearchStep:
 
 
 def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
-                 config: SimConfig, rounds: int, metric: str = "utility",
-                 space: StateSpace | None = None) -> list[SearchStep]:
+                 config: SimConfig, rounds: int, space: StateSpace,
+                 metric: str = "utility") -> list[SearchStep]:
     """Steepest-ascent hill climbing over single-column single-swap neighbors.
 
     ``budget`` counts strategy evaluations beyond the start; waits are
@@ -169,8 +162,6 @@ def local_search(model: ResourceModel, start: PreferenceMatrix, budget: int,
         raise ContractViolation(f"unknown metric {metric!r}; pick one of {METRICS}")
     if budget < 0:
         raise ContractViolation("budget must be >= 0")
-    if space is None:
-        space = enumerate_state_space(model)
     tapes: dict = {}
     sign = -1.0 if metric == "wait" else 1.0
     order_rng = np.random.Generator(np.random.PCG64(derived_seed(config.seed, 0x5eac)))

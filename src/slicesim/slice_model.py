@@ -22,7 +22,7 @@ from .errors import ContractViolation, StateSpaceTooLarge
 # Relative tolerance on the resource inequality, guarding decimal cost values.
 FEASIBILITY_REL_TOL = 1e-9
 
-#: Default cap on the number of enumerated states.
+#: Cap on the number of enumerated states, read by each ``enumerate_state_space`` call.
 DEFAULT_STATE_CAP = 10**6
 
 #: Sentinel meaning "balking disabled" for a slice type.
@@ -207,14 +207,14 @@ class StateSpace:
         return self._release[index * self.num_types + n - 1]
 
 
-def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) -> StateSpace:
+def enumerate_state_space(model: ResourceModel) -> StateSpace:
     """Exhaustively enumerate the feasibility space and extract the admissibility region.
 
     States are ordered lexicographically within each group, admissible states
     first, so that the full-space index map agrees with the admissible-region
     index map on the admissibility region.  Feasible prefixes grow one type at
     a time, as arrays, into a prefix tree.  Raises ``StateSpaceTooLarge`` when
-    more than ``cap`` states would be enumerated, before allocating them.
+    more than ``DEFAULT_STATE_CAP`` states would be enumerated, before allocating them.
     """
     pool = np.asarray(model.pool)
     tol = FEASIBILITY_REL_TOL * np.maximum(1.0, pool)
@@ -237,8 +237,8 @@ def enumerate_state_space(model: ResourceModel, cap: int = DEFAULT_STATE_CAP) ->
         while not (ok := fits(top)).all():
             top -= ~ok
         size = int(top.sum()) + len(top)
-        if size > cap:
-            raise StateSpaceTooLarge(f"state space exceeds the cap of {cap} states")
+        if size > DEFAULT_STATE_CAP:
+            raise StateSpaceTooLarge(f"state space exceeds the cap of {DEFAULT_STATE_CAP} states")
         start = np.cumsum(top + 1) - (top + 1)
         parent = np.repeat(np.arange(len(top)), top + 1)
         count = np.arange(size) - start[parent]

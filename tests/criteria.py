@@ -115,15 +115,15 @@ def markov_consistency(model: ResourceModel, space: StateSpace,
     """Full pipeline per strategy: simulate, measure queue-empty probabilities,
     build the default-mode chain, and compare estimated acceptance rates.
 
-    The strategies run on the same round seeds and replay one set of round tapes;
-    the rounds are logged, since the queue-empty counts come from their event logs."""
-    rows, tapes = [], {}
+    The strategies run on the same round seeds; the rounds are logged, since the
+    queue-empty counts come from their event logs."""
+    rows = []
     for label, strategy in strategies.items():
         config = SimConfig(model=model, strategy=strategy, horizon=horizon,
                            seed=master_seed, initial_state="full",
                            balking=impatient, reneging=impatient)
         counts, reports = [], []
-        for trace, report in logged_rounds(config, rounds, space, tapes):
+        for trace, report in logged_rounds(config, rounds, space):
             counts.append(queue_empty_counts(trace, space, strategy))
             reports.append(report)
         empty_probs = pooled_queue_empty_probs(counts)

@@ -15,7 +15,6 @@ from slicesim.analytics import (
     QueueParams,
     acceptance_probabilities,
     impatient_queue_pmf_table,
-    mean_wait_joined_identity,
     mm1_queue_pmf,
     wait_distributions,
     wait_means,
@@ -172,7 +171,7 @@ def test_criterion_05_impatient_closed_forms():
             assert rel < 0.03, f"probability off {rel:.4f} at (lam={lam}, mu={mu})"
             worst_prob = max(worst_prob, rel)
 
-        identity = mean_wait_joined_identity(params)
+        identity = wait_means(params).joined
         rel = abs(sim.mean_wait_joiners - identity) / identity
         assert rel < 0.03, f"mean wait off {rel:.4f} at (lam={lam}, mu={mu})"
         worst_mean = max(worst_mean, rel)
@@ -298,7 +297,7 @@ def test_criterion_10_invariant_suite():
     checked_models = 0
     for trial in range(12):
         model = _random_invariant_model(rng)
-        space = enumerate_state_space(model, cap=50000)
+        space = enumerate_state_space(model)
         strategy = random_strategy(space, rng.randrange(10**6))
         config = SimConfig(model=model, strategy=strategy, horizon=30.0,
                            seed=rng.randrange(10**6), initial_state="full",
@@ -327,7 +326,8 @@ def test_criterion_10_invariant_suite():
             assert accepted == sorted(accepted)
 
         probs = tuple(rng.random() for _ in range(model.num_types))
-        psi = build_transition_matrix(strategy, space, probs)  # row-stochastic
+        psi = build_transition_matrix(strategy, space, probs,
+                                      model.release_rates)  # row-stochastic
         assert np.allclose(psi.matrix.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(psi.matrix.toarray() >= 0.0)
 
@@ -341,7 +341,7 @@ def test_criterion_10_invariant_suite():
             reneging_rate=model.types[0].reneging_rate,
             balking_willingness=model.types[0].balking_willingness,
         )
-        table = impatient_queue_pmf_table(params, tail=1e-12)
+        table = impatient_queue_pmf_table(params)
         assert abs(sum(table) - 1.0) < 1e-9
         assert all(p >= 0.0 for p in table)
         checked_models += 1

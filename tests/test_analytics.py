@@ -13,8 +13,6 @@ from slicesim.analytics import (
     QueueParams,
     acceptance_probabilities,
     impatient_queue_pmf_table,
-    mean_wait_accepted_series,
-    mean_wait_joined_identity,
     mm1_queue_pmf,
     wait_distributions,
     wait_means,
@@ -110,7 +108,7 @@ class TestImpatientPmf:
     def test_normalization(self):
         for lam, mu in GRID:
             params = QueueParams(lam, mu, reneging_rate=1.0, balking_willingness=0.5)
-            table = impatient_queue_pmf_table(params, tail=1e-12)
+            table = impatient_queue_pmf_table(params)
             assert abs(sum(table) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("lam, mu, alpha, beta", [
@@ -165,9 +163,11 @@ class TestImpatientPmf:
 
 
 @pytest.mark.parametrize("law", [
-    acceptance_probabilities, wait_distributions, mean_wait_joined_identity,
-    mean_wait_accepted_series,
-], ids=lambda law: law.__name__)
+    pytest.param(acceptance_probabilities, id="acceptance_probabilities"),
+    pytest.param(lambda params: wait_means(params).accepted, id="mean_wait_accepted_series"),
+    pytest.param(lambda params: wait_means(params).joined, id="mean_wait_joined_identity"),
+    pytest.param(wait_distributions, id="wait_distributions"),
+])
 def test_empty_probability_series_evaluated_once(monkeypatch, law):
     # 0F1(; gamma + 1; delta) backs both P(empty) and P(accept | join)
     params = QueueParams(1.2, 1.5, reneging_rate=0.5, balking_willingness=0.4)
@@ -282,13 +282,14 @@ def quad_mean(density):
 class TestWaitMeans:
     # wait_means takes the accepted mean from its series, the joined mean from
     # the identity and the reneged mean from total expectation; these tests
-    # integrate the densities instead
+    # integrate the densities, and rebuild the identity and the series here
     def test_joined_mean_matches_identity(self):
         for lam, mu in [(1.2, 1.5), (2.0, 1.2)]:
             params = QueueParams(lam, mu, reneging_rate=1.0, balking_willingness=0.5)
             means = wait_means(params)
             assert abs(means.joined - quad_mean(wait_distributions(params).joined)) < 1e-6
-            assert means.joined == mean_wait_joined_identity(params)
+            paj = acceptance_probabilities(params).accept_given_join
+            assert means.joined == (1.0 - paj) / params.reneging_rate
 
     def test_accepted_series_cross_check(self):
         for lam, mu, alpha in [(1.2, 1.5, 1.0), (0.9, 1.1, 0.7)]:
@@ -296,7 +297,18 @@ class TestWaitMeans:
             means = wait_means(params)
             accepted = quad_mean(wait_distributions(params).accepted)
             assert means.accepted == pytest.approx(accepted, rel=1e-6)
-            assert means.accepted == mean_wait_accepted_series(params)
+            # term i: delta^i / (i! (gamma + 1)_i) times sum_{j=1..i} 1 / (gamma + j),
+            # its factorials through lgamma
+            g, d = params.gamma, params.delta
+            series = math.fsum(
+                math.exp(i * math.log(d) - math.lgamma(i + 1.0)
+                         - math.lgamma(g + 1.0 + i) + math.lgamma(g + 1.0))
+                * math.fsum(1.0 / (g + j) for j in range(1, i + 1))
+                for i in range(1, 80))
+            p0 = impatient_queue_pmf(params, 0)
+            p_accept_and_join = acceptance_probabilities(params).accept_and_join
+            assert means.accepted == pytest.approx(
+                p0 / p_accept_and_join * series / alpha, rel=1e-12)
 
     def test_total_expectation(self):
         params = QueueParams(1.2, 1.5, reneging_rate=1.0, balking_willingness=0.5)

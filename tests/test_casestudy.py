@@ -57,6 +57,6 @@ def test_heterogeneous_end_state_fully_used():
 
 
 def test_render_contains_all_panels():
-    text = render_case_study()
+    text = render_case_study(case_study_rows())
     for panel in ("single-queue", "homogeneous-queues", "heterogeneous-queues"):
         assert f"== {panel} ==" in text

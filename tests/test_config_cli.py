@@ -26,6 +26,14 @@ simulate:
 casestudy: {}
 """
 
+# type 2 never arrives, which the schema allows
+ONE_TYPE_ARRIVES = """model:
+  resources: [1.0]
+  slice_types:
+    - {cost: [0.3], arrival_rate: 1.0, release_rate: 1.0, utility_rate: 1.0}
+    - {cost: [0.2], arrival_rate: 0.0, release_rate: 1.0, utility_rate: 1.0}
+"""
+
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
                                    reason="PyYAML was built without libyaml")
 # PyYAML's safe loaders that can parse here: pure Python, and libyaml's where built
@@ -319,6 +327,26 @@ class TestCli:
             tmp_path, "scenario: paper-scenario-1\nsweep: {count: 0}\n"
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+
+    def test_simulate_with_a_type_that_never_arrives(self, tmp_path):
+        # the per-queue bin widths refused a zero arrival rate once every round had run
+        cfg = self._write(tmp_path, ONE_TYPE_ARRIVES + "simulate: {rounds: 3, horizon: 20.0}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        for name in ("pooled_iat.csv", "iat_fit.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert rows and {row.split(",")[0] for row in rows} == {"1"}
+
+    def test_fit_iat_without_arrivals_needs_a_bin_width(self, tmp_path, capsys):
+        # with no bin_width and no arrivals, fit-iat failed with no line
+        (tmp_path / "iat.csv").write_text("iat\n0.1\n0.25\n0.4\n", encoding="utf-8")
+        text = ONE_TYPE_ARRIVES.replace("arrival_rate: 1.0", "arrival_rate: 0.0")
+        cfg = self._write(tmp_path, text + "fit_iat:\n  samples: iat.csv\n")
+        assert main(["fit-iat", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:6: bin width needs at least one positive arrival rate\n")
+        cfg = self._write(tmp_path, text + "fit_iat:\n  samples: iat.csv\n  bin_width: 0.1\n")
+        assert main(["fit-iat", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
 
     def test_casestudy_without_config(self, tmp_path, capsys):
         out = tmp_path / "cs"

@@ -350,7 +350,7 @@ class TestMonteCarlo:
         model = table_model()
         config = SimConfig(model=model, strategy=None, horizon=4.0)
         with pytest.raises(ContractViolation):
-            monte_carlo(config, rounds=0)
+            monte_carlo(config, rounds=0, space=enumerate_state_space(model))
 
 
 class TestCommonRandomNumbers:
@@ -392,8 +392,9 @@ class TestQueueEmptyMeasurement:
         config = SimConfig(model=model, strategy=naive_strategy(space, "prefer-type-2"),
                            horizon=30.0, warmup=5.0, seed=8, initial_state="full",
                            balking=True, reneging=True)
-        logged = list(logged_rounds(config, 3, space, tapes={}))
-        assert [report for _, report in logged] == monte_carlo(config, 3, space).reports
+        logged = list(logged_rounds(config, 3, space))
+        replayed = monte_carlo(config, 3, space, tapes={})
+        assert [report for _, report in logged] == replayed.reports
         assert all(trace.events for trace, _ in logged)
 
     def test_counts_need_an_event_log(self):

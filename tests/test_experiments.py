@@ -3,7 +3,7 @@ import pytest
 from slicesim.config import builtin_scenario
 from slicesim.errors import ContractViolation
 from slicesim.experiments import default_bin_width, geometric_fit_table, iat_bin_widths
-from slicesim.slice_model import enumerate_state_space
+from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import naive_strategy
 
 from criteria import (
@@ -24,6 +24,15 @@ class TestBinWidths:
     def test_per_queue_widths(self):
         model = builtin_scenario("paper-scenario-2")
         assert iat_bin_widths(model) == pytest.approx((1 / 6.0 / 5.0, 1 / 1.5 / 5.0))
+
+    def test_queue_without_arrivals_has_no_width(self):
+        model = ResourceModel(pool=(1.0,), costs=((0.3,), (0.2,)),
+                              types=(SliceType(2.0, 1.0), SliceType(0.0, 1.0)))
+        widths = iat_bin_widths(model)
+        assert widths == (pytest.approx(1 / 2.0 / 5.0), None)
+        # its cell holds no inter-acceptance times, and the fit table skips it
+        rows = geometric_fit_table([[[0.1, 0.3, 0.2], []]], widths)
+        assert [row.queue for row in rows] == [1]
 
 
 class TestFitTable:

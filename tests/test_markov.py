@@ -13,6 +13,7 @@ from slicesim.markov import (
     ACCEPTANCE_ONLY,
     RESIDUAL_L1_BOUND,
     WITH_RELEASES,
+    StateDistribution,
     TransitionMatrix,
     acceptance_distribution,
     build_transition_matrix,
@@ -182,13 +183,14 @@ class TestBuildTransitionMatrix:
         # a pool that holds exactly one slice of one type, already full
         space = single_type_space()
         strategy = constant_strategy(space, (1, 0))
-        psi = build_transition_matrix(strategy, space, (0.5,), mode=ACCEPTANCE_ONLY)
+        psi = build_transition_matrix(strategy, space, (0.5,), space.model.release_rates,
+                                      mode=ACCEPTANCE_ONLY)
         assert psi.matrix.shape == (2, 2)
 
     def test_acceptance_only_case_study(self):
         space = case_study_space()
         strategy = constant_strategy(space, (1, 2, 0))
-        psi = build_transition_matrix(strategy, space, (0.0, 0.0),
+        psi = build_transition_matrix(strategy, space, (0.0, 0.0), space.model.release_rates,
                                       mode=ACCEPTANCE_ONLY)
         i = space.index_of((0, 0))
         j = space.index_of((1, 0))
@@ -200,7 +202,8 @@ class TestBuildTransitionMatrix:
         lam, eta, p = 1.0, 0.5, 0.3
         space = single_type_space(lam=lam, eta=eta)
         strategy = constant_strategy(space, (1, 0))
-        psi = build_transition_matrix(strategy, space, (p,), mode=WITH_RELEASES)
+        psi = build_transition_matrix(strategy, space, (p,), space.model.release_rates,
+                                      mode=WITH_RELEASES)
         empty, full = space.index_of((0,)), space.index_of((1,))
         hand = np.zeros((2, 2))
         hand[empty, full] = 1 - p
@@ -216,7 +219,7 @@ class TestBuildTransitionMatrix:
             strategy = random_strategy(space, rng.randrange(10**6))
             probs = (rng.random(), rng.random())
             for mode in (WITH_RELEASES, ACCEPTANCE_ONLY):
-                psi = build_transition_matrix(strategy, space, probs, mode=mode)
+                psi = build_transition_matrix(strategy, space, probs, space.model.release_rates, mode=mode)
                 assert np.allclose(psi.matrix.sum(axis=1), 1.0, atol=1e-12)
                 assert np.all(psi.matrix.toarray() >= 0.0)
 
@@ -224,7 +227,7 @@ class TestBuildTransitionMatrix:
         # only self-loops, single increments, and single releases carry mass
         space = case_study_space()
         strategy = random_strategy(space, 4)
-        psi = build_transition_matrix(strategy, space, (0.4, 0.6))
+        psi = build_transition_matrix(strategy, space, (0.4, 0.6), space.model.release_rates)
         dense = psi.matrix.toarray()
         for i in range(len(space)):
             allowed = {i}
@@ -251,7 +254,7 @@ class TestBuildTransitionMatrix:
         strategy_steady_state(small.model, small, naive_strategy(small), (0.5, 0.5))
         tracemalloc.start()
         try:
-            psi = build_transition_matrix(strategy, space, (0.5, 0.5))
+            psi = build_transition_matrix(strategy, space, (0.5, 0.5), space.model.release_rates)
             dist = long_term_distribution(psi, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -284,7 +287,8 @@ class TestBuildTransitionMatrix:
             return made[-1]
 
         monkeypatch.setattr(sparse, "coo_array", recorded)
-        psi = build_transition_matrix(random_strategy(space, 7), space, (0.2, 0.8))
+        psi = build_transition_matrix(random_strategy(space, 7), space, (0.2, 0.8),
+                                      cfg.model.release_rates)
         monkeypatch.undo()
         assert len(made) == 1
         assert_canonical_csr(psi.matrix)
@@ -328,14 +332,14 @@ class TestBuildTransitionMatrix:
         space = case_study_space()
         strategy = naive_strategy(space, "prefer-type-1")
         with pytest.raises(ContractViolation):
-            build_transition_matrix(strategy, space, (0.5,))
+            build_transition_matrix(strategy, space, (0.5,), space.model.release_rates)
         with pytest.raises(ContractViolation):
-            build_transition_matrix(strategy, space, (0.5, 1.5))
+            build_transition_matrix(strategy, space, (0.5, 1.5), space.model.release_rates)
         with pytest.raises(ContractViolation):
-            build_transition_matrix(strategy, space, (0.5, 0.5), mode="bogus")
+            build_transition_matrix(strategy, space, (0.5, 0.5), space.model.release_rates, mode="bogus")
         longer = PreferenceMatrix(columns=strategy.columns * 2, num_types=2)
         with pytest.raises(ContractViolation, match="columns"):
-            build_transition_matrix(longer, space, (0.5, 0.5))
+            build_transition_matrix(longer, space, (0.5, 0.5), space.model.release_rates)
 
 
 _POOLS = (0.3, 0.6, 1.0)
@@ -357,15 +361,15 @@ def chain_cases(draw):
     space = enumerate_state_space(ResourceModel(pool=pool, costs=costs, types=types))
     strategy = random_strategy(space, draw(st.integers(0, 2**32)))
     probs = tuple(draw(_PROBS) for _ in range(n_types))
-    release = draw(st.one_of(st.none(), st.lists(st.sampled_from([0.0, 0.5, 2.5]),
-                                                 min_size=n_types, max_size=n_types)))
+    release = draw(st.one_of(st.just(space.model.release_rates),
+                             st.lists(st.sampled_from([0.0, 0.5, 2.5]),
+                                      min_size=n_types, max_size=n_types)))
     opportunity = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.01, 10.0)))
     mode = draw(st.sampled_from([WITH_RELEASES, ACCEPTANCE_ONLY]))
     return strategy, space, probs, release, mode, opportunity
 
 
-def assert_matches_dense_oracle(strategy, space, probs, release=None, mode=WITH_RELEASES,
-                                opportunity=None):
+def assert_matches_dense_oracle(strategy, space, probs, release, mode, opportunity):
     psi = build_transition_matrix(strategy, space, probs, release, mode, opportunity)
     oracle = build_transition_dense(strategy, space, probs, release, mode, opportunity)
     assert isinstance(psi.matrix, sparse.csr_array)
@@ -375,7 +379,7 @@ def assert_matches_dense_oracle(strategy, space, probs, release=None, mode=WITH_
 @settings(max_examples=150, deadline=None)
 # with no opportunities the empty state has no event at all: a row of total 0
 @example((constant_strategy(case_study_space(), (1, 2, 0)), case_study_space(),
-          (0.3, 0.0), None, WITH_RELEASES, 0.0))
+          (0.3, 0.0), case_study_space().model.release_rates, WITH_RELEASES, 0.0))
 @given(chain_cases())
 def test_build_matches_dense_oracle(case):
     assert_matches_dense_oracle(*case)
@@ -414,9 +418,9 @@ def small_model_chains(draw):
 @given(small_model_chains())
 def test_small_model_chains_match_the_oracles(case):
     strategy, space, probs, mode, start = case
-    psi = build_transition_matrix(strategy, space, probs, mode=mode)
+    psi = build_transition_matrix(strategy, space, probs, space.model.release_rates, mode)
     dense = psi.matrix.toarray()
-    oracle = build_transition_dense(strategy, space, probs, mode=mode)
+    oracle = build_transition_dense(strategy, space, probs, space.model.release_rates, mode)
     assert np.all(dense >= 0.0)
     assert np.allclose(dense.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
     assert np.allclose(dense, oracle, rtol=0.0, atol=1e-12)
@@ -483,7 +487,7 @@ class TestLongTermDistribution:
         for _ in range(10):
             strategy = random_strategy(space, rng.randrange(10**6))
             psi = build_transition_matrix(strategy, space,
-                                          (rng.random(), rng.random()))
+                                          (rng.random(), rng.random()), space.model.release_rates)
             dist = long_term_distribution(psi, initial_distribution(space, "full"))
             p = dist.probabilities
             assert np.all(p >= -1e-12)
@@ -518,7 +522,7 @@ class TestLongTermDistribution:
     def test_acceptance_only_mass_ends_in_absorbing_states(self):
         space = case_study_space()
         psi = build_transition_matrix(constant_strategy(space, (1, 2, 0)), space,
-                                      (0.4, 0.7), mode=ACCEPTANCE_ONLY)
+                                      (0.4, 0.7), space.model.release_rates, mode=ACCEPTANCE_ONLY)
         start = initial_distribution(space, "empty")
         dist = long_term_distribution(psi, start)
         absorbing = np.diag(psi.matrix.toarray()) == 1.0
@@ -554,7 +558,7 @@ class TestLongTermDistribution:
         space = enumerate_state_space(builtin_scenario("paper-scenario-2"))
         strategy = random_strategy(space, 5)
         assert strategy.columns[0][0] == RESERVE
-        psi = build_transition_matrix(strategy, space, (0.5, 0.5))
+        psi = build_transition_matrix(strategy, space, (0.5, 0.5), space.model.release_rates)
         sizes = count_solves(monkeypatch)
         dist = long_term_distribution(psi, initial_distribution(space, "full"))
         assert sizes == []
@@ -572,10 +576,15 @@ class TestLongTermDistribution:
         assert np.allclose(dist.probabilities, oracle, rtol=0.0, atol=1e-10)
 
 
+def as_distribution(p):
+    """The probability vector ``p`` as a ``StateDistribution``, started from itself."""
+    return StateDistribution(p, p, converged=True)
+
+
 class TestEstimators:
     def test_point_mass_on_empty(self):
         space = case_study_space()
-        p = initial_distribution(space, "empty")
+        p = as_distribution(initial_distribution(space, "empty"))
         mu = estimate_acceptance_rates(expected_active_slices(p, space), (1.0, 1.0))
         assert mu == (0.0, 0.0)
         assert estimate_mean_utility(mu, (1.0, 1.0), (1.0, 10.0)) == 0.0
@@ -589,7 +598,7 @@ class TestEstimators:
         space = enumerate_state_space(model)
         p = np.zeros(len(space))
         p[space.index_of((2, 1))] = 1.0
-        s_bar = expected_active_slices(p, space)
+        s_bar = expected_active_slices(as_distribution(p), space)
         assert s_bar == (2.0, 1.0)
         mu = estimate_acceptance_rates(s_bar, model.release_rates)
         utility = estimate_mean_utility(mu, model.release_rates, model.utility_rates)
@@ -597,7 +606,7 @@ class TestEstimators:
 
     def test_acceptance_rates_are_release_flow(self):
         space = case_study_space()
-        p = initial_distribution(space, "uniform")
+        p = as_distribution(initial_distribution(space, "uniform"))
         s_bar = expected_active_slices(p, space)
         mu = estimate_acceptance_rates(s_bar, (0.25, 4.0))
         assert mu == pytest.approx((0.25 * s_bar[0], 4.0 * s_bar[1]))

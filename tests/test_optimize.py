@@ -122,7 +122,7 @@ class TestRandomSweep:
         model = scenario_model()
         config = SimConfig(model=model, strategy=None, horizon=10.0)
         with pytest.raises(ContractViolation):
-            random_sweep(model, 0, 1, config, 1)
+            random_sweep(model, 0, 1, config, 1, enumerate_state_space(model))
 
 
 class TestGreedyBaseline:
@@ -159,7 +159,8 @@ class TestGreedyBaseline:
             pool=(1.0,), costs=((0.5,),), types=(SliceType(0.0, 1.0, 1.0),)
         )
         config = SimConfig(model=model, strategy=None, horizon=5.0)
-        score = greedy_single_queue_baseline(model, config, rounds=2)
+        score = greedy_single_queue_baseline(model, config, rounds=2,
+                                             space=enumerate_state_space(model))
         assert score.utility_mean == 0.0
 
     def test_best_multi_queue_beats_greedy_on_admission(self):
@@ -274,7 +275,8 @@ def test_sweep_entries_same_with_outer_tape_dict():
     assert shared == random_sweep(model, 3, 6, config, 4, space)
     assert len(tapes) == 4
     # the baselines then replay the sweep's tapes and score as on fresh draws
-    assert (greedy_single_queue_baseline(model, config, 4, space, tapes)
+    assert (evaluate_strategy(model, None, config, 4, space,
+                              label=optimize.GREEDY_SINGLE_QUEUE, tapes=tapes)
             == greedy_single_queue_baseline(model, config, 4, space))
     assert len(tapes) == 4
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from slicesim import slice_model
 from slicesim.config import load_config
 from slicesim.engine import SimConfig, run
 from slicesim.errors import ContractViolation, StateSpaceTooLarge
@@ -128,10 +129,11 @@ class TestEnumeration:
         assert space.states == ((0,), (1,))
         assert space.num_admissible == 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         model = table_model()
+        monkeypatch.setattr(slice_model, "DEFAULT_STATE_CAP", 10)
         with pytest.raises(StateSpaceTooLarge):
-            enumerate_state_space(model, cap=10)
+            enumerate_state_space(model)
 
     def test_cap_raises_before_allocating(self):
         # about 10**8 states: two types on two disjoint resources, 10**4 slots each
@@ -258,7 +260,7 @@ def test_randomized_models_match_brute_force():
     rng = random.Random(20240601)
     for _ in range(25):
         model = random_model(rng)
-        space = enumerate_state_space(model, cap=200000)
+        space = enumerate_state_space(model)
         feasible, admissible = brute_force_state_space(model.pool, model.costs)
         assert set(space.states) == feasible
         assert set(space.states[:space.num_admissible]) == admissible
