@@ -36,7 +36,7 @@ from .engine import (
     pooled_queue_empty_probs,
     queue_empty_counts,
 )
-from .errors import ConfigError, NumericError, SliceSimError
+from .errors import ConfigError, ContractViolation, NumericError, SliceSimError
 from .experiments import default_bin_width, geometric_fit_table, iat_bin_widths
 from .markov import strategy_steady_state
 from .optimize import GREEDY_SINGLE_QUEUE, evaluate_strategy, local_search, random_sweep
@@ -94,11 +94,17 @@ def _sim_config(config: ExperimentConfig, block: dict,
     return SimConfig(model=config.model, strategy=strategy, seed=config.seed, **given, **fixed)
 
 
+def _with_strategy(config: ExperimentConfig, command: str,
+                   key: str) -> tuple[dict, StateSpace, PreferenceMatrix]:
+    """``command``'s block, the state space, and the strategy its ``key`` specifies (a file
+    beside the configuration; a column count that does not fit fails at its line)."""
+    block, space = config.block(command), enumerate_state_space(config.model)
+    return block, space, build_strategy(block[key], space, os.path.dirname(config.source) or ".",
+                                        config.anchors[(command, key, "columns")])
+
+
 def _cmd_simulate(config: ExperimentConfig, outdir: str) -> None:
-    block = config.block("simulate")
-    space = enumerate_state_space(config.model)
-    base_dir = os.path.dirname(config.source) or "."
-    strategy = build_strategy(block["strategy"], space, base_dir)
+    block, space, strategy = _with_strategy(config, "simulate", "strategy")
     sim = _sim_config(config, block, strategy)
     result = monte_carlo(sim, block["rounds"], space)
     header, rows = _metric_rows(result.reports)
@@ -190,19 +196,22 @@ def _read_samples(path: str, column: str) -> list[float]:
             value = float(row[index])
         except (IndexError, ValueError):
             value = math.nan
-        if not math.isfinite(value):
-            raise SliceSimError(f"{path!r} row {number}: expected a finite number in "
-                                f"column {index + 1}, got {row!r}")
+        if not (math.isfinite(value) and value >= 0.0):
+            raise SliceSimError(f"{path!r} row {number}: expected a finite non-negative "
+                                f"number in column {index + 1}, got {row!r}")
         samples.append(value)
     return samples
 
 
 def _cmd_fit_iat(config: ExperimentConfig, outdir: str) -> None:
     block = config.block("fit_iat")
-    base_dir = os.path.dirname(config.source) or "."
-    samples = _read_samples(os.path.join(base_dir, block["samples"]), block["column"])
+    path = os.path.join(os.path.dirname(config.source) or ".", block["samples"])
+    samples = _read_samples(path, block["column"])
     width = block["bin_width"] or default_bin_width(config.model)
-    pmf = empirical_pmf(samples, width)
+    try:
+        pmf = empirical_pmf(samples, width)
+    except ContractViolation as exc:  # no samples, or one past every bin of this width
+        raise SliceSimError(f"{path!r}: {exc}") from None
     p_hat = fit_geometric(pmf)
     divergence = kld_vs_geometric(pmf, p_hat)
     rows = [
@@ -218,10 +227,7 @@ def _cmd_fit_iat(config: ExperimentConfig, outdir: str) -> None:
 
 
 def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> dict:
-    block = config.block("steady_state")
-    space = enumerate_state_space(config.model)
-    base_dir = os.path.dirname(config.source) or "."
-    strategy = build_strategy(block["strategy"], space, base_dir)
+    block, space, strategy = _with_strategy(config, "steady_state", "strategy")
     probs = block["queue_empty_probs"]
     if isinstance(probs, dict):
         sim_spec = probs["from_simulation"]
@@ -294,10 +300,7 @@ def _cmd_sweep(config: ExperimentConfig, outdir: str) -> None:
 
 
 def _cmd_optimize(config: ExperimentConfig, outdir: str) -> None:
-    block = config.block("optimize")
-    space = enumerate_state_space(config.model)
-    base_dir = os.path.dirname(config.source) or "."
-    start = build_strategy(block["start"], space, base_dir)
+    block, space, start = _with_strategy(config, "optimize", "start")
     sim = _sim_config(config, block)
     trajectory = local_search(config.model, start, block["budget"], sim,
                               block["rounds"], metric=block["metric"], space=space)

@@ -27,6 +27,7 @@ import yaml
 
 from .errors import ConfigError, ContractViolation
 from .experiments import IAT_BIN_DIVISOR
+from .markov import ACCEPTANCE_ONLY, WITH_RELEASES
 from .slice_model import ResourceModel, SliceType, StateSpace, is_feasible
 from .strategy import (PreferenceMatrix, TableLineError, from_text, naive_strategy,
                        random_strategy, validate_matrix)
@@ -156,12 +157,21 @@ def _nests_too_deep(text: str) -> bool:
     return depth > _MAX_DEPTH
 
 
+class _Anchors(dict):
+    """Each key's path mapped to its ``source:line``, or to the flag that gave its value, and
+    ``()`` to the source; a path with none of its own (below an alias or a ``<<`` merge)
+    reads the nearest above it."""
+
+    def __missing__(self, path: tuple) -> str:
+        return self[path[:-1]]
+
+
 class _Checker:
     """Checks values, failing with messages anchored at their key's line or flag."""
 
     def __init__(self, source: str) -> None:
         self.source = source
-        self.anchors: dict[tuple, str] = {}  # "source:line", or the flag that gave the value
+        self.anchors = _Anchors({(): source})
 
     def record(self, loader: yaml.constructor.SafeConstructor, node: yaml.Node, path: tuple,
                walked: set) -> None:
@@ -191,9 +201,7 @@ class _Checker:
                 self.record(loader, item, path + (i,), walked)
 
     def fail(self, path: tuple, message: str) -> None:
-        while path and path not in self.anchors:
-            path = path[:-1]
-        raise ConfigError(f"{self.anchors[path] if path else self.source}: {message}")
+        raise ConfigError(f"{self.anchors[path]}: {message}")
 
     def mapping(self, value: Any, path: tuple, allowed) -> dict:
         if value is None:
@@ -382,8 +390,8 @@ _BLOCKS = {
     "steady_state": {
         "strategy": (_strategy, {"prefer_type": 1}),
         "queue_empty_probs": (_queue_empty_probs, _Required(_QUEUE_EMPTY_PROBS)),
-        "mode": (partial(_Checker.string, choices=("with-releases", "acceptance-only")),
-                 "with-releases"),
+        "mode": (partial(_Checker.string, choices=(WITH_RELEASES, ACCEPTANCE_ONLY)),
+                 WITH_RELEASES),
         "initial_distribution": (_initial_distribution, "full"),
         "opportunity_rate": (_NONNEGATIVE, None),
     },
@@ -662,25 +670,32 @@ def read_text(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
 
 
-def build_strategy(spec: dict, space: StateSpace, base_dir: str = ".") -> PreferenceMatrix:
-    """Materialize a validated strategy spec against a state space."""
+def build_strategy(spec: dict, space: StateSpace, base_dir: str = ".",
+                   anchor: str = "columns") -> PreferenceMatrix:
+    """Materialize a validated strategy spec against a state space.  A table (a ``file`` in
+    ``base_dir``, or ``columns``, whose one column may serve every state) needs one column
+    per admissible state, or fails at the file or at ``anchor``."""
+    n, k = space.model.num_types, space.num_admissible
     if "prefer_type" in spec:
         return naive_strategy(space, f"prefer-type-{spec['prefer_type']}")
     if "random_seed" in spec:
         return random_strategy(space, spec["random_seed"])
     if "file" in spec:
-        path = os.path.join(base_dir, spec["file"])
-        text = read_text(path, "strategy file")
+        anchor = os.path.join(base_dir, spec["file"])
         try:
-            return from_text(text, space.model.num_types, space.num_admissible)
+            matrix = from_text(read_text(anchor, "strategy file"), n)
         except TableLineError as exc:
-            raise ConfigError(f"{path}:{exc.line}: {exc.problem}") from None
+            raise ConfigError(f"{anchor}:{exc.line}: {exc.problem}") from None
         except ContractViolation as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    columns = tuple(tuple(col) for col in spec["columns"])
-    if len(columns) == 1:
-        columns = columns * space.num_admissible
-    return PreferenceMatrix(columns=columns, num_types=space.model.num_types)
+            raise ConfigError(f"{anchor}: {exc}") from None
+    else:
+        columns = tuple(tuple(col) for col in spec["columns"])
+        matrix = PreferenceMatrix(columns=columns * k if len(columns) == 1 else columns,
+                                  num_types=n)
+    if matrix.num_columns != k:
+        raise ConfigError(f"{anchor}: invalid strategy table: expected {k} columns, "
+                          f"got {matrix.num_columns}")
+    return matrix
 
 
 def load_config(path: str, command: str | None = None, **flags) -> ExperimentConfig:

@@ -8,13 +8,14 @@ stream per type), so two policies given the same seed consume identical
 randomness and can be compared with common random numbers.
 
 Round tapes: a round splits into a *tape*, its strategy-independent input,
-and the *replay* of that tape by the event loop.  ``build_tape`` draws the
-tape: ``SeedSequence(seed)`` spawns ``1 + 2N`` children in the order
-initial-state, arrivals of type 1..N, marks of type 1..N.  The initial-state
-stream draws the initial state's index, then one lifetime per initial slice
-(the initial releases, in type order).  Every arrival up to the horizon draws
-exactly one lifetime and two uniforms from its type's mark stream, whatever
-the toggles.  Monte-Carlo round ``i`` of master seed ``m`` runs with seed
+and the *replay* of that tape by the event loop, ``run``.  ``build_tape``
+draws the tape, and only the Monte-Carlo round loop calls it:
+``SeedSequence(seed)`` spawns ``1 + 2N`` children in the order initial-state,
+arrivals of type 1..N, marks of type 1..N.  The initial-state stream draws
+the initial state's index, then one lifetime per initial slice (the initial
+releases, in type order).  Every arrival up to the horizon draws exactly one
+lifetime and two uniforms from its type's mark stream, whatever the toggles.
+Monte-Carlo round ``i`` of master seed ``m`` runs with seed
 ``SeedSequence([m, i]).generate_state(1)``.
 
 An arrival stream draws only exponentials, so it is drawn in blocks of
@@ -282,16 +283,11 @@ def check_conservation(trace: SimTrace) -> None:
                 f"reneged, still waiting) = {counts}")
 
 
-def run(config: SimConfig, space: StateSpace,
-        tape: RoundTape | None = None) -> tuple[SimTrace, MetricsReport]:
-    """Execute one round over [0, horizon] and report metrics over (warmup, horizon].
-
-    The round replays ``tape``, or a tape drawn for it here when none is given.
-    """
+def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace, MetricsReport]:
+    """Replay ``tape``, the round ``config`` describes, over [0, horizon], and report
+    metrics over (warmup, horizon]."""
     model = config.model
     n_types = model.num_types
-    if tape is None:
-        tape = build_tape(config, space)
 
     multi = config.strategy is not None
     if multi:
@@ -519,15 +515,16 @@ def derived_seed(master_seed: int, index: int) -> int:
 
 def _round_runs(config: SimConfig, rounds: int, space: StateSpace,
                 tapes: dict | None, record_events: bool) -> Iterator[tuple[SimTrace, MetricsReport]]:
-    """``run`` of each Monte-Carlo round of ``config`` in turn; round ``i`` has seed
-    ``derived_seed(config.seed, i)``."""
+    """``run`` of each Monte-Carlo round of ``config`` in turn, on its tape drawn here or
+    kept in ``tapes``; round ``i`` has seed ``derived_seed(config.seed, i)``."""
     if rounds < 1:
         raise ContractViolation("need at least one Monte-Carlo round")
     for i in range(rounds):
         round_config = replace(config, seed=derived_seed(config.seed, i),
                                record_events=record_events)
-        tape = None
-        if tapes is not None:
+        if tapes is None:
+            tape = build_tape(round_config, space)
+        else:
             key = (config.model, config.horizon, config.initial_state, round_config.seed)
             tape = tapes.get(key)
             if tape is None:

@@ -46,11 +46,8 @@ def _first_problem(distinct: Iterable[tuple], columns: Sequence[Sequence[int]],
     return None
 
 
-def validate_matrix(columns: Sequence[Sequence[int]], num_types: int,
-                    num_admissible: int | None = None) -> str | None:
-    """Check a whole strategy; returns a violation description or None if valid."""
-    if num_admissible is not None and len(columns) != num_admissible:
-        return f"expected {num_admissible} columns, got {len(columns)}"
+def validate_matrix(columns: Sequence[Sequence[int]], num_types: int) -> str | None:
+    """Check each column of a strategy; returns a violation description or None if valid."""
     return _first_problem(dict.fromkeys(map(tuple, columns)), columns, num_types)
 
 
@@ -117,29 +114,14 @@ def constant_strategy(space: StateSpace, vector: Sequence[int]) -> PreferenceMat
 
 
 def naive_strategy(space: StateSpace, kind: str = "prefer-type-1") -> PreferenceMatrix:
-    """Built-in constant strategies.
-
-    ``prefer-type-k`` puts type k first, the remaining types in ascending
-    order, and the reserve symbol last.  ``greedy-order`` grabs the most
-    valuable first: types by descending utility rate (ties by type number),
-    reserve last, so every feasible request is taken.
-    """
-    n = space.model.num_types
-    if kind.startswith("prefer-type-"):
-        try:
-            k = int(kind.removeprefix("prefer-type-"))
-        except ValueError:
-            raise ContractViolation(f"malformed strategy kind {kind!r}") from None
-        if not 1 <= k <= n:
-            raise ContractViolation(f"prefer-type-{k} needs a type in 1..{n}")
-        order = [k] + [t for t in range(1, n + 1) if t != k] + [RESERVE]
-    elif kind == "greedy-order":
-        ranked = sorted(range(1, n + 1),
-                        key=lambda t: (-space.model.types[t - 1].utility_rate, t))
-        order = ranked + [RESERVE]
-    else:
+    """The built-in constant strategy ``prefer-type-k``: type k first, the remaining types
+    in ascending order, and the reserve symbol last."""
+    n, k = space.model.num_types, kind.removeprefix("prefer-type-")
+    if k == kind or not k.isdecimal():
         raise ContractViolation(f"unknown naive strategy kind {kind!r}")
-    return constant_strategy(space, order)
+    if not 1 <= (k := int(k)) <= n:
+        raise ContractViolation(f"prefer-type-{k} needs a type in 1..{n}")
+    return constant_strategy(space, [k] + [t for t in range(1, n + 1) if t != k] + [RESERVE])
 
 
 def random_strategy(space: StateSpace, seed: int) -> PreferenceMatrix:
@@ -176,7 +158,7 @@ class TableLineError(ContractViolation):
         self.line, self.problem = line, problem
 
 
-def from_text(text: str, num_types: int, num_admissible: int | None = None) -> PreferenceMatrix:
+def from_text(text: str, num_types: int) -> PreferenceMatrix:
     """Parse the plain text table produced by ``to_text``.
 
     A malformed line raises ``TableLineError``; a well-formed table that is
@@ -197,7 +179,7 @@ def from_text(text: str, num_types: int, num_admissible: int | None = None) -> P
         if values[0] != len(columns):
             raise TableLineError(lineno, f"expected state index {len(columns)}, got {values[0]}")
         columns.append(tuple(values[1:]))
-    problem = validate_matrix(columns, num_types, num_admissible)
+    problem = validate_matrix(columns, num_types)
     if problem is not None:
         raise ContractViolation(f"invalid strategy table: {problem}")
     return PreferenceMatrix(columns=tuple(columns), num_types=num_types)

@@ -11,8 +11,9 @@ slower algorithms, which its faster ones must reproduce exactly;
 
 The rest are the model's and the paper's definitions that no command needs
 (``apply_increment``, ``balk_join_probability``), ``bessel_i`` as the
-package's 0F1 series times its leading factor, and ``handle_request``, which
-drives a controller one request at a time by the engine's own join path.
+package's 0F1 series times its leading factor, ``handle_request``, which
+drives a controller one request at a time by the engine's own join path, and
+``run_round``, which runs one round on the tape drawn for it.
 """
 
 from __future__ import annotations
@@ -412,6 +413,13 @@ def kld_direct(probabilities, p_hat):
         q = (1.0 - p_hat) ** k * p_hat
         total += p * math.log(p / q)
     return total
+
+
+def run_round(config, space):
+    """``engine.run`` on the tape drawn for ``config``: one round outside Monte-Carlo."""
+    from slicesim.engine import build_tape, run
+
+    return run(config, space, build_tape(config, space))
 
 
 def run_scalar(config, space=None, tape=None):

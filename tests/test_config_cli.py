@@ -258,6 +258,16 @@ model:
         assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:{line}: {raised.value}\n"
 
+    def test_overflow_of_a_merged_law_carries_the_block_line(self, tmp_path, capsys):
+        # a law that a '<<' merge brings in has no line of its own: a KeyError traceback
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: paper-scenario-1\nanalyze:\n  <<: {law: wait-means, "
+                       "arrival_rate: 1000, acceptance_rate: 0.001, reneging_rate: 0.0001}\n",
+                       encoding="utf-8")
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}:2: hypergeometric series overflows a double")
+
     def test_missing_block_reported(self):
         config = parse_config(MINIMAL)
         with pytest.raises(ConfigError, match="no 'sweep' block"):
@@ -281,6 +291,16 @@ class TestBuildStrategy:
         matrix = build_strategy({"columns": [[2, 0, 1]]}, space)
         assert matrix.num_columns == space.num_admissible
         assert all(col == (2, 0, 1) for col in matrix.columns)
+
+    def test_single_column_runs_as_the_constant_strategy(self, tmp_path):
+        outputs = []
+        for spec in ("{columns: [[2, 1, 0]]}", "{prefer_type: 2}"):
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(MINIMAL.replace("{prefer_type: 1}", spec), encoding="utf-8")
+            out = tmp_path / str(len(outputs))
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append((out / "metrics.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestCli:
@@ -822,21 +842,45 @@ class TestFileErrors:
                         {"cfg.yaml": cfg, "bad.txt": table})
         assert err == f"error: {tmp_path / 'bad.txt'}{message}\n"
 
+    @pytest.mark.parametrize("command, block", [
+        ("simulate", "simulate:\n  rounds: 1\n  strategy:\n"),
+        ("steady-state", "steady_state:\n  queue_empty_probs: [0.5, 0.5]\n  strategy:\n"),
+        ("optimize", "optimize:\n  budget: 1\n  start:\n"),
+    ], ids=["simulate", "steady-state", "optimize"])
+    def test_column_count_fails_at_its_line(self, tmp_path, capsys, command, block):
+        # a columns table's count was not checked: the run failed with neither file nor line
+        text = "scenario: paper-scenario-2\n" + block + "    columns: [[1, 2, 0], [2, 1, 0]]\n"
+        err = self._run(tmp_path, capsys, [command, "--out", str(tmp_path / "o")],
+                        {"cfg.yaml": text})
+        assert err == (f"error: {tmp_path / 'cfg.yaml'}:{text.count(chr(10))}: "
+                       f"invalid strategy table: expected 90 columns, got 2\n")
+
     def test_unreadable_samples(self, tmp_path, capsys):
         err = self._run(tmp_path, capsys, ["fit-iat", "--out", str(tmp_path / "o")],
                         {"cfg.yaml": MINIMAL + "fit_iat: {samples: missing.csv}\n"})
         assert "cannot read samples" in err and "missing.csv" in err
 
-    @pytest.mark.parametrize("samples, column", [
-        ("iat\n0.5\nabc\n", 1), ("iat\n0.5\nnan\n", 1), ("iat\n0.5\ninf\n", 1),
-        ("x,iat\n0,0.5\n0.1\n", 2),
-    ], ids=["text", "nan", "inf", "short-row"])
-    def test_non_numeric_sample(self, tmp_path, capsys, samples, column):
-        # each ended in a traceback: text and short rows when read, nan and inf in the fit
+    @pytest.mark.parametrize("samples, width, message", [
+        ("iat\n0.5\nabc\n", "", " row 3: expected a finite non-negative number in column 1, "
+                                "got ['abc']"),
+        ("iat\n0.5\nnan\n", "", " row 3: expected a finite non-negative number in column 1, "
+                                "got ['nan']"),
+        ("iat\n0.5\ninf\n", "", " row 3: expected a finite non-negative number in column 1, "
+                                "got ['inf']"),
+        ("x,iat\n0,0.5\n0.1\n", "", " row 3: expected a finite non-negative number in "
+                                    "column 2, got ['0.1']"),
+        ("iat\n0.5\n-1\n", "", " row 3: expected a finite non-negative number in column 1, "
+                               "got ['-1']"),
+        ("iat\n0.5\n1e308\n", ", bin_width: 1e-300",
+         ": sample 1e+308 has no finite bin of width 1e-300"),
+    ], ids=["text", "nan", "inf", "short-row", "negative", "no-finite-bin"])
+    def test_non_numeric_sample(self, tmp_path, capsys, samples, width, message):
+        # each ended in a traceback: text and short rows when read, nan and inf in the fit;
+        # a negative sample and a bin index past any float named no file
         err = self._run(tmp_path, capsys, ["fit-iat", "--out", str(tmp_path / "o")],
-                        {"cfg.yaml": MINIMAL + "fit_iat: {samples: iat.csv}\n",
+                        {"cfg.yaml": MINIMAL + f"fit_iat: {{samples: iat.csv{width}}}\n",
                          "iat.csv": samples})
-        assert f"row 3: expected a finite number in column {column}, got" in err
+        assert err == f"error: {str(tmp_path / 'iat.csv')!r}{message}\n"
 
     def test_sample_past_every_bin_index(self, tmp_path, capsys):
         # 1e308 over the default width of 0.05 overflowed the bin index

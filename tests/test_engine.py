@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import run_scalar
+from oracles import run_round, run_scalar
 from test_slice_model import small_models
 from slicesim import engine
 from slicesim.engine import (
@@ -57,7 +57,7 @@ class TestRunBasics:
         space = enumerate_state_space(model)
         config = SimConfig(model=model, strategy=constant_strategy(space, (1, 0)),
                            horizon=10.0)
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
         assert report.arrivals == (0,)
         assert report.admission_rate == 1.0
         assert report.utility_rate_mean == 0.0
@@ -70,7 +70,7 @@ class TestRunBasics:
         space = enumerate_state_space(model)
         config = SimConfig(model=model, strategy=constant_strategy(space, (1, 0)),
                            horizon=200.0, seed=5)
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
         assert report.admission_rate == 1.0
         assert report.wait_mean == 0.0
         assert report.still_waiting == (0,)
@@ -81,7 +81,7 @@ class TestRunBasics:
         config = SimConfig(model=model, strategy=constant_strategy(space, (1, 0)),
                            horizon=10.0, initial_state=(5,))
         with pytest.raises(ContractViolation):
-            run(config, space)
+            run_round(config, space)
 
     def test_determinism(self):
         model = table_model()
@@ -89,8 +89,8 @@ class TestRunBasics:
         strategy = naive_strategy(space, "prefer-type-1")
         config = SimConfig(model=model, strategy=strategy, horizon=40.0, seed=99,
                            initial_state="full", balking=True, reneging=True)
-        _, a = run(config, space)
-        _, b = run(config, space)
+        _, a = run_round(config, space)
+        _, b = run_round(config, space)
         assert a == b
 
     def test_full_initial_state_is_fully_utilized(self):
@@ -115,7 +115,7 @@ class TestConservationAndOrdering:
     def _run(self, seed, greedy=False):
         """A round of ``run``, checked against the scalar oracle (quiescence included)."""
         config, space = self._config(seed, greedy)
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
         _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
         return trace, report
 
@@ -171,13 +171,13 @@ class TestConservationAndOrdering:
             push(heap, when)
 
         monkeypatch.setattr(heapq, "heappush", counted)
-        trace, _ = run(*self._config(6))
+        trace, _ = run_round(*self._config(6))
         assert trace.total_reneged[0] and trace.total_accepted[1]
         assert pushed and max(pushed) <= trace.horizon
 
     def test_reneged_leave_exactly_at_deadline(self):
         config, space = self._config(6)
-        trace, _ = run(config, space)
+        trace, _ = run_round(config, space)
         # request i is the tape's arrival i - 1; its patience mark sets its deadline
         arrived, _, _, _, u_patience = build_tape(config, space).arrivals
         joined = {rid: t for t, kind, _, rid, _, _ in trace.events if kind == "join"}
@@ -206,7 +206,7 @@ class TestConservationAndOrdering:
                            seed=0, initial_state="full", balking=True, reneging=True)
         for i in range(6):
             round_config = dataclasses.replace(config, seed=derived_seed(config.seed, i))
-            _assert_matches_oracle(space, *run(round_config, space),
+            _assert_matches_oracle(space, *run_round(round_config, space),
                                    *run_scalar(round_config, space))
 
     def test_greedy_queue_lengths_tracked_per_type(self):
@@ -235,7 +235,7 @@ class TestUtilityIdentity:
         space = enumerate_state_space(model)
         strategy = naive_strategy(space, "prefer-type-2")
         config = SimConfig(model=model, strategy=strategy, horizon=40.0, seed=11)
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
         expected = sum(
             u * m for u, m in zip(model.utility_rates, report.mean_active_slices)
         )
@@ -248,7 +248,7 @@ class TestUtilityIdentity:
         strategy = naive_strategy(space, "prefer-type-1")
         config = SimConfig(model=model, strategy=strategy, horizon=2000.0,
                            warmup=100.0, seed=2)
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
         flow = sum(
             u * mu / eta for u, mu, eta in zip(
                 model.utility_rates, report.acceptance_rates, model.release_rates
@@ -282,7 +282,7 @@ class TestMetricsReport:
         strategy = naive_strategy(space, "prefer-type-1")
         config = SimConfig(model=model, strategy=strategy, horizon=60.0, seed=23,
                            initial_state="full")
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
         weight = sum(report.queue_length_means)
         if weight > 0:
             expected = sum(
@@ -296,7 +296,7 @@ class TestMetricsReport:
         strategy = naive_strategy(space, "prefer-type-2")
         config = SimConfig(model=model, strategy=strategy, horizon=40.0, seed=31,
                            initial_state="full", balking=True, reneging=True)
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
         assert report.admission_rate == pytest.approx(
             sum(report.accepted) / sum(report.arrivals)
         )
@@ -312,7 +312,7 @@ class TestMonteCarlo:
         result = monte_carlo(config, rounds=1, space=space)
         direct_config = SimConfig(model=model, strategy=strategy, horizon=40.0,
                                   seed=derived_seed(55, 0), record_events=False)
-        _, direct = run(direct_config, space)
+        _, direct = run_round(direct_config, space)
         assert result.reports[0] == direct
 
     def test_records_kept_only_with_event_log(self):
@@ -320,7 +320,7 @@ class TestMonteCarlo:
         space = enumerate_state_space(model)
         config = SimConfig(model=model, strategy=naive_strategy(space, "prefer-type-1"),
                            horizon=20.0, seed=3, record_events=False)
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
         assert sum(report.arrivals) > 0
         assert trace.events is None
 
@@ -361,7 +361,7 @@ class TestCommonRandomNumbers:
                    balking=True, reneging=True)
         configs = [SimConfig(strategy=strategy, **cfg) for strategy in (
             naive_strategy(space, "prefer-type-1"), naive_strategy(space, "prefer-type-2"), None)]
-        t1, t2, t3 = (run(config, space)[0] for config in configs)
+        t1, t2, t3 = (run_round(config, space)[0] for config in configs)
         def arrival_times(trace):
             return [(e[0], e[2]) for e in trace.events if e[1] == "arrival"]
         assert arrival_times(t1) == arrival_times(t2) == arrival_times(t3)
@@ -401,7 +401,8 @@ class TestQueueEmptyMeasurement:
         model = table_model()
         space = enumerate_state_space(model)
         strategy = naive_strategy(space, "prefer-type-1")
-        trace, _ = run(SimConfig(model=model, strategy=strategy, record_events=False), space)
+        config = SimConfig(model=model, strategy=strategy, record_events=False)
+        trace, _ = run_round(config, space)
         with pytest.raises(ContractViolation, match="record_events"):
             queue_empty_counts(trace, space, strategy)
 
@@ -481,7 +482,7 @@ def test_run_matches_scalar_oracle(block, case):
     config, space = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "ARRIVAL_BLOCK", block)
-        trace, report = run(config, space)
+        trace, report = run_round(config, space)
     _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
 
 
@@ -532,7 +533,7 @@ _SCAN_FIELDS = ("arrival_epochs", "empty_marginal", "scan_observed", "scan_empty
 @given(oracle_rounds())
 def test_queue_empty_counts_match_the_scalar_loop(case):
     config, space = case
-    trace, _ = run(dataclasses.replace(config, record_events=True), space)
+    trace, _ = run_round(dataclasses.replace(config, record_events=True), space)
     expected, _ = run_scalar(config, space)
     counts = queue_empty_counts(trace, space, config.strategy)
     assert counts == tuple(
@@ -648,13 +649,13 @@ class TestRoundTapes:
         space = enumerate_state_space(model)
         config = SimConfig(model=model, strategy=naive_strategy(space, "prefer-type-1"),
                            horizon=10.0, seed=8, initial_state="full")
-        expected = run(config, space)
+        expected = run_round(config, space)
 
         def unexpected(self, s):
             raise AssertionError("index_of walked on a full start")
 
         monkeypatch.setattr(StateSpace, "index_of", unexpected)
-        assert run(config, space)[1] == expected[1]
+        assert run_round(config, space)[1] == expected[1]
 
 
 def _merged(per_type):
@@ -756,7 +757,7 @@ def _replay_event_log(config, space, trace):
 @given(impatient_rounds())
 def test_skipped_passes_leave_the_controller_quiescent(case):
     config, space = case
-    trace, report = run(config, space)
+    trace, report = run_round(config, space)
     _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
     _replay_event_log(config, space, trace)
 
@@ -768,6 +769,6 @@ def test_event_log_replays_with_reneges_behind_the_head(discipline):
     strategy = naive_strategy(space, "prefer-type-1") if discipline == "multi-queue" else None
     config = SimConfig(model=model, strategy=strategy, horizon=60.0,
                        seed=3, initial_state="full", reneging=True)
-    trace, report = run(config, space)
+    trace, report = run_round(config, space)
     _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
     assert _replay_event_log(config, space, trace) > 0

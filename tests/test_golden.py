@@ -29,10 +29,11 @@ from slicesim.engine import (
     logged_rounds,
     monte_carlo,
     queue_empty_counts,
-    run,
 )
 from slicesim.slice_model import enumerate_state_space
 from slicesim.strategy import naive_strategy, random_strategy
+
+from oracles import run_round
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_outputs.json")
 REL_TOL = 1e-12
@@ -70,7 +71,7 @@ def _run_configs():
 
 
 def _run_snapshot(config, space):
-    trace, report = run(config, space)
+    trace, report = run_round(config, space)
     exact = {  # the log's states as slice counts, as the fixture holds them
         "events": [(t, kind, slice_type, request_id, space.state_at(index), lengths)
                    for t, kind, slice_type, request_id, index, lengths in trace.events],

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from slicesim import slice_model
 from slicesim.config import load_config
-from slicesim.engine import SimConfig, run
+from slicesim.engine import SimConfig
 from slicesim.errors import ContractViolation, StateSpaceTooLarge
 from slicesim.markov import strategy_steady_state
 from slicesim.slice_model import (
@@ -24,7 +24,7 @@ from slicesim.slice_model import (
 from slicesim.strategy import random_strategy
 
 from criteria import balanced_benchmark_strategy
-from oracles import apply_increment, brute_force_state_space, enumerate_dfs
+from oracles import apply_increment, brute_force_state_space, enumerate_dfs, run_round
 
 
 def case_study_model():
@@ -383,9 +383,9 @@ def test_package_reads_counts_not_the_states_view():
     model = ResourceModel(pool=(1.0, 1.0), costs=((0.2, 0.1), (0.1, 0.3)), types=types)
     space = enumerate_state_space(model)
     strategy = random_strategy(space, 3)
-    trace, _ = run(SimConfig(model=model, strategy=strategy, horizon=20.0, seed=5,
-                             initial_state="full", balking=True, reneging=True,
-                             record_events=True), space)
+    trace, _ = run_round(SimConfig(model=model, strategy=strategy, horizon=20.0, seed=5,
+                                   initial_state="full", balking=True, reneging=True,
+                                   record_events=True), space)
     assert trace.events and any(trace.slice_time)
     strategy_steady_state(model, space, strategy, (0.4, 0.6))
     balanced_benchmark_strategy(space)

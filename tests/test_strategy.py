@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import slicesim.strategy as strategy_module
-from slicesim.config import builtin_scenario
-from slicesim.errors import ContractViolation
+from slicesim.config import build_strategy, builtin_scenario
+from slicesim.errors import ConfigError, ContractViolation
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import (
     PreferenceMatrix,
@@ -44,8 +44,13 @@ class TestValidate:
     def test_wrong_length(self):
         assert "entries" in validate_vector([1, 0], num_types=2)
 
-    def test_matrix_column_count(self):
-        assert "columns" in validate_matrix([[1, 2, 0]], num_types=2, num_admissible=3)
+    def test_matrix_column_count(self, space):
+        # a table needs one column per admissible state; one column stands for all of them
+        k = space.num_admissible
+        assert build_strategy({"columns": [[1, 2, 0]]}, space).num_columns == k
+        with pytest.raises(ConfigError, match=rf"^cfg:4: invalid strategy table: "
+                                              rf"expected {k} columns, got 2$"):
+            build_strategy({"columns": [[1, 2, 0], [2, 1, 0]]}, space, anchor="cfg:4")
 
     def test_bool_entry(self):
         assert "True" in validate_vector([True, 0], num_types=1)
@@ -88,17 +93,6 @@ class TestNaive:
         sp = enumerate_state_space(model)
         matrix = naive_strategy(sp, "prefer-type-1")
         assert all(col == (1, 2, 3, 0) for col in matrix.columns)
-
-    def test_greedy_order_ranks_by_utility(self):
-        model = ResourceModel(
-            pool=(1.0,),
-            costs=((0.3,), (0.3,)),
-            types=(SliceType(1.0, 1.0, utility_rate=1.0),
-                   SliceType(1.0, 1.0, utility_rate=10.0)),
-        )
-        sp = enumerate_state_space(model)
-        matrix = naive_strategy(sp, "greedy-order")
-        assert all(col == (2, 1, 0) for col in matrix.columns)
 
     def test_unknown_kind(self, space):
         with pytest.raises(ContractViolation):
@@ -188,7 +182,8 @@ class TestRandom:
     def test_all_valid(self, space):
         for seed in range(50):
             matrix = random_strategy(space, seed)
-            assert validate_matrix(matrix.columns, 2, space.num_admissible) is None
+            assert matrix.num_columns == space.num_admissible
+            assert validate_matrix(matrix.columns, 2) is None
 
 
 _UNIT = SliceType(1.0, 1.0)
@@ -241,7 +236,7 @@ class TestSerialization:
     def test_round_trip(self, space):
         matrix = random_strategy(space, 77)
         text = to_text(matrix)
-        back = from_text(text, num_types=2, num_admissible=space.num_admissible)
+        back = from_text(text, num_types=2)
         assert back.columns == matrix.columns
 
     def test_bad_index(self):
