@@ -522,13 +522,13 @@ def _round_runs(config: SimConfig, rounds: int, space: StateSpace,
     for i in range(rounds):
         round_config = replace(config, seed=derived_seed(config.seed, i),
                                record_events=record_events)
-        if tapes is None:
-            tape = build_tape(round_config, space)
-        else:
-            key = (config.model, config.horizon, config.initial_state, round_config.seed)
-            tape = tapes.get(key)
-            if tape is None:
-                tape = tapes[key] = build_tape(round_config, space)
+        if tapes is None:  # no name holds the tape, so it goes with its round
+            yield run(round_config, space, build_tape(round_config, space))
+            continue
+        key = (config.model, config.horizon, config.initial_state, round_config.seed)
+        tape = tapes.get(key)
+        if tape is None:
+            tape = tapes[key] = build_tape(round_config, space)
         yield run(round_config, space, tape)
 
 

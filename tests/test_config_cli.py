@@ -873,10 +873,11 @@ class TestFileErrors:
                                "got ['-1']"),
         ("iat\n0.5\n1e308\n", ", bin_width: 1e-300",
          ": sample 1e+308 has no finite bin of width 1e-300"),
-    ], ids=["text", "nan", "inf", "short-row", "negative", "no-finite-bin"])
+        ("iat\n", "", ": cannot build an empirical PMF from no samples"),
+    ], ids=["text", "nan", "inf", "short-row", "negative", "no-finite-bin", "no-samples"])
     def test_non_numeric_sample(self, tmp_path, capsys, samples, width, message):
         # each ended in a traceback: text and short rows when read, nan and inf in the fit;
-        # a negative sample and a bin index past any float named no file
+        # a negative sample, a bin index past any float and a header alone named no file
         err = self._run(tmp_path, capsys, ["fit-iat", "--out", str(tmp_path / "o")],
                         {"cfg.yaml": MINIMAL + f"fit_iat: {{samples: iat.csv{width}}}\n",
                          "iat.csv": samples})
