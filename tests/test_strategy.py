@@ -97,6 +97,8 @@ class TestNaive:
     def test_unknown_kind(self, space):
         with pytest.raises(ContractViolation):
             naive_strategy(space, "prefer-type-9")
+        with pytest.raises(ContractViolation, match="unknown naive strategy kind 'greedy-order'"):
+            naive_strategy(space, "greedy-order")
 
 
 def _types(n):
