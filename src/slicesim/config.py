@@ -489,10 +489,11 @@ def _validate_model(check: _Checker, value: Any, path: tuple) -> ResourceModel:
 
 
 def _fit_model(check: _Checker, model: ResourceModel, blocks: dict) -> None:
-    """Check the values whose rule needs the model, at their key's line.
+    """Check the values whose rule needs the model, or another key, at their key's line.
 
     The messages are those of the runtime checks, which stay only for API
-    callers that build a model and its blocks themselves.
+    callers that build a model and its blocks themselves; an
+    ``opportunity_rate`` that ``acceptance-only`` would overwrite with 1 has none.
     """
     n = model.num_types
     for command, block in blocks.items():
@@ -511,6 +512,11 @@ def _fit_model(check: _Checker, model: ResourceModel, blocks: dict) -> None:
         if isinstance(probs, list) and len(probs) != n:
             check.fail((command, "queue_empty_probs"),
                        f"need {n} queue-empty probabilities, got {len(probs)}")
+    steady = blocks.get("steady_state")
+    if (steady is not None and steady["mode"] == ACCEPTANCE_ONLY
+            and steady["opportunity_rate"] is not None):
+        check.fail(("steady_state", "opportunity_rate"),
+                   f"opportunity_rate has no effect under mode {ACCEPTANCE_ONLY}")
     fit = blocks.get("fit_iat")
     if fit is not None and fit["bin_width"] is None and max(model.arrival_rates) <= 0.0:
         check.fail(("fit_iat",), "bin width needs at least one positive arrival rate")

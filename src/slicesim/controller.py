@@ -11,7 +11,11 @@ A greedy single-queue controller (one FCFS line for all types, head-of-line
 blocking, no preference) is provided as a benchmark.  Both share the state
 and the release and renege handling of ``QueueController``.  A request joins
 by an append to the queue that ``queue_for`` names, and whoever appended it
-then calls ``serve_queues``; the engine does so only where a pass can accept.
+then serves.  Each discipline's serving pass is one module-level function,
+``serve_multi_queue`` or ``serve_single_queue``, written once: a
+controller's ``serve_queues`` (and so ``handle_release``) runs it on its own
+state, and the event loop runs it on its local state index after a join or a
+greedy renege, only where a pass can accept.
 """
 
 from __future__ import annotations
@@ -133,23 +137,10 @@ class MultiQueueController(QueueController):
     def serve_queues(self) -> list[RequestRecord]:
         """Recursively serve the queues until blocked; returns requests accepted, in order."""
         accepted: list[RequestRecord] = []
-        columns, queues = self.strategy.columns, self.queues
-        space, index = self.space, self.state_index
-        increment, width, num_admissible = space._increment, space.num_types, space.num_admissible
-        while index < num_admissible:
-            before = index
-            for pref in columns[index]:
-                if pref == RESERVE:
-                    break
-                queue = queues[pref - 1]
-                if queue:
-                    target = increment[index * width + pref - 1]
-                    if target >= 0:
-                        accepted.append(queue.popleft())
-                        index = target
-            if index == before:
-                break
-        self.state_index = index
+        space = self.space
+        self.state_index = serve_multi_queue(
+            self.state_index, self.strategy.columns, self.queues, space._increment,
+            space.num_types, space.num_admissible, accepted)
         return accepted
 
 
@@ -166,12 +157,48 @@ class GreedySingleQueueController(QueueController):
 
     def serve_queues(self) -> list[RequestRecord]:
         accepted: list[RequestRecord] = []
-        while self.queue:
-            head = self.queue[0]
-            target = self.space.increment_index(self.state_index, head.slice_type)
-            if target < 0:
-                break
-            accepted.append(self.queue.popleft())
-            self.state_index = target
+        space = self.space
+        self.state_index = serve_single_queue(
+            self.state_index, self.queue, space._increment, space.num_types,
+            space.num_admissible, accepted)
         return accepted
 
+
+def serve_multi_queue(index: int, columns, queues: list[deque[RequestRecord]], increment,
+                      width: int, num_admissible: int, accepted: list[RequestRecord]) -> int:
+    """The multi-queue serving pass from state ``index``; returns the new index.
+
+    Scans the state's preference column up to the reserve symbol and accepts
+    the head of each non-empty preferred queue whose type still fits (an
+    ``increment`` entry ``index * width + type - 1`` of -1 does not), and
+    repeats until a full scan accepts nothing or the state is fully utilized.
+    Accepted requests are popped and appended to ``accepted`` in order.
+    """
+    while index < num_admissible:
+        before = index
+        for pref in columns[index]:
+            if pref == RESERVE:
+                break
+            queue = queues[pref - 1]
+            if queue:
+                target = increment[index * width + pref - 1]
+                if target >= 0:
+                    accepted.append(queue.popleft())
+                    index = target
+        if index == before:
+            break
+    return index
+
+
+def serve_single_queue(index: int, line: deque[RequestRecord], increment, width: int,
+                       num_admissible: int, accepted: list[RequestRecord]) -> int:
+    """The greedy serving pass of the single FCFS ``line`` from state ``index``: accept
+    its head while it fits; returns the new index, appending to ``accepted`` as
+    ``serve_multi_queue`` does."""
+    while line and index < num_admissible:
+        target = increment[index * width + line[0].slice_type - 1]
+        if target < 0:
+            break
+        accepted.append(line.popleft())
+        index = target
+    return index

@@ -32,7 +32,13 @@ The controller is quiescent before every event, so a serving pass runs only
 where it can accept: after a join to an empty queue (under greedy, the single
 line), a release while a request waits, and a greedy renege of the head.  A
 join behind a waiting request changes neither the state nor which queues are
-non-empty, and a multi-queue renege only empties queues.
+non-empty, and a multi-queue renege only empties queues.  The loop keeps the
+state index in a local: after a join or a greedy renege it calls the
+controller module's serving function for its discipline with it, and a
+release goes through the controller's ``handle_release``, which serves only
+while a request waits.  A per-round count of waiting requests, ``queued``,
+lets queue time accrue only while one waits, for the types that have one
+waiting.
 
 The event heap holds bare release and renege times up to the horizon (a later
 one would never pop), and a dict maps each time to its event; events due at
@@ -54,7 +60,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .controller import GreedySingleQueueController, MultiQueueController, RequestRecord
+from .controller import (GreedySingleQueueController, MultiQueueController, RequestRecord,
+                         serve_multi_queue, serve_single_queue)
 from .errors import ContractViolation
 from .slice_model import ResourceModel, StateSpace
 from .strategy import RESERVE, PreferenceMatrix
@@ -294,7 +301,6 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
         controller = MultiQueueController(space, config.strategy)
     else:
         controller = GreedySingleQueueController(space)
-    controller.state_index = tape.initial_index
 
     trace = SimTrace(n_types, config.horizon, config.warmup, model.utility_rates,
                      events=[] if config.record_events else None)
@@ -303,6 +309,8 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
     balking = [ty.balking_willingness if config.balking else None for ty in types]
     reneging = [ty.reneging_rate if config.reneging else 0.0 for ty in types]
     queues = [controller.queue_for(n) for n in range(1, n_types + 1)]
+    lines = controller.lines
+    columns = config.strategy.columns if multi else None
 
     # releases and reneges wait in the heap as bare times, and ``due`` maps each time to
     # its event (see ``_due_behind``); the next arrival waits in ``pending``
@@ -324,20 +332,19 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
 
     last_t = 0.0
     next_id = 0
+    index = tape.initial_index
+    increment, width, num_admissible = space._increment, space.num_types, space.num_admissible
     waiting = [0] * n_types  # per-type waiting counts, kept for both controllers
+    queued = 0  # their sum: queue time accrues only while one waits
+    served: list[RequestRecord] = []  # what the last serving pass accepted, until settled
     state_time, queue_time, wait_sum = trace.state_time, trace.queue_time, trace.wait_sum
+    accept_times, events = trace.accept_times, trace.events
     totals = (trace.total_arrivals, trace.total_joined, trace.total_balked,
               trace.total_accepted, trace.total_reneged)
     total_arrivals, total_joined, total_balked, total_accepted, total_reneged = totals
     all_types = range(n_types)
-    serve, handle_release, remove = (
-        controller.serve_queues, controller.handle_release, controller.remove)
+    handle_release, remove = controller.handle_release, controller.remove
     heappush, heappop, pop_due = heapq.heappush, heapq.heappop, due.pop
-    log = None
-    if trace.events is not None:
-        def log(t: float, kind: str, slice_type: int, request_id: int) -> None:
-            trace.events.append((t, kind, slice_type, request_id,
-                                 controller.state_index, controller.queue_lengths()))
 
     while True:
         t = pending[0]
@@ -358,26 +365,27 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
                 last_t, at_opening = warmup, [counts[:] for counts in totals]
             dt = t - last_t
             if dt > 0.0:
-                index = controller.state_index
                 state_time[index] = state_time.get(index, 0.0) + dt
-                for n in all_types:
-                    queue_time[n] += waiting[n] * dt
+                if queued:  # adding 0.0 for an empty queue would change no bit
+                    for n in all_types:
+                        if waiting[n]:
+                            queue_time[n] += waiting[n] * dt
         last_t = t
-        served = ()
         if kind == EV_ARRIVAL:
             _, slice_type, lifetime, u_balk, u_patience = pending
             pending = next(arrivals_left, _NO_ARRIVAL)
             n = slice_type - 1
             next_id += 1
             total_arrivals[n] += 1
-            if log:
-                log(t, "arrival", n + 1, next_id)
+            if events is not None:
+                events.append((t, "arrival", slice_type, next_id, index, tuple(map(len, lines))))
             queue = queues[n]
             backlog, willingness = len(queue), balking[n]
             joins = willingness is None or backlog < 1 or u_balk < min(1.0, willingness / backlog)
             if joins:
-                rec = RequestRecord(next_id, n + 1, t, lifetime)
+                rec = RequestRecord(next_id, slice_type, t, lifetime)
                 waiting[n] += 1
+                queued += 1
                 total_joined[n] += 1
                 if reneging[n] > 0.0:
                     when = t - math.log(1.0 - u_patience) / reneging[n]
@@ -388,50 +396,64 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
                         else:
                             due[when] = rec
                 queue.append(rec)
-                if log:
-                    log(t, "join", n + 1, next_id)
+                if events is not None:
+                    events.append((t, "join", slice_type, next_id, index, tuple(map(len, lines))))
+                if not backlog:  # a join behind a waiting request cannot be served
+                    if multi:
+                        index = serve_multi_queue(index, columns, queues, increment, width,
+                                                  num_admissible, served)
+                    else:
+                        index = serve_single_queue(index, queue, increment, width,
+                                                   num_admissible, served)
             else:
                 total_balked[n] += 1
-                if log:
-                    log(t, "balk", n + 1, next_id)
-            if joins and not backlog:  # a join behind a waiting request cannot be served
-                served = serve()
+                if events is not None:
+                    events.append((t, "balk", slice_type, next_id, index, tuple(map(len, lines))))
         elif kind == EV_RELEASE:
-            if log:
-                log(t, "release", payload, -1)
-            served = handle_release(payload)
+            if events is not None:
+                events.append((t, "release", payload, -1, index, tuple(map(len, lines))))
+            controller.state_index = index
+            served = handle_release(payload)  # a new list, cleared and reused once settled
+            index = controller.state_index
         elif kind == EV_RENEGE:
             rec = payload
             if not rec.accepted:
                 head_left = remove(rec)
                 n = rec.slice_type - 1
                 waiting[n] -= 1
+                queued -= 1
                 total_reneged[n] += 1
                 if in_window:
                     wait_sum[n] += t - rec.join_time
-                if log:
-                    log(t, "renege", n + 1, rec.request_id)
+                if events is not None:
+                    events.append((t, "renege", n + 1, rec.request_id, index,
+                                   tuple(map(len, lines))))
                 if head_left and not multi:  # the greedy head may have blocked one that fits
-                    served = serve()
+                    index = serve_single_queue(index, lines[0], increment, width,
+                                               num_admissible, served)
         else:  # EV_END
             break
-        for rec in served:  # settle the requests the controller accepted
-            rec.accepted = True
-            n = rec.slice_type - 1
-            waiting[n] -= 1
-            total_accepted[n] += 1
-            trace.accept_times[n].append(t)
-            if in_window:
-                wait_sum[n] += t - rec.join_time
-            when = t + rec.lifetime
-            if when <= horizon:
-                heappush(heap, when)
-                if when in due:
-                    _due_behind(due, when, n + 1)
-                else:
-                    due[when] = n + 1
-            if log:
-                log(t, "accept", n + 1, rec.request_id)
+        if served:  # settle the requests the controller accepted
+            for rec in served:
+                rec.accepted = True
+                n = rec.slice_type - 1
+                waiting[n] -= 1
+                total_accepted[n] += 1
+                accept_times[n].append(t)
+                if in_window:
+                    wait_sum[n] += t - rec.join_time
+                when = t + rec.lifetime
+                if when <= horizon:
+                    heappush(heap, when)
+                    if when in due:
+                        _due_behind(due, when, n + 1)
+                    else:
+                        due[when] = n + 1
+                if events is not None:
+                    events.append((t, "accept", n + 1, rec.request_id, index,
+                                   tuple(map(len, lines))))
+            queued -= len(served)
+            served.clear()
 
     # one list per type, not one per visited state: fewer objects for the collector
     for n, visited in enumerate(space.counts[list(state_time)].T.tolist()):
@@ -576,6 +598,11 @@ def queue_empty_counts(trace: SimTrace, space: StateSpace,
     toward its marginal emptiness; the state's column is then scanned in
     preference order up to the reserve, and each queue it reaches up to the
     first non-empty one is observed, given all more-preferred ones empty.
+    The arrival's own queue is never empty there (a balk needs a waiting
+    request), so where a column ranks a queue after every other queue, the
+    scan reaches it only at an arrival of its own type and never finds it
+    empty: under prefer-type-2 with two types, queue 1's measured p is
+    exactly 0.
     """
     n_types = trace.num_types
     marginal, observed, empty = [0] * n_types, [0] * n_types, [0] * n_types
@@ -607,7 +634,9 @@ def pooled_queue_empty_probs(counts: Sequence[QueueEmptyCounts]) -> tuple[float,
 
     Uses the preference-scan (prefix-conditional) observations; queues the
     scan never reached fall back to marginal emptiness at arrival epochs, and
-    to 1 when there were no epochs at all.
+    to 1 when there were no epochs at all.  A queue that every column ranks
+    after all the others reads exactly 0 once the scan reaches it (see
+    ``queue_empty_counts``), as queue 1 does under prefer-type-2 on scenario 2.
     """
     if not counts:
         raise ContractViolation("need at least one round's counts")

@@ -595,8 +595,11 @@ class TestSchema:
         ("optimize:\n  start:\n    prefer_type: 5\n", "cfg:4: prefer-type-5 needs a type in 1..2"),
         ("steady_state:\n  queue_empty_probs: [0.5]\n",
          "cfg:3: need 2 queue-empty probabilities, got 1"),
+        ("steady_state:\n  queue_empty_probs: [0.2, 0.8]\n  mode: acceptance-only\n"
+         "  opportunity_rate: 2.5\n",
+         "cfg:5: opportunity_rate has no effect under mode acceptance-only"),
     ], ids=["initial_state-simulate", "initial_state-sweep", "initial_state-optimize",
-            "columns", "prefer_type", "queue_empty_probs"])
+            "columns", "prefer_type", "queue_empty_probs", "opportunity_rate"])
     def test_values_that_do_not_fit_the_model_fail_at_their_line(self, block, message):
         with pytest.raises(ConfigError) as info:
             parse_config("scenario: paper-scenario-1\n" + block, source="cfg")

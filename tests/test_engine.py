@@ -595,6 +595,16 @@ def test_tied_events_leave_in_push_order(name, discipline, warmup):
                         (later, "renege", 2), (later, "release", 1)]
 
 
+@pytest.mark.parametrize("discipline", ["multi-queue", "greedy-single-queue"])
+def test_release_of_an_inactive_type_is_a_contract_violation(discipline):
+    space = enumerate_state_space(_TIE_MODEL)
+    strategy = naive_strategy(space, "prefer-type-1") if discipline == "multi-queue" else None
+    config = SimConfig(model=_TIE_MODEL, strategy=strategy, horizon=6.0)
+    tape = RoundTape(space.index_of((1, 0)), ((2.0, 2),), tuple(array(code) for code in "dqddd"))
+    with pytest.raises(ContractViolation, match="cannot release a type-2 slice: none active"):
+        run(config, space, tape)
+
+
 class TestRoundTapes:
     def _fresh_and_shared(self, configs, space):
         tapes = {}
@@ -772,3 +782,34 @@ def test_event_log_replays_with_reneges_behind_the_head(discipline):
     trace, report = run_round(config, space)
     _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
     assert _replay_event_log(config, space, trace) > 0
+
+
+def _pooled_occupancy(config, space, master_seed, rounds):
+    """In-window time per state index, pooled over ``rounds`` rounds, as a distribution."""
+    occupancy = np.zeros(len(space))
+    for i in range(rounds):
+        trace, _ = run_round(dataclasses.replace(config, seed=derived_seed(master_seed, i)), space)
+        occupancy[list(trace.state_time)] += list(trace.state_time.values())
+    return occupancy / occupancy.sum()
+
+
+def test_loss_limit_occupancy_is_the_product_form():
+    # With reneging 1000 a request that does not fit leaves at once, and (2, 1, 0)
+    # accepts whatever fits: the occupancy is then pi(s) ~ prod rho_n^s_n / s_n! on the
+    # feasible set.  The law is checked against the noise between two seeds, a check of
+    # the loop independent of both the chain and run_scalar.
+    base = table_model(2)
+    model = dataclasses.replace(base, types=tuple(
+        dataclasses.replace(ty, reneging_rate=1000.0) for ty in base.types))
+    space = enumerate_state_space(model)
+    config = SimConfig(model=model, strategy=constant_strategy(space, (2, 1, 0)),
+                       horizon=200.0, warmup=50.0, reneging=True, record_events=False)
+    rho = np.asarray(model.arrival_rates) / np.asarray(model.release_rates)
+    counts = space.counts
+    log_weight = counts @ np.log(rho) - np.array(
+        [sum(math.lgamma(c + 1) for c in row) for row in counts.tolist()])
+    product_form = np.exp(log_weight - log_weight.max())
+    product_form /= product_form.sum()
+    seed_a, seed_b = (_pooled_occupancy(config, space, master, rounds=60) for master in (1, 2))
+    noise = 0.5 * np.abs(seed_a - seed_b).sum()
+    assert 0.5 * np.abs(seed_a - product_form).sum() <= 2.0 * noise
