@@ -62,7 +62,8 @@ class _HomogeneousQueues(QueueController):
                     continue
                 target = self.space.increment_index(self.state_index, queue[0].slice_type)
                 if target >= 0:
-                    accepted.append(queue.popleft())
+                    accepted.append(rec := queue.popleft())
+                    rec.waiting = False
                     self.state_index = target
                     moved = True
         return accepted
@@ -88,7 +89,8 @@ def case_study_rows() -> list[Row]:
         rows.append((panel, 0.0, "start", 0, -1,
                      fmt(controller.state), fmt(controller.queue_lengths())))
         for request_id, (time, slice_type) in enumerate(ARRIVALS, start=1):
-            controller.queue_for(slice_type).append(RequestRecord(request_id, slice_type, time))
+            controller.queue_for(slice_type).append(
+                RequestRecord(request_id, slice_type, time, waiting=True))
             rows.append((panel, time, "join", slice_type, request_id,
                          fmt(controller.state), fmt(controller.queue_lengths())))
             for accepted in controller.serve_queues():

@@ -10,34 +10,38 @@ until a full pass changes nothing.
 A greedy single-queue controller (one FCFS line for all types, head-of-line
 blocking, no preference) is provided as a benchmark.  Both share the state
 and the release and renege handling of ``QueueController``.  A request joins
-by an append to the queue that ``queue_for`` names, and whoever appended it
-then serves.  Each discipline's serving pass is one module-level function,
-``serve_multi_queue`` or ``serve_single_queue``, written once: a
-controller's ``serve_queues`` (and so ``handle_release``) runs it on its own
-state, and the event loop runs it on its local state index after a join or a
-greedy renege, only where a pass can accept.
+by an append to the queue that ``queue_for`` names, marked ``waiting``, and
+whoever appended it then serves.  Each discipline's serving pass is one
+module-level function, ``serve_multi_queue`` or ``serve_single_queue``,
+written once: a controller's ``serve_queues`` (and so ``handle_release``)
+runs it on its own state, and the event loop runs it on its local state
+index after a join or a greedy renege, only where a pass can accept.
+
+A renege is a lazy deletion, O(1) amortised: ``remove`` clears the record's
+``waiting`` flag and leaves it in its queue unless it is the head.  A
+reneged record is popped once it reaches the head, by ``remove`` or by the
+serving pass that accepts the request before it, so a non-empty queue always
+has a waiting head; ``queue_lengths`` counts only waiting records.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import ContractViolation
 from .slice_model import StateSpace, SystemState
-from .strategy import RESERVE, PreferenceMatrix
+from .strategy import RESERVE, PreferenceMatrix, check_columns
 
 @dataclass(eq=False, slots=True)
 class RequestRecord:
-    """One waiting slice request: what the event loop and the queues read of it.
+    """One slice request: what the event loop and the queues read of it.
 
-    Records compare by identity, so a queue removes exactly the one given.
-    ``join_time`` is when it joined its queue, the key ``remove`` bisects on;
-    ``lifetime`` is the slice lifetime used if the request is accepted; and
-    ``accepted`` is set on acceptance, so that a renege deadline still due
-    afterwards is ignored.  What happened to each request is in the round's
+    Records compare by identity.  ``join_time`` is when it joined its queue;
+    ``lifetime`` is the slice lifetime used if the request is accepted.  The
+    code that appends a record to a queue sets ``waiting``; the serving pass
+    that pops it, or its renege, clears it, so a renege deadline due after
+    either is ignored.  What happened to each request is in the round's
     event log.
     """
 
@@ -45,10 +49,7 @@ class RequestRecord:
     slice_type: int
     join_time: float
     lifetime: float = 0.0
-    accepted: bool = False
-
-
-_JOIN_TIME = attrgetter("join_time")
+    waiting: bool = False
 
 
 class QueueController:
@@ -72,7 +73,8 @@ class QueueController:
         return self.space.state_at(self.state_index)
 
     def queue_lengths(self) -> tuple[int, ...]:
-        return tuple(map(len, self.lines))
+        """The number of waiting requests in each line (a reneged record is not one)."""
+        return tuple(sum(rec.waiting for rec in line) for line in self.lines)
 
     def queue_for(self, n: int) -> deque[RequestRecord]:
         """The queue a type-``n`` request joins (and leaves when it reneges)."""
@@ -88,26 +90,22 @@ class QueueController:
         return self.serve_queues() if any(self.lines) else []
 
     def remove(self, record: RequestRecord) -> bool:
-        """Remove a still-waiting request by identity (reneging); True if it was the head.
+        """Take a waiting request out of the running (reneging); True if it was the head.
 
-        Precondition: requests join their queue at non-decreasing ``join_time``,
-        as they do in the event loop, so a queue is in join order.  The record
-        is bisected for on ``join_time`` and picked by identity from its run of
-        equal times.
+        Clears the record's ``waiting`` flag.  Only the head is popped, with the
+        reneged records behind it that then reach the head; a record further
+        back stays in its queue until it reaches the head.
         """
+        if not record.waiting:
+            raise ContractViolation("request is not waiting in its queue")
+        record.waiting = False
         queue = self.queue_for(record.slice_type)
-        if queue and queue[0] is record:
+        if queue[0] is not record:
+            return False
+        queue.popleft()
+        while queue and not queue[0].waiting:
             queue.popleft()
-            return True
-        t = record.join_time
-        for i in range(bisect_left(queue, t, key=_JOIN_TIME), len(queue)):
-            other = queue[i]
-            if other is record:
-                del queue[i]
-                return False
-            if other.join_time != t:
-                break
-        raise ContractViolation("request is not waiting in its queue")
+        return True
 
 
 class MultiQueueController(QueueController):
@@ -117,11 +115,7 @@ class MultiQueueController(QueueController):
                  initial_state: SystemState | None = None) -> None:
         if strategy.num_types != space.model.num_types:
             raise ContractViolation("strategy and model disagree on the number of types")
-        if strategy.num_columns != space.num_admissible:
-            raise ContractViolation(
-                f"strategy has {strategy.num_columns} columns, "
-                f"admissibility region has {space.num_admissible} states"
-            )
+        check_columns(strategy, space)
         super().__init__(space, initial_state)
         self.strategy = strategy
         self.queues: list[deque[RequestRecord]] = [
@@ -172,7 +166,8 @@ def serve_multi_queue(index: int, columns, queues: list[deque[RequestRecord]], i
     the head of each non-empty preferred queue whose type still fits (an
     ``increment`` entry ``index * width + type - 1`` of -1 does not), and
     repeats until a full scan accepts nothing or the state is fully utilized.
-    Accepted requests are popped and appended to ``accepted`` in order.
+    Accepted requests are popped, their ``waiting`` cleared, and appended to
+    ``accepted`` in order; reneged records that reach the head are dropped.
     """
     while index < num_admissible:
         before = index
@@ -183,7 +178,10 @@ def serve_multi_queue(index: int, columns, queues: list[deque[RequestRecord]], i
             if queue:
                 target = increment[index * width + pref - 1]
                 if target >= 0:
-                    accepted.append(queue.popleft())
+                    accepted.append(rec := queue.popleft())
+                    rec.waiting = False
+                    while queue and not queue[0].waiting:
+                        queue.popleft()
                     index = target
         if index == before:
             break
@@ -199,6 +197,9 @@ def serve_single_queue(index: int, line: deque[RequestRecord], increment, width:
         target = increment[index * width + line[0].slice_type - 1]
         if target < 0:
             break
-        accepted.append(line.popleft())
+        accepted.append(rec := line.popleft())
+        rec.waiting = False
+        while line and not line[0].waiting:
+            line.popleft()
         index = target
     return index

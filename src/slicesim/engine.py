@@ -36,9 +36,12 @@ non-empty, and a multi-queue renege only empties queues.  The loop keeps the
 state index in a local: after a join or a greedy renege it calls the
 controller module's serving function for its discipline with it, and a
 release goes through the controller's ``handle_release``, which serves only
-while a request waits.  A per-round count of waiting requests, ``queued``,
-lets queue time accrue only while one waits, for the types that have one
-waiting.
+while a request waits.  A renege leaves its record in its queue, flagged,
+unless it is the head (``QueueController.remove``), so the loop never reads
+a queue's length: the per-type counts of waiting requests, ``waiting``, and
+their sum, ``queued``, give the balking backlog and every logged entry's
+queue lengths, and let queue time accrue only while a request waits, for
+the types that have one waiting.
 
 The event heap holds bare release and renege times up to the horizon (a later
 one would never pop), and a dict maps each time to its event; events due at
@@ -309,7 +312,6 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
     balking = [ty.balking_willingness if config.balking else None for ty in types]
     reneging = [ty.reneging_rate if config.reneging else 0.0 for ty in types]
     queues = [controller.queue_for(n) for n in range(1, n_types + 1)]
-    lines = controller.lines
     columns = config.strategy.columns if multi else None
 
     # releases and reneges wait in the heap as bare times, and ``due`` maps each time to
@@ -335,7 +337,7 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
     index = tape.initial_index
     increment, width, num_admissible = space._increment, space.num_types, space.num_admissible
     waiting = [0] * n_types  # per-type waiting counts, kept for both controllers
-    queued = 0  # their sum: queue time accrues only while one waits
+    queued = 0  # their sum: the greedy line's length, and queue time accrues only while one waits
     served: list[RequestRecord] = []  # what the last serving pass accepted, until settled
     state_time, queue_time, wait_sum = trace.state_time, trace.queue_time, trace.wait_sum
     accept_times, events = trace.accept_times, trace.events
@@ -378,12 +380,12 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
             next_id += 1
             total_arrivals[n] += 1
             if events is not None:
-                events.append((t, "arrival", slice_type, next_id, index, tuple(map(len, lines))))
-            queue = queues[n]
-            backlog, willingness = len(queue), balking[n]
+                events.append((t, "arrival", slice_type, next_id, index,
+                               tuple(waiting) if multi else (queued,)))
+            backlog, willingness = waiting[n] if multi else queued, balking[n]
             joins = willingness is None or backlog < 1 or u_balk < min(1.0, willingness / backlog)
             if joins:
-                rec = RequestRecord(next_id, slice_type, t, lifetime)
+                rec = RequestRecord(next_id, slice_type, t, lifetime, True)  # waiting
                 waiting[n] += 1
                 queued += 1
                 total_joined[n] += 1
@@ -395,29 +397,32 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
                             _due_behind(due, when, rec)
                         else:
                             due[when] = rec
-                queue.append(rec)
+                queues[n].append(rec)
                 if events is not None:
-                    events.append((t, "join", slice_type, next_id, index, tuple(map(len, lines))))
+                    events.append((t, "join", slice_type, next_id, index,
+                                   tuple(waiting) if multi else (queued,)))
                 if not backlog:  # a join behind a waiting request cannot be served
                     if multi:
                         index = serve_multi_queue(index, columns, queues, increment, width,
                                                   num_admissible, served)
                     else:
-                        index = serve_single_queue(index, queue, increment, width,
+                        index = serve_single_queue(index, queues[n], increment, width,
                                                    num_admissible, served)
             else:
                 total_balked[n] += 1
                 if events is not None:
-                    events.append((t, "balk", slice_type, next_id, index, tuple(map(len, lines))))
+                    events.append((t, "balk", slice_type, next_id, index,
+                                   tuple(waiting) if multi else (queued,)))
         elif kind == EV_RELEASE:
             if events is not None:
-                events.append((t, "release", payload, -1, index, tuple(map(len, lines))))
+                events.append((t, "release", payload, -1, index,
+                               tuple(waiting) if multi else (queued,)))
             controller.state_index = index
             served = handle_release(payload)  # a new list, cleared and reused once settled
             index = controller.state_index
         elif kind == EV_RENEGE:
             rec = payload
-            if not rec.accepted:
+            if rec.waiting:
                 head_left = remove(rec)
                 n = rec.slice_type - 1
                 waiting[n] -= 1
@@ -427,15 +432,14 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
                     wait_sum[n] += t - rec.join_time
                 if events is not None:
                     events.append((t, "renege", n + 1, rec.request_id, index,
-                                   tuple(map(len, lines))))
+                                   tuple(waiting) if multi else (queued,)))
                 if head_left and not multi:  # the greedy head may have blocked one that fits
-                    index = serve_single_queue(index, lines[0], increment, width,
+                    index = serve_single_queue(index, queues[n], increment, width,
                                                num_admissible, served)
         else:  # EV_END
             break
         if served:  # settle the requests the controller accepted
             for rec in served:
-                rec.accepted = True
                 n = rec.slice_type - 1
                 waiting[n] -= 1
                 total_accepted[n] += 1
@@ -449,10 +453,11 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
                         _due_behind(due, when, n + 1)
                     else:
                         due[when] = n + 1
-                if events is not None:
-                    events.append((t, "accept", n + 1, rec.request_id, index,
-                                   tuple(map(len, lines))))
             queued -= len(served)
+            if events is not None:  # each entry logs the lengths after the whole pass
+                lengths = tuple(waiting) if multi else (queued,)
+                events.extend([(t, "accept", rec.slice_type, rec.request_id, index, lengths)
+                               for rec in served])
             served.clear()
 
     # one list per type, not one per visited state: fewer objects for the collector

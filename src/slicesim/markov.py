@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .slice_model import ResourceModel, StateSpace
-from .strategy import RESERVE, PreferenceMatrix
+from .strategy import RESERVE, PreferenceMatrix, check_columns
 
 # scipy.sparse is imported inside the functions that use it, so that
 # commands that never build a chain do not load it.
@@ -105,10 +105,8 @@ def acceptance_distribution(strategy: PreferenceMatrix, space: StateSpace,
     reserve symbol.  Each entry gets the float operations of a per-state
     scan, in the same order.
     """
+    check_columns(strategy, space)
     n_types, k = space.model.num_types, space.num_admissible
-    if strategy.num_columns != k:
-        raise ContractViolation(f"strategy has {strategy.num_columns} columns, "
-                                f"admissibility region has {k} states")
     p = np.asarray(_check_probs(queue_empty_probs, n_types))
     out = np.zeros((len(space), n_types + 1))
     out[k:, RESERVE] = 1.0

@@ -107,6 +107,13 @@ class PreferenceMatrix:
         return len(self.columns)
 
 
+def check_columns(strategy: PreferenceMatrix, space: StateSpace) -> None:
+    """Raise ``ContractViolation`` unless ``strategy`` has one column per admissible state."""
+    if strategy.num_columns != space.num_admissible:
+        raise ContractViolation(f"strategy has {strategy.num_columns} columns, "
+                                f"admissibility region has {space.num_admissible} states")
+
+
 def constant_strategy(space: StateSpace, vector: Sequence[int]) -> PreferenceMatrix:
     """The strategy applying the same preference vector in every admissible state."""
     return PreferenceMatrix(columns=(tuple(vector),) * space.num_admissible,

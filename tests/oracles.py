@@ -41,6 +41,7 @@ def apply_increment(s, n, release=False):
 
 def handle_request(controller, record):
     """Join ``record`` to its queue, then serve; the requests accepted, in order."""
+    record.waiting = True
     controller.queue_for(record.slice_type).append(record)
     return controller.serve_queues()
 
@@ -432,8 +433,12 @@ def run_scalar(config, space=None, tape=None):
     After every event it runs one more serving pass and asserts that it
     accepts nothing: the controller is quiescent between events, so a test
     that compares ``run`` with this loop catches a serving pass that ``run``
-    wrongly skips.  Its trace is the package's plus the queue-empty counts the loop takes at
-    each in-window arrival (``arrival_epochs``, ``empty_marginal``,
+    wrongly skips.  A reneging request leaves its queue at once, by an
+    identity ``deque.remove``, and the balking backlog and the logged queue
+    lengths are the lengths of the controller's queues, so the comparison
+    checks ``run``'s lazy removal and its counts against eager removal.
+    Its trace is the package's plus the queue-empty counts the loop takes
+    at each in-window arrival (``arrival_epochs``, ``empty_marginal``,
     ``scan_observed``, ``scan_empty``), which ``engine.queue_empty_counts``
     must reproduce from the event log.
 
@@ -545,12 +550,11 @@ def run_scalar(config, space=None, tape=None):
 
     def log(t: float, kind: str, slice_type: int, request_id: int) -> None:
         if trace.events is not None:
-            lengths = controller.queue_lengths()
+            lengths = tuple(len(line) for line in controller.lines)
             trace.events.append((t, kind, slice_type, request_id, controller.state, lengths))
 
     def settle(t: float, accepted: list[RequestRecord]) -> None:
         for rec in accepted:
-            rec.accepted = True
             n = rec.slice_type
             waiting[n - 1] -= 1
             trace.total_accepted[n - 1] += 1
@@ -619,6 +623,7 @@ def run_scalar(config, space=None, tape=None):
                     trace.joined[n - 1] += 1
                 if renege_on[n - 1]:
                     push(t - math.log(1.0 - u_patience) / ty.reneging_rate, EV_RENEGE, rec)
+                rec.waiting = True
                 queue.append(rec)
                 log(t, "join", n, rec.request_id)
                 if multi:
@@ -639,8 +644,9 @@ def run_scalar(config, space=None, tape=None):
             settle(t, controller.handle_release(n))
         else:  # EV_RENEGE
             rec = payload
-            if not rec.accepted:
-                controller.remove(rec)
+            if rec.waiting:
+                rec.waiting = False
+                controller.queue_for(rec.slice_type).remove(rec)  # by identity: eq=False
                 n = rec.slice_type
                 waiting[n - 1] -= 1
                 trace.total_reneged[n - 1] += 1

@@ -27,6 +27,16 @@ def make_request(rid, slice_type, t=0.0):
     return RequestRecord(rid, slice_type, t)
 
 
+def join(queue, record):
+    """Append ``record`` to ``queue`` as a joining request: marked waiting."""
+    record.waiting = True
+    queue.append(record)
+
+
+def ids(records):
+    return [r.request_id for r in records]
+
+
 class TestHandleRequest:
     def test_empty_system_accepts_immediately(self):
         space = case_study_space()
@@ -92,8 +102,8 @@ class TestServeQueues:
     def test_noop_outside_admissible_region(self):
         space = case_study_space()
         c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 2))
-        c.queues[0].append(make_request(1, 1))
-        c.queues[1].append(make_request(2, 2))
+        join(c.queues[0], make_request(1, 1))
+        join(c.queues[1], make_request(2, 2))
         assert c.serve_queues() == []
         assert c.queue_lengths() == (1, 1)
 
@@ -101,7 +111,7 @@ class TestServeQueues:
         space = case_study_space()
         c = MultiQueueController(space, naive_strategy(space, "prefer-type-2"), (0, 0))
         for rid in range(1, 6):
-            c.queues[1].append(make_request(rid, 2))
+            join(c.queues[1], make_request(rid, 2))
         accepted = c.serve_queues()
         assert [r.request_id for r in accepted] == [1, 2, 3, 4, 5]
         assert c.state == (0, 5)
@@ -145,17 +155,22 @@ def _blocked_controllers(space):
 
 
 class TestRemove:
+    """A renege clears the record's ``waiting`` flag; the queue keeps it until it is the
+    head, so these tests read what ``remove`` returns, ``queue_lengths()`` and what
+    later serving passes accept, not the deques."""
+
     @pytest.mark.parametrize("index", [0, 1])
     def test_removes_by_identity(self, index):
         # two field-equal requests are still two requests: removing the second
-        # must leave the first at the head
+        # must leave the first waiting at the head
         c = _blocked_controllers(case_study_space())[index]
         first, second = make_request(1, 1), make_request(1, 1)
         handle_request(c, first)
         handle_request(c, second)
-        c.remove(second)
-        queue = c.queue_for(1)
-        assert len(queue) == 1 and queue[0] is first
+        assert c.remove(second) is False
+        assert c.queue_lengths()[0] == 1
+        assert c.handle_release(1) == [first]
+        assert sum(c.queue_lengths()) == 0 and not any(c.lines)
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_request_not_waiting_is_rejected(self, index):
@@ -171,9 +186,13 @@ class TestRemove:
         for rec in records:
             handle_request(c, rec)
         assert c.remove(records[2]) is False
-        assert list(c.queue_for(1)) == records[:2] + records[3:]
+        assert c.queue_lengths()[0] == 4
         assert c.remove(records[0]) is True
-        assert list(c.queue_for(1)) == [records[1], records[3], records[4]]
+        assert c.queue_lengths()[0] == 3
+        # each release lets one type-1 request in, in queue order, past the reneged one
+        assert [c.handle_release(1) for _ in range(4)] == [[records[1]], [records[3]],
+                                                           [records[4]], []]
+        assert c.queue_lengths()[0] == 0
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_refuses_records_that_never_joined_or_already_left(self, index):
@@ -186,6 +205,31 @@ class TestRemove:
         with pytest.raises(ContractViolation, match="not waiting"):
             c.remove(waiting)
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_refuses_an_accepted_record(self, index):
+        c = _blocked_controllers(case_study_space())[index]
+        head, behind = make_request(1, 1, 1.0), make_request(2, 1, 2.0)
+        handle_request(c, head)
+        handle_request(c, behind)
+        assert c.handle_release(1) == [head]
+        with pytest.raises(ContractViolation, match="not waiting"):
+            c.remove(head)
+        assert c.queue_lengths()[0] == 1
+        assert c.remove(behind) is True
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_reneged_record_behind_an_accepted_head_is_never_served(self, index):
+        c = _blocked_controllers(case_study_space())[index]
+        head, behind, last = (make_request(rid, 1, float(rid)) for rid in (1, 2, 3))
+        for rec in (head, behind, last):
+            assert handle_request(c, rec) == []
+        assert c.remove(behind) is False
+        assert c.handle_release(1) == [head]
+        assert c.queue_lengths()[0] == 1
+        assert c.serve_queues() == []
+        assert c.handle_release(1) == [last]
+        assert not any(c.lines)
+
     def test_greedy_head_renege_lets_the_next_request_in(self):
         # at (1, 1) a type-1 head does not fit and blocks a type-2 request that does
         c = GreedySingleQueueController(case_study_space(), (1, 1))
@@ -197,6 +241,35 @@ class TestRemove:
         assert c.remove(head) is True
         assert c.serve_queues() == [behind]
         assert c.state == (1, 2)
+
+    @pytest.mark.parametrize("head_leaves", ["renege", "accept"])
+    def test_greedy_blocked_head_with_reneges_behind_serves_the_next_waiting(self, head_leaves):
+        # at (1, 1) the type-1 head blocks three type-2 requests, two of which renege
+        c = GreedySingleQueueController(case_study_space(), (1, 1))
+        head = make_request(1, 1, 1.0)
+        gone, waiting = [make_request(2, 2, 2.0), make_request(3, 2, 3.0)], make_request(4, 2, 4.0)
+        for rec in (head, *gone, waiting):
+            assert handle_request(c, rec) == []
+        assert [c.remove(rec) for rec in gone] == [False, False]
+        assert c.queue_lengths() == (2,)
+        if head_leaves == "renege":
+            assert c.remove(head) is True
+            assert c.serve_queues() == [waiting]
+            assert c.state == (1, 2)
+        else:  # the release lets the head in, then the waiting request behind the reneges
+            assert c.handle_release(1) == [head, waiting]
+            assert c.state == (1, 2)
+        assert c.queue_lengths() == (0,) and not any(c.lines)
+
+
+class TestColumnCount:
+    def test_strategy_of_another_space_is_refused(self):
+        space = case_study_space()
+        short = PreferenceMatrix(columns=((1, 2, 0),) * (space.num_admissible - 1), num_types=2)
+        with pytest.raises(ContractViolation,
+                           match=f"strategy has {space.num_admissible - 1} columns, "
+                                 f"admissibility region has {space.num_admissible} states"):
+            MultiQueueController(space, short)
 
 
 class TestIsTransient:
@@ -215,7 +288,7 @@ class TestIsTransient:
         space = case_study_space()
         c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (0, 0))
         head = make_request(1, 1)
-        c.queues[0].append(head)
+        join(c.queues[0], head)
         assert c.serve_queues() == [head]
         assert c.state == (1, 0)
 
@@ -231,7 +304,7 @@ class TestIsTransient:
                 space.state_at(rng.randrange(len(space))),
             )
             for rid in range(rng.randint(0, 6)):
-                c.queues[rng.randint(0, 1)].append(make_request(rid, rng.randint(1, 2)))
+                join(c.queues[rng.randint(0, 1)], make_request(rid, rng.randint(1, 2)))
             c.serve_queues()
             index, lengths = c.state_index, c.queue_lengths()
             assert c.serve_queues() == []
@@ -240,7 +313,7 @@ class TestIsTransient:
     def test_starved_queue_not_transient(self):
         space = case_study_space()
         c = MultiQueueController(space, constant_strategy(space, (0, 1, 2)), (0, 0))
-        c.queues[0].append(make_request(1, 1))
+        join(c.queues[0], make_request(1, 1))
         assert c.serve_queues() == []
         assert c.queue_lengths() == (1, 0)
 
@@ -265,9 +338,7 @@ def test_steady_state_path_independence():
             c = MultiQueueController(space, strategy, start)
             for n, reqs in enumerate(queue_fill):
                 for r in reqs:
-                    c.queues[n].append(
-                        make_request(r.request_id, r.slice_type)
-                    )
+                    join(c.queues[n], make_request(r.request_id, r.slice_type))
             accepted = c.serve_queues()
             outcomes.add((c.state, tuple(r.request_id for r in accepted)))
         assert len(outcomes) == 1

@@ -784,6 +784,25 @@ def test_event_log_replays_with_reneges_behind_the_head(discipline):
     assert _replay_event_log(config, space, trace) > 0
 
 
+@pytest.mark.parametrize("discipline", ["multi-queue", "greedy-single-queue"])
+def test_long_queues_with_reneges_behind_the_head_match_eager_removal(discipline):
+    # the backlog-renege workload's shape on a short horizon: scenario 2's rates, rare
+    # reneging and no balking, so the queues hold hundreds of requests and nearly every
+    # renege leaves from behind the head.  The loop only flags such a request; the
+    # oracle removes it at once and reads its queues' lengths.
+    model = ResourceModel(pool=(1.0, 1.0), costs=((0.01, 0.05), (0.2, 0.04)), types=(
+        SliceType(6.0, 1 / 5.0, 1.0, reneging_rate=0.01),
+        SliceType(1.5, 1 / 2.0, 10.0, reneging_rate=0.01)))
+    space = enumerate_state_space(model)
+    strategy = naive_strategy(space, "prefer-type-1") if discipline == "multi-queue" else None
+    config = SimConfig(model=model, strategy=strategy, horizon=200.0, warmup=50.0,
+                       seed=1234, initial_state="full", reneging=True)
+    trace, report = run_round(config, space)
+    _assert_matches_oracle(space, trace, report, *run_scalar(config, space))
+    assert max(max(event[5]) for event in trace.events) >= 100
+    assert _replay_event_log(config, space, trace) >= 100
+
+
 def _pooled_occupancy(config, space, master_seed, rounds):
     """In-window time per state index, pooled over ``rounds`` rounds, as a distribution."""
     occupancy = np.zeros(len(space))

@@ -164,6 +164,14 @@ class TestTransitionProbability:
         assert probs[2] == pytest.approx(0.25 * 0.5)
         assert sum(probs) == pytest.approx(1.0)
 
+    def test_strategy_of_another_space_is_refused(self):
+        space = case_study_space()
+        short = PreferenceMatrix(columns=((1, 2, 0),) * (space.num_admissible - 1), num_types=2)
+        with pytest.raises(ContractViolation,
+                           match=f"strategy has {space.num_admissible - 1} columns, "
+                                 f"admissibility region has {space.num_admissible} states"):
+            acceptance_distribution(short, space, (0.5, 0.5))
+
     def test_sums_to_one_across_random_inputs(self):
         space = case_study_space()
         rng = random.Random(8)
