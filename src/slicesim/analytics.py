@@ -50,6 +50,18 @@ def _hyp0f1(b: float, z: float) -> float:
     return _series(terms(), "hypergeometric series", f" for b={b}, z={z}")
 
 
+def _hyp0f1_tail(b: float, z: float) -> float:
+    """(0F1(; b; z) - 1) b / z summed from k = 1, so nothing cancels: sum_k z^k / ((k + 1)!
+    (b + 1)_k).  Each term is at most 0F1's, so it is finite wherever 0F1 is."""
+    def terms() -> Iterator[float]:
+        term = 1.0
+        for k in count():
+            yield term
+            term *= z / ((k + 2.0) * (b + 1.0 + k))
+
+    return _series(terms(), "hypergeometric series", f" for b={b}, z={z}")
+
+
 def mm1_queue_pmf(rho: float, length: int) -> float:
     """Steady-state probability of ``length`` waiting requests, patient case."""
     if length < 0 or length != int(length):
@@ -99,20 +111,20 @@ class QueueParams:
 
 def _empty_probability(params: QueueParams) -> tuple[float, float]:
     """P(empty queue), and the series 0F1(; gamma + 1; delta) it is built from."""
-    g, d, b = params.gamma, params.delta, params.balking_willingness
     # delta^(1-g/2) Gamma(g) I_g(2 sqrt(delta)) / beta, evaluated through the
-    # regularized series to stay finite for large gamma
-    series = _hyp0f1(g + 1.0, d)
-    x = d / (b * g) * series
-    return 1.0 / (1.0 + x), series
+    # regularized series to stay finite for large gamma; its factor delta / (beta gamma)
+    # is the load, taken from the rates, as beta gamma underflows for a subnormal rate
+    series = _hyp0f1(params.gamma + 1.0, params.delta)
+    return 1.0 / (1.0 + params.arrival_rate / params.acceptance_rate * series), series
 
 
 def impatient_queue_pmf_table(params: QueueParams) -> list[float]:
     """PMF values from length 0 until the remaining tail is below 1e-12, at most
     ``MAX_TERMS`` of them."""
-    g, d, b = params.gamma, params.delta, params.balking_willingness
-    values = [_empty_probability(params)[0]]
-    values.append(values[0] * d / (b * g))
+    g, d = params.gamma, params.delta
+    p0, series = _empty_probability(params)
+    # P(one waiting) is P(empty) times the load times the series' first term, 1
+    values = [p0, 1.0 / (params.acceptance_rate / params.arrival_rate + series)]
     total = values[0] + values[1]
     l = 1
     while 1.0 - total > 1e-12 and l < MAX_TERMS:
@@ -132,18 +144,18 @@ class AcceptanceProbabilities:
 
 
 def _acceptance(params: QueueParams) -> tuple[float, AcceptanceProbabilities]:
-    """P(empty queue) and the acceptance probabilities, from one series value."""
+    """The tail (0F1(; gamma + 1; delta) - 1) (gamma + 1) / delta, and the acceptance
+    probabilities: P(empty) times 0F1(; gamma + 1; delta), times that series less 1,
+    and the Bessel quotient (0F1(; gamma + 1; delta) - 1) / (0F1(; gamma; delta) - 1),
+    each difference a tail series, so that no difference is taken."""
+    lam, mu, alpha = params.arrival_rate, params.acceptance_rate, params.reneging_rate
     g, d, b = params.gamma, params.delta, params.balking_willingness
     p0, series = _empty_probability(params)
-    p_accept = (1.0 - p0) * b * g / d
-    p_accept_join = p_accept - p0
-    # Bessel-quotient form rewritten through regularized series
-    p_accept_given_join = (series - 1.0) / (_hyp0f1(g, d) - 1.0)
-    return p0, AcceptanceProbabilities(
-        accept=p_accept,
-        accept_and_join=p_accept_join,
-        accept_given_join=p_accept_given_join,
-    )
+    tail = _hyp0f1_tail(g + 1.0, d)
+    # lam b / (mu + alpha) is delta / (gamma + 1), and mu / (mu + alpha) is gamma / (gamma + 1)
+    return tail, AcceptanceProbabilities(
+        accept=p0 * series, accept_and_join=p0 * (lam * b / (mu + alpha)) * tail,
+        accept_given_join=mu / (mu + alpha) * (tail / _hyp0f1_tail(g, d)))
 
 
 def acceptance_probabilities(params: QueueParams) -> AcceptanceProbabilities:
@@ -152,13 +164,11 @@ def acceptance_probabilities(params: QueueParams) -> AcceptanceProbabilities:
 
 
 def _wait_acceptance(params: QueueParams) -> tuple[float, AcceptanceProbabilities]:
-    """``_acceptance``, refusing the queues whose waiting-time laws are undefined."""
-    p0, probs = _acceptance(params)
-    if probs.accept_and_join <= 0.0:
-        raise NumericError("degenerate queue: joining requests are never accepted")
+    """``_acceptance``, refusing the queues whose reneging laws are undefined."""
+    tail, probs = _acceptance(params)
     if probs.accept_given_join >= 1.0 - 1e-12:
         raise NumericError("reneging density undefined: joining requests are always accepted")
-    return p0, probs
+    return tail, probs
 
 
 @dataclass(frozen=True)
@@ -175,11 +185,10 @@ def wait_distributions(params: QueueParams) -> WaitDistributions:
     # imported here, so that commands without a waiting-time density do not load scipy
     from scipy.special import betaincc
 
-    lam, mu = params.arrival_rate, params.acceptance_rate
-    alpha, beta = params.reneging_rate, params.balking_willingness
+    mu, alpha = params.acceptance_rate, params.reneging_rate
     d, c = params.delta, params.gamma
-    p0, probs = _wait_acceptance(params)
-    scale = p0 * lam * beta / probs.accept_and_join
+    tail, probs = _wait_acceptance(params)
+    scale = (mu + alpha) / tail  # P(empty) lam beta / P(accepted and joined)
 
     def f_accepted(wait: float) -> float:
         if wait < 0.0:
@@ -236,24 +245,24 @@ def wait_means(params: QueueParams) -> WaitMeans:
     """Mean waits: the accepted series, the joined identity, and the reneged mean they leave.
 
     Term i of the accepted series is the i-th term of 0F1(; gamma + 1; delta)
-    times the harmonic sum of 1 / (gamma + j) over j = 1..i.  The joined mean
-    is the closed form (1 - P(A|J)) / reneging rate.  A joining request is
-    accepted with probability P(A|J), so the joined mean is P(A|J) times the
-    accepted mean plus 1 - P(A|J) times the reneged one.
+    times the harmonic sum of 1 / (gamma + j) over j = 1..i, summed divided by
+    delta / (gamma + 1) as ``_acceptance``'s tail is.  The joined mean is the
+    closed form (1 - P(A|J)) / reneging rate.  A joining request is accepted
+    with probability P(A|J), so the joined mean is P(A|J) times the accepted
+    mean plus 1 - P(A|J) times the reneged one.
     """
     g, d = params.gamma, params.delta
-    p0, probs = _wait_acceptance(params)
+    tail, probs = _wait_acceptance(params)
     paj = probs.accept_given_join
 
     def terms() -> Iterator[float]:
         term, harmonic = 1.0, 0.0
-        for i in count(1):
-            term *= d / (i * (g + i))
-            harmonic += 1.0 / (g + i)
+        for k in count():
+            harmonic += 1.0 / (g + 1.0 + k)
             yield term * harmonic
+            term *= d / ((k + 2.0) * (g + 2.0 + k))
 
-    total = _series(terms(), "accepted-wait series")
-    accepted = p0 / probs.accept_and_join * total / params.reneging_rate
+    accepted = _series(terms(), "accepted-wait series") / (params.reneging_rate * tail)
     joined = (1.0 - paj) / params.reneging_rate
     return WaitMeans(accepted=accepted, reneged=(joined - paj * accepted) / (1.0 - paj),
                      joined=joined)

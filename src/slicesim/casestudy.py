@@ -6,18 +6,18 @@ Three schemes process the same burst: a single FCFS queue for all types, two
 mixed queues filled round-robin, and per-type queues driven by a preference
 vector.  Only the per-type scheme accepts the two type-2 requests; the other
 two block behind the waiting type-1 head although the pool has room.  Each
-request joins the queue its controller's ``queue_for`` names and is followed
-by one ``serve_queues`` pass.  ``case_study_rows`` is the event timeline that
-the ``casestudy`` command writes, and ``render_case_study`` its text form.
+panel keeps a state index and its own deques; a request joins one, and one
+``serve_single_queue``, ``serve_round_robin`` or ``serve_multi_queue`` pass
+follows.  ``case_study_rows`` is the event timeline that the ``casestudy``
+command writes, and ``render_case_study`` its text form.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .controller import (GreedySingleQueueController, MultiQueueController, QueueController,
-                         RequestRecord)
-from .slice_model import ResourceModel, SliceType, enumerate_state_space
+from .controller import RequestRecord, serve_multi_queue, serve_single_queue
+from .slice_model import ResourceModel, SliceType, StateSpace, enumerate_state_space
 from .strategy import constant_strategy
 
 PANELS = ("single-queue", "homogeneous-queues", "heterogeneous-queues")
@@ -37,66 +37,58 @@ def case_study_model() -> ResourceModel:
     )
 
 
-class _HomogeneousQueues(QueueController):
-    """Two mixed FCFS queues, filled round-robin, each blocking on its head."""
-
-    def __init__(self, space, initial_state) -> None:
-        super().__init__(space, initial_state)
-        self.queues = [deque(), deque()]
-        self.lines = self.queues
-        self._next = 0
-
-    def queue_for(self, n: int) -> deque[RequestRecord]:
-        """The next queue in turn, whatever the type: each call places one request."""
-        queue = self.queues[self._next]
-        self._next = (self._next + 1) % len(self.queues)
-        return queue
-
-    def serve_queues(self) -> list[RequestRecord]:
-        accepted = []
-        moved = True
-        while moved:
-            moved = False
-            for queue in self.queues:
-                if not queue:
-                    continue
-                target = self.space.increment_index(self.state_index, queue[0].slice_type)
+def serve_round_robin(index: int, queues: list[deque[RequestRecord]], space: StateSpace,
+                      accepted: list[RequestRecord]) -> int:
+    """The serving pass of mixed FCFS queues from state ``index``: visit the queues in
+    turn, accept each head that fits (each queue blocks on its head), and repeat until a
+    round accepts nothing; returns the new index, appending to ``accepted`` in order."""
+    before = -1
+    while index != before:
+        before = index
+        for queue in queues:
+            if queue:
+                target = space.increment_index(index, queue[0].slice_type)
                 if target >= 0:
-                    accepted.append(rec := queue.popleft())
-                    rec.waiting = False
-                    self.state_index = target
-                    moved = True
-        return accepted
+                    accepted.append(queue.popleft())
+                    index = target
+    return index
 
 
 def case_study_rows() -> list[Row]:
     """The full three-panel event timeline, one row per event."""
-    model = case_study_model()
-    space = enumerate_state_space(model)
+    space = enumerate_state_space(case_study_model())
+    increment, width, admissible = space._increment, space.num_types, space.num_admissible
+    columns = constant_strategy(space, (1, 2, 0)).columns
     rows: list[Row] = []
-
-    def fmt(values) -> str:
-        return " ".join(str(v) for v in values)
-
     for panel in PANELS:
-        if panel == "single-queue":
-            controller = GreedySingleQueueController(space, INITIAL_STATE)
-        elif panel == "homogeneous-queues":
-            controller = _HomogeneousQueues(space, INITIAL_STATE)
-        else:
-            strategy = constant_strategy(space, (1, 2, 0))
-            controller = MultiQueueController(space, strategy, INITIAL_STATE)
-        rows.append((panel, 0.0, "start", 0, -1,
-                     fmt(controller.state), fmt(controller.queue_lengths())))
+        index = space.index_of(INITIAL_STATE)
+        queues = [deque()] if panel == "single-queue" else [deque(), deque()]
+
+        def row(time, event, slice_type, request_id):  # nothing reneges: all records wait
+            rows.append((panel, time, event, slice_type, request_id,
+                         " ".join(map(str, space.state_at(index))),
+                         " ".join(str(len(queue)) for queue in queues)))
+
+        row(0.0, "start", 0, -1)
         for request_id, (time, slice_type) in enumerate(ARRIVALS, start=1):
-            controller.queue_for(slice_type).append(
-                RequestRecord(request_id, slice_type, time, waiting=True))
-            rows.append((panel, time, "join", slice_type, request_id,
-                         fmt(controller.state), fmt(controller.queue_lengths())))
-            for accepted in controller.serve_queues():
-                rows.append((panel, time, "accept", accepted.slice_type,
-                             accepted.request_id,
-                             fmt(controller.state), fmt(controller.queue_lengths())))
+            if panel == "single-queue":
+                queue = queues[0]
+            elif panel == "homogeneous-queues":  # the next queue in turn, whatever the type
+                queue = queues[(request_id - 1) % len(queues)]
+            else:
+                queue = queues[slice_type - 1]
+            queue.append(RequestRecord(request_id, slice_type, time, waiting=True))
+            row(time, "join", slice_type, request_id)
+            accepted: list[RequestRecord] = []
+            if panel == "single-queue":
+                index = serve_single_queue(index, queue, increment, width, admissible, accepted)
+            elif panel == "homogeneous-queues":
+                index = serve_round_robin(index, queues, space, accepted)
+            else:
+                index = serve_multi_queue(index, columns, queues, increment, width, admissible,
+                                          accepted)
+            for rec in accepted:
+                row(time, "accept", rec.slice_type, rec.request_id)
     return rows
 
 

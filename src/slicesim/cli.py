@@ -235,11 +235,15 @@ def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> dict:
         probs = list(pooled_queue_empty_probs([
             queue_empty_counts(trace, space, strategy)
             for trace, _ in logged_rounds(sim, sim_spec["rounds"], space)]))
-    estimate = strategy_steady_state(
-        config.model, space, strategy, probs, mode=block["mode"],
-        opportunity_rate=block["opportunity_rate"],
-        p_init=block["initial_distribution"],
-    )
+    try:
+        estimate = strategy_steady_state(
+            config.model, space, strategy, probs, mode=block["mode"],
+            opportunity_rate=block["opportunity_rate"],
+            p_init=block["initial_distribution"],
+        )
+    except ContractViolation as exc:  # the config checked every input: a large rate cancels
+        anchor = config.anchors[("steady_state", "opportunity_rate")]
+        raise ConfigError(f"{anchor}: {exc}") from None
     _write_csv(os.path.join(outdir, "distribution.csv"), ["index", "state", "probability"],
                zip(range(len(space)), _state_labels(space),
                    estimate.distribution.probabilities.tolist()))

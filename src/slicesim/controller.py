@@ -15,13 +15,15 @@ whoever appended it then serves.  Each discipline's serving pass is one
 module-level function, ``serve_multi_queue`` or ``serve_single_queue``,
 written once: a controller's ``serve_queues`` (and so ``handle_release``)
 runs it on its own state, and the event loop runs it on its local state
-index after a join or a greedy renege, only where a pass can accept.
+index after a join or a greedy renege, only where a pass can accept.  The
+case study runs them on its own deques.  The classes keep only what the event
+loop calls, which sets ``state_index`` (0 when built) before each release.
 
 A renege is a lazy deletion, O(1) amortised: ``remove`` clears the record's
 ``waiting`` flag and leaves it in its queue unless it is the head.  A
 reneged record is popped once it reaches the head, by ``remove`` or by the
 serving pass that accepts the request before it, so a non-empty queue always
-has a waiting head; ``queue_lengths`` counts only waiting records.
+has a waiting head.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .slice_model import StateSpace, SystemState
+from .slice_model import StateSpace
 from .strategy import RESERVE, PreferenceMatrix, check_columns
 
 @dataclass(eq=False, slots=True)
@@ -55,7 +57,7 @@ class RequestRecord:
 class QueueController:
     """Shared plumbing of the admission controllers.
 
-    Holds the active-slice state and the release/renege handling.  A
+    Holds the state index and the release/renege handling.  A
     subclass owns its queues, lists them in ``lines``, names through
     ``queue_for`` the deque a type-``n`` request joins, and serves its queues in
     ``serve_queues``; a pass that accepts nothing has changed nothing, so it is
@@ -64,17 +66,9 @@ class QueueController:
 
     lines: list[deque[RequestRecord]]
 
-    def __init__(self, space: StateSpace, initial_state: SystemState | None = None) -> None:
+    def __init__(self, space: StateSpace) -> None:
         self.space = space
-        self.state_index = 0 if initial_state is None else space.index_of(initial_state)
-
-    @property
-    def state(self) -> SystemState:
-        return self.space.state_at(self.state_index)
-
-    def queue_lengths(self) -> tuple[int, ...]:
-        """The number of waiting requests in each line (a reneged record is not one)."""
-        return tuple(sum(rec.waiting for rec in line) for line in self.lines)
+        self.state_index = 0
 
     def queue_for(self, n: int) -> deque[RequestRecord]:
         """The queue a type-``n`` request joins (and leaves when it reneges)."""
@@ -111,12 +105,11 @@ class QueueController:
 class MultiQueueController(QueueController):
     """Heterogeneous multi-queue admission controller driven by a preference matrix."""
 
-    def __init__(self, space: StateSpace, strategy: PreferenceMatrix,
-                 initial_state: SystemState | None = None) -> None:
+    def __init__(self, space: StateSpace, strategy: PreferenceMatrix) -> None:
         if strategy.num_types != space.model.num_types:
             raise ContractViolation("strategy and model disagree on the number of types")
         check_columns(strategy, space)
-        super().__init__(space, initial_state)
+        super().__init__(space)
         self.strategy = strategy
         self.queues: list[deque[RequestRecord]] = [
             deque() for _ in range(space.model.num_types)
@@ -141,8 +134,8 @@ class MultiQueueController(QueueController):
 class GreedySingleQueueController(QueueController):
     """Single FCFS queue for all types; accepts the head whenever it fits, never skips."""
 
-    def __init__(self, space: StateSpace, initial_state: SystemState | None = None) -> None:
-        super().__init__(space, initial_state)
+    def __init__(self, space: StateSpace) -> None:
+        super().__init__(space)
         self.queue: deque[RequestRecord] = deque()
         self.lines = [self.queue]
 

@@ -12,8 +12,10 @@ slower algorithms, which its faster ones must reproduce exactly;
 The rest are the model's and the paper's definitions that no command needs
 (``apply_increment``, ``balk_join_probability``), ``bessel_i`` as the
 package's 0F1 series times its leading factor, ``handle_request``, which
-drives a controller one request at a time by the engine's own join path, and
-``run_round``, which runs one round on the tape drawn for it.
+drives a controller one request at a time by the engine's own join path,
+``start_at``, ``state`` and ``queue_lengths``, which start a controller at a
+given state and read its state and its waiting counts, and ``run_round``,
+which runs one round on the tape drawn for it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,22 @@ def handle_request(controller, record):
     record.waiting = True
     controller.queue_for(record.slice_type).append(record)
     return controller.serve_queues()
+
+
+def start_at(controller, s):
+    """``controller``, moved to the active-slice state ``s`` (a new one starts at index 0)."""
+    controller.state_index = controller.space.index_of(s)
+    return controller
+
+
+def state(controller):
+    """The controller's active-slice state."""
+    return controller.space.state_at(controller.state_index)
+
+
+def queue_lengths(controller):
+    """The number of waiting requests in each line (a reneged record is not one)."""
+    return tuple(sum(rec.waiting for rec in line) for line in controller.lines)
 
 
 def brute_force_state_space(pool, bundles):
@@ -482,9 +500,9 @@ def run_scalar(config, space=None, tape=None):
 
     multi = config.strategy is not None
     if multi:
-        controller = MultiQueueController(space, config.strategy, initial_state)
+        controller = start_at(MultiQueueController(space, config.strategy), initial_state)
     else:
-        controller = GreedySingleQueueController(space, initial_state)
+        controller = start_at(GreedySingleQueueController(space), initial_state)
 
     @dataclass
     class ScalarTrace(SimTrace):
@@ -551,7 +569,7 @@ def run_scalar(config, space=None, tape=None):
     def log(t: float, kind: str, slice_type: int, request_id: int) -> None:
         if trace.events is not None:
             lengths = tuple(len(line) for line in controller.lines)
-            trace.events.append((t, kind, slice_type, request_id, controller.state, lengths))
+            trace.events.append((t, kind, slice_type, request_id, state(controller), lengths))
 
     def settle(t: float, accepted: list[RequestRecord]) -> None:
         for rec in accepted:

@@ -213,6 +213,18 @@ class TestAcceptanceProbabilities:
         assert probs.accept_given_join == pytest.approx(mu / (mu + alpha), abs=1e-5)
         assert probs.accept == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("beta", [0.5, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_conditional_matches_mpmath_at_small_willingness(self, beta):
+        # the Bessel quotient (0F1(; g + 1; d) - 1) / (0F1(; g; d) - 1) at 50 digits; in
+        # doubles both differences cancelled, to a relative error of 9.3e-5 at beta = 1e-12
+        lam, mu, alpha = 1.2, 1.5, 1.0
+        mp = mpmath.MPContext()
+        mp.dps = 50
+        g, d = mp.mpf(mu) / alpha, mp.mpf(lam) * beta / alpha
+        exact = (mp.hyp0f1(g + 1, d) - 1) / (mp.hyp0f1(g, d) - 1)
+        probs = acceptance_probabilities(QueueParams(lam, mu, alpha, beta))
+        assert abs(probs.accept_given_join - exact) <= 1e-13 * exact
+
     def test_conditional_matches_joint_over_join(self):
         for lam, mu in GRID:
             params = QueueParams(lam, mu, reneging_rate=1.0, balking_willingness=0.5)

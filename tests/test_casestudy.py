@@ -1,15 +1,16 @@
+from collections import deque
+
 from slicesim.casestudy import (
     INITIAL_STATE,
-    _HomogeneousQueues,
     case_study_model,
     case_study_rows,
     render_case_study,
+    serve_round_robin,
 )
 from slicesim.controller import RequestRecord
 from slicesim.slice_model import enumerate_state_space
 
 from criteria import accepted_by_panel
-from oracles import handle_request
 
 
 def test_deterministic_replay():
@@ -36,17 +37,18 @@ def test_homogeneous_queues_block_behind_type1_heads():
 
 
 def test_homogeneous_queues_release_and_serve():
-    # the shared controller plumbing reads the queues through ``lines``
-    controller = _HomogeneousQueues(enumerate_state_space(case_study_model()), INITIAL_STATE)
-    assert handle_request(controller, RequestRecord(1, 1, 1.0)) == []
-    assert handle_request(controller, RequestRecord(2, 2, 2.0))[0].request_id == 2
-    assert controller.queue_lengths() == (1, 0)
-    assert controller.state == (1, 1)
-    assert [r.request_id for r in controller.handle_release(1)] == [1]
-    assert controller.queue_lengths() == (0, 0)
-    assert controller.state == (1, 1)
-    assert controller.handle_release(2) == []
-    assert controller.state == (1, 0)
+    # the round-robin pass after the burst: both heads are type-1 requests that do not
+    # fit; a type-1 release lets the first in, then the type-2 request behind it
+    space = enumerate_state_space(case_study_model())
+    queues = [deque([RequestRecord(1, 1, 1.0), RequestRecord(3, 2, 3.0)]),
+              deque([RequestRecord(2, 1, 2.0), RequestRecord(4, 2, 4.0)])]
+    index, accepted = space.index_of(INITIAL_STATE), []
+    assert serve_round_robin(index, queues, space, accepted) == index
+    assert accepted == []
+    index = serve_round_robin(space.release_index(index, 1), queues, space, accepted)
+    assert [r.request_id for r in accepted] == [1, 3]
+    assert space.state_at(index) == (1, 1)
+    assert [len(queue) for queue in queues] == [0, 2]
 
 
 def test_heterogeneous_end_state_fully_used():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -246,8 +247,15 @@ model:
         ("wait-densities", "  arrival_rate: 200000\n  acceptance_rate: 1000\n  reneging_rate: 1\n"
                            "  balking_willingness: 1.0\n  wait_stop: 2.0\n  wait_step: 0.5\n",
          lambda: wait_distributions(QueueParams(2e5, 1e3, 1.0, 1.0)).accepted(1.5), 3),
+        # valid rates that ended in a ZeroDivisionError traceback: P(A|J) rounds to 1, and
+        # the reneging density's first coefficient, 1 / acceptance rate, overflows
+        ("wait-densities", "  acceptance_rate: 1.0e+300\n",
+         lambda: wait_distributions(QueueParams(1.0, 1e300, 1.0, 0.5)), 3),
+        ("wait-densities", "  acceptance_rate: 5.0e-324\n",
+         lambda: wait_distributions(QueueParams(1.0, 5e-324, 1.0, 0.5)).reneged(0.0), 3),
     ], ids=["no-equilibrium", "no-reneging", "no-balking", "willingness-above-1",
-            "wait-means-overflow", "wait-densities-overflow"])
+            "wait-means-overflow", "wait-densities-overflow", "wait-densities-always-accepted",
+            "wait-densities-subnormal-acceptance"])
     def test_law_preconditions_carry_a_line(self, tmp_path, capsys, law, keys, runtime, line):
         # each failed in the law, with the runtime's message but without a line
         with pytest.raises(SliceSimError) as raised:
@@ -386,6 +394,33 @@ class TestCli:
         lines = (out / "analysis.csv").read_text().splitlines()
         assert lines[0] == "length,probability"
         assert lines[1] == "0,0.5"
+
+    @pytest.mark.parametrize("command, block, line", [
+        ("analyze", "analyze:\n  law: acceptance-probabilities\n  acceptance_rate: 5.0e-324\n",
+         None),
+        ("analyze", "analyze:\n  law: impatient-pmf\n  acceptance_rate: 5.0e-324\n", None),
+        ("analyze", "analyze:\n  law: wait-means\n  arrival_rate: 5.0e-324\n", None),
+        ("analyze", "analyze:\n  law: wait-means\n  arrival_rate: 1.0e-300\n", None),
+        ("analyze", "analyze:\n  law: wait-densities\n  arrival_rate: 1.0e-300\n", None),
+        ("steady-state", "steady_state:\n  strategy: {prefer_type: 1}\n"
+                         "  queue_empty_probs: [0.5, 0.5]\n  opportunity_rate: 1.0e+12\n", 5),
+    ], ids=["acceptance-probabilities-subnormal-acceptance", "impatient-pmf-subnormal-acceptance",
+            "wait-means-subnormal-arrival", "wait-means-tiny-arrival",
+            "wait-densities-tiny-arrival", "steady-state-opportunity-rate"])
+    def test_extreme_values_end_in_values_or_a_line(self, tmp_path, capsys, command, block,
+                                                    line):
+        # the analyze laws ended in a ZeroDivisionError traceback, and the chain's solve,
+        # which cancels at this rate, in an error with neither file nor line
+        cfg = self._write(tmp_path, "scenario: paper-scenario-1\n" + block)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if line is not None:
+            assert code == 1
+            assert re.fullmatch(rf"error: {re.escape(cfg)}:{line}: [^\n]+\n", err)
+            return
+        assert (code, err) == (0, "")
+        rows = (tmp_path / "o" / "analysis.csv").read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
     def test_bad_from_simulation_rounds_exit_code(self, tmp_path, capsys):
         text = MINIMAL + (

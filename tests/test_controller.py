@@ -11,7 +11,7 @@ from slicesim.errors import ContractViolation
 from slicesim.slice_model import ResourceModel, SliceType, enumerate_state_space
 from slicesim.strategy import PreferenceMatrix, constant_strategy, naive_strategy
 
-from oracles import handle_request
+from oracles import handle_request, queue_lengths, start_at, state
 
 
 def case_study_space():
@@ -40,28 +40,28 @@ def ids(records):
 class TestHandleRequest:
     def test_empty_system_accepts_immediately(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (0, 0))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (0, 0))
         accepted = handle_request(c, make_request(1, 1))
         assert [r.request_id for r in accepted] == [1]
-        assert c.state == (1, 0)
-        assert c.queue_lengths() == (0, 0)
+        assert state(c) == (1, 0)
+        assert queue_lengths(c) == (0, 0)
 
     def test_burst_accepts_type2_while_type1_waits(self):
         # with one type-1 slice active, both type-2 requests fit but type-1 do not
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 0))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (1, 0))
         accepted = []
         for rid, n in enumerate([1, 1, 2, 2], start=1):
             accepted += handle_request(c, make_request(rid, n))
         assert [r.request_id for r in accepted] == [3, 4]
-        assert c.state == (1, 2)
-        assert c.queue_lengths() == (2, 0)
+        assert state(c) == (1, 2)
+        assert queue_lengths(c) == (2, 0)
 
     def test_queue_after_reserve_starves(self):
         space = case_study_space()
-        c = MultiQueueController(space, constant_strategy(space, (2, 0, 1)), (0, 0))
+        c = start_at(MultiQueueController(space, constant_strategy(space, (2, 0, 1))), (0, 0))
         assert handle_request(c, make_request(1, 1)) == []
-        assert c.queue_lengths() == (1, 0)
+        assert queue_lengths(c) == (1, 0)
         # a type-2 request is still served
         accepted = handle_request(c, make_request(2, 2))
         assert [r.request_id for r in accepted] == [2]
@@ -70,23 +70,23 @@ class TestHandleRequest:
 class TestHandleRelease:
     def test_release_unblocks_waiting_type1(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 0))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (1, 0))
         for rid, n in enumerate([1, 1, 2, 2], start=1):
             handle_request(c, make_request(rid, n))
         accepted = c.handle_release(1)
         assert [r.request_id for r in accepted] == [1]
-        assert c.state == (1, 2)
-        assert c.queue_lengths() == (1, 0)
+        assert state(c) == (1, 2)
+        assert queue_lengths(c) == (1, 0)
 
     def test_release_with_empty_queues(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 0))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (1, 0))
         assert c.handle_release(1) == []
-        assert c.state == (0, 0)
+        assert state(c) == (0, 0)
 
     def test_release_nonexistent_slice(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (0, 1))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (0, 1))
         with pytest.raises(ContractViolation):
             c.handle_release(1)
 
@@ -94,31 +94,31 @@ class TestHandleRelease:
 class TestServeQueues:
     def test_noop_on_empty_queues(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 1))
-        before = c.state
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (1, 1))
+        before = state(c)
         assert c.serve_queues() == []
-        assert c.state == before
+        assert state(c) == before
 
     def test_noop_outside_admissible_region(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 2))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (1, 2))
         join(c.queues[0], make_request(1, 1))
         join(c.queues[1], make_request(2, 2))
         assert c.serve_queues() == []
-        assert c.queue_lengths() == (1, 1)
+        assert queue_lengths(c) == (1, 1)
 
     def test_multiple_passes_drain_queue(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-2"), (0, 0))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-2")), (0, 0))
         for rid in range(1, 6):
             join(c.queues[1], make_request(rid, 2))
         accepted = c.serve_queues()
         assert [r.request_id for r in accepted] == [1, 2, 3, 4, 5]
-        assert c.state == (0, 5)
+        assert state(c) == (0, 5)
 
     def test_fcfs_within_queue(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 0))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (1, 0))
         for rid in range(1, 5):
             handle_request(c, make_request(rid, 2))
         order = [r.request_id for r in c.handle_release(1) + c.serve_queues()]
@@ -129,34 +129,34 @@ class TestServeQueues:
 class TestGreedySingleQueue:
     def test_head_of_line_blocking(self):
         space = case_study_space()
-        c = GreedySingleQueueController(space, (1, 0))
+        c = start_at(GreedySingleQueueController(space), (1, 0))
         accepted = []
         for rid, n in enumerate([1, 1, 2, 2], start=1):
             accepted += handle_request(c, make_request(rid, n))
         assert accepted == []
-        assert c.queue_lengths() == (4,)
+        assert queue_lengths(c) == (4,)
 
     def test_release_serves_in_arrival_order(self):
         space = case_study_space()
-        c = GreedySingleQueueController(space, (1, 0))
+        c = start_at(GreedySingleQueueController(space), (1, 0))
         for rid, n in enumerate([1, 2, 2], start=1):
             handle_request(c, make_request(rid, n))
         accepted = c.handle_release(1)
         assert [r.request_id for r in accepted] == [1, 2, 3]
-        assert c.state == (1, 2)
+        assert state(c) == (1, 2)
 
 
 def _blocked_controllers(space):
     """Both disciplines, in a full state where no request can be accepted."""
     return [
-        MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (1, 2)),
-        GreedySingleQueueController(space, (1, 2)),
+        start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (1, 2)),
+        start_at(GreedySingleQueueController(space), (1, 2)),
     ]
 
 
 class TestRemove:
     """A renege clears the record's ``waiting`` flag; the queue keeps it until it is the
-    head, so these tests read what ``remove`` returns, ``queue_lengths()`` and what
+    head, so these tests read what ``remove`` returns, ``queue_lengths`` and what
     later serving passes accept, not the deques."""
 
     @pytest.mark.parametrize("index", [0, 1])
@@ -168,9 +168,9 @@ class TestRemove:
         handle_request(c, first)
         handle_request(c, second)
         assert c.remove(second) is False
-        assert c.queue_lengths()[0] == 1
+        assert queue_lengths(c)[0] == 1
         assert c.handle_release(1) == [first]
-        assert sum(c.queue_lengths()) == 0 and not any(c.lines)
+        assert sum(queue_lengths(c)) == 0 and not any(c.lines)
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_request_not_waiting_is_rejected(self, index):
@@ -186,13 +186,13 @@ class TestRemove:
         for rec in records:
             handle_request(c, rec)
         assert c.remove(records[2]) is False
-        assert c.queue_lengths()[0] == 4
+        assert queue_lengths(c)[0] == 4
         assert c.remove(records[0]) is True
-        assert c.queue_lengths()[0] == 3
+        assert queue_lengths(c)[0] == 3
         # each release lets one type-1 request in, in queue order, past the reneged one
         assert [c.handle_release(1) for _ in range(4)] == [[records[1]], [records[3]],
                                                            [records[4]], []]
-        assert c.queue_lengths()[0] == 0
+        assert queue_lengths(c)[0] == 0
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_refuses_records_that_never_joined_or_already_left(self, index):
@@ -214,7 +214,7 @@ class TestRemove:
         assert c.handle_release(1) == [head]
         with pytest.raises(ContractViolation, match="not waiting"):
             c.remove(head)
-        assert c.queue_lengths()[0] == 1
+        assert queue_lengths(c)[0] == 1
         assert c.remove(behind) is True
 
     @pytest.mark.parametrize("index", [0, 1])
@@ -225,14 +225,14 @@ class TestRemove:
             assert handle_request(c, rec) == []
         assert c.remove(behind) is False
         assert c.handle_release(1) == [head]
-        assert c.queue_lengths()[0] == 1
+        assert queue_lengths(c)[0] == 1
         assert c.serve_queues() == []
         assert c.handle_release(1) == [last]
         assert not any(c.lines)
 
     def test_greedy_head_renege_lets_the_next_request_in(self):
         # at (1, 1) a type-1 head does not fit and blocks a type-2 request that does
-        c = GreedySingleQueueController(case_study_space(), (1, 1))
+        c = start_at(GreedySingleQueueController(case_study_space()), (1, 1))
         head, behind, last = make_request(1, 1, 1.0), make_request(2, 2, 2.0), make_request(3, 1, 3.0)
         for rec in (head, behind, last):
             assert handle_request(c, rec) == []
@@ -240,26 +240,26 @@ class TestRemove:
         assert c.serve_queues() == []
         assert c.remove(head) is True
         assert c.serve_queues() == [behind]
-        assert c.state == (1, 2)
+        assert state(c) == (1, 2)
 
     @pytest.mark.parametrize("head_leaves", ["renege", "accept"])
     def test_greedy_blocked_head_with_reneges_behind_serves_the_next_waiting(self, head_leaves):
         # at (1, 1) the type-1 head blocks three type-2 requests, two of which renege
-        c = GreedySingleQueueController(case_study_space(), (1, 1))
+        c = start_at(GreedySingleQueueController(case_study_space()), (1, 1))
         head = make_request(1, 1, 1.0)
         gone, waiting = [make_request(2, 2, 2.0), make_request(3, 2, 3.0)], make_request(4, 2, 4.0)
         for rec in (head, *gone, waiting):
             assert handle_request(c, rec) == []
         assert [c.remove(rec) for rec in gone] == [False, False]
-        assert c.queue_lengths() == (2,)
+        assert queue_lengths(c) == (2,)
         if head_leaves == "renege":
             assert c.remove(head) is True
             assert c.serve_queues() == [waiting]
-            assert c.state == (1, 2)
+            assert state(c) == (1, 2)
         else:  # the release lets the head in, then the waiting request behind the reneges
             assert c.handle_release(1) == [head, waiting]
-            assert c.state == (1, 2)
-        assert c.queue_lengths() == (0,) and not any(c.lines)
+            assert state(c) == (1, 2)
+        assert queue_lengths(c) == (0,) and not any(c.lines)
 
 
 class TestColumnCount:
@@ -280,17 +280,17 @@ class TestIsTransient:
 
     def test_empty_queues(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (0, 0))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (0, 0))
         assert c.serve_queues() == []
-        assert c.state == (0, 0)
+        assert state(c) == (0, 0)
 
     def test_direct_conditions(self):
         space = case_study_space()
-        c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (0, 0))
+        c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (0, 0))
         head = make_request(1, 1)
         join(c.queues[0], head)
         assert c.serve_queues() == [head]
-        assert c.state == (1, 0)
+        assert state(c) == (1, 0)
 
     def test_quiescent_after_serving(self):
         space = case_study_space()
@@ -299,23 +299,22 @@ class TestIsTransient:
             columns = tuple(
                 tuple(rng.sample([0, 1, 2], 3)) for _ in range(space.num_admissible)
             )
-            c = MultiQueueController(
-                space, PreferenceMatrix(columns=columns, num_types=2),
-                space.state_at(rng.randrange(len(space))),
-            )
+            strategy = PreferenceMatrix(columns=columns, num_types=2)
+            c = start_at(MultiQueueController(space, strategy),
+                         space.state_at(rng.randrange(len(space))))
             for rid in range(rng.randint(0, 6)):
                 join(c.queues[rng.randint(0, 1)], make_request(rid, rng.randint(1, 2)))
             c.serve_queues()
-            index, lengths = c.state_index, c.queue_lengths()
+            index, lengths = c.state_index, queue_lengths(c)
             assert c.serve_queues() == []
-            assert (c.state_index, c.queue_lengths()) == (index, lengths)
+            assert (c.state_index, queue_lengths(c)) == (index, lengths)
 
     def test_starved_queue_not_transient(self):
         space = case_study_space()
-        c = MultiQueueController(space, constant_strategy(space, (0, 1, 2)), (0, 0))
+        c = start_at(MultiQueueController(space, constant_strategy(space, (0, 1, 2))), (0, 0))
         join(c.queues[0], make_request(1, 1))
         assert c.serve_queues() == []
-        assert c.queue_lengths() == (1, 0)
+        assert queue_lengths(c) == (1, 0)
 
 
 def test_steady_state_path_independence():
@@ -335,19 +334,19 @@ def test_steady_state_path_independence():
         ]
         outcomes = set()
         for _ in range(3):
-            c = MultiQueueController(space, strategy, start)
+            c = start_at(MultiQueueController(space, strategy), start)
             for n, reqs in enumerate(queue_fill):
                 for r in reqs:
                     join(c.queues[n], make_request(r.request_id, r.slice_type))
             accepted = c.serve_queues()
-            outcomes.add((c.state, tuple(r.request_id for r in accepted)))
+            outcomes.add((state(c), tuple(r.request_id for r in accepted)))
         assert len(outcomes) == 1
 
 
 def test_state_safety_under_random_driving():
     space = case_study_space()
     rng = random.Random(77)
-    c = MultiQueueController(space, naive_strategy(space, "prefer-type-1"), (0, 0))
+    c = start_at(MultiQueueController(space, naive_strategy(space, "prefer-type-1")), (0, 0))
     feasible = set(space.states)
     rid = 0
     for _ in range(500):
@@ -355,8 +354,8 @@ def test_state_safety_under_random_driving():
             rid += 1
             handle_request(c, make_request(rid, rng.randint(1, 2)))
         else:
-            s = c.state
+            s = state(c)
             live = [n for n in (1, 2) if s[n - 1] > 0]
             if live:
                 c.handle_release(rng.choice(live))
-        assert c.state in feasible
+        assert state(c) in feasible
