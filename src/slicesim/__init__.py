@@ -23,7 +23,6 @@ from .engine import (
     logged_rounds,
     monte_carlo,
     overall_metrics,
-    pooled_queue_empty_probs,
     queue_empty_counts,
     run,
 )

@@ -33,7 +33,6 @@ from .engine import (
     SimConfig,
     logged_rounds,
     monte_carlo,
-    pooled_queue_empty_probs,
     queue_empty_counts,
 )
 from .errors import ConfigError, ContractViolation, NumericError, SliceSimError
@@ -232,9 +231,9 @@ def _cmd_steady_state(config: ExperimentConfig, outdir: str) -> dict:
     if isinstance(probs, dict):
         sim_spec = probs["from_simulation"]
         sim = _sim_config(config, sim_spec, strategy, initial_state="full")
-        probs = list(pooled_queue_empty_probs([
-            queue_empty_counts(trace, space, strategy)
-            for trace, _ in logged_rounds(sim, sim_spec["rounds"], space)]))
+        rounds = logged_rounds(sim, sim_spec["rounds"], space)
+        probs = list(queue_empty_counts((trace for trace, _ in rounds), space,
+                                        strategy).empty_probs)
     try:
         estimate = strategy_steady_state(
             config.model, space, strategy, probs, mode=block["mode"],

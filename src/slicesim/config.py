@@ -362,6 +362,10 @@ _LAWS = ("mm1-pmf", "impatient-pmf", "wait-densities", "wait-means", "acceptance
 #: A bound on wait_stop / wait_step, the number of steps of a wait-densities table.
 _MAX_WAIT_STEPS = 10**6
 
+#: A bound on a round's expected arrivals, the arrival rates' sum times the horizon: a
+#: round's tape holds 40 bytes an arrival, so this is about 400 MB.
+_MAX_ARRIVALS = 10**7
+
 _BLOCKS = {
     "simulate": {
         **_monte_carlo(rounds=20, horizon=40.0, impatience=False),
@@ -493,9 +497,10 @@ def _fit_model(check: _Checker, model: ResourceModel, blocks: dict) -> None:
 
     The messages are those of the runtime checks, which stay only for API
     callers that build a model and its blocks themselves; an
-    ``opportunity_rate`` that ``acceptance-only`` would overwrite with 1 has none.
+    ``opportunity_rate`` that ``acceptance-only`` would overwrite with 1, and a
+    round's expected arrivals past ``_MAX_ARRIVALS``, have none.
     """
-    n = model.num_types
+    n, rate = model.num_types, sum(model.arrival_rates)
     for command, block in blocks.items():
         state = block.get("initial_state")
         if isinstance(state, tuple) and not (len(state) == n and is_feasible(model, state)):
@@ -512,6 +517,13 @@ def _fit_model(check: _Checker, model: ResourceModel, blocks: dict) -> None:
         if isinstance(probs, list) and len(probs) != n:
             check.fail((command, "queue_empty_probs"),
                        f"need {n} queue-empty probabilities, got {len(probs)}")
+        sim, path = block, (command,)  # the keys of the block's Monte-Carlo rounds, if any
+        if isinstance(probs, dict):
+            sim, path = probs["from_simulation"], path + ("queue_empty_probs", "from_simulation")
+        if rate * sim.get("horizon", 0.0) > _MAX_ARRIVALS:
+            check.fail(path + ("horizon",),
+                       f"a round expects {rate * sim['horizon']:.6g} arrivals (the arrival "
+                       f"rates' sum times the horizon), more than the cap of {_MAX_ARRIVALS}")
     steady = blocks.get("steady_state")
     if (steady is not None and steady["mode"] == ACCEPTANCE_ONLY
             and steady["opportunity_rate"] is not None):

@@ -70,10 +70,6 @@ class QueueController:
         self.space = space
         self.state_index = 0
 
-    def queue_for(self, n: int) -> deque[RequestRecord]:
-        """The queue a type-``n`` request joins (and leaves when it reneges)."""
-        raise NotImplementedError
-
     def handle_release(self, n: int) -> list[RequestRecord]:
         """Release one active slice of type ``n``, then serve if a request waits;
         returns the accepted requests."""

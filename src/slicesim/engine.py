@@ -47,9 +47,11 @@ The event heap holds bare release and renege times up to the horizon (a later
 one would never pop), and a dict maps each time to its event; events due at
 one time leave in push order, and an arrival at a heap event's time goes
 first.  The loop keeps no queue-empty counts: those that feed the chain come
-from a logged round's ``join`` and ``balk`` entries (``queue_empty_counts``),
-on rounds that ``logged_rounds`` reruns with ``monte_carlo``'s seeds.  A
-``MonteCarloResult`` pools inter-acceptance times when first asked.
+from logged rounds' ``join`` and ``balk`` entries, on rounds that
+``logged_rounds`` reruns with ``monte_carlo``'s seeds.  ``queue_empty_counts``
+sums them over an iterable of such rounds, read one at a time, and the
+``empty_probs`` of its ``QueueEmptyCounts`` are the probabilities the chain
+takes.  A ``MonteCarloResult`` pools inter-acceptance times when first asked.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import math
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -585,18 +587,28 @@ def logged_rounds(config: SimConfig, rounds: int,
 
 
 class QueueEmptyCounts(NamedTuple):
-    """Queue-empty observations at a round's in-window arrivals, per type."""
+    """Queue-empty observations at in-window arrivals, per type, summed over rounds."""
 
     arrival_epochs: int
     empty_marginal: tuple[int, ...]  # epochs that found the queue empty
     scan_observed: tuple[int, ...]  # preference scans that reached the queue
     scan_empty: tuple[int, ...]  # of those, scans that found it empty
 
+    @property
+    def empty_probs(self) -> tuple[float, ...]:
+        """The measured queue-empty probabilities the chain takes: each queue's scan-empty
+        share (prefix-conditional); where the scan never reached it, its marginal emptiness
+        at arrival epochs; where no arrival came, 1."""
+        epochs = self.arrival_epochs
+        return tuple(empty / observed if observed else marginal / epochs if epochs else 1.0
+                     for marginal, observed, empty in zip(
+                         self.empty_marginal, self.scan_observed, self.scan_empty))
 
-def queue_empty_counts(trace: SimTrace, space: StateSpace,
+
+def queue_empty_counts(traces: Iterable[SimTrace], space: StateSpace,
                        strategy: PreferenceMatrix | None) -> QueueEmptyCounts:
-    """The queue-empty observations of a logged multi-queue round; zeros under greedy
-    (``strategy`` None).
+    """The queue-empty observations of logged multi-queue rounds, summed over them and read
+    one at a time; zeros under greedy (``strategy`` None).
 
     At every arrival past the warm-up, after it joined or balked and before
     the serving pass (its ``join`` or ``balk`` entry), each queue counts
@@ -609,51 +621,27 @@ def queue_empty_counts(trace: SimTrace, space: StateSpace,
     empty: under prefer-type-2 with two types, queue 1's measured p is
     exactly 0.
     """
-    n_types = trace.num_types
+    n_types = space.num_types
     marginal, observed, empty = [0] * n_types, [0] * n_types, [0] * n_types
     epochs = 0
     if strategy is not None:
-        if trace.events is None:
-            raise ContractViolation("queue-empty counts need a round run with record_events")
         columns, num_admissible = strategy.columns, space.num_admissible
-        for t, kind, _, _, index, lengths in trace.events:
-            if t <= trace.warmup or (kind != "join" and kind != "balk"):
-                continue
-            epochs += 1
-            for m, length in enumerate(lengths):
-                if not length:
-                    marginal[m] += 1
-            if index < num_admissible:
-                for pref in columns[index]:
-                    if pref == RESERVE:
-                        break
-                    observed[pref - 1] += 1
-                    if lengths[pref - 1]:
-                        break
-                    empty[pref - 1] += 1
+        for trace in traces:
+            if trace.events is None:
+                raise ContractViolation("queue-empty counts need a round run with record_events")
+            for t, kind, _, _, index, lengths in trace.events:
+                if t <= trace.warmup or (kind != "join" and kind != "balk"):
+                    continue
+                epochs += 1
+                for m, length in enumerate(lengths):
+                    if not length:
+                        marginal[m] += 1
+                if index < num_admissible:
+                    for pref in columns[index]:
+                        if pref == RESERVE:
+                            break
+                        observed[pref - 1] += 1
+                        if lengths[pref - 1]:
+                            break
+                        empty[pref - 1] += 1
     return QueueEmptyCounts(epochs, tuple(marginal), tuple(observed), tuple(empty))
-
-
-def pooled_queue_empty_probs(counts: Sequence[QueueEmptyCounts]) -> tuple[float, ...]:
-    """Measured queue-empty probabilities pooled over rounds' ``queue_empty_counts``.
-
-    Uses the preference-scan (prefix-conditional) observations; queues the
-    scan never reached fall back to marginal emptiness at arrival epochs, and
-    to 1 when there were no epochs at all.  A queue that every column ranks
-    after all the others reads exactly 0 once the scan reaches it (see
-    ``queue_empty_counts``), as queue 1 does under prefer-type-2 on scenario 2.
-    """
-    if not counts:
-        raise ContractViolation("need at least one round's counts")
-    probs = []
-    epochs = sum(c.arrival_epochs for c in counts)
-    for n in range(len(counts[0].scan_observed)):
-        observed = sum(c.scan_observed[n] for c in counts)
-        empty = sum(c.scan_empty[n] for c in counts)
-        if observed > 0:
-            probs.append(empty / observed)
-        elif epochs > 0:
-            probs.append(sum(c.empty_marginal[n] for c in counts) / epochs)
-        else:
-            probs.append(1.0)
-    return tuple(probs)

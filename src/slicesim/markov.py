@@ -162,10 +162,6 @@ class TransitionMatrix:
         if np.any(gaps > 1e-9):
             raise ContractViolation(f"rows must sum to 1 (max gap {gaps.max():.3g})")
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
 
 def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
                             queue_empty_probs: Sequence[float],

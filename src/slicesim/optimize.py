@@ -56,7 +56,12 @@ def _mean_halfwidth(values: list[float]) -> tuple[float, float]:
     mean = sum(values) / n
     if n < 2:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    try:
+        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    except OverflowError:  # a deviation past 1e154: square them scaled by the largest
+        scale = max(abs(v - mean) for v in values)
+        var = sum(((v - mean) / scale) ** 2 for v in values) / (n - 1)
+        return mean, 1.96 * scale * math.sqrt(var / n)
     return mean, 1.96 * math.sqrt(var / n)
 
 

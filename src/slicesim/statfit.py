@@ -18,7 +18,6 @@ from .errors import ContractViolation
 class EmpiricalPmf:
     """Binned sample distribution: counts per non-negative integer bin."""
 
-    bin_width: float
     counts: tuple[tuple[int, int], ...]  # (bin, count), sorted by bin
     total: int
 
@@ -44,7 +43,7 @@ def empirical_pmf(samples: Sequence[float], bin_width: float) -> EmpiricalPmf:
             raise ContractViolation(f"sample {t} has no finite bin of width {bin_width}") from None
         counts[k] = counts.get(k, 0) + 1
     ordered = tuple(sorted(counts.items()))
-    return EmpiricalPmf(bin_width=bin_width, counts=ordered, total=len(samples))
+    return EmpiricalPmf(counts=ordered, total=len(samples))
 
 
 def fit_geometric(pmf: EmpiricalPmf) -> float:

@@ -22,7 +22,6 @@ from slicesim.engine import (
     derived_seed,
     logged_rounds,
     monte_carlo,
-    pooled_queue_empty_probs,
     queue_empty_counts,
 )
 from slicesim.errors import ContractViolation
@@ -122,12 +121,10 @@ def markov_consistency(model: ResourceModel, space: StateSpace,
         config = SimConfig(model=model, strategy=strategy, horizon=horizon,
                            seed=master_seed, initial_state="full",
                            balking=impatient, reneging=impatient)
-        counts, reports = [], []
-        for trace, report in logged_rounds(config, rounds, space):
-            counts.append(queue_empty_counts(trace, space, strategy))
-            reports.append(report)
-        empty_probs = pooled_queue_empty_probs(counts)
-        measured = [sum(r.acceptance_rates[n] for r in reports) / len(reports)
+        logged = list(logged_rounds(config, rounds, space))
+        empty_probs = queue_empty_counts([trace for trace, _ in logged], space,
+                                         strategy).empty_probs
+        measured = [sum(r.acceptance_rates[n] for _, r in logged) / len(logged)
                     for n in range(model.num_types)]
         estimate = strategy_steady_state(model, space, strategy, empty_probs)
         for n in range(model.num_types):

@@ -458,7 +458,7 @@ def run_scalar(config, space=None, tape=None):
     Its trace is the package's plus the queue-empty counts the loop takes
     at each in-window arrival (``arrival_epochs``, ``empty_marginal``,
     ``scan_observed``, ``scan_empty``), which ``engine.queue_empty_counts``
-    must reproduce from the event log.
+    must reproduce from the event log, given it as a one-round list.
 
     The heap orders events by ``(t, not an arrival, push count)``: at one
     instant arrivals go first, then releases and reneges in the order they

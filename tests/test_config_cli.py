@@ -640,6 +640,41 @@ class TestSchema:
             parse_config("scenario: paper-scenario-1\n" + block, source="cfg")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("block, flag, anchor", [
+        ("simulate:\n  horizon: 3.0e+9\n", False, "cfg:3"),
+        ("sweep:\n  count: 1\n  horizon: 3.0e+9\n", False, "cfg:4"),
+        ("optimize:\n  horizon: 3.0e+9\n", False, "cfg:3"),
+        ("steady_state:\n  queue_empty_probs:\n    from_simulation:\n"
+         "      rounds: 1\n      horizon: 3.0e+9\n", False, "cfg:6"),
+        ("simulate:\n  horizon: 10.0\n", True, "--horizon"),
+        ("steady_state:\n  queue_empty_probs:\n    from_simulation: {}\n", True, "--horizon"),
+    ], ids=["simulate", "sweep", "optimize", "from_simulation", "flag", "from_simulation-flag"])
+    def test_round_tape_bounded(self, block, flag, anchor):
+        # 2.5 arrivals a unit of time on scenario 1: a round of 3e9 asks for a 300 GB tape
+        command = block.split(":")[0].replace("_", "-")
+
+        def parse(horizon):
+            text = "scenario: paper-scenario-1\n" + block.replace("3.0e+9", horizon)
+            return parse_config(text, "cfg", command, horizon=float(horizon) if flag else None)
+
+        with pytest.raises(ConfigError) as info:
+            parse("3.0e+9")
+        assert str(info.value) == (f"{anchor}: a round expects 7.5e+09 arrivals (the arrival "
+                                   "rates' sum times the horizon), more than the cap of 10000000")
+        assert parse("4.0e+6").blocks  # 2.5 x 4e6 arrivals is the cap itself
+
+    def test_round_tape_bound_sums_the_arrival_rates(self):
+        model = ("model:\n  resources: [1.0]\n  slice_types:\n"
+                 "    - {cost: [0.3], arrival_rate: 3.0e+6, release_rate: 1.0}\n"
+                 "    - {cost: [0.2], arrival_rate: %s, release_rate: 1.0}\n")
+        sweep = "sweep:\n  count: 1\n  horizon: 2.0\n"
+        assert parse_config(model % "2.0e+6" + sweep, "cfg").block("sweep")["horizon"] == 2.0
+        with pytest.raises(ConfigError, match=r"^cfg:8: a round expects 1\.1e\+07 arrivals"):
+            parse_config(model % "2.5e+6" + sweep, "cfg")
+        # a default horizon has no line of its own, so the error takes the block's
+        with pytest.raises(ConfigError, match=r"^cfg:6: a round expects 2\.2e\+08 arrivals"):
+            parse_config(model % "2.5e+6" + "sweep: {count: 1}\n", "cfg")
+
     @pytest.mark.parametrize("text, line, key", [
         ("seed: 1\nscenario: paper-scenario-1\nsimulate: {rounds: 1}\n"
          "simulate: {rounds: 2}\n", 4, "simulate"),

@@ -19,7 +19,6 @@ from slicesim.engine import (
     derived_seed,
     logged_rounds,
     monte_carlo,
-    pooled_queue_empty_probs,
     queue_empty_counts,
     run,
 )
@@ -377,8 +376,8 @@ class TestQueueEmptyMeasurement:
         space = enumerate_state_space(model)
         strategy = naive_strategy(space, "prefer-type-1")
         config = SimConfig(model=model, strategy=strategy, horizon=200.0, seed=3)
-        probs = pooled_queue_empty_probs([queue_empty_counts(trace, space, strategy)
-                                          for trace, _ in logged_rounds(config, 4, space)])
+        probs = queue_empty_counts((trace for trace, _ in logged_rounds(config, 4, space)),
+                                   space, strategy).empty_probs
         assert len(probs) == 2
         assert all(0.0 <= p <= 1.0 for p in probs)
         # light load: the top-preference queue is non-empty at its own arrival
@@ -404,17 +403,28 @@ class TestQueueEmptyMeasurement:
         config = SimConfig(model=model, strategy=strategy, record_events=False)
         trace, _ = run_round(config, space)
         with pytest.raises(ContractViolation, match="record_events"):
-            queue_empty_counts(trace, space, strategy)
+            queue_empty_counts([trace], space, strategy)
 
     def test_pooling_falls_back_to_marginals_then_one(self):
         counts = engine.QueueEmptyCounts
+        # two rounds pooled, (4, (1, 3), (2, 0), (1, 0)) and (2, (0, 1), (2, 0), (0, 0)):
         # the scan reached queue 1 only; queue 2 falls back to its marginal
-        assert pooled_queue_empty_probs(
-            [counts(4, (1, 3), (2, 0), (1, 0)), counts(2, (0, 1), (2, 0), (0, 0))]
-        ) == (0.25, 4 / 6)
-        assert pooled_queue_empty_probs([counts(0, (0, 0), (0, 0), (0, 0))]) == (1.0, 1.0)
-        with pytest.raises(ContractViolation):
-            pooled_queue_empty_probs([])
+        assert counts(6, (1, 4), (4, 0), (1, 0)).empty_probs == (0.25, 4 / 6)
+        assert counts(0, (0, 0), (0, 0), (0, 0)).empty_probs == (1.0, 1.0)
+
+    def test_counts_sum_over_the_rounds_read_one_at_a_time(self):
+        model = table_model(2)
+        space = enumerate_state_space(model)
+        strategy = naive_strategy(space, "prefer-type-2")
+        config = SimConfig(model=model, strategy=strategy, horizon=30.0, warmup=5.0, seed=4,
+                           initial_state="full", balking=True, reneging=True)
+        traces = [trace for trace, _ in logged_rounds(config, 3, space)]
+        rounds = [queue_empty_counts([trace], space, strategy) for trace in traces]
+        assert all(c.arrival_epochs for c in rounds)
+        epochs, *per_queue = zip(*rounds)  # field by field
+        summed = (sum(epochs), *(tuple(map(sum, zip(*field))) for field in per_queue))
+        assert queue_empty_counts((trace for trace in traces), space, strategy) == summed
+        assert queue_empty_counts(traces, space, strategy) == summed
 
 
 _ORACLE_POOLS = (0.5, 1.0)
@@ -535,7 +545,7 @@ def test_queue_empty_counts_match_the_scalar_loop(case):
     config, space = case
     trace, _ = run_round(dataclasses.replace(config, record_events=True), space)
     expected, _ = run_scalar(config, space)
-    counts = queue_empty_counts(trace, space, config.strategy)
+    counts = queue_empty_counts([trace], space, config.strategy)
     assert counts == tuple(
         value if isinstance(value, int) else tuple(value)
         for value in (getattr(expected, name) for name in _SCAN_FIELDS))

@@ -78,7 +78,7 @@ def _run_snapshot(config, space):
         "accept_times": trace.accept_times,
     }
     # the queue-empty counts, pinned under the names of the trace and report fields they once were
-    counts = queue_empty_counts(trace, space, config.strategy)._asdict()
+    counts = queue_empty_counts([trace], space, config.strategy)._asdict()
     exact.update((name, getattr(trace, name)) for name in COUNT_FIELDS)
     exact.update(counts)
     floats = {name: getattr(trace, name) for name in FLOAT_FIELDS}
@@ -99,7 +99,7 @@ def _monte_carlo_snapshot():
     for report, (trace, logged) in zip(result.reports, logged_rounds(config, 3, space)):
         assert logged == report
         reports.append({**dataclasses.asdict(report),
-                        **queue_empty_counts(trace, space, config.strategy)._asdict()})
+                        **queue_empty_counts([trace], space, config.strategy)._asdict()})
     return {"exact": {"master_seed": result.master_seed},
             "floats": {"reports": reports, "iat_samples": result.iat_samples}}
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -84,6 +85,29 @@ class TestEvaluateStrategy:
         assert score.metric("admission") == 0.5
         with pytest.raises(ContractViolation):
             score.metric("bogus")
+
+    def test_halfwidth_of_deviations_too_large_to_square(self):
+        # (v - mean) ** 2 past 1e308 raised OverflowError; such deviations are squared scaled
+        mean, halfwidth = optimize._mean_halfwidth([1.0e300, 3.0e300])
+        assert mean == 2.0e300
+        assert halfwidth == pytest.approx(1.96e300, rel=1e-12)
+        assert optimize._mean_halfwidth([1.0, 3.0]) == (2.0, 1.96)
+
+    @pytest.mark.parametrize("command, block, table", [
+        ("sweep", "sweep: {count: 2, rounds: 2, horizon: 5.0}\n", "sweep.csv"),
+        ("optimize", "optimize: {budget: 2, rounds: 2, horizon: 5.0}\n", "trajectory.csv"),
+    ])
+    def test_huge_utility_rate_scores_finite(self, command, block, table, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "model:\n  resources: [1.0]\n  slice_types:\n"
+            "    - {cost: [0.3], arrival_rate: 1.0, release_rate: 1.0, utility_rate: 1.0e+300}\n"
+            "    - {cost: [0.2], arrival_rate: 1.0, release_rate: 1.0, utility_rate: 1.0}\n"
+            + block)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out" / table).read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 class TestRandomSweep:

@@ -91,7 +91,7 @@ class TestKld:
             if int(round(q * 10**12)) > 0
         )
         total = sum(c for _, c in scaled)
-        pmf = EmpiricalPmf(bin_width=1.0, counts=scaled, total=total)
+        pmf = EmpiricalPmf(counts=scaled, total=total)
         assert kld_vs_geometric(pmf, fit_geometric(pmf)) < 1e-9
 
     def test_point_mass(self):
