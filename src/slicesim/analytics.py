@@ -5,9 +5,10 @@ Impatient tenants combine hyperbolic balking (join probability beta/l) with
 exponential reneging; the steady state and the waiting-time laws then involve
 the modified Bessel function of the first kind of real order.  One power
 series, the confluent limit 0F1, implements it: I_v is that series times a
-leading factor, and every law below uses the series directly.  The integral
-that the reneging density needs is the same series integrated term by term,
-each term an incomplete beta function, so no law integrates numerically.
+leading factor, and every law below uses the series directly; its tail past
+the first term is the same series with (2)_k for k!.  The integral that the
+reneging density needs is the same series integrated term by term, each term
+an incomplete beta function, so no law integrates numerically.
 
 All waiting-time densities are for requests that join the queue; waits end
 when a request either reaches the server or abandons.
@@ -39,25 +40,15 @@ def _series(terms: Iterator[float], name: str, at: str = "") -> float:
     raise NumericError(f"{name} did not converge{at}")
 
 
-def _hyp0f1(b: float, z: float) -> float:
-    """The confluent limit series sum_k z^k / (k! (b)_k); b > 0, z >= 0."""
+def _hyp0f1(b: float, z: float, a: float = 1.0) -> float:
+    """sum_k z^k / ((a)_k (b)_k); a, b > 0, z >= 0.  With a = 1 it is 0F1(; b; z); with
+    a = 2 and b + 1 for b, the tail (0F1(; b; z) - 1) b / z, summed so that nothing
+    cancels, its terms at most 0F1's, so it is finite wherever 0F1 is."""
     def terms() -> Iterator[float]:
         term = 1.0
         for k in count():
             yield term
-            term *= z / ((k + 1.0) * (b + k))
-
-    return _series(terms(), "hypergeometric series", f" for b={b}, z={z}")
-
-
-def _hyp0f1_tail(b: float, z: float) -> float:
-    """(0F1(; b; z) - 1) b / z summed from k = 1, so nothing cancels: sum_k z^k / ((k + 1)!
-    (b + 1)_k).  Each term is at most 0F1's, so it is finite wherever 0F1 is."""
-    def terms() -> Iterator[float]:
-        term = 1.0
-        for k in count():
-            yield term
-            term *= z / ((k + 2.0) * (b + 1.0 + k))
+            term *= z / ((a + k) * (b + k))
 
     return _series(terms(), "hypergeometric series", f" for b={b}, z={z}")
 
@@ -151,11 +142,12 @@ def _acceptance(params: QueueParams) -> tuple[float, AcceptanceProbabilities]:
     lam, mu, alpha = params.arrival_rate, params.acceptance_rate, params.reneging_rate
     g, d, b = params.gamma, params.delta, params.balking_willingness
     p0, series = _empty_probability(params)
-    tail = _hyp0f1_tail(g + 1.0, d)
+    # the tail of 0F1(; g + 1; d) takes b = (g + 1.0) + 1.0, which g + 2.0 can round away from
+    tail = _hyp0f1(g + 1.0 + 1.0, d, 2.0)
     # lam b / (mu + alpha) is delta / (gamma + 1), and mu / (mu + alpha) is gamma / (gamma + 1)
     return tail, AcceptanceProbabilities(
         accept=p0 * series, accept_and_join=p0 * (lam * b / (mu + alpha)) * tail,
-        accept_given_join=mu / (mu + alpha) * (tail / _hyp0f1_tail(g, d)))
+        accept_given_join=mu / (mu + alpha) * (tail / _hyp0f1(g + 1.0, d, 2.0)))
 
 
 def acceptance_probabilities(params: QueueParams) -> AcceptanceProbabilities:

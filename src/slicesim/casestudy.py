@@ -6,10 +6,12 @@ Three schemes process the same burst: a single FCFS queue for all types, two
 mixed queues filled round-robin, and per-type queues driven by a preference
 vector.  Only the per-type scheme accepts the two type-2 requests; the other
 two block behind the waiting type-1 head although the pool has room.  Each
-panel keeps a state index and its own deques; a request joins one, and one
-``serve_single_queue``, ``serve_round_robin`` or ``serve_multi_queue`` pass
-follows.  ``case_study_rows`` is the event timeline that the ``casestudy``
-command writes, and ``render_case_study`` its text form.
+panel keeps a state index and its own deques; a request joins one, and a
+``serve_multi_queue`` pass follows, or for the FCFS schemes a
+``serve_single_queue`` pass on each deque in turn: one suffices, as a line
+blocks on its head and the feasible set is down-closed.  ``case_study_rows``
+is the event timeline that the ``casestudy`` command writes, and
+``render_case_study`` its text form.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 
 from .controller import RequestRecord, serve_multi_queue, serve_single_queue
-from .slice_model import ResourceModel, SliceType, StateSpace, enumerate_state_space
+from .slice_model import ResourceModel, SliceType, enumerate_state_space
 from .strategy import constant_strategy
 
 PANELS = ("single-queue", "homogeneous-queues", "heterogeneous-queues")
@@ -35,23 +37,6 @@ def case_study_model() -> ResourceModel:
         types=(SliceType(arrival_rate=1.0, release_rate=1.0),
                SliceType(arrival_rate=1.0, release_rate=1.0)),
     )
-
-
-def serve_round_robin(index: int, queues: list[deque[RequestRecord]], space: StateSpace,
-                      accepted: list[RequestRecord]) -> int:
-    """The serving pass of mixed FCFS queues from state ``index``: visit the queues in
-    turn, accept each head that fits (each queue blocks on its head), and repeat until a
-    round accepts nothing; returns the new index, appending to ``accepted`` in order."""
-    before = -1
-    while index != before:
-        before = index
-        for queue in queues:
-            if queue:
-                target = space.increment_index(index, queue[0].slice_type)
-                if target >= 0:
-                    accepted.append(queue.popleft())
-                    index = target
-    return index
 
 
 def case_study_rows() -> list[Row]:
@@ -80,13 +65,13 @@ def case_study_rows() -> list[Row]:
             queue.append(RequestRecord(request_id, slice_type, time, waiting=True))
             row(time, "join", slice_type, request_id)
             accepted: list[RequestRecord] = []
-            if panel == "single-queue":
-                index = serve_single_queue(index, queue, increment, width, admissible, accepted)
-            elif panel == "homogeneous-queues":
-                index = serve_round_robin(index, queues, space, accepted)
-            else:
+            if panel == "heterogeneous-queues":
                 index = serve_multi_queue(index, columns, queues, increment, width, admissible,
                                           accepted)
+            else:
+                for line in queues:
+                    index = serve_single_queue(index, line, increment, width, admissible,
+                                               accepted)
             for rec in accepted:
                 row(time, "accept", rec.slice_type, rec.request_id)
     return rows

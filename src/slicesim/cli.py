@@ -38,7 +38,8 @@ from .engine import (
 from .errors import ConfigError, ContractViolation, NumericError, SliceSimError
 from .experiments import default_bin_width, geometric_fit_table, iat_bin_widths
 from .markov import strategy_steady_state
-from .optimize import GREEDY_SINGLE_QUEUE, evaluate_strategy, local_search, random_sweep
+from .optimize import (GREEDY_SINGLE_QUEUE, evaluate_strategy, local_search, random_sweep,
+                       round_mean)
 from .slice_model import StateSpace, enumerate_state_space
 from .statfit import empirical_pmf, fit_geometric, kld_vs_geometric
 from .strategy import PreferenceMatrix, naive_strategy, to_text
@@ -72,11 +73,8 @@ def _metric_rows(reports) -> tuple[list[str], list[list]]:
                     r.arrivals[n], r.accepted[n], r.balked[n], r.reneged[n],
                     r.still_waiting[n]]
         rows.append(row)
-    count = len(reports)
-    mean_row = ["mean", ""]
-    for j in range(2, len(header)):
-        mean_row.append(sum(row[j] for row in rows) / count)
-    rows.append(mean_row)
+    rows.append(["mean", ""] + [round_mean([row[j] for row in rows])
+                                for j in range(2, len(header))])
     return header, rows
 
 

@@ -336,12 +336,6 @@ def _strategy(check: _Checker, value: Any, path: tuple) -> dict:
     return {kind: _STRATEGY_KINDS[kind](check, given, path + (kind,))}
 
 
-def _initial_distribution(check: _Checker, value: Any, path: tuple) -> str:
-    if not isinstance(value, str):
-        check.fail(path, "initial_distribution must be empty, uniform, or full")
-    return check.string(value, path, choices=("empty", "uniform", "full"))
-
-
 _QUEUE_EMPTY_PROBS = "give a list of probabilities or a from_simulation block"
 _FROM_SIMULATION = _monte_carlo(rounds=20, horizon=200.0, impatience=True)
 
@@ -396,7 +390,8 @@ _BLOCKS = {
         "queue_empty_probs": (_queue_empty_probs, _Required(_QUEUE_EMPTY_PROBS)),
         "mode": (partial(_Checker.string, choices=(WITH_RELEASES, ACCEPTANCE_ONLY)),
                  WITH_RELEASES),
-        "initial_distribution": (_initial_distribution, "full"),
+        "initial_distribution": (partial(_Checker.string, choices=("empty", "uniform", "full")),
+                                 "full"),
         "opportunity_rate": (_NONNEGATIVE, None),
     },
     "sweep": {

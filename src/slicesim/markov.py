@@ -58,7 +58,9 @@ if TYPE_CHECKING:
 WITH_RELEASES = "with-releases"
 ACCEPTANCE_ONLY = "acceptance-only"
 
-ROW_SUM_TOL = 1e-12
+# A transition matrix's or distribution's most negative entry, and its sums' gap from 1.
+NEGATIVE_TOL = 1e-12
+SUM_TOL = 1e-9
 # Largest stationarity residual |pi P - pi|_1 reported as converged.
 RESIDUAL_L1_BOUND = 1e-9
 
@@ -156,10 +158,10 @@ class TransitionMatrix:
             object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ContractViolation("transition matrix must be square")
-        if np.any(m.data < -ROW_SUM_TOL):
+        if np.any(m.data < -NEGATIVE_TOL):
             raise ContractViolation("transition matrix has negative entries")
         gaps = np.abs(m.sum(axis=1) - 1.0)
-        if np.any(gaps > 1e-9):
+        if np.any(gaps > SUM_TOL):
             raise ContractViolation(f"rows must sum to 1 (max gap {gaps.max():.3g})")
 
 
@@ -237,9 +239,9 @@ class StateDistribution:
     def __post_init__(self) -> None:
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
-        if np.any(p < -1e-12):
+        if np.any(p < -NEGATIVE_TOL):
             raise ContractViolation("distribution has negative entries")
-        if abs(p.sum() - 1.0) > 1e-9:
+        if abs(p.sum() - 1.0) > SUM_TOL:
             raise ContractViolation(f"distribution sums to {p.sum()}, not 1")
 
 

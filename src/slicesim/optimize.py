@@ -51,9 +51,17 @@ class StrategyScore:
         raise ContractViolation(f"unknown metric {name!r}; pick one of {METRICS}")
 
 
+def round_mean(values: list[float]) -> float:
+    """The mean of per-round values: the sum of v / n where each is finite and their sum not."""
+    n, total = len(values), sum(values)
+    if abs(total) == math.inf and all(map(math.isfinite, values)):
+        return sum(v / n for v in values)
+    return total / n
+
+
 def _mean_halfwidth(values: list[float]) -> tuple[float, float]:
     n = len(values)
-    mean = sum(values) / n
+    mean = round_mean(values)
     if n < 2:
         return mean, 0.0
     try:

@@ -198,10 +198,6 @@ class StateSpace:
     def state_at(self, index: int) -> SystemState:
         return tuple(self.counts[index].tolist())
 
-    def increment_index(self, index: int, n: int) -> int:
-        """Index of ``state + unit increment of type n`` (n >= 1), -1 if infeasible."""
-        return self._increment[index * self.num_types + n - 1]
-
     def release_index(self, index: int, n: int) -> int:
         """Index of ``state - unit increment of type n``, -1 if no such slice is active."""
         return self._release[index * self.num_types + n - 1]

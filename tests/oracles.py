@@ -10,7 +10,8 @@ slower algorithms, which its faster ones must reproduce exactly;
 ``impatient_queue_pmf_table`` as its own product.
 
 The rest are the model's and the paper's definitions that no command needs
-(``apply_increment``, ``balk_join_probability``), ``bessel_i`` as the
+(``apply_increment``, ``balk_join_probability``), ``increment_index``, which
+reads one entry of a space's increment table, ``bessel_i`` as the
 package's 0F1 series times its leading factor, ``handle_request``, which
 drives a controller one request at a time by the engine's own join path,
 ``start_at``, ``state`` and ``queue_lengths``, which start a controller at a
@@ -39,6 +40,11 @@ def apply_increment(s, n, release=False):
     if release and s[n - 1] < 1:
         raise ContractViolation(f"cannot release a type-{n} slice: none active")
     return s[: n - 1] + (s[n - 1] + (-1 if release else 1),) + s[n:]
+
+
+def increment_index(space, index, n):
+    """Index of ``state + unit increment of type n`` (n >= 1) in ``space``, -1 if infeasible."""
+    return space._increment[index * space.num_types + n - 1]
 
 
 def handle_request(controller, record):
@@ -356,7 +362,7 @@ def build_transition_dense(strategy, space, queue_empty_probs, release_rates=Non
                 out[0] += prefix
                 break
             take = prefix * (1.0 - probs[pref - 1])
-            if space.increment_index(state_index, pref) >= 0:
+            if increment_index(space, state_index, pref) >= 0:
                 out[pref] += take
             else:
                 out[0] += take
@@ -370,7 +376,7 @@ def build_transition_dense(strategy, space, queue_empty_probs, release_rates=Non
             psi[i, i] += accept[0]
             for n in range(1, n_types + 1):
                 if accept[n] > 0.0:
-                    psi[i, space.increment_index(i, n)] += accept[n]
+                    psi[i, increment_index(space, i, n)] += accept[n]
             continue
         s = space.state_at(i)
         release_flows = [release_rates[n] * s[n] for n in range(n_types)]
@@ -385,7 +391,7 @@ def build_transition_dense(strategy, space, queue_empty_probs, release_rates=Non
         psi[i, i] += scale * accept[0]
         for n in range(1, n_types + 1):
             if accept[n] > 0.0:
-                psi[i, space.increment_index(i, n)] += scale * accept[n]
+                psi[i, increment_index(space, i, n)] += scale * accept[n]
     return psi
 
 

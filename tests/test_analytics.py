@@ -174,13 +174,13 @@ def test_empty_probability_series_evaluated_once(monkeypatch, law):
     calls = []
     series = analytics._hyp0f1
 
-    def counted(b, z):
-        calls.append((b, z))
-        return series(b, z)
+    def counted(b, z, a=1.0):
+        calls.append((a, b, z))
+        return series(b, z, a)
 
     monkeypatch.setattr(analytics, "_hyp0f1", counted)
     law(params)
-    assert calls.count((params.gamma + 1.0, params.delta)) == 1
+    assert calls.count((1.0, params.gamma + 1.0, params.delta)) == 1
 
 
 class TestAcceptanceProbabilities:

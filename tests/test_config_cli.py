@@ -633,8 +633,12 @@ class TestSchema:
         ("steady_state:\n  queue_empty_probs: [0.2, 0.8]\n  mode: acceptance-only\n"
          "  opportunity_rate: 2.5\n",
          "cfg:5: opportunity_rate has no effect under mode acceptance-only"),
+        # checked by the string rule that mode uses, not a rule of its own
+        ("steady_state:\n  queue_empty_probs: [0.2, 0.8]\n  initial_distribution: 3\n",
+         "cfg:4: expected a string, got 3"),
     ], ids=["initial_state-simulate", "initial_state-sweep", "initial_state-optimize",
-            "columns", "prefer_type", "queue_empty_probs", "opportunity_rate"])
+            "columns", "prefer_type", "queue_empty_probs", "opportunity_rate",
+            "initial_distribution"])
     def test_values_that_do_not_fit_the_model_fail_at_their_line(self, block, message):
         with pytest.raises(ConfigError) as info:
             parse_config("scenario: paper-scenario-1\n" + block, source="cfg")

@@ -92,22 +92,35 @@ class TestEvaluateStrategy:
         assert mean == 2.0e300
         assert halfwidth == pytest.approx(1.96e300, rel=1e-12)
         assert optimize._mean_halfwidth([1.0, 3.0]) == (2.0, 1.96)
+        # a sum past 1.8e308 made the mean of these finite values inf: it is summed v / n
+        mean, halfwidth = optimize._mean_halfwidth([1.5e308, 1.7e308])
+        assert mean == pytest.approx(1.6e308, rel=1e-12)
+        assert halfwidth == pytest.approx(1.96e307, rel=1e-12)
 
-    @pytest.mark.parametrize("command, block, table", [
-        ("sweep", "sweep: {count: 2, rounds: 2, horizon: 5.0}\n", "sweep.csv"),
-        ("optimize", "optimize: {budget: 2, rounds: 2, horizon: 5.0}\n", "trajectory.csv"),
-    ])
-    def test_huge_utility_rate_scores_finite(self, command, block, table, tmp_path, capsys):
+    @pytest.mark.parametrize("command, rate, block, table", [
+        ("sweep", "1.0e+300", "sweep: {count: 2, rounds: 2, horizon: 5.0}\n", "sweep.csv"),
+        ("optimize", "1.0e+300", "optimize: {budget: 2, rounds: 2, horizon: 5.0}\n",
+         "trajectory.csv"),
+        # each round's utility is finite, and their sum is not: the means were inf
+        ("sweep", "1.7e+308", "seed: 1\nsweep: {count: 2, rounds: 2, horizon: 5.0}\n",
+         "sweep.csv"),
+        ("simulate", "1.7e+308", "seed: 0\nsimulate: {rounds: 2, horizon: 5.0}\n",
+         "metrics.csv"),
+    ], ids=["sweep", "optimize", "sweep-1.7e308", "simulate-1.7e308"])
+    def test_huge_utility_rate_scores_finite(self, command, rate, block, table, tmp_path,
+                                             capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(
             "model:\n  resources: [1.0]\n  slice_types:\n"
-            "    - {cost: [0.3], arrival_rate: 1.0, release_rate: 1.0, utility_rate: 1.0e+300}\n"
+            f"    - {{cost: [0.3], arrival_rate: 1.0, release_rate: 1.0, utility_rate: {rate}}}\n"
             "    - {cost: [0.2], arrival_rate: 1.0, release_rate: 1.0, utility_rate: 1.0}\n"
             + block)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
         rows = (tmp_path / "out" / table).read_text().splitlines()[1:]
-        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+        # the mean row of metrics.csv starts "mean,,"
+        cells = [v for row in rows for v in row.split(",") if v not in ("mean", "")]
+        assert rows and all(math.isfinite(float(v)) for v in cells)
 
 
 class TestRandomSweep:

@@ -24,7 +24,8 @@ from slicesim.slice_model import (
 from slicesim.strategy import random_strategy
 
 from criteria import balanced_benchmark_strategy
-from oracles import apply_increment, brute_force_state_space, enumerate_dfs, run_round
+from oracles import (apply_increment, brute_force_state_space, enumerate_dfs,
+                     increment_index, run_round)
 
 
 def case_study_model():
@@ -172,7 +173,7 @@ class TestEnumeration:
         space = enumerate_state_space(case_study_model())
         for i, s in enumerate(space.states):
             for n in (1, 2):
-                up = space.increment_index(i, n)
+                up = increment_index(space, i, n)
                 bumped = apply_increment(s, n)
                 if is_feasible(space.model, bumped):
                     assert up == space.index_of(bumped)
