@@ -35,7 +35,8 @@ from .engine import (
     monte_carlo,
     queue_empty_counts,
 )
-from .errors import ConfigError, ContractViolation, NumericError, SliceSimError
+from .errors import (ConfigError, ContractViolation, NumericError, SliceSimError,
+                     StateSpaceTooLarge)
 from .experiments import default_bin_width, geometric_fit_table, iat_bin_widths
 from .markov import strategy_steady_state
 from .optimize import (GREEDY_SINGLE_QUEUE, evaluate_strategy, local_search, random_sweep,
@@ -91,11 +92,19 @@ def _sim_config(config: ExperimentConfig, block: dict,
     return SimConfig(model=config.model, strategy=strategy, seed=config.seed, **given, **fixed)
 
 
+def _state_space(config: ExperimentConfig) -> StateSpace:
+    """The model's state space; a model it cannot enumerate fails at the ``model`` key's line."""
+    try:
+        return enumerate_state_space(config.model)
+    except StateSpaceTooLarge as exc:
+        raise ConfigError(f"{config.anchors[('model',)]}: {exc}") from None
+
+
 def _with_strategy(config: ExperimentConfig, command: str,
                    key: str) -> tuple[dict, StateSpace, PreferenceMatrix]:
     """``command``'s block, the state space, and the strategy its ``key`` specifies (a file
     beside the configuration; a column count that does not fit fails at its line)."""
-    block, space = config.block(command), enumerate_state_space(config.model)
+    block, space = config.block(command), _state_space(config)
     return block, space, build_strategy(block[key], space, os.path.dirname(config.source) or ".",
                                         config.anchors[(command, key, "columns")])
 
@@ -113,9 +122,13 @@ def _cmd_simulate(config: ExperimentConfig, outdir: str) -> None:
     _write_csv(os.path.join(outdir, "pooled_iat.csv"), ["queue", "iat"], iat_rows)
 
     widths = iat_bin_widths(config.model, block["bin_width_divisor"])
+    try:
+        fit = geometric_fit_table([result.iat_samples], widths)
+    except ContractViolation as exc:  # a divisor so large that a sample has no finite bin
+        raise ConfigError(f"{config.anchors[('simulate', 'bin_width_divisor')]}: {exc}") from None
     fit_rows = [
         [row.queue, row.samples, row.bin_width, row.p_hat, row.divergence]
-        for row in geometric_fit_table([result.iat_samples], widths)
+        for row in fit
     ]
     _write_csv(os.path.join(outdir, "iat_fit.csv"),
                ["queue", "samples", "bin_width", "p_hat", "kld"], fit_rows)
@@ -269,7 +282,7 @@ def _score_cells(score) -> list:
 
 def _cmd_sweep(config: ExperimentConfig, outdir: str) -> None:
     block = config.block("sweep")
-    space = enumerate_state_space(config.model)
+    space = _state_space(config)
     sim = _sim_config(config, block)
     tapes: dict = {}  # the random strategies and the baselines replay the same rounds
     entries = random_sweep(config.model, block["count"], config.seed, sim,

@@ -480,6 +480,9 @@ def _validate_model(check: _Checker, value: Any, path: tuple) -> ResourceModel:
         lifetime = t.pop("mean_lifetime")
         if lifetime is not None:
             t["release_rate"] = 1.0 / lifetime
+            if t["release_rate"] == math.inf:
+                check.fail(tpath + ("mean_lifetime",),
+                           f"1 / mean_lifetime must be a finite rate, got {lifetime}")
         types.append(SliceType(**t))
     try:
         return ResourceModel(pool=pool, costs=tuple(costs), types=tuple(types))

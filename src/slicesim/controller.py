@@ -9,8 +9,8 @@ until a full pass changes nothing.
 
 A greedy single-queue controller (one FCFS line for all types, head-of-line
 blocking, no preference) is provided as a benchmark.  Both share the state
-and the release and renege handling of ``QueueController``.  A request joins
-by an append to the queue that ``queue_for`` names, marked ``waiting``, and
+and the release and renege handling of ``QueueController``.  A type-``n``
+request joins by an append to ``queues[n - 1]``, marked ``waiting``, and
 whoever appended it then serves.  Each discipline's serving pass is one
 module-level function, ``serve_multi_queue`` or ``serve_single_queue``,
 written once: a controller's ``serve_queues`` (and so ``handle_release``)
@@ -58,13 +58,15 @@ class QueueController:
     """Shared plumbing of the admission controllers.
 
     Holds the state index and the release/renege handling.  A
-    subclass owns its queues, lists them in ``lines``, names through
-    ``queue_for`` the deque a type-``n`` request joins, and serves its queues in
+    subclass owns its queues, lists the distinct ones in ``lines`` and the
+    one a type-``n`` request joins at ``queues[n - 1]`` (the greedy line
+    stands there for every type), and serves its queues in
     ``serve_queues``; a pass that accepts nothing has changed nothing, so it is
     the test for quiescence.
     """
 
     lines: list[deque[RequestRecord]]
+    queues: list[deque[RequestRecord]]
 
     def __init__(self, space: StateSpace) -> None:
         self.space = space
@@ -89,7 +91,7 @@ class QueueController:
         if not record.waiting:
             raise ContractViolation("request is not waiting in its queue")
         record.waiting = False
-        queue = self.queue_for(record.slice_type)
+        queue = self.queues[record.slice_type - 1]
         if queue[0] is not record:
             return False
         queue.popleft()
@@ -107,15 +109,8 @@ class MultiQueueController(QueueController):
         check_columns(strategy, space)
         super().__init__(space)
         self.strategy = strategy
-        self.queues: list[deque[RequestRecord]] = [
-            deque() for _ in range(space.model.num_types)
-        ]
-        self.lines = self.queues
-
-    def queue_for(self, n: int) -> deque[RequestRecord]:
-        if not 1 <= n <= len(self.queues):
-            raise ContractViolation(f"slice type must lie in 1..{len(self.queues)}, got {n}")
-        return self.queues[n - 1]
+        self.lines = [deque() for _ in range(space.model.num_types)]
+        self.queues = self.lines
 
     def serve_queues(self) -> list[RequestRecord]:
         """Recursively serve the queues until blocked; returns requests accepted, in order."""
@@ -132,17 +127,14 @@ class GreedySingleQueueController(QueueController):
 
     def __init__(self, space: StateSpace) -> None:
         super().__init__(space)
-        self.queue: deque[RequestRecord] = deque()
-        self.lines = [self.queue]
-
-    def queue_for(self, n: int) -> deque[RequestRecord]:
-        return self.queue
+        self.lines = [deque()]
+        self.queues = self.lines * space.model.num_types
 
     def serve_queues(self) -> list[RequestRecord]:
         accepted: list[RequestRecord] = []
         space = self.space
         self.state_index = serve_single_queue(
-            self.state_index, self.queue, space._increment, space.num_types,
+            self.state_index, self.lines[0], space._increment, space.num_types,
             space.num_admissible, accepted)
         return accepted
 

@@ -187,10 +187,7 @@ def _draw_initial_index(space: StateSpace, policy: str | tuple[int, ...],
     if policy == "empty":  # index 0 by construction
         return 0
     # "full": uniform over fully-utilized states (no increment of any type fits)
-    low, high = space.num_admissible, len(space)
-    if low == high:
-        raise ContractViolation("model has no fully-utilized state to start from")
-    return int(rng.integers(low, high))
+    return int(rng.integers(space.num_admissible, len(space)))
 
 
 def _arrival_columns(slice_type: int, rate: float, lifetime_scale: float, horizon: float,
@@ -313,7 +310,7 @@ def run(config: SimConfig, space: StateSpace, tape: RoundTape) -> tuple[SimTrace
     types = model.types
     balking = [ty.balking_willingness if config.balking else None for ty in types]
     reneging = [ty.reneging_rate if config.reneging else 0.0 for ty in types]
-    queues = [controller.queue_for(n) for n in range(1, n_types + 1)]
+    queues = controller.queues
     columns = config.strategy.columns if multi else None
 
     # releases and reneges wait in the heap as bare times, and ``due`` maps each time to
@@ -524,7 +521,6 @@ class MonteCarloResult:
     reports: list[MetricsReport]
     accept_times: list[list[list[float]]]  # per round, per type, whole-run
     warmup: float
-    master_seed: int
 
     @cached_property
     def iat_samples(self) -> list[list[float]]:
@@ -573,7 +569,7 @@ def monte_carlo(config: SimConfig, rounds: int, space: StateSpace,
     for trace, report in _round_runs(config, rounds, space, tapes, record_events=False):
         reports.append(report)
         accept_times.append(trace.accept_times)
-    return MonteCarloResult(reports, accept_times, config.warmup, config.seed)
+    return MonteCarloResult(reports, accept_times, config.warmup)
 
 
 def logged_rounds(config: SimConfig, rounds: int,

@@ -40,6 +40,7 @@ follow from the distribution.
 from __future__ import annotations
 
 import itertools
+import warnings
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -196,11 +197,14 @@ def build_transition_matrix(strategy: PreferenceMatrix, space: StateSpace,
     accept = acceptance_distribution(strategy, space, queue_empty_probs)
     # the next event is a release with weight flows[:, n], or a serving
     # opportunity with weight opportunity_rate
-    flows = space.counts * release_rates
-    total = np.zeros(n_states)
-    for flow in flows.T:  # in type order, as the running sum of a loop
-        total += flow
-    total += opportunity_rate
+    with np.errstate(over="ignore"):  # a total past a double is refused below
+        flows = space.counts * release_rates
+        total = np.zeros(n_states)
+        for flow in flows.T:  # in type order, as the running sum of a loop
+            total += flow
+        total += opportunity_rate
+    if not np.isfinite(total).all():
+        raise ContractViolation("a state's release flows and opportunity rate sum past a double")
     idle = total <= 0.0  # no event at all: the state holds
     total[idle] = 1.0
     at, n = np.nonzero(flows > 0.0)
@@ -257,8 +261,6 @@ def initial_distribution(space: StateSpace, policy: str) -> np.ndarray:
     if policy == "full":
         p = np.zeros(n)
         low = space.num_admissible
-        if low == n:
-            raise ContractViolation("model has no fully-utilized state")
         p[low:] = 1.0 / (n - low)
         return p
     raise ContractViolation(f"unknown initial distribution {policy!r}")
@@ -281,7 +283,7 @@ def long_term_distribution(psi: TransitionMatrix | np.ndarray | sparse.sparray,
     """
     from scipy import sparse
     from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     m = psi.matrix if isinstance(psi, TransitionMatrix) else _csr(psi)
     v = np.asarray(p_init, dtype=float)
@@ -310,7 +312,12 @@ def long_term_distribution(psi: TransitionMatrix | np.ndarray | sparse.sparray,
              (np.concatenate([np.arange(k), pos[col[inside]]]),
               np.concatenate([np.arange(k), pos[row[inside]]]))),
             shape=(k, k))
-        return spsolve(op, rhs)
+        with warnings.catch_warnings():  # a singular solve is all nan, refused below
+            warnings.simplefilter("ignore", MatrixRankWarning)
+            y = spsolve(op, rhs)
+        if not np.isfinite(y).all():
+            raise ContractViolation("the chain's solve is singular: a self-loop rounds to 1")
+        return y
 
     # Mass that each recurrent state receives: its own initial mass plus the
     # transient mass absorbed into it, x R with x (I - Q) = p_T.  With one

@@ -32,7 +32,6 @@ class StrategyScore:
     """Monte-Carlo means and 95% half-widths of the three metrics for one strategy."""
 
     label: str
-    seed: int
     rounds: int
     utility_mean: float
     utility_halfwidth: float
@@ -64,6 +63,8 @@ def _mean_halfwidth(values: list[float]) -> tuple[float, float]:
     mean = round_mean(values)
     if n < 2:
         return mean, 0.0
+    if not math.isfinite(mean):  # inf - inf deviations: the interval is unbounded
+        return mean, math.inf
     try:
         var = sum((v - mean) ** 2 for v in values) / (n - 1)
     except OverflowError:  # a deviation past 1e154: square them scaled by the largest
@@ -83,7 +84,6 @@ def score_from_result(result: MonteCarloResult, label: str) -> StrategyScore:
     a_mean, a_hw = _mean_halfwidth(admissions)
     return StrategyScore(
         label=label,
-        seed=result.master_seed,
         rounds=len(result.reports),
         utility_mean=u_mean,
         utility_halfwidth=u_hw,

@@ -25,9 +25,6 @@ FEASIBILITY_REL_TOL = 1e-9
 #: Cap on the number of enumerated states, read by each ``enumerate_state_space`` call.
 DEFAULT_STATE_CAP = 10**6
 
-#: Sentinel meaning "balking disabled" for a slice type.
-BALKING_DISABLED = None
-
 
 @dataclass(frozen=True)
 class SliceType:
@@ -41,7 +38,7 @@ class SliceType:
     release_rate: float
     utility_rate: float = 0.0
     reneging_rate: float = 0.0
-    balking_willingness: float | None = BALKING_DISABLED
+    balking_willingness: float | None = None
 
     def __post_init__(self) -> None:
         if self.arrival_rate < 0:
@@ -222,16 +219,19 @@ def enumerate_state_space(model: ResourceModel) -> StateSpace:
         pos = col > 0
         if not pos.any():
             raise StateSpaceTooLarge(f"type {n} consumes no resources; the space is unbounded")
-        bound = ((pool[pos] + tol[pos]) // col[pos]).min()
         # the float test accumulates type by type, as a depth-first walk would;
         # it is monotone in the count, so each prefix's headroom ends at its
         # largest fitting count: overestimate that by one, then step down to
-        # the exact boundary
+        # the exact boundary.  Counts stop at the cap, past which the space is
+        # too large anyway; a quotient or a product past a double is inf, and
+        # an inf use does not fit.
         fits = lambda c: ~np.any((used + c[:, None] * col) - pool > tol, axis=1)
-        top = np.floor((pool[pos] + tol[pos] - used[:, pos]) / col[pos]).min(axis=1) + 1
-        top = np.clip(top, 0, bound).astype(np.int64)
-        while not (ok := fits(top)).all():
-            top -= ~ok
+        with np.errstate(over="ignore", invalid="ignore"):  # x // 5e-324 is inf, flagged invalid
+            bound = ((pool[pos] + tol[pos]) // col[pos]).min()
+            top = np.floor((pool[pos] + tol[pos] - used[:, pos]) / col[pos]).min(axis=1) + 1
+            top = np.clip(top, 0, min(bound, DEFAULT_STATE_CAP)).astype(np.int64)
+            while not (ok := fits(top)).all():
+                top -= ~ok
         size = int(top.sum()) + len(top)
         if size > DEFAULT_STATE_CAP:
             raise StateSpaceTooLarge(f"state space exceeds the cap of {DEFAULT_STATE_CAP} states")

@@ -50,7 +50,7 @@ def increment_index(space, index, n):
 def handle_request(controller, record):
     """Join ``record`` to its queue, then serve; the requests accepted, in order."""
     record.waiting = True
-    controller.queue_for(record.slice_type).append(record)
+    controller.queues[record.slice_type - 1].append(record)
     return controller.serve_queues()
 
 
@@ -635,7 +635,7 @@ def run_scalar(config, space=None, tape=None):
             if in_window(t):
                 trace.arrivals[n - 1] += 1
             log(t, "arrival", n, rec.request_id)
-            queue = controller.queue_for(n)
+            queue = controller.queues[n - 1]
             backlog = len(queue)
             join_prob = 1.0
             if balk_on[n - 1] and backlog >= 1:
@@ -670,7 +670,7 @@ def run_scalar(config, space=None, tape=None):
             rec = payload
             if rec.waiting:
                 rec.waiting = False
-                controller.queue_for(rec.slice_type).remove(rec)  # by identity: eq=False
+                controller.queues[rec.slice_type - 1].remove(rec)  # by identity: eq=False
                 n = rec.slice_type
                 waiting[n - 1] -= 1
                 trace.total_reneged[n - 1] += 1

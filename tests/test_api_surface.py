@@ -20,11 +20,11 @@ This matching is by name as well: a field counts as read when any other
 attribute or string shares its name.  Unread fields that it could not see
 were ``SimTrace.initial_state`` (a config key and a ``SimConfig`` field),
 ``SimTrace.records`` (loaded once, to append to),
-``TransitionMatrix.mode`` (the name of many parameters read as attributes)
-and ``EmpiricalPmf.bin_width`` (read only as ``FitRow.bin_width``).  Nor
-could either rule see the unused ``TransitionMatrix.size`` (read only as an
-ndarray's ``.size``) or the abstract ``QueueController.queue_for``, which
-both subclasses override, so that the calls reach only theirs.
+``TransitionMatrix.mode`` (the name of many parameters read as attributes),
+``EmpiricalPmf.bin_width`` (read only as ``FitRow.bin_width``) and
+``StrategyScore.seed`` (hidden by ``MetricsReport.seed`` and
+``ExperimentConfig.seed``).  Nor could either rule see the unused
+``TransitionMatrix.size`` (read only as an ndarray's ``.size``).
 
 A parameter of a function or method (``__init__`` included) is checked by
 two rules, against the calls in ``src/`` or ``perfbench/`` outside its own

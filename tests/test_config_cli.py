@@ -17,6 +17,20 @@ from slicesim.errors import ConfigError, SliceSimError
 from slicesim.slice_model import enumerate_state_space
 
 
+SCENARIO_1 = "scenario: paper-scenario-1\n"
+
+# the steady state of a chain whose type-1 release rate is {rate}
+STEADY_TWO_TYPES = """model:
+  resources: [1.0]
+  slice_types:
+    - {{cost: [0.3], arrival_rate: 1.0, release_rate: {rate}}}
+    - {{cost: [0.2], arrival_rate: 0.5, release_rate: 1.0}}
+steady_state:
+  strategy: {{prefer_type: 1}}
+  queue_empty_probs: [0.3, 0.6]
+  opportunity_rate: 3.0
+"""
+
 MINIMAL = """
 seed: 7
 scenario: paper-scenario-1
@@ -395,23 +409,44 @@ class TestCli:
         assert lines[0] == "length,probability"
         assert lines[1] == "0,0.5"
 
-    @pytest.mark.parametrize("command, block, line", [
-        ("analyze", "analyze:\n  law: acceptance-probabilities\n  acceptance_rate: 5.0e-324\n",
+    @pytest.mark.parametrize("command, text, line", [
+        ("analyze", SCENARIO_1 + "analyze:\n  law: acceptance-probabilities\n"
+                                 "  acceptance_rate: 5.0e-324\n", None),
+        ("analyze", SCENARIO_1 + "analyze:\n  law: impatient-pmf\n  acceptance_rate: 5.0e-324\n",
          None),
-        ("analyze", "analyze:\n  law: impatient-pmf\n  acceptance_rate: 5.0e-324\n", None),
-        ("analyze", "analyze:\n  law: wait-means\n  arrival_rate: 5.0e-324\n", None),
-        ("analyze", "analyze:\n  law: wait-means\n  arrival_rate: 1.0e-300\n", None),
-        ("analyze", "analyze:\n  law: wait-densities\n  arrival_rate: 1.0e-300\n", None),
-        ("steady-state", "steady_state:\n  strategy: {prefer_type: 1}\n"
-                         "  queue_empty_probs: [0.5, 0.5]\n  opportunity_rate: 1.0e+12\n", 5),
+        ("analyze", SCENARIO_1 + "analyze:\n  law: wait-means\n  arrival_rate: 5.0e-324\n", None),
+        ("analyze", SCENARIO_1 + "analyze:\n  law: wait-means\n  arrival_rate: 1.0e-300\n", None),
+        ("analyze", SCENARIO_1 + "analyze:\n  law: wait-densities\n  arrival_rate: 1.0e-300\n",
+         None),
+        ("steady-state", SCENARIO_1 + "steady_state:\n  strategy: {prefer_type: 1}\n"
+                                      "  queue_empty_probs: [0.5, 0.5]\n"
+                                      "  opportunity_rate: 1.0e+12\n", 5),
+        ("sweep", "model:\n  resources: [1.0]\n  slice_types:\n"
+                  + "    - {cost: [0.0005], arrival_rate: 1.0, release_rate: 1.0}\n" * 2
+                  + "sweep: {count: 1, rounds: 1, horizon: 1.0}\n", 1),
+        ("simulate", "model:\n  resources: [1.0]\n  slice_types:\n"
+                     "    - {cost: [0.0], arrival_rate: 1.0, release_rate: 1.0}\n"
+                     "simulate: {rounds: 1, horizon: 1.0}\n", 1),
+        ("steady-state", STEADY_TWO_TYPES.format(rate="1.7e+308"), 9),
+        ("steady-state", STEADY_TWO_TYPES.format(rate="5.0e-324"), 9),
+        ("simulate", "model:\n  resources: [1.0]\n  slice_types:\n"
+                     "    - {cost: [0.3], arrival_rate: 1.0, mean_lifetime: 5.0e-324}\n"
+                     "simulate: {rounds: 1, horizon: 1.0}\n", 4),
+        ("simulate", SCENARIO_1 + "simulate: {rounds: 2, horizon: 10.0, "
+                                  "bin_width_divisor: 1.7e+308}\n", 2),
     ], ids=["acceptance-probabilities-subnormal-acceptance", "impatient-pmf-subnormal-acceptance",
             "wait-means-subnormal-arrival", "wait-means-tiny-arrival",
-            "wait-densities-tiny-arrival", "steady-state-opportunity-rate"])
-    def test_extreme_values_end_in_values_or_a_line(self, tmp_path, capsys, command, block,
+            "wait-densities-tiny-arrival", "steady-state-opportunity-rate",
+            "sweep-state-cap", "simulate-zero-cost-type", "steady-state-huge-release-rate",
+            "steady-state-subnormal-release-rate", "simulate-subnormal-lifetime",
+            "simulate-huge-bin-divisor"])
+    def test_extreme_values_end_in_values_or_a_line(self, tmp_path, capsys, command, text,
                                                     line):
-        # the analyze laws ended in a ZeroDivisionError traceback, and the chain's solve,
-        # which cancels at this rate, in an error with neither file nor line
-        cfg = self._write(tmp_path, "scenario: paper-scenario-1\n" + block)
+        # the analyze laws ended in a ZeroDivisionError traceback; the chain's solve,
+        # which cancels at this rate, the state space's enumeration and the IAT bins in an
+        # error with neither file nor line; the chain at these release rates, and a
+        # lifetime whose rate is inf, in exit 0 (with nan estimates, or an inf rate)
+        cfg = self._write(tmp_path, text)
         code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         if line is not None:

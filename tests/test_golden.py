@@ -100,7 +100,7 @@ def _monte_carlo_snapshot():
         assert logged == report
         reports.append({**dataclasses.asdict(report),
                         **queue_empty_counts([trace], space, config.strategy)._asdict()})
-    return {"exact": {"master_seed": result.master_seed},
+    return {"exact": {},
             "floats": {"reports": reports, "iat_samples": result.iat_samples}}
 
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 import math
@@ -79,7 +80,7 @@ class TestEvaluateStrategy:
             assert s2.utility_mean > s1.utility_mean
 
     def test_metric_accessor(self):
-        score = StrategyScore("x", 0, 1, 1.0, 0.0, 2.0, 0.0, 0.5, 0.0)
+        score = StrategyScore("x", 1, 1.0, 0.0, 2.0, 0.0, 0.5, 0.0)
         assert score.metric("utility") == 1.0
         assert score.metric("wait") == 2.0
         assert score.metric("admission") == 0.5
@@ -96,6 +97,8 @@ class TestEvaluateStrategy:
         mean, halfwidth = optimize._mean_halfwidth([1.5e308, 1.7e308])
         assert mean == pytest.approx(1.6e308, rel=1e-12)
         assert halfwidth == pytest.approx(1.96e307, rel=1e-12)
+        # a round past a double made the deviations inf - inf, and the half-width nan
+        assert optimize._mean_halfwidth([math.inf, 5.87e307]) == (math.inf, math.inf)
 
     @pytest.mark.parametrize("command, rate, block, table", [
         ("sweep", "1.0e+300", "sweep: {count: 2, rounds: 2, horizon: 5.0}\n", "sweep.csv"),
@@ -121,6 +124,27 @@ class TestEvaluateStrategy:
         # the mean row of metrics.csv starts "mean,,"
         cells = [v for row in rows for v in row.split(",") if v not in ("mean", "")]
         assert rows and all(math.isfinite(float(v)) for v in cells)
+
+    @pytest.mark.parametrize("command, block, tables", [
+        ("sweep", "seed: 0\nsweep: {count: 2, rounds: 2, horizon: 5.0}\n",
+         ("sweep.csv", "baselines.csv")),
+        ("optimize", "seed: 1\noptimize: {budget: 2, rounds: 2, horizon: 5.0}\n",
+         ("trajectory.csv",)),
+    ], ids=["sweep", "optimize"])
+    def test_infinite_utility_mean_has_infinite_halfwidth(self, command, block, tables,
+                                                         tmp_path):
+        # at these seeds a round's own utility passes a double; u_ci read nan
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "model:\n  resources: [1.0]\n  slice_types:\n"
+            "    - {cost: [0.3], arrival_rate: 1.0, release_rate: 1.0, utility_rate: 1.7e+308}\n"
+            "    - {cost: [0.2], arrival_rate: 1.0, release_rate: 1.0, utility_rate: 1.0}\n"
+            + block)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        for table in tables:
+            with open(tmp_path / "out" / table, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and all(row["u_mean"] == row["u_ci"] == "inf" for row in rows)
 
 
 class TestRandomSweep:

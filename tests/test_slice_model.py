@@ -149,6 +149,25 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("pool, costs", [
+        ((1.0,), ((0.3,), (1e-300,))),
+        ((2.0**63,), ((0.3,), (0.2,))),
+        ((1.0,), ((5e-324,), (0.3,))),
+    ], ids=["tiny-cost", "huge-pool", "subnormal-cost"])
+    def test_counts_past_an_int64_hit_the_cap(self, pool, costs):
+        # a count past 2**63 wrapped negative in the int64 cast, and numpy raised ValueError
+        model = ResourceModel(pool=pool, costs=costs,
+                              types=(SliceType(1.0, 1.0), SliceType(1.0, 1.0)))
+        with pytest.raises(StateSpaceTooLarge, match="cap of 1000000 states"):
+            enumerate_state_space(model)
+
+    def test_subnormal_cost_bounded_by_another_resource(self):
+        # 1.0 // 5e-324 is inf, which the other resource's bound of 2 replaces
+        model = ResourceModel(pool=(1.0, 1.0), costs=((5e-324, 0.5), (0.3, 0.0)),
+                              types=(SliceType(1.0, 1.0), SliceType(1.0, 1.0)))
+        space = enumerate_state_space(model)
+        assert set(space.states) == {(a, b) for a in range(3) for b in range(4)}
+
     def test_admissible_listed_first_and_indices_agree(self):
         space = enumerate_state_space(table_model())
         _, admissible = brute_force_state_space(space.model.pool, space.model.costs)
